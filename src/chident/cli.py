@@ -123,13 +123,12 @@ def _echo(cfg: RunConfig) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     params = cfg.model_params()
     fe = quadratic_fe(build_mesh(cfg.forward.n_cells))
     phi0 = interpolate(fe, cfg.initial_fn())
-    t0 = time.perf_counter()
     traj = simulate(phi0, params, t_end=cfg.forward.t_end, tau=cfg.forward.tau)
-    wall = time.perf_counter() - t0
 
     masses = np.array([mass(traj.phi_field(k)) for k in range(traj.n_states)])
     energies = np.array(
@@ -149,6 +148,7 @@ def cmd_simulate(args) -> int:
     }
     chio.save_trajectory(traj, out / "trajectory.bin")
     chio.write_json_report(out / "simulate_report.json", report)
+    wall = time.perf_counter() - t0
     print(
         f"simulate: {report['n_steps']} steps, mass drift "
         f"{report['mass_drift_max']:.3e}, max energy increase "
@@ -159,10 +159,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_make_data(args) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     traj_path = Path(args.trajectory) if args.trajectory else out / "trajectory.bin"
     traj = chio.load_trajectory(traj_path)
-    t0 = time.perf_counter()
     data = restrict_to_data_grid(traj, cfg.data.factor)
     noise = None
     if cfg.data.delta > 0.0:
@@ -180,7 +180,6 @@ def cmd_make_data(args) -> int:
         data, cfg.forward.gamma, params.F,
         threshold_rel=cfg.inverse.threshold,
     )
-    wall = time.perf_counter() - t0
     chio.save_observation(data, out / "observation.bin")
     chio.diagnostics_csv(report_obj, out / "diagnostics.csv")
     report = {
@@ -196,6 +195,7 @@ def cmd_make_data(args) -> int:
         "diagnostics_file": "diagnostics.csv",
     }
     chio.write_json_report(out / "make_data_report.json", report)
+    wall = time.perf_counter() - t0
     print(
         f"make-data: {data.n_times} snapshots on {data.basis.mesh.n_cells} cells, "
         f"provenance {data.provenance}  [{wall:.1f}s]"
@@ -248,13 +248,13 @@ def _mask_of(intervals, s_grid):
 
 def cmd_identify(args) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     obs_path = Path(args.observation) if args.observation else out / "observation.bin"
     data = chio.load_observation(obs_path)
     params = cfg.model_params()
     grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
     times = _selected_times(cfg, data)
-    t0 = time.perf_counter()
     problem = _assemble(cfg, data, times, grid)
 
     lcurve = None
@@ -266,7 +266,6 @@ def cmd_identify(args) -> int:
     else:
         alpha = cfg.inverse.alpha
     sol = tikhonov_solve(problem, alpha)
-    wall = time.perf_counter() - t0
 
     attained, observable = _range_masks(cfg, data, times)
     kind = cfg.inverse.kind
@@ -329,6 +328,7 @@ def cmd_identify(args) -> int:
         **results,
     }
     chio.write_json_report(out / "identify_report.json", report)
+    wall = time.perf_counter() - t0
     err_bits = ", ".join(f"{k} = {v:.4f}" for k, v in results.items())
     print(f"identify ({kind}): alpha {alpha:.3e}, {err_bits}  [{wall:.1f}s]")
     return 0
@@ -336,17 +336,16 @@ def cmd_identify(args) -> int:
 
 def cmd_lcurve(args) -> int:
     cfg = _load_config(args)
+    t0 = time.perf_counter()
     out = _outdir(cfg)
     obs_path = Path(args.observation) if args.observation else out / "observation.bin"
     data = chio.load_observation(obs_path)
     grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
     times = _selected_times(cfg, data)
-    t0 = time.perf_counter()
     problem = _assemble(cfg, data, times, grid)
     alphas = (np.asarray(cfg.inverse.alpha_grid)
               if cfg.inverse.alpha_grid else default_alpha_grid())
     alpha, curve = lcurve_select(problem, alphas, threads=args.threads)
-    wall = time.perf_counter() - t0
     chio.lcurve_csv(curve, out / "lcurve.csv")
     report = {
         **_echo(cfg),
@@ -357,6 +356,7 @@ def cmd_lcurve(args) -> int:
         "lcurve_file": "lcurve.csv",
     }
     chio.write_json_report(out / "lcurve_report.json", report)
+    wall = time.perf_counter() - t0
     print(f"lcurve ({cfg.inverse.kind}): corner alpha {alpha:.3e}  [{wall:.1f}s]")
     return 0
 
@@ -477,10 +477,9 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
     t0 = time.perf_counter()
+    out = _outdir(cfg)
     results = run_invariant_suite(cfg)
-    wall = time.perf_counter() - t0
     report = {
         **_echo(cfg),
         "checks": [
@@ -490,6 +489,7 @@ def cmd_verify(args) -> int:
         "all_passed": all(p for _, p, _ in results),
     }
     chio.write_json_report(out / "verify_report.json", report)
+    wall = time.perf_counter() - t0
     print(f"verify: {sum(p for _, p, _ in results)}/{len(results)} checks passed "
           f"[{wall:.1f}s]")
     return 0 if report["all_passed"] else 3

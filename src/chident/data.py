@@ -334,20 +334,58 @@ def attained_range(data: ObservationData, t: float) -> tuple[float, float]:
     return float(bounds[:, 0].min()), float(bounds[:, 1].max())
 
 
-def _real_roots_unit(poly: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Real roots of a local cubic (monomial coefficients) in [0, 1)."""
-    coeffs = poly[::-1].copy()
-    lead = np.max(np.abs(coeffs))
-    if lead == 0.0:
-        return np.empty(0)
-    nz = np.nonzero(np.abs(coeffs) > 1e-14 * lead)[0]
-    coeffs = coeffs[nz[0] :]
-    if len(coeffs) < 2:
-        return np.empty(0)
-    r = np.roots(coeffs)
-    r = r[np.abs(r.imag) < 1e-8].real
-    r = r[(r >= -tol) & (r < 1.0 - tol)]
-    return np.clip(r, 0.0, 1.0)
+def _unit_roots(polys: np.ndarray, tol: float = 1e-10):
+    """Real roots in [0, 1) of a stack of local cubics.
+
+    Row i of ``polys`` holds monomial coefficients (a0, a1, a2, a3).
+    Leading coefficients below 1e-14 of the largest are dropped, and the
+    companion matrices of each effective degree go through one
+    ``eigvals`` call; exact trailing zeros become roots at 0, as
+    ``np.roots`` makes them.  Returns (row index, root), ordered by row
+    and, within a row, in ``np.roots`` order.
+    """
+    coeffs = polys[:, ::-1]                      # highest power first
+    mag = np.abs(coeffs)
+    lead = mag.max(axis=1)
+    first = np.argmax(mag > 1e-14 * lead[:, None], axis=1)
+    last = 3 - np.argmax(polys != 0.0, axis=1)   # last nonzero of coeffs
+    solvable = (lead > 0.0) & (first < 3)
+    degree = last - first                        # companion size
+    roots = np.full((len(polys), 3), np.nan)
+    for d in (1, 2, 3):
+        sel = np.nonzero(solvable & (degree == d))[0]
+        if not len(sel):
+            continue
+        p = np.take_along_axis(coeffs[sel], first[sel, None] + np.arange(d + 1), axis=1)
+        comp = np.zeros((len(sel), d, d))
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        ev = np.linalg.eigvals(comp)
+        roots[sel, :d] = np.where(np.abs(ev.imag) < 1e-8, ev.real, np.nan)
+    slot = np.arange(3)
+    roots[solvable[:, None] & (slot >= degree[:, None]) & (slot < 3 - first[:, None])] = 0.0
+    keep = (roots >= -tol) & (roots < 1.0 - tol)
+    rows, cols = np.nonzero(keep)
+    return rows, np.clip(roots[rows, cols], 0.0, 1.0)
+
+
+def _level_roots(f: PeriodicField, levels: np.ndarray):
+    """Crossings of a snapshot with each level, before merging.
+
+    Candidate (level, cell) pairs are bracketed through the exact
+    piecewise bounds and solved in one batch.  Returns (level index,
+    cell, local coordinate), ordered by level, then cell.
+    """
+    p0 = _piece_polys(f)
+    bounds = piece_value_bounds(f)
+    pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
+    lv, cells = np.nonzero(
+        (bounds[:, 0] - pad <= levels[:, None]) & (levels[:, None] <= bounds[:, 1] + pad)
+    )
+    polys = p0[cells]
+    polys[:, 0] -= levels[lv]
+    rows, u = _unit_roots(polys)
+    return lv[rows], cells[rows], u
 
 
 @dataclass
@@ -363,37 +401,26 @@ class LevelCrossings:
 def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
     """All points of {phi = s} with slopes and third derivatives.
 
-    Candidate cells are bracketed through exact piecewise bounds, the
-    local cubics are solved, and near-node duplicates are merged.  The
-    spline's third derivative is piecewise constant, which is only
-    first-order accurate at an arbitrary point but second-order accurate
-    at cell midpoints; the reported value therefore interpolates the two
-    nearest midpoint values linearly, restoring second-order pointwise
-    accuracy.  A crossing merged onto a knot gets the average of the two
-    adjacent pieces, which is the same rule at the knot position.
+    Candidate cells are bracketed through exact piecewise bounds, their
+    local cubics are solved in one batch, and near-node duplicates are
+    merged.  The spline's third derivative is piecewise constant, which
+    is only first-order accurate at an arbitrary point but second-order
+    accurate at cell midpoints; the reported value therefore interpolates
+    the two nearest midpoint values linearly, restoring second-order
+    pointwise accuracy.  A crossing merged onto a knot gets the average
+    of the two adjacent pieces, which is the same rule at the knot
+    position.
     """
-    p0 = _piece_polys(f, 0)
-    bounds = piece_value_bounds(f)
-    h = f.basis.mesh.h
-    pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
-    cells = np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]
-    xs, us, pcs = [], [], []
-    for j in cells:
-        poly = p0[j].copy()
-        poly[0] -= s
-        for u in _real_roots_unit(poly):
-            xs.append((j + u) * h)
-            us.append(u)
-            pcs.append(j)
-    if not xs:
+    _, pcs, us = _level_roots(f, np.array([float(s)]))
+    if not len(us):
         return LevelCrossings(s, np.empty(0), np.empty(0), np.empty(0))
+    h = f.basis.mesh.h
+    xs = (pcs + us) * h
     order = np.argsort(xs)
-    xs = np.asarray(xs)[order]
-    us = np.asarray(us)[order]
-    pcs = np.asarray(pcs)[order]
+    xs = xs[order]
+    us = us[order]
+    pcs = pcs[order]
 
-    p1 = _piece_polys(f, 1)
-    p3 = _piece_polys(f, 3)
     n = f.basis.mesh.n_cells
     # merge duplicates across cell boundaries (including the wrap-around)
     keep, merged_node = [], []
@@ -411,23 +438,19 @@ def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
         merged_node[0] = True
         merged_node = merged_node[:-1]
 
-    xk = xs[keep]
-    slope = np.empty(len(keep))
-    third = np.empty(len(keep))
-    for out, (i, at_node) in enumerate(zip(keep, merged_node)):
-        slope[out] = _poly_vals(p1[pcs[i]], np.array([us[i]]))[0]
-        if at_node:
-            # snap to the knot: halfway between the adjacent cell midpoints
-            jr = pcs[i] if us[i] < 0.5 else (pcs[i] + 1) % n
-            jl = (jr - 1) % n
-            third[out] = 0.5 * (p3[jl, 0] + p3[jr, 0])
-        elif us[i] >= 0.5:
-            t = us[i] - 0.5
-            third[out] = (1.0 - t) * p3[pcs[i], 0] + t * p3[(pcs[i] + 1) % n, 0]
-        else:
-            t = us[i] + 0.5
-            third[out] = (1.0 - t) * p3[(pcs[i] - 1) % n, 0] + t * p3[pcs[i], 0]
-    return LevelCrossings(s, xk, slope, third)
+    uk, jk = us[keep], pcs[keep]
+    slope = _poly_vals(_piece_polys(f, 1)[jk], uk)
+    p3 = _piece_polys(f, 3)[:, 0]
+    # snapped to a knot: halfway between the adjacent cell midpoints
+    jr = np.where(uk < 0.5, jk, (jk + 1) % n)
+    at_knot = 0.5 * (p3[(jr - 1) % n] + p3[jr])
+    # otherwise: between the midpoints of this cell and its nearer neighbour
+    upper = uk >= 0.5
+    t = np.where(upper, uk - 0.5, uk + 0.5)
+    left = np.where(upper, jk, (jk - 1) % n)
+    between = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
+    third = np.where(merged_node, at_knot, between)
+    return LevelCrossings(s, xs[keep], slope, third)
 
 
 def spline_antiderivative(f: PeriodicField):
@@ -498,24 +521,25 @@ def coarea_coefficients(
     a_b = -gamma * float(np.sum(cr.third * np.sign(cr.slope)))
     a_c = float(np.sum(np.abs(cr.slope)))
 
-    # integrate the difference quotient over {phi < s}
-    xs = cr.x
+    # integrate the difference quotient over {phi < s}: the gaps between
+    # consecutive crossings whose midpoint lies below the level
+    left = cr.x
+    right = np.roll(left, -1)
+    wrap = right <= left
+    mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
+    cells, u = f.basis.mesh.locate(mid)
+    below = _poly_vals(_piece_polys(f)[cells], u) < s
     a_val = 0.0
-    for i in range(len(xs)):
-        left = xs[i]
-        right = xs[(i + 1) % len(xs)]
-        wrap = right <= left
-        mid = 0.5 * (left + (right + 1.0 if wrap else right))
-        if eval_field(f, mid if mid < 1.0 else mid - 1.0) < s:
-            if wrap:
-                a_val += integral(1.0) - integral(left) + integral(right)
-            else:
-                a_val += integral(right) - integral(left)
+    for a, b, wrapped in zip(left[below], right[below], wrap[below]):
+        if wrapped:
+            a_val += integral(1.0) - integral(a) + integral(b)
+        else:
+            a_val += integral(b) - integral(a)
 
-    sup_slope = float(np.max(np.abs(_poly_vals(_piece_polys(f, 1), np.full(f.basis.mesh.n_cells, 0.5)))))
-    sup_slope = max(
-        sup_slope,
-        float(np.max(np.abs(eval_field(f, f.basis.mesh.nodes(), 1)))),
+    # sup |phi'| over the cell midpoints and the knots
+    p1 = _piece_polys(f, 1)
+    sup_slope = float(
+        max(np.max(np.abs(_poly_vals(p1, np.full(len(p1), 0.5)))), np.max(np.abs(p1[:, 0])))
     )
     min_slope = float(np.min(np.abs(cr.slope)))
     degenerate = min_slope < degeneracy_rel * sup_slope
@@ -563,11 +587,14 @@ def observable_range(
         xq, _ = quadrature_rule(data.basis.mesh, 8)
         threshold = threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1))))
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
-    good = np.zeros(n_levels, dtype=bool)
-    for i, s in enumerate(levels):
-        cr = level_crossings(f, s)
-        if len(cr.x) and np.max(np.abs(eval_field(mu, cr.x, 1))) > threshold:
-            good[i] = True
+    # every crossing of every level in one batch; duplicates at a knot
+    # are not merged, which leaves the maximum of the continuous |mu'|
+    # unchanged up to rounding
+    lv, cells, u = _level_roots(f, levels)
+    slopes = np.abs(basis_matrix(data.basis, (cells + u) * data.basis.mesh.h, 1) @ mu.coef)
+    peak = np.full(n_levels, -np.inf)
+    np.maximum.at(peak, lv, slopes)
+    good = peak > threshold
     intervals = []
     i = 0
     while i < n_levels:

@@ -9,7 +9,9 @@ by a Newton iteration on the stacked (phi, mu) unknowns.  The implicit
 Euler discretization keeps the mass integral constant step by step; the
 Newton iteration is driven to the dual-norm residual tolerance and then
 polished by one extra iteration so that conservation holds to rounding
-over long runs.  Failed steps are retried with recursive step halving.
+over long runs.  Failed steps (Newton failure, singular Jacobian, or a
+non-positive mobility along an iterate) are retried with recursive step
+halving.
 """
 
 from dataclasses import dataclass
@@ -142,7 +144,11 @@ def _newton_step(
             ],
             format="csc",
         )
-        delta = splu(jac).solve(np.concatenate([r1, r2]))
+        try:
+            lu = splu(jac)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NewtonError(f"singular Newton Jacobian: {exc}") from exc
+        delta = lu.solve(np.concatenate([r1, r2]))
         ndof = len(phi)
         phi -= delta[:ndof]
         mu -= delta[ndof:]
@@ -174,7 +180,7 @@ def _advance(ctx, phi_n, mu_n, tau, tol, max_iter, depth, max_depth):
     try:
         phi, mu, _ = _newton_step(ctx, phi_n, phi_n, mu_n, tau, tol, max_iter)
         return phi, mu
-    except NewtonError:
+    except (NewtonError, MobilityError):
         if depth >= max_depth:
             raise
     half = 0.5 * tau
@@ -195,8 +201,9 @@ def simulate(
     """Run the stepper from ``phi0`` to ``t_end`` on a uniform time grid.
 
     ``t_end`` must be an integer multiple of ``tau`` up to rounding.  On a
-    Newton failure the step is bisected (recursively, up to ``max_bisect``
-    levels); recorded states stay on the uniform grid.
+    Newton failure (no convergence, a singular Jacobian, or a non-positive
+    mobility along an iterate) the step is bisected (recursively, up to
+    ``max_bisect`` levels); recorded states stay on the uniform grid.
     """
     if not tau > 0.0 or not t_end > 0.0:
         raise SolverError("tau and t_end must be positive")

@@ -228,17 +228,12 @@ def eval_field(f: PeriodicField, x, order: int = 0):
     return float(out[0]) if scalar else out
 
 
-_SPLINE_KERNEL_CACHE: dict[int, np.ndarray] = {}
-
-
 def _spline_collocation_kernel(n: int) -> np.ndarray:
-    ker = _SPLINE_KERNEL_CACHE.get(n)
-    if ker is None:
-        ker = np.zeros(n)
-        ker[0] = 4.0 / 6.0
-        ker[1] = 1.0 / 6.0
-        ker[-1] = 1.0 / 6.0
-        _SPLINE_KERNEL_CACHE[n] = ker
+    """First column of the circulant spline collocation matrix."""
+    ker = np.zeros(n)
+    ker[0] = 4.0 / 6.0
+    ker[1] = 1.0 / 6.0
+    ker[-1] = 1.0 / 6.0
     return ker
 
 
@@ -306,12 +301,6 @@ class GramPair:
         if self._factor is None:
             object.__setattr__(self, "_factor", splu(self.M.tocsc()))
         return self._factor.solve(np.asarray(rhs, dtype=float))
-
-    def h1_norm(self, coef: np.ndarray) -> float:
-        return float(np.sqrt(max(coef @ (self.M @ coef), 0.0)))
-
-    def l2_norm(self, coef: np.ndarray) -> float:
-        return float(np.sqrt(max(coef @ (self.M_L2 @ coef), 0.0)))
 
 
 def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:

@@ -149,11 +149,6 @@ class SplineParameter:
         return float(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
-def eval_param(p, s, order: int = 0):
-    """Evaluate either flavor of parameter function."""
-    return p(s, order)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Interface coefficient, mobility, and double-well potential."""

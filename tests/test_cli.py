@@ -1,6 +1,7 @@
 """Batch front end: pipelines, exit codes, determinism, invariant suite."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,33 @@ def test_numerical_failure_exit_code(tmp_path):
     cfg, _ = _write_cfg(tmp_path, name="neg.cfg",
                         forward_mobility="spline:-1.0,1.0")
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
+
+
+def test_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
+    from chident import forward
+
+    def singular(jac):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(forward, "splu", singular)
+    cfg, _ = _write_cfg(tmp_path, name="singular.cfg")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert "singular Newton Jacobian" in capsys.readouterr().err
+
+
+def test_identify_clock_covers_range_masks(pipeline, monkeypatch, capsys):
+    cfg, _ = pipeline
+    clock = [0.0]
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    real = cli._range_masks
+
+    def slow_range_masks(*args):
+        clock[0] += 100.0
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_range_masks", slow_range_masks)
+    assert cli.main(["identify", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("[100.0s]")
 
 
 def test_verify_passes(tmp_path, capsys):

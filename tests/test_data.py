@@ -1,9 +1,15 @@
 """Observation grid, difference quotients, level sets, noise."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chident import data as chdata
 from chident.meshbasis import (
+    PeriodicField,
     assemble_grams,
     build_mesh,
     cubic_spline_basis,
@@ -293,3 +299,116 @@ def test_observability_report_smoke(reference_data, params):
         assert row.cond > 0.0  # inf marks an unusable partner time
     assert any(np.isfinite(r.cond) for r in report.rows)
     assert report.attained and report.observable
+
+
+# --- batch root kernel against the per-cell np.roots loop -------------------
+
+
+def _np_roots_unit(poly, tol=1e-10):
+    """Reference: real roots in [0, 1) of one local cubic through np.roots."""
+    coeffs = poly[::-1].copy()
+    lead = np.max(np.abs(coeffs))
+    if lead == 0.0:
+        return np.empty(0)
+    nz = np.nonzero(np.abs(coeffs) > 1e-14 * lead)[0]
+    coeffs = coeffs[nz[0]:]
+    if len(coeffs) < 2:
+        return np.empty(0)
+    r = np.roots(coeffs)
+    r = r[np.abs(r.imag) < 1e-8].real
+    r = r[(r >= -tol) & (r < 1.0 - tol)]
+    return np.clip(r, 0.0, 1.0)
+
+
+def _unit_roots_loop(polys):
+    """The batch kernel's contract, one np.roots call per cubic."""
+    per_row = [_np_roots_unit(poly) for poly in polys]
+    rows = np.repeat(np.arange(len(polys)), [len(r) for r in per_row])
+    return rows, np.concatenate([np.empty(0), *per_row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cells=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    flat_degree=st.sampled_from([None, 0, 1, 2]),
+)
+def test_unit_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
+    rng = np.random.default_rng(seed)
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    coef = rng.uniform(-0.9, 0.9, n_cells)
+    if flat_degree is not None:
+        # coefficients on a polynomial of this degree make the pieces
+        # inside the run drop to that degree
+        run = (rng.integers(n_cells) + np.arange(rng.integers(4, n_cells + 1))) % n_cells
+        k = np.arange(len(run)) / len(run)
+        coef[run] = np.polyval(rng.uniform(-0.4, 0.4, flat_degree + 1), k)
+    f = PeriodicField(basis, coef)
+    p0 = chdata._piece_polys(f)
+    lo, hi = float(p0[:, 0].min()), float(p0[:, 0].max())
+    levels = np.concatenate([
+        rng.uniform(lo, hi, 3),
+        p0[rng.integers(n_cells, size=3), 0],      # exact node values
+        [p0[run[1], 0]] if flat_degree is not None else [],
+        [lo - 0.5, hi + 0.5],                      # outside the range
+    ])
+    polys = np.repeat(p0[None], len(levels), axis=0)
+    polys[:, :, 0] -= levels[:, None]
+    polys = polys.reshape(-1, 4)
+    # extra cubics whose leading one or two coefficients sit on either
+    # side of the 1e-14 degree-drop rule
+    near = polys[rng.integers(len(polys), size=8)]
+    for row, drop in zip(near, rng.integers(1, 3, size=8)):
+        rest = np.max(np.abs(row[: 4 - drop]))
+        row[4 - drop:] = rest * rng.choice([-1.0, 1.0], drop) * 10.0 ** -rng.uniform(12.0, 16.0, drop)
+    stacked = np.concatenate([polys, near])
+
+    rows, u = chdata._unit_roots(stacked)
+    rows_ref, u_ref = _unit_roots_loop(stacked)
+    counts = np.bincount(rows, minlength=len(stacked))
+    assert np.array_equal(counts, np.bincount(rows_ref, minlength=len(stacked)))
+    assert np.array_equal(rows, rows_ref)
+    assert np.all(np.abs(u - u_ref) <= 1e-12)
+    assert np.all((u >= 0.0) & (u < 1.0))
+    assert np.all(np.abs(chdata._poly_vals(stacked[rows], u)) <= 1e-9)
+    on_spline = rows < len(polys)
+    x = (rows[on_spline] % n_cells + u[on_spline]) / n_cells
+    assert np.all(np.abs(eval_field(f, x) - levels[rows[on_spline] // n_cells]) <= 1e-9)
+
+
+def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_levels=201):
+    """Reference: one level_crossings and one eval_field call per level."""
+    f = data.phi_field(data.index_of(t))
+    mu = chemical_potential_from_data(data, gamma, potential, t)
+    lo, hi = attained_range(data, t)
+    xq, _ = quadrature_rule(data.basis.mesh, 8)
+    threshold = threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1))))
+    levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * (hi - lo)
+    good = []
+    for s in levels:
+        cr = level_crossings(f, s)
+        good.append(len(cr.x) > 0 and np.max(np.abs(eval_field(mu, cr.x, 1))) > threshold)
+    intervals, i = [], 0
+    for flag, run in itertools.groupby(good):
+        n = len(list(run))
+        if flag:
+            intervals.append((float(levels[i]), float(levels[i + n - 1])))
+        i += n
+    return intervals
+
+
+def test_batched_level_sets_match_loop_oracle(reference_data, params, window_times, monkeypatch):
+    times = window_times[[0, 49, 99, 149, 199]]
+    batched = [observable_range(reference_data, GAMMA, params.F, t) for t in times]
+    f = reference_data.phi_field(reference_data.index_of(times[2]))
+    lo, hi = attained_range(reference_data, times[2])
+    levels = lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo)
+    crossings = [level_crossings(f, s) for s in levels]
+
+    monkeypatch.setattr(chdata, "_unit_roots", _unit_roots_loop)
+    for t, ivs in zip(times, batched):
+        assert ivs == _observable_range_loop(reference_data, GAMMA, params.F, t)
+    for s, cr in zip(levels, crossings):
+        ref = level_crossings(f, s)
+        for name in ("x", "slope", "third"):
+            assert np.array_equal(getattr(cr, name), getattr(ref, name))

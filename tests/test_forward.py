@@ -13,8 +13,10 @@ from chident.model import (
     mass,
     param_grid,
 )
+from chident import forward
 from chident.forward import (
     MobilityError,
+    NewtonError,
     SolverError,
     initial_chemical_potential,
     mass_series,
@@ -124,3 +126,50 @@ def test_time_grid_validation():
         simulate(phi0, params, t_end=-1e-4, tau=2e-5)
     with pytest.raises(SolverError):
         step(phi0, initial_chemical_potential(phi0, params), params, tau=0.0)
+
+
+def _two_half_steps(phi0, params, tau):
+    mu0 = initial_chemical_potential(phi0, params)
+    return step(*step(phi0, mu0, params, tau=0.5 * tau), params, tau=0.5 * tau)
+
+
+def test_singular_jacobian_is_bisected(monkeypatch):
+    params = default_params(0.003)
+    phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
+    phi_half, _ = _two_half_steps(phi0, params, 2e-5)
+    real, calls = forward.splu, []
+
+    def singular_once(jac):
+        calls.append(jac.shape)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real(jac)
+
+    monkeypatch.setattr(forward, "splu", singular_once)
+    traj = simulate(phi0, params, t_end=2e-5, tau=2e-5)
+    assert len(calls) > 1
+    assert np.allclose(traj.phi[1], phi_half.coef, atol=1e-12)
+
+    def singular(jac):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(forward, "splu", singular)
+    with pytest.raises(NewtonError, match="singular"):
+        simulate(phi0, params, t_end=2e-5, tau=2e-5, max_bisect=2)
+
+
+def test_mobility_failure_on_an_iterate_is_bisected():
+    params = default_params(0.003)
+    phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
+    phi_half, _ = _two_half_steps(phi0, params, 2e-5)
+    calls = []
+
+    def negative_once(s, order=0):
+        calls.append(order)
+        out = params.b(s, order)
+        return -np.abs(out) if len(calls) == 1 else out
+
+    flaky = ModelParams(gamma=params.gamma, b=negative_once, F=params.F)
+    traj = simulate(phi0, flaky, t_end=2e-5, tau=2e-5)
+    assert len(calls) > 1
+    assert np.allclose(traj.phi[1], phi_half.coef, atol=1e-12)
