@@ -9,9 +9,11 @@ by a Newton iteration on the stacked (phi, mu) unknowns.  The implicit
 Euler discretization keeps the mass integral constant step by step; the
 Newton iteration is driven to the dual-norm residual tolerance and then
 polished by one extra iteration so that conservation holds to rounding
-over long runs.  Failed steps (Newton failure, singular Jacobian, or a
-non-positive mobility along an iterate) are retried with recursive step
-halving.
+over long runs.  The Newton Jacobian is assembled into a sparsity pattern
+fixed once per run and factorized by SuperLU.  Failed steps (Newton
+failure, singular Jacobian, or a non-positive mobility along an iterate)
+are retried with recursive step halving, unless the mobility is already
+non-positive at the start of the step, where halving cannot help.
 """
 
 from dataclasses import dataclass
@@ -21,13 +23,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .meshbasis import (
+    BlockPattern,
     GramPair,
     PeriodicField,
     SpatialBasis,
     assemble_grams,
     basis_matrix,
+    cell_shape_table,
+    element_grams,
     quadrature_rule,
-    weighted_gram,
 )
 from .model import ModelParams, mass
 
@@ -66,7 +70,17 @@ class Trajectory:
 
 
 class _ForwardContext:
-    """Quadrature tables and gram matrices reused across steps."""
+    """Quadrature tables, gram matrices and the Newton Jacobian pattern.
+
+    The Jacobian of one implicit step,
+
+        [[M + tau C, tau K_b], [-gamma K - M_f', M]],
+
+    keeps the sparsity pattern of the basis.  The pattern and the constant
+    blocks are set up here once; each Newton iteration only builds the
+    cell-local blocks of K_b (b-weighted stiffness), C (b' mu' coupling)
+    and M_f' (f'-weighted mass) and scatters them into it.
+    """
 
     def __init__(self, basis: SpatialBasis, params: ModelParams, n_quad: int = 8):
         self.basis = basis
@@ -74,14 +88,69 @@ class _ForwardContext:
         self.x, self.w = quadrature_rule(basis.mesh, n_quad)
         self.e0 = basis_matrix(basis, self.x, 0).tocsc()
         self.e1 = basis_matrix(basis, self.x, 1).tocsc()
+        self.e0t = self.e0.T.tocsr()
+        self.e1t = self.e1.T.tocsr()
+        self.v0 = cell_shape_table(basis, n_quad, 0)
+        self.v1 = cell_shape_table(basis, n_quad, 1)
         self.grams: GramPair = assemble_grams(basis)
         self.M = self.grams.M_L2
         self.K = self.grams.K
+        self.pattern = BlockPattern(
+            basis,
+            2,
+            [(0, 0), (0, 1), (1, 0)],
+            {(0, 0): self.M, (1, 1): self.M, (1, 0): -params.gamma * self.K},
+        )
 
     def residual_norm(self, r1: np.ndarray, r2: np.ndarray) -> float:
         z1 = self.grams.solve_M(r1)
         z2 = self.grams.solve_M(r2)
         return float(np.sqrt(max(r1 @ z1 + r2 @ z2, 0.0)))
+
+    def min_mobility(self, phi: np.ndarray) -> float:
+        return float(np.min(self.params.b(self.e0 @ phi)))
+
+    def initial_mu(self, phi: np.ndarray) -> np.ndarray:
+        """L2 projection of -gamma lap(phi) + f(phi) onto the basis."""
+        params = self.params
+        rhs = params.gamma * (self.K @ phi) + self.e0t @ (
+            self.w * params.f(self.e0 @ phi)
+        )
+        return sp.linalg.spsolve(self.M.tocsc(), rhs)
+
+    def residual(self, phi_n, phi, mu, tau):
+        """Newton residual (r1, r2) at (phi, mu) and the point values it used.
+
+        Raises MobilityError if the mobility is non-positive at a
+        quadrature point of phi.
+        """
+        params = self.params
+        phi_q = self.e0 @ phi
+        b_q = params.b(phi_q)
+        if np.min(b_q) <= 0.0:
+            raise MobilityError(
+                f"mobility reached {np.min(b_q):.3e} at a quadrature point"
+            )
+        mu_grad_q = self.e1 @ mu
+        r1 = self.M @ (phi - phi_n) + tau * (self.e1t @ (self.w * b_q * mu_grad_q))
+        r2 = (
+            self.M @ mu
+            - params.gamma * (self.K @ phi)
+            - self.e0t @ (self.w * params.f(phi_q))
+        )
+        return r1, r2, (phi_q, b_q, mu_grad_q)
+
+    def jacobian(self, tau, point_values) -> sp.csc_matrix:
+        """Newton Jacobian from the point values ``residual`` returned."""
+        params = self.params
+        phi_q, b_q, mu_grad_q = point_values
+        shape = (self.basis.mesh.n_cells, -1)
+        w = self.w.reshape(shape)
+        v0, v1 = self.v0, self.v1
+        k_b = element_grams(v1, v1, w * b_q.reshape(shape))
+        c = element_grams(v1, v0, w * (params.b(phi_q, 1) * mu_grad_q).reshape(shape))
+        m_fp = element_grams(v0, v0, w * params.f(phi_q, 1).reshape(shape))
+        return self.pattern.assemble(tau * c, tau * k_b, -m_fp)
 
 
 def initial_chemical_potential(
@@ -89,11 +158,7 @@ def initial_chemical_potential(
 ) -> PeriodicField:
     """L2 projection of -gamma lap(phi0) + f(phi0) onto the basis."""
     ctx = _ForwardContext(phi0.basis, params, n_quad)
-    rhs = params.gamma * (ctx.K @ phi0.coef) + ctx.e0.T @ (
-        ctx.w * params.f(ctx.e0 @ phi0.coef)
-    )
-    mu = sp.linalg.spsolve(ctx.M.tocsc(), rhs)
-    return PeriodicField(phi0.basis, mu)
+    return PeriodicField(phi0.basis, ctx.initial_mu(phi0.coef))
 
 
 def _newton_step(
@@ -106,23 +171,12 @@ def _newton_step(
     max_iter: int,
 ):
     """Advance one implicit Euler step from phi_n, warm-started at (phi, mu)."""
-    params = ctx.params
-    gamma = params.gamma
-    M, K, e0, e1, w = ctx.M, ctx.K, ctx.e0, ctx.e1, ctx.w
     phi = phi.copy()
     mu = mu.copy()
     first_norm = None
     polish_left = 1
     for it in range(max_iter):
-        phi_q = e0 @ phi
-        b_q = params.b(phi_q)
-        if np.min(b_q) <= 0.0:
-            raise MobilityError(
-                f"mobility reached {np.min(b_q):.3e} at a quadrature point"
-            )
-        k_b = weighted_gram(e1, e1, w * b_q)
-        r1 = M @ (phi - phi_n) + tau * (k_b @ mu)
-        r2 = M @ mu - gamma * (K @ phi) - e0.T @ (w * params.f(phi_q))
+        r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
         rnorm = ctx.residual_norm(r1, r2)
         if not np.isfinite(rnorm):
             raise NewtonError("Newton residual is not finite")
@@ -134,18 +188,8 @@ def _newton_step(
             polish_left -= 1
         elif rnorm > 1e6 * max(first_norm, 1.0):
             raise NewtonError(f"Newton iteration diverged (residual {rnorm:.3e})")
-        mu_grad_q = e1 @ mu
-        c_mat = weighted_gram(e1, e0, w * params.b(phi_q, 1) * mu_grad_q)
-        m_fp = weighted_gram(e0, e0, w * params.f(phi_q, 1))
-        jac = sp.bmat(
-            [
-                [M + tau * c_mat, tau * k_b],
-                [-gamma * K - m_fp, M],
-            ],
-            format="csc",
-        )
         try:
-            lu = splu(jac)
+            lu = splu(ctx.jacobian(tau, point_values))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NewtonError(f"singular Newton Jacobian: {exc}") from exc
         delta = lu.solve(np.concatenate([r1, r2]))
@@ -181,7 +225,8 @@ def _advance(ctx, phi_n, mu_n, tau, tol, max_iter, depth, max_depth):
         phi, mu, _ = _newton_step(ctx, phi_n, phi_n, mu_n, tau, tol, max_iter)
         return phi, mu
     except (NewtonError, MobilityError):
-        if depth >= max_depth:
+        # halving the step cannot help when its start state is inadmissible
+        if depth >= max_depth or ctx.min_mobility(phi_n) <= 0.0:
             raise
     half = 0.5 * tau
     phi_h, mu_h = _advance(ctx, phi_n, mu_n, half, tol, max_iter, depth + 1, max_depth)
@@ -203,7 +248,9 @@ def simulate(
     ``t_end`` must be an integer multiple of ``tau`` up to rounding.  On a
     Newton failure (no convergence, a singular Jacobian, or a non-positive
     mobility along an iterate) the step is bisected (recursively, up to
-    ``max_bisect`` levels); recorded states stay on the uniform grid.
+    ``max_bisect`` levels); recorded states stay on the uniform grid.  A
+    step whose start state already has a non-positive mobility fails at
+    once with ``MobilityError``.
     """
     if not tau > 0.0 or not t_end > 0.0:
         raise SolverError("tau and t_end must be positive")
@@ -217,7 +264,7 @@ def simulate(
     phi = np.empty((n_steps + 1, dof))
     mu = np.empty((n_steps + 1, dof))
     phi[0] = phi0.coef
-    mu[0] = initial_chemical_potential(phi0, params, n_quad).coef
+    mu[0] = ctx.initial_mu(phi0.coef)
     for k in range(n_steps):
         phi[k + 1], mu[k + 1] = _advance(
             ctx, phi[k], mu[k], tau, newton_tol, max_newton, 0, max_bisect

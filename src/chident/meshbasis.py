@@ -282,6 +282,86 @@ def weighted_gram(
     return (rows.T @ sp.diags(w) @ cols).tocsr()
 
 
+def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.ndarray:
+    """d^order psi_l / dx^order at the Gauss points of one cell.
+
+    The points are those of ``quadrature_rule`` inside a cell; on the
+    uniform mesh the table, of shape (n_quad, dofs_per_cell), is the same
+    on every cell.
+    """
+    if order < 0 or order > basis.max_order:
+        raise BasisError(
+            f"derivative order {order} out of range for {basis.kind}"
+        )
+    g, _ = np.polynomial.legendre.leggauss(n_quad)
+    vals = _poly_eval(_shape_table(basis.kind), 0.5 * (g + 1.0), order)
+    return vals * float(basis.mesh.n_cells) ** order
+
+
+def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cell-local rows^T diag(w_c) cols for every cell c at once.
+
+    ``rows`` and ``cols`` are cell shape tables (n_quad, n_local) and ``w``
+    holds the weights per cell, shape (n_cells, n_quad); the result has
+    shape (n_cells, n_local, n_local).  The contraction over the points is
+    one matrix product against the table of shape-function products.
+    """
+    n_quad, n_local = rows.shape
+    products = (rows[:, :, None] * cols[:, None, :]).reshape(n_quad, -1)
+    return (w @ products).reshape(len(w), n_local, n_local)
+
+
+class BlockPattern:
+    """Fixed CSC sparsity pattern of a block matrix assembled cell by cell.
+
+    The matrix has ``n_blocks`` x ``n_blocks`` blocks of the basis size.
+    Each block (I, J) in ``cell_blocks`` receives one dense local matrix
+    per cell, at rows ``cell_dofs() + I * dof`` and columns
+    ``cell_dofs() + J * dof``.  The sparse matrices in ``constant``, a
+    mapping (I, J) -> matrix, are folded into a base data array once, so
+    ``assemble`` costs one scatter-add per call.
+    """
+
+    def __init__(self, basis: SpatialBasis, n_blocks: int, cell_blocks, constant):
+        dof = basis.dof_count
+        size = n_blocks * dof
+        cd = basis.cell_dofs().astype(np.int64)
+        n_local = cd.shape[1]
+        # local entry (i, j) of a cell sits at row cd[c, i], column cd[c, j]
+        r_loc = np.repeat(cd, n_local, axis=1).ravel()
+        c_loc = np.tile(cd, (1, n_local)).ravel()
+        rows = [r_loc + i * dof for i, _ in cell_blocks]
+        cols = [c_loc + j * dof for _, j in cell_blocks]
+        n_cell_entries = len(cell_blocks) * len(r_loc)
+        values = []
+        for (i, j), mat in constant.items():
+            coo = sp.coo_matrix(mat)
+            rows.append(coo.row + i * dof)
+            cols.append(coo.col + j * dof)
+            values.append(coo.data)
+        # column-major keys: np.unique sorts them into CSC slot order
+        keys, slots = np.unique(
+            np.concatenate(cols) * size + np.concatenate(rows), return_inverse=True
+        )
+        self.shape = (size, size)
+        self.indices = (keys % size).astype(np.int32)
+        self.indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+        self._cell_slots = slots[:n_cell_entries]
+        self._base = np.bincount(
+            slots[n_cell_entries:], weights=np.concatenate(values), minlength=len(keys)
+        )
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def assemble(self, *cell_values: np.ndarray) -> sp.csc_matrix:
+        """Base plus the per-cell local matrices, one array per cell block."""
+        vals = np.concatenate([v.ravel() for v in cell_values])
+        data = self._base + np.bincount(self._cell_slots, weights=vals, minlength=self.nnz)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
 # exact Gauss point counts for products of two shape functions
 _GRAM_QUAD = {QUADRATIC_FE: 3, PERIODIC_CUBIC_SPLINE: 4}
 

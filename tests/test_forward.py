@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from chident.meshbasis import build_mesh, quadratic_fe, interpolate, eval_field
+from chident.meshbasis import (
+    build_mesh,
+    eval_field,
+    interpolate,
+    quadratic_fe,
+    weighted_gram,
+)
 from chident.model import (
     ModelParams,
     SplineParameter,
@@ -173,3 +180,91 @@ def test_mobility_failure_on_an_iterate_is_bisected():
     traj = simulate(phi0, flaky, t_end=2e-5, tau=2e-5)
     assert len(calls) > 1
     assert np.allclose(traj.phi[1], phi_half.coef, atol=1e-12)
+
+
+def test_inadmissible_start_state_is_not_bisected(monkeypatch):
+    grid = param_grid()
+    params = default_params(0.003)
+    bad = ModelParams(
+        gamma=0.003,
+        b=SplineParameter(grid, grid.knots.copy(), name="b"),  # b(s) = s
+        F=params.F,
+    )
+    phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
+    real, taus = forward._newton_step, []
+
+    def counting(ctx, phi_n, phi, mu, tau, tol, max_iter):
+        taus.append(tau)
+        return real(ctx, phi_n, phi, mu, tau, tol, max_iter)
+
+    monkeypatch.setattr(forward, "_newton_step", counting)
+    with pytest.raises(MobilityError):
+        simulate(phi0, bad, t_end=2e-5, tau=2e-5)
+    assert taus == [2e-5]
+
+
+def _bmat_route(ctx, phi_n, phi, mu, tau):
+    """Residual and Jacobian assembled from weighted grams and sp.bmat."""
+    params, gamma = ctx.params, ctx.params.gamma
+    M, K, e0, e1, w = ctx.M, ctx.K, ctx.e0, ctx.e1, ctx.w
+    phi_q = e0 @ phi
+    k_b = weighted_gram(e1, e1, w * params.b(phi_q))
+    r1 = M @ (phi - phi_n) + tau * (k_b @ mu)
+    r2 = M @ mu - gamma * (K @ phi) - e0.T @ (w * params.f(phi_q))
+    c_mat = weighted_gram(e1, e0, w * params.b(phi_q, 1) * (e1 @ mu))
+    m_fp = weighted_gram(e0, e0, w * params.f(phi_q, 1))
+    jac = sp.bmat(
+        [[M + tau * c_mat, tau * k_b], [-gamma * K - m_fp, M]], format="csc"
+    )
+    return r1, r2, jac
+
+
+@pytest.mark.parametrize("n_cells", [4, 5, 16, 64])
+def test_fixed_pattern_assembly_matches_bmat_route(n_cells):
+    params = default_params(0.003)
+    fe = quadratic_fe(build_mesh(n_cells))
+    ctx = forward._ForwardContext(fe, params)
+    rng = np.random.default_rng(n_cells)
+    dof = fe.dof_count
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for tau in (2e-5, 0.37):
+        phi_n = rng.uniform(-0.9, 0.9, dof)
+        phi = rng.uniform(-0.9, 0.9, dof)
+        mu = rng.standard_normal(dof)
+        r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
+        jac = ctx.jacobian(tau, point_values)
+        q1, q2, ref = _bmat_route(ctx, phi_n, phi, mu, tau)
+        assert rel(r1, q1) <= 1e-13 and rel(r2, q2) <= 1e-13
+        assert jac.shape == ref.shape and jac.nnz == ref.nnz
+        dense, dense_ref = jac.toarray(), ref.toarray()
+        for rows in (slice(0, dof), slice(dof, None)):
+            for cols in (slice(0, dof), slice(dof, None)):
+                assert rel(dense[rows, cols], dense_ref[rows, cols]) <= 1e-13
+
+
+# Newton iterations (= splu calls) of the short 64-cell run, pinned from the
+# sp.bmat assembly that the fixed-pattern assembly replaced
+SHORT_RUN_NEWTON_ITERS = 80
+
+
+def test_newton_count_is_pinned_and_runs_are_deterministic(monkeypatch):
+    params = default_params(0.003)
+    phi0 = interpolate(quadratic_fe(build_mesh(64)), default_initial_profile)
+    real, calls = forward.splu, []
+
+    def counting(jac):
+        calls.append(jac.shape)
+        return real(jac)
+
+    monkeypatch.setattr(forward, "splu", counting)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append(simulate(phi0, params, t_end=4e-4, tau=2e-5))
+        assert len(calls) == SHORT_RUN_NEWTON_ITERS
+    assert runs[0].n_states == 21
+    assert np.array_equal(runs[0].phi, runs[1].phi)
+    assert np.array_equal(runs[0].mu, runs[1].mu)

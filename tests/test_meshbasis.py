@@ -5,12 +5,15 @@ import pytest
 
 from chident.meshbasis import (
     BasisError,
+    BlockPattern,
     MeshError,
     assemble_grams,
     basis_matrix,
     build_mesh,
+    cell_shape_table,
     cubic_spline_basis,
     dual_norm_Hm1,
+    element_grams,
     eval_field,
     interpolate,
     interpolate_many,
@@ -135,6 +138,33 @@ def test_weighted_gram_matches_l2_gram():
     m_quad = weighted_gram(e0, e0, w).toarray()
     m_ref = assemble_grams(basis, n_quad=8).M_L2.toarray()
     assert np.allclose(m_quad, m_ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_cells", [4, 9])
+def test_block_pattern_matches_weighted_gram(n_cells):
+    # four local splines per cell wrap around the periodic ends
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    x, w = quadrature_rule(basis.mesh, 6)
+    e0, e1 = basis_matrix(basis, x, 0), basis_matrix(basis, x, 1)
+    weights = w * (2.0 + np.sin(2.0 * np.pi * x))
+    m = assemble_grams(basis).M_L2
+    pattern = BlockPattern(basis, 2, [(0, 1), (1, 0)], {(0, 0): m, (1, 1): 2 * m})
+    local = weights.reshape(n_cells, -1)
+    v0, v1 = cell_shape_table(basis, 6, 0), cell_shape_table(basis, 6, 1)
+    got = pattern.assemble(
+        element_grams(v1, v1, local), element_grams(v1, v0, local)
+    ).toarray()
+    dof = basis.dof_count
+    ref = np.block(
+        [
+            [m.toarray(), weighted_gram(e1, e1, weights).toarray()],
+            [weighted_gram(e1, e0, weights).toarray(), 2 * m.toarray()],
+        ]
+    )
+    assert got.shape == (2 * dof, 2 * dof)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+    with pytest.raises(BasisError):
+        cell_shape_table(basis, 6, 4)
 
 
 def test_l2_functional_values():
