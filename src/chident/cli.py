@@ -54,7 +54,6 @@ from .data import (
     restrict_to_data_grid,
 )
 from .inverse import (
-    CGError,
     IDENTIFY_B,
     IDENTIFY_F,
     IDENTIFY_JOINT,
@@ -82,7 +81,7 @@ __all__ = ["main", "run_invariant_suite"]
 
 _VALIDATION_ERRORS = (ConfigError, chio.IOError_, FileNotFoundError)
 _NUMERICAL_ERRORS = (
-    SolverError, NewtonError, MobilityError, InverseError, CGError,
+    SolverError, NewtonError, MobilityError, InverseError,
     DataError, ModelError, ParameterError, MeshError, BasisError,
     AssemblyError,
 )
@@ -261,7 +260,7 @@ def cmd_identify(args) -> int:
     if cfg.inverse.alpha is None:
         alphas = (np.asarray(cfg.inverse.alpha_grid)
                   if cfg.inverse.alpha_grid else default_alpha_grid())
-        alpha, lcurve = lcurve_select(problem, alphas, threads=args.threads)
+        alpha, lcurve = lcurve_select(problem, alphas)
         chio.lcurve_csv(lcurve, out / "lcurve.csv")
     else:
         alpha = cfg.inverse.alpha
@@ -319,7 +318,7 @@ def cmd_identify(args) -> int:
         "times_used": [float(t) for t in times],
         "residual_norm": sol.residual_norm,
         "solution_norm": sol.solution_norm,
-        "cg_iterations": sol.cg_iterations,
+        "singular_values": problem.standard_form().s.tolist(),
         "delta": data.delta,
         "provenance": data.provenance,
         "attained_range": [list(iv) for iv in attained],
@@ -345,7 +344,7 @@ def cmd_lcurve(args) -> int:
     problem = _assemble(cfg, data, times, grid)
     alphas = (np.asarray(cfg.inverse.alpha_grid)
               if cfg.inverse.alpha_grid else default_alpha_grid())
-    alpha, curve = lcurve_select(problem, alphas, threads=args.threads)
+    alpha, curve = lcurve_select(problem, alphas)
     chio.lcurve_csv(curve, out / "lcurve.csv")
     report = {
         **_echo(cfg),
@@ -503,8 +502,6 @@ def _add_common(p):
     p.add_argument("--preset", help="built-in preset name (paper)")
     p.add_argument("--out", help="output directory (overrides output.directory)")
     p.add_argument("--seed", type=int, help="noise seed (overrides data.seed)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size for independent solves")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,9 +103,8 @@ class _ForwardContext:
         )
 
     def residual_norm(self, r1: np.ndarray, r2: np.ndarray) -> float:
-        z1 = self.grams.solve_M(r1)
-        z2 = self.grams.solve_M(r2)
-        return float(np.sqrt(max(r1 @ z1 + r2 @ z2, 0.0)))
+        z = self.grams.solve_M(np.column_stack([r1, r2]))
+        return float(np.sqrt(max(r1 @ z[:, 0] + r2 @ z[:, 1], 0.0)))
 
     def min_mobility(self, phi: np.ndarray) -> float:
         return float(np.min(self.params.b(self.e0 @ phi)))

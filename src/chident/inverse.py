@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .data import ObservationData, inject_noise, time_derivative
 from .meshbasis import GramPair, basis_matrix, quadrature_rule
@@ -35,8 +36,25 @@ class InverseError(ValueError):
     """Invalid assembly or solve request."""
 
 
-class CGError(RuntimeError):
-    """Conjugate gradient failed to reach the requested tolerance."""
+@dataclass(frozen=True)
+class StandardForm:
+    """One factorization of a Tikhonov problem that serves every alpha.
+
+    With C C' = M^-1 per block, the whitened system [C' T_i | C' y_i]
+    stacked over the time blocks has the R-factor [[R_k, c], [0, rho]],
+    so the misfit is ||R_k x - c||^2 + rho^2; ``residual`` = |rho| is the
+    part of the data no coefficients can reach.  With L L' = R and
+    z = L' x the penalty is ||z||^2, and R_k L^-T = U diag(s) V' turns
+    each alpha into filter factors on ``beta`` = U' c.
+    """
+
+    r_k: np.ndarray
+    c: np.ndarray
+    L: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    beta: np.ndarray
+    residual: float
 
 
 @dataclass
@@ -57,7 +75,7 @@ class AssembledProblem:
     grid: NaturalSplineGrid
     times: np.ndarray
     data_hash: str
-    _normal: tuple | None = field(default=None, repr=False)
+    _factor: StandardForm | None = field(default=None, repr=False)
 
     @property
     def block_size(self) -> int:
@@ -81,19 +99,33 @@ class AssembledProblem:
             acc += r @ self.grams.solve_M(r)
         return float(np.sqrt(max(acc, 0.0)))
 
-    def normal_system(self):
-        """Cached normal-equation matrix G = T' M^-1 T and right side."""
-        if self._normal is None:
-            k = self.n_cols
-            g = np.zeros((k, k))
-            rhs = np.zeros(k)
+    def standard_form(self) -> StandardForm:
+        """Cached standard-form factorization, built on the first solve.
+
+        The whitened rows are folded into a (k+1)-column R-factor one
+        time block at a time, so the whitened operator is never formed.
+        """
+        if self._factor is None:
+            k, bs = self.n_cols, self.block_size
+            minv = self.grams.solve_M(np.eye(bs))
+            whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
+            r = np.zeros((0, k + 1))
             for i in range(self.n_blocks):
-                sl = slice(i * self.block_size, (i + 1) * self.block_size)
-                w = self.grams.solve_M(self.T[sl])
-                g += self.T[sl].T @ w
-                rhs += self.T[sl].T @ self.grams.solve_M(self.y[sl])
-            self._normal = (0.5 * (g + g.T), rhs)
-        return self._normal
+                sl = slice(i * bs, (i + 1) * bs)
+                rows = whiten.T @ np.column_stack([self.T[sl], self.y[sl]])
+                r = np.linalg.qr(np.vstack([r, rows]), mode="r")
+            # no more rows than columns: pad, the out-of-range residual is 0
+            r = np.vstack([r, np.zeros((k + 1 - r.shape[0], k + 1))])
+            pen = self.apply_regularizer(np.eye(k))
+            chol = np.linalg.cholesky(0.5 * (pen + pen.T))
+            u, sv, vt = np.linalg.svd(
+                solve_triangular(chol, r[:k, :k].T, lower=True).T
+            )
+            self._factor = StandardForm(
+                r_k=r[:k, :k], c=r[:k, k], L=chol, s=sv, vt=vt,
+                beta=u.T @ r[:k, k], residual=float(abs(r[k, k])),
+            )
+        return self._factor
 
     def apply_regularizer(self, x: np.ndarray) -> np.ndarray:
         if self.kind == IDENTIFY_JOINT:
@@ -102,14 +134,6 @@ class AssembledProblem:
                 [self.R.apply(x[:n]), self.R.apply(x[n:])]
             )
         return self.R.apply(x)
-
-    def solve_regularizer(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == IDENTIFY_JOINT:
-            n = self.grid.n_knots
-            return np.concatenate(
-                [self.R.solve(x[:n]), self.R.solve(x[n:])]
-            )
-        return self.R.solve(x)
 
     def penalty_norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(x @ self.apply_regularizer(x), 0.0)))
@@ -140,6 +164,8 @@ def _check_phase_values(data: ObservationData, idx: np.ndarray):
     from .meshbasis import spline_node_values
 
     vals = spline_node_values(data.coef[idx])
+    if not np.all(np.isfinite(vals)):
+        raise InverseError("data values are not finite")
     if np.max(np.abs(vals)) > 1.0:
         raise InverseError(
             f"data values leave [-1, 1] (max |phi| = {np.max(np.abs(vals)):.6f})"
@@ -276,137 +302,56 @@ def assemble_identify_joint(
 
 @dataclass
 class RegularizedSolution:
-    """Tikhonov minimizer at one alpha, with recomputed norms."""
+    """Tikhonov minimizer at one alpha, with its residual and penalty norms."""
 
     kind: str
     coefficients: np.ndarray
     alpha: float
     residual_norm: float
     solution_norm: float
-    cg_iterations: int
+    cg_iterations: int = 0  # always 0; perfbench/tracing.py still reads it
 
 
-def _cg_cycle(apply_a, solve_r, rhs, target: float, budget: int):
-    """One preconditioned CG sweep on A e = rhs down to ``target``.
-
-    Returns (iterate, iterations, achieved residual) where the residual
-    is measured in the preconditioner-weighted norm sqrt(r' R^-1 r).
-    """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = solve_r(r)
-    rz = float(r @ z)
-    res = np.sqrt(max(rz, 0.0))
-    if res <= target:
-        return x, 0, res
-    p = z.copy()
-    best_x, best_res = x.copy(), res
-    for it in range(1, budget + 1):
-        ap = apply_a(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise CGError(f"normal operator lost positivity at iteration {it}")
-        step = rz / pap
-        x += step * p
-        r -= step * ap
-        z = solve_r(r)
-        rz_new = float(r @ z)
-        res = np.sqrt(max(rz_new, 0.0))
-        if res < best_res:
-            best_res, best_x = res, x.copy()
-        if res <= target:
-            return x, it, res
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return best_x, budget, best_res
-
-
-def _pcg(problem: AssembledProblem, alpha: float, tol: float, maxiter: int):
-    """Restarted R-preconditioned CG on (G + alpha R) x = rhs.
-
-    The preconditioned residual quadratic form r' R^-1 r is exactly the
-    convergence functional, so each sweep terminates when sqrt of it
-    falls below ``tol`` relative to the right-hand side.  A sweep that
-    bottoms out on accumulated rounding is restarted on the freshly
-    recomputed residual; the correction solve regains the lost digits.
-    """
-    g, rhs = problem.normal_system()
-
-    def apply_a(v):
-        return g @ v + alpha * problem.apply_regularizer(v)
-
-    rhs_w = float(np.sqrt(max(rhs @ problem.solve_regularizer(rhs), 0.0)))
-    x = np.zeros(problem.n_cols)
-    if rhs_w == 0.0:
-        return x, 0
-    target = tol * rhs_w
-    total = 0
-    last_res = np.inf
-    for _ in range(4):
-        r = rhs - apply_a(x)
-        res = float(np.sqrt(max(r @ problem.solve_regularizer(r), 0.0)))
-        if res <= target:
-            return x, total
-        if res > 0.5 * last_res:
-            break
-        last_res = res
-        e, iters, _ = _cg_cycle(
-            apply_a, problem.solve_regularizer, r, target, maxiter
-        )
-        x += e
-        total += iters
-    raise CGError(
-        f"no convergence in {total} iterations "
-        f"(relative residual {res / rhs_w:.3e})"
-    )
-
-
-def tikhonov_solve(
-    problem: AssembledProblem,
-    alpha: float,
-    tol: float = 1e-12,
-    maxiter: int | None = None,
-) -> RegularizedSolution:
+def tikhonov_solve(problem: AssembledProblem, alpha: float) -> RegularizedSolution:
     """Minimize the weighted misfit plus alpha times the penalty.
 
-    Solves the normal equations (T' M^-1 T + alpha R) x = T' M^-1 y by
-    conjugate gradients preconditioned with R; the reported residual and
-    penalty norms are recomputed at the returned coefficients.
+    Applies the filter factors s / (s^2 + alpha) of the cached standard
+    form; the residual norm sqrt(sum (alpha beta / (s^2 + alpha))^2 +
+    rho^2) and the penalty norm ||z|| come in closed form.
     """
     if not alpha > 0.0:
         raise InverseError(f"alpha must be positive, got {alpha}")
-    if maxiter is None:
-        maxiter = max(300, 40 * problem.n_cols)
-    x, iters = _pcg(problem, float(alpha), tol, maxiter)
-    residual = problem.T @ x - problem.y
+    sf = problem.standard_form()
+    denom = sf.s**2 + alpha
+    z = sf.s * sf.beta / denom
+    x = solve_triangular(sf.L, sf.vt.T @ z, lower=True, trans="T")
     return RegularizedSolution(
         kind=problem.kind,
         coefficients=x,
         alpha=float(alpha),
-        residual_norm=problem.weighted_misfit(residual),
-        solution_norm=problem.penalty_norm(x),
-        cg_iterations=iters,
+        residual_norm=float(np.hypot(np.linalg.norm(alpha * sf.beta / denom),
+                                     sf.residual)),
+        solution_norm=float(np.linalg.norm(z)),
     )
 
 
 def tikhonov_solve_direct(
     problem: AssembledProblem, alpha: float
 ) -> RegularizedSolution:
-    """Dense direct solve of the same normal equations (oracle path)."""
+    """Cross-check: least squares on [R_k; sqrt(alpha) L'] x = [c; 0].
+
+    Uses the same R-factor but no SVD; the norms are recomputed from the
+    returned coefficients.
+    """
     if alpha < 0.0:
         raise InverseError(f"alpha must be nonnegative, got {alpha}")
-    g, rhs = problem.normal_system()
+    sf = problem.standard_form()
     k = problem.n_cols
-    reg = np.zeros((k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        reg[:, j] = problem.apply_regularizer(e)
-    a = g + alpha * reg
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        x = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    x = np.linalg.lstsq(
+        np.vstack([sf.r_k, np.sqrt(alpha) * sf.L.T]),
+        np.concatenate([sf.c, np.zeros(k)]),
+        rcond=None,
+    )[0]
     residual = problem.T @ x - problem.y
     return RegularizedSolution(
         kind=problem.kind,
@@ -414,7 +359,6 @@ def tikhonov_solve_direct(
         alpha=float(alpha),
         residual_norm=problem.weighted_misfit(residual),
         solution_norm=problem.penalty_norm(x),
-        cg_iterations=0,
     )
 
 
@@ -438,8 +382,7 @@ def default_alpha_grid() -> np.ndarray:
 def lcurve_select(
     problem: AssembledProblem,
     alphas=None,
-    tol: float = 1e-12,
-    threads: int = 1,
+    threads: int = 1,  # unused; perfbench/pipeline.py still passes threads=1
 ):
     """Scan a decreasing alpha grid and pick the L-curve corner.
 
@@ -447,8 +390,8 @@ def lcurve_select(
     log residual / log penalty polyline, restricted to triples whose
     points behave monotonically; points past the noise floor (residual
     or penalty moving the wrong way as alpha decreases) are flagged and
-    excluded.  Returns (alpha_star, curve).  ``threads`` > 1 dispatches
-    the independent per-alpha solves to a worker pool.
+    excluded.  Returns (alpha_star, curve).  Every alpha reuses the one
+    cached standard-form factorization.
     """
     alphas = default_alpha_grid() if alphas is None else np.asarray(alphas, float)
     if len(alphas) < 10:
@@ -457,16 +400,7 @@ def lcurve_select(
         raise InverseError("alpha grid must be positive and strictly decreasing")
     if np.log10(alphas[0] / alphas[-1]) < 4.0:
         raise InverseError("alpha grid must span at least four decades")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        problem.normal_system()  # build the shared cache before dispatch
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(
-                lambda a: tikhonov_solve(problem, a, tol=tol), alphas
-            ))
-    else:
-        sols = [tikhonov_solve(problem, a, tol=tol) for a in alphas]
+    sols = [tikhonov_solve(problem, a) for a in alphas]
     rho = np.array([s.residual_norm for s in sols])
     eta = np.array([s.solution_norm for s in sols])
     if np.any(rho <= 0.0) or np.any(eta <= 0.0):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chident import cli
+from chident.model import NaturalSplineGrid
 
 SMALL_CFG = """
 forward.n_cells = 64
@@ -77,6 +78,33 @@ def test_identify_f_outputs_and_determinism(pipeline, tmp_path):
     assert (out / "knots_fprime.csv").read_bytes() == knots
 
 
+def test_identify_report_singular_values(pipeline):
+    cfg, out = pipeline
+    assert cli.main(["identify", "--config", str(cfg)]) == 0
+    report = json.loads((out / "identify_report.json").read_text())
+    assert "cg_iterations" not in report
+    s = np.array(report["singular_values"])
+    assert len(s) == NaturalSplineGrid(-1.0, 1.0, 0.25).n_knots
+    assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+
+
+def test_identify_rejects_non_finite_data(pipeline, tmp_path, capsys):
+    from chident import io as chio
+
+    cfg, out = pipeline
+    data = chio.load_observation(out / "observation.bin")
+    data.coef[2, 5] = np.nan
+    chio.save_observation(data, tmp_path / "nan.bin")
+    code = cli.main([
+        "identify", "--config", str(cfg),
+        "--observation", str(tmp_path / "nan.bin"),
+        "--out", str(tmp_path / "nan_out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind, solution", [
     ("identify-b", "solution_b.csv"),
     ("identify-joint", "solution_b.csv"),
@@ -104,7 +132,7 @@ def test_lcurve_subcommand(pipeline, tmp_path):
     code = cli.main([
         "lcurve", "--config", str(alt),
         "--observation", str(out / "observation.bin"),
-        "--out", str(tmp_path / "lc_out"), "--threads", "2",
+        "--out", str(tmp_path / "lc_out"),
     ])
     assert code == 0
     lines = (tmp_path / "lc_out" / "lcurve.csv").read_text().splitlines()

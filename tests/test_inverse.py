@@ -69,7 +69,7 @@ def test_scalar_closed_form(alpha):
 def test_zero_data_gives_zero_solution():
     sol = tikhonov_solve(_toy([[1.0]], [0.0]), 1e-3)
     assert sol.coefficients[0] == 0.0
-    assert sol.cg_iterations == 0
+    assert sol.residual_norm == 0.0 and sol.solution_norm == 0.0
 
 
 def test_alpha_validation():
@@ -104,7 +104,7 @@ def test_lcurve_corner_matches_brute_force():
     assert abs(curve.corner_index - brute) <= 1
 
 
-def test_lcurve_monotone_and_cg_agrees():
+def test_lcurve_monotone_and_routes_agree():
     problem, _ = _diag_toy()
     alphas = np.logspace(-1, -11, 21)
     _, curve = lcurve_select(problem, alphas)
@@ -190,15 +190,23 @@ def test_problem_shapes_and_cache(reference_data, params, window_times):
     assert problem.n_cols == grid.n_knots
     assert problem.n_blocks == len(times)
     assert problem.T.shape == (len(times) * problem.block_size, grid.n_knots)
-    first = problem.normal_system()
-    assert problem.normal_system() is first  # cached
-    g, rhs = first
-    assert g.shape == (grid.n_knots, grid.n_knots)
-    assert np.allclose(g, g.T, atol=1e-12)
-    assert np.linalg.eigvalsh(g).min() > -1e-10
+    first = problem.standard_form()
+    assert problem.standard_form() is first  # cached
+    k = grid.n_knots
+    assert first.r_k.shape == first.L.shape == first.vt.shape == (k, k)
+    assert np.array_equal(first.r_k, np.triu(first.r_k))
+    # R-factor of the whitened operator: R_k' R_k = sum_i T_i' M^-1 T_i
+    gram = sum(t.T @ problem.grams.solve_M(t)
+               for t in problem.T.reshape(problem.n_blocks, problem.block_size, k))
+    assert np.allclose(first.r_k.T @ first.r_k, gram,
+                       rtol=0, atol=1e-10 * abs(gram).max())
+    assert np.allclose(first.L @ first.L.T, problem.R.R, rtol=1e-12, atol=0)
+    assert np.allclose(first.vt @ first.vt.T, np.eye(k), atol=1e-12)
+    assert np.all(first.s > 0) and np.all(np.diff(first.s) <= 0)
+    assert first.residual > 0
 
 
-def test_real_problem_cg_matches_direct(reference_data, params, window_times):
+def test_real_problem_routes_agree(reference_data, params, window_times):
     grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
     problem = assemble_identify_f(reference_data, GAMMA, params.b,
                                   window_times[::40], grid)
@@ -208,16 +216,38 @@ def test_real_problem_cg_matches_direct(reference_data, params, window_times):
         assert np.linalg.norm(xc - xd) <= 1e-10 * np.linalg.norm(xd)
 
 
-def test_threaded_lcurve_matches_serial(reference_data, params, window_times):
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
-    problem = assemble_identify_f(reference_data, GAMMA, params.b,
-                                  window_times[::40], grid)
-    alphas = np.logspace(-1, -5, 11)
-    a1, c1 = lcurve_select(problem, alphas, threads=1)
-    a2, c2 = lcurve_select(problem, alphas, threads=3)
-    assert a1 == a2 and c1.corner_index == c2.corner_index
-    assert np.allclose(c1.residual_norms, c2.residual_norms, rtol=1e-12)
-    assert np.allclose(c1.solution_norms, c2.solution_norms, rtol=1e-12)
+def _dense_stacked_lstsq(problem, alpha):
+    """Reference: lstsq on [L_M^-1 T; sqrt(alpha) L_R'] with L_M L_M' = M."""
+    from scipy.linalg import cholesky, solve_triangular
+
+    chol_m = cholesky(problem.grams.M.toarray(), lower=True)
+    bs, k = problem.block_size, problem.n_cols
+    blocks = [slice(i * bs, (i + 1) * bs) for i in range(problem.n_blocks)]
+    t_w = np.vstack([solve_triangular(chol_m, problem.T[sl], lower=True)
+                     for sl in blocks])
+    y_w = np.concatenate([solve_triangular(chol_m, problem.y[sl], lower=True)
+                          for sl in blocks])
+    chol_r = np.linalg.cholesky(problem.apply_regularizer(np.eye(k)))
+    a = np.vstack([t_w, np.sqrt(alpha) * chol_r.T])
+    return np.linalg.lstsq(a, np.concatenate([y_w, np.zeros(k)]), rcond=None)[0]
+
+
+@pytest.mark.parametrize("kind, alpha", [("identify-f", 1e-10), ("identify-joint", 1e-9)])
+def test_paper_alpha_matches_dense_stacked_lstsq(reference_data, params, window_times,
+                                                 kind, alpha):
+    grid = param_grid()
+    if kind == "identify-f":
+        problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times, grid)
+    else:
+        problem = assemble_identify_joint(reference_data, GAMMA, window_times, grid)
+    sol = tikhonov_solve(problem, alpha)
+    ref = _dense_stacked_lstsq(problem, alpha)
+    assert np.linalg.norm(sol.coefficients - ref) <= 1e-8 * np.linalg.norm(ref)
+    # closed-form norms against the ones recomputed from the coefficients
+    recomputed = problem.weighted_misfit(problem.T @ sol.coefficients - problem.y)
+    assert sol.residual_norm == pytest.approx(recomputed, rel=1e-10)
+    assert sol.solution_norm == pytest.approx(problem.penalty_norm(sol.coefficients),
+                                              rel=1e-10)
 
 
 def test_joint_split_and_guard(reference_data, window_times):
