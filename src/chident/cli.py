@@ -33,13 +33,13 @@ from .model import (
     NaturalSplineGrid,
     ParameterError,
     SplineParameter,
-    energy,
-    mass,
 )
 from .forward import (
     MobilityError,
     NewtonError,
     SolverError,
+    energy_series,
+    mass_series,
     simulate,
     verify_scaling_invariance,
 )
@@ -129,10 +129,8 @@ def cmd_simulate(args) -> int:
     phi0 = interpolate(fe, cfg.initial_fn())
     traj = simulate(phi0, params, t_end=cfg.forward.t_end, tau=cfg.forward.tau)
 
-    masses = np.array([mass(traj.phi_field(k)) for k in range(traj.n_states)])
-    energies = np.array(
-        [energy(traj.phi_field(k), params) for k in range(traj.n_states)]
-    )
+    masses = mass_series(traj)
+    energies = energy_series(traj, params)
     increases = np.diff(energies)
     report = {
         **_echo(cfg),
@@ -384,11 +382,9 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
     phi0 = interpolate(fe, cfg.initial_fn())
     try:
         traj = simulate(phi0, params, t_end=t_end, tau=tau)
-        masses = np.array([mass(traj.phi_field(k)) for k in range(traj.n_states)])
+        masses = mass_series(traj)
         drift = float(np.max(np.abs(masses - masses[0])))
-        energies = np.array(
-            [energy(traj.phi_field(k), params) for k in range(traj.n_states)]
-        )
+        energies = energy_series(traj, params)
         rise = float(np.max(np.diff(energies)))
         record("conservation", drift <= 1e-10 and rise <= 1e-10,
                f"mass drift {drift:.2e}, max energy increase {rise:.2e}")

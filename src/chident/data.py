@@ -487,6 +487,11 @@ class CoareaSample:
     n_crossings: int
     min_slope: float       # smallest |phi'| among crossings
     degenerate: bool
+    sup_slope: float       # sup of |phi'| over the cell midpoints and knots
+
+    def degenerate_at(self, degeneracy_rel: float) -> bool:
+        """No crossing, or some crossing slope below degeneracy_rel sup |phi'|."""
+        return self.n_crossings == 0 or self.min_slope < degeneracy_rel * self.sup_slope
 
 
 def coarea_coefficients(
@@ -513,10 +518,15 @@ def coarea_coefficients(
     cr = level_crossings(f, s)
     dphi = time_derivative(data, t)
     integral = spline_antiderivative(dphi)
+    # sup |phi'| over the cell midpoints and the knots
+    p1 = _piece_polys(f, 1)
+    sup_slope = float(
+        max(np.max(np.abs(_poly_vals(p1, np.full(len(p1), 0.5)))), np.max(np.abs(p1[:, 0])))
+    )
     if len(cr.x) == 0:
         lo, hi = attained_range(data, t)
         a_val = integral(1.0) if s > hi else 0.0
-        return CoareaSample(t, s, 0.0, 0.0, a_val, 0, 0.0, True)
+        return CoareaSample(t, s, 0.0, 0.0, a_val, 0, 0.0, True, sup_slope)
 
     a_b = -gamma * float(np.sum(cr.third * np.sign(cr.slope)))
     a_c = float(np.sum(np.abs(cr.slope)))
@@ -536,15 +546,10 @@ def coarea_coefficients(
         else:
             a_val += integral(b) - integral(a)
 
-    # sup |phi'| over the cell midpoints and the knots
-    p1 = _piece_polys(f, 1)
-    sup_slope = float(
-        max(np.max(np.abs(_poly_vals(p1, np.full(len(p1), 0.5)))), np.max(np.abs(p1[:, 0])))
-    )
     min_slope = float(np.min(np.abs(cr.slope)))
     degenerate = min_slope < degeneracy_rel * sup_slope
     return CoareaSample(
-        t, s, a_b, a_c, a_val, len(cr.x), min_slope, degenerate
+        t, s, a_b, a_c, a_val, len(cr.x), min_slope, degenerate, sup_slope
     )
 
 
@@ -624,15 +629,22 @@ def independence_check(
     whether the two are separable there.  Returns (condition, verdict,
     row matrix).  Degenerate level sets at either time are an error.
     """
-    rows = []
-    for t in (t1, t2):
-        sample = coarea_coefficients(data, gamma, s, t)
-        if sample.degenerate:
+    samples = [coarea_coefficients(data, gamma, s, t) for t in (t1, t2)]
+    return _independence(samples, cond_cap)
+
+
+def _independence(samples, cond_cap: float):
+    """``independence_check`` on two co-area samples of one level.
+
+    The degeneracy test is that of ``coarea_coefficients`` at its default
+    ``degeneracy_rel`` of 0.05, whatever the samples were flagged with.
+    """
+    for sample in samples:
+        if sample.degenerate_at(0.05):
             raise DataError(
-                f"degenerate level set at (s, t) = ({s:g}, {t:g})"
+                f"degenerate level set at (s, t) = ({sample.s:g}, {sample.t:g})"
             )
-        rows.append([sample.A_b, sample.A_c])
-    mat = np.asarray(rows)
+    mat = np.asarray([[sample.A_b, sample.A_c] for sample in samples])
     scale = np.linalg.norm(mat, axis=0)
     if np.any(scale == 0.0):
         return np.inf, False, mat
@@ -710,10 +722,9 @@ def build_observability_report(
         for frac in fractions:
             s = lo + frac * span
             sample = coarea_coefficients(data, gamma, s, t, degeneracy_rel)
+            other = coarea_coefficients(data, gamma, s, partner)
             try:
-                cond, _, _ = independence_check(
-                    data, gamma, s, t, partner, cond_cap
-                )
+                cond, _, _ = _independence([sample, other], cond_cap)
             except DataError:
                 cond = np.inf
             in_obs = any(a <= s <= b for a, b in observable[i])

@@ -28,12 +28,11 @@ from .meshbasis import (
     PeriodicField,
     SpatialBasis,
     assemble_grams,
-    basis_matrix,
-    cell_shape_table,
     element_grams,
+    gauss_table,
     quadrature_rule,
 )
-from .model import ModelParams, mass
+from .model import ModelParams, energy, mass
 
 
 class SolverError(RuntimeError):
@@ -79,19 +78,18 @@ class _ForwardContext:
     keeps the sparsity pattern of the basis.  The pattern and the constant
     blocks are set up here once; each Newton iteration only builds the
     cell-local blocks of K_b (b-weighted stiffness), C (b' mu' coupling)
-    and M_f' (f'-weighted mass) and scatters them into it.
+    and M_f' (f'-weighted mass) and scatters them into it.  Fields are
+    evaluated at the quadrature points, and functionals tested against
+    the basis, through the cached cell tables ``t0`` (values) and ``t1``
+    (gradients).
     """
 
     def __init__(self, basis: SpatialBasis, params: ModelParams, n_quad: int = 8):
         self.basis = basis
         self.params = params
         self.x, self.w = quadrature_rule(basis.mesh, n_quad)
-        self.e0 = basis_matrix(basis, self.x, 0).tocsc()
-        self.e1 = basis_matrix(basis, self.x, 1).tocsc()
-        self.e0t = self.e0.T.tocsr()
-        self.e1t = self.e1.T.tocsr()
-        self.v0 = cell_shape_table(basis, n_quad, 0)
-        self.v1 = cell_shape_table(basis, n_quad, 1)
+        self.t0 = gauss_table(basis, n_quad, 0)
+        self.t1 = gauss_table(basis, n_quad, 1)
         self.grams: GramPair = assemble_grams(basis)
         self.M = self.grams.M_L2
         self.K = self.grams.K
@@ -102,18 +100,22 @@ class _ForwardContext:
             {(0, 0): self.M, (1, 1): self.M, (1, 0): -params.gamma * self.K},
         )
 
+    def _test(self, tab, v: np.ndarray) -> np.ndarray:
+        """Pairings (v, psi_i) (or with psi_i') of point values, weights included."""
+        return tab.scatter((self.w * v).reshape(tab.weights.shape))
+
     def residual_norm(self, r1: np.ndarray, r2: np.ndarray) -> float:
         z = self.grams.solve_M(np.column_stack([r1, r2]))
         return float(np.sqrt(max(r1 @ z[:, 0] + r2 @ z[:, 1], 0.0)))
 
     def min_mobility(self, phi: np.ndarray) -> float:
-        return float(np.min(self.params.b(self.e0 @ phi)))
+        return float(np.min(self.params.b(self.t0.gather(phi).ravel())))
 
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """L2 projection of -gamma lap(phi) + f(phi) onto the basis."""
         params = self.params
-        rhs = params.gamma * (self.K @ phi) + self.e0t @ (
-            self.w * params.f(self.e0 @ phi)
+        rhs = params.gamma * (self.K @ phi) + self._test(
+            self.t0, params.f(self.t0.gather(phi).ravel())
         )
         return sp.linalg.spsolve(self.M.tocsc(), rhs)
 
@@ -124,18 +126,18 @@ class _ForwardContext:
         quadrature point of phi.
         """
         params = self.params
-        phi_q = self.e0 @ phi
+        phi_q = self.t0.gather(phi).ravel()
         b_q = params.b(phi_q)
         if np.min(b_q) <= 0.0:
             raise MobilityError(
                 f"mobility reached {np.min(b_q):.3e} at a quadrature point"
             )
-        mu_grad_q = self.e1 @ mu
-        r1 = self.M @ (phi - phi_n) + tau * (self.e1t @ (self.w * b_q * mu_grad_q))
+        mu_grad_q = self.t1.gather(mu).ravel()
+        r1 = self.M @ (phi - phi_n) + tau * self._test(self.t1, b_q * mu_grad_q)
         r2 = (
             self.M @ mu
             - params.gamma * (self.K @ phi)
-            - self.e0t @ (self.w * params.f(phi_q))
+            - self._test(self.t0, params.f(phi_q))
         )
         return r1, r2, (phi_q, b_q, mu_grad_q)
 
@@ -143,9 +145,9 @@ class _ForwardContext:
         """Newton Jacobian from the point values ``residual`` returned."""
         params = self.params
         phi_q, b_q, mu_grad_q = point_values
-        shape = (self.basis.mesh.n_cells, -1)
-        w = self.w.reshape(shape)
-        v0, v1 = self.v0, self.v1
+        w = self.t0.weights
+        shape = w.shape
+        v0, v1 = self.t0.table, self.t1.table
         k_b = element_grams(v1, v1, w * b_q.reshape(shape))
         c = element_grams(v1, v0, w * (params.b(phi_q, 1) * mu_grad_q).reshape(shape))
         m_fp = element_grams(v0, v0, w * params.f(phi_q, 1).reshape(shape))
@@ -325,6 +327,13 @@ def mass_series(traj: Trajectory, n_quad: int = 8) -> np.ndarray:
     """Mass integral at every recorded state."""
     return np.array(
         [mass(traj.phi_field(k), n_quad) for k in range(traj.n_states)]
+    )
+
+
+def energy_series(traj: Trajectory, params: ModelParams, n_quad: int = 8) -> np.ndarray:
+    """Free energy at every recorded state."""
+    return np.array(
+        [energy(traj.phi_field(k), params, n_quad) for k in range(traj.n_states)]
     )
 
 

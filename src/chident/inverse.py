@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import ObservationData, inject_noise, time_derivative
-from .meshbasis import GramPair, basis_matrix, quadrature_rule
+from .meshbasis import GramPair, gauss_table
 from .model import (
     NaturalSplineGrid,
     RegularizerGram,
@@ -172,12 +172,9 @@ def _check_phase_values(data: ObservationData, idx: np.ndarray):
         )
 
 
-class _AssemblyTables:
-    """Quadrature point tables of the observation basis, built once."""
-
-    def __init__(self, data: ObservationData, n_quad: int):
-        self.x, self.w = quadrature_rule(data.basis.mesh, n_quad)
-        self.e = [basis_matrix(data.basis, self.x, r) for r in range(4)]
+# observation times per assembly block: the block's point values and
+# parameter-basis table set the peak memory of the assembly
+_ASSEMBLY_BLOCK = 2
 
 
 def _assemble(
@@ -194,7 +191,8 @@ def _assemble(
     _check_phase_values(data, idx)
     if grid is None:
         grid = param_grid()
-    tab = _AssemblyTables(data, n_quad)
+    t0, t1, t3 = (gauss_table(data.basis, n_quad, r) for r in (0, 1, 3))
+    w = t0.weights
     reg = assemble_param_gram(grid)
     nk = grid.n_knots
     ncols = 2 * nk if kind == IDENTIFY_JOINT else nk
@@ -202,33 +200,37 @@ def _assemble(
     T = np.empty((len(idx) * bs, ncols))
     y = np.empty(len(idx) * bs)
     m_l2 = data.grams.M_L2
-    for out, k in enumerate(idx):
-        t = float(data.times[k])
-        c = data.coef[k]
-        phi_q = tab.e[0] @ c
-        dphi_q = tab.e[1] @ c
-        theta = grid.eval_matrix(phi_q)
-        dtau = time_derivative(data, t).coef
-        sl = slice(out * bs, (out + 1) * bs)
+    for start in range(0, len(idx), _ASSEMBLY_BLOCK):
+        ks = idx[start:start + _ASSEMBLY_BLOCK]
+        nb = len(ks)
+        c = data.coef[ks]
+        phi_q, dphi_q, d3_q = t0.gather(c), t1.gather(c), t3.gather(c)
+        # theta_j(phi) at every point, as (time, knot, cell, point)
+        theta = np.moveaxis(
+            grid.eval_matrix(phi_q.ravel()).reshape(*phi_q.shape, nk), -1, 1
+        )
+
+        def pair(g_q):
+            """(theta_j(phi) g, psi_i') per time, shape (nb, bs, nk)."""
+            return t1.scatter((w * g_q)[:, None] * theta).transpose(0, 2, 1)
+
+        dtau = np.stack([time_derivative(data, float(data.times[k])).coef for k in ks])
+        y_blk = (m_l2 @ dtau.T).T
+        t_blk = T[start * bs:(start + nb) * bs].reshape(nb, bs, ncols)
         if kind == IDENTIFY_F:
-            d3_q = tab.e[3] @ c
-            T[sl] = -(tab.e[1].T @ ((tab.w * dphi_q)[:, None] * theta))
-            y[sl] = m_l2 @ dtau - gamma * (
-                tab.e[1].T @ (tab.w * mobility(phi_q) * d3_q)
-            )
+            t_blk[:] = -pair(dphi_q)
+            b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
+            y_blk -= gamma * t1.scatter(w * b_q * d3_q)
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
             # spline snapshot; differencing a re-interpolated nodal mu field
             # would double up interpolation error
-            d3_q = tab.e[3] @ c
-            dmu_q = -gamma * d3_q + potential(phi_q, 2) * dphi_q
-            T[sl] = -(tab.e[1].T @ ((tab.w * dmu_q)[:, None] * theta))
-            y[sl] = m_l2 @ dtau
+            fp_q = potential(phi_q.ravel(), 2).reshape(phi_q.shape)
+            t_blk[:] = -pair(-gamma * d3_q + fp_q * dphi_q)
         else:
-            d3_q = tab.e[3] @ c
-            T[sl, :nk] = gamma * (tab.e[1].T @ ((tab.w * d3_q)[:, None] * theta))
-            T[sl, nk:] = -(tab.e[1].T @ ((tab.w * dphi_q)[:, None] * theta))
-            y[sl] = m_l2 @ dtau
+            t_blk[:, :, :nk] = gamma * pair(d3_q)
+            t_blk[:, :, nk:] = -pair(dphi_q)
+        y[start * bs:(start + nb) * bs] = y_blk.ravel()
     return AssembledProblem(
         kind=kind,
         T=T,

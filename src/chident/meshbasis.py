@@ -5,9 +5,13 @@ basis families are provided: quadratic Lagrange finite elements (used by
 the time stepper) and periodic cubic B-splines (used for the observation
 grid).  Gram matrices carry the L2 and H1 inner products; the discrete
 H^-1 dual norm is evaluated through a sparse factorization of the H1 gram.
+Fields are evaluated at the Gauss points of their own mesh through cached
+cell tables; ``basis_matrix`` serves arbitrary points.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,14 +169,22 @@ def cubic_spline_basis(mesh: PeriodicMesh) -> SpatialBasis:
     return SpatialBasis(PERIODIC_CUBIC_SPLINE, mesh)
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(n_points: int):
+    """Gauss-Legendre points on [0, 1] and weights on [-1, 1], read-only."""
+    g, w = np.polynomial.legendre.leggauss(n_points)
+    u = 0.5 * (g + 1.0)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def quadrature_rule(mesh: PeriodicMesh, n_points: int):
     """Gauss-Legendre points and weights on every cell of the mesh.
 
     Returns global points ``x`` of shape (n_cells * n_points,) ordered
     cell by cell, and matching weights that include the cell length.
     """
-    g, w = np.polynomial.legendre.leggauss(n_points)
-    u = 0.5 * (g + 1.0)
+    u, w = _gauss_legendre(n_points)
     h = mesh.h
     x = (np.arange(mesh.n_cells)[:, None] * h + u[None, :] * h).ravel()
     weights = np.tile(0.5 * w * h, mesh.n_cells)
@@ -293,9 +305,57 @@ def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.nda
         raise BasisError(
             f"derivative order {order} out of range for {basis.kind}"
         )
-    g, _ = np.polynomial.legendre.leggauss(n_quad)
-    vals = _poly_eval(_shape_table(basis.kind), 0.5 * (g + 1.0), order)
+    vals = _poly_eval(_shape_table(basis.kind), _gauss_legendre(n_quad)[0], order)
     return vals * float(basis.mesh.n_cells) ** order
+
+
+@dataclass(frozen=True, eq=False)
+class GaussTable:
+    """One derivative order of a basis at the Gauss points of every cell.
+
+    On the uniform mesh the shape values ``table`` (n_quad, n_local) are
+    the same on every cell, so evaluating a field at all quadrature points
+    is a gather of its cell coefficients and one matrix product, and the
+    transposed evaluation is the same product followed by a scatter-add
+    over ``cell_dofs``.  ``weights`` (n_cells, n_quad) are those of
+    ``quadrature_rule``, cell by cell.
+    """
+
+    cell_dofs: np.ndarray
+    table: np.ndarray
+    weights: np.ndarray
+    dof_count: int
+
+    def gather(self, coef: np.ndarray) -> np.ndarray:
+        """Point values E @ coef: (..., dof) -> (..., n_cells, n_quad)."""
+        return coef[..., self.cell_dofs] @ self.table.T
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """Adjoint of ``gather``, E^T v: (..., n_cells, n_quad) -> (..., dof)."""
+        local = v @ self.table
+        lead = local.shape[:-2]
+        n_rows = math.prod(lead)
+        index = self.cell_dofs.ravel()
+        if n_rows > 1:
+            index = (index + self.dof_count * np.arange(n_rows)[:, None]).ravel()
+        out = np.bincount(index, weights=local.ravel(), minlength=n_rows * self.dof_count)
+        return out.reshape(*lead, self.dof_count)
+
+
+def gauss_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> GaussTable:
+    """Cached ``GaussTable`` of a basis, built once per (kind, n_cells, n_quad, order)."""
+    return _gauss_table(basis.kind, basis.mesh.n_cells, n_quad, order)
+
+
+@lru_cache(maxsize=64)
+def _gauss_table(kind: str, n_cells: int, n_quad: int, order: int) -> GaussTable:
+    basis = SpatialBasis(kind, PeriodicMesh(n_cells))
+    table = cell_shape_table(basis, n_quad, order)
+    weights = quadrature_rule(basis.mesh, n_quad)[1].reshape(n_cells, n_quad)
+    cell_dofs = basis.cell_dofs()
+    for arr in (cell_dofs, table, weights):
+        arr.flags.writeable = False
+    return GaussTable(cell_dofs, table, weights, basis.dof_count)
 
 
 def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -431,6 +491,6 @@ def dual_norm_Hm1(y: np.ndarray, grams: GramPair) -> float:
 
 def l2_functional(basis: SpatialBasis, fn, n_quad: int = 8) -> np.ndarray:
     """Vector of L2 pairings (fn, psi_i) for a callable integrand."""
-    x, w = quadrature_rule(basis.mesh, n_quad)
-    e0 = basis_matrix(basis, x, 0)
-    return e0.T @ (w * fn(x))
+    x, _ = quadrature_rule(basis.mesh, n_quad)
+    tab = gauss_table(basis, n_quad)
+    return tab.scatter(tab.weights * fn(x).reshape(tab.weights.shape))

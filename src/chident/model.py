@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_banded
 
-from .meshbasis import PeriodicField, eval_field, quadrature_rule
+from .meshbasis import PeriodicField, gauss_table
 
 
 class ParameterError(ValueError):
@@ -107,7 +107,6 @@ class NaturalSplineGrid:
         u = (s - self.knots[piece]) / sig
         npts = len(s)
         rows = np.arange(npts)
-        v_part = np.zeros((npts, self.n_knots))
         m_part = np.zeros((npts, self.n_knots))
         if order == 0:
             v_left, v_right = 1.0 - u, u
@@ -120,11 +119,14 @@ class NaturalSplineGrid:
         else:
             v_left = v_right = np.zeros(npts)
             m_left, m_right = 1.0 - u, u
-        np.add.at(v_part, (rows, piece), v_left)
-        np.add.at(v_part, (rows, piece + 1), v_right)
-        np.add.at(m_part, (rows, piece), m_left)
-        np.add.at(m_part, (rows, piece + 1), m_right)
-        return v_part + m_part @ self._curvature_map
+        # each row touches two distinct columns, so plain assignment and
+        # in-place addition need no np.add.at
+        m_part[rows, piece] = m_left
+        m_part[rows, piece + 1] = m_right
+        out = m_part @ self._curvature_map
+        out[rows, piece] += v_left
+        out[rows, piece + 1] += v_right
+        return out
 
 
 def param_grid(lo: float = -1.0, hi: float = 1.0, spacing: float = 0.1) -> NaturalSplineGrid:
@@ -210,16 +212,16 @@ def scale_params(params: ModelParams, d: float, c: float = 0.0) -> ModelParams:
 
 def mass(phi: PeriodicField, n_quad: int = 8) -> float:
     """Integral of the phase field over the torus."""
-    x, w = quadrature_rule(phi.basis.mesh, n_quad)
-    return float(w @ eval_field(phi, x))
+    tab = gauss_table(phi.basis, n_quad)
+    return float(tab.weights.ravel() @ tab.gather(phi.coef).ravel())
 
 
 def energy(phi: PeriodicField, params: ModelParams, n_quad: int = 8) -> float:
     """Free energy: gamma/2 |grad phi|^2 + F(phi), integrated."""
-    x, w = quadrature_rule(phi.basis.mesh, n_quad)
-    grad = eval_field(phi, x, 1)
-    vals = eval_field(phi, x)
-    return float(w @ (0.5 * params.gamma * grad**2 + params.F(vals)))
+    tab = gauss_table(phi.basis, n_quad)
+    grad = gauss_table(phi.basis, n_quad, 1).gather(phi.coef).ravel()
+    vals = tab.gather(phi.coef).ravel()
+    return float(tab.weights.ravel() @ (0.5 * params.gamma * grad**2 + params.F(vals)))
 
 
 @dataclass

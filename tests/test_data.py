@@ -287,6 +287,36 @@ def test_inject_noise_edge_cases(reference_data):
         inject_noise(reference_data, -1e-3)
 
 
+@pytest.mark.parametrize("degeneracy_rel", [0.05, 0.4])
+def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
+                                       degeneracy_rel):
+    real, calls = chdata.coarea_coefficients, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chdata, "coarea_coefficients", counting)
+    report = build_observability_report(
+        reference_data, GAMMA, params.F, degeneracy_rel=degeneracy_rel
+    )
+    monkeypatch.undo()
+    assert len(report.rows) == 35 and len(calls) == 2 * len(report.rows)
+    # oracle: the row's sample and the two-time check from the public functions
+    for i, row in enumerate(report.rows):
+        k = list(report.times).index(row.t)
+        partner = report.times[k + 1] if k + 1 < len(report.times) else report.times[k - 1]
+        sample = coarea_coefficients(reference_data, GAMMA, row.s, row.t, degeneracy_rel)
+        try:
+            cond, _, _ = independence_check(reference_data, GAMMA, row.s, row.t, partner)
+        except DataError:
+            cond = np.inf
+        assert (row.A_b, row.A_c, row.A, row.degenerate) == (
+            sample.A_b, sample.A_c, sample.A, sample.degenerate
+        ), i
+        assert row.cond == cond, i
+
+
 def test_observability_report_smoke(reference_data, params):
     times = reference_data.times[[10, 50]]
     report = build_observability_report(

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from chident.meshbasis import (
+    basis_matrix,
     build_mesh,
     eval_field,
     interpolate,
@@ -206,7 +207,8 @@ def test_inadmissible_start_state_is_not_bisected(monkeypatch):
 def _bmat_route(ctx, phi_n, phi, mu, tau):
     """Residual and Jacobian assembled from weighted grams and sp.bmat."""
     params, gamma = ctx.params, ctx.params.gamma
-    M, K, e0, e1, w = ctx.M, ctx.K, ctx.e0, ctx.e1, ctx.w
+    M, K, w = ctx.M, ctx.K, ctx.w
+    e0, e1 = basis_matrix(ctx.basis, ctx.x, 0), basis_matrix(ctx.basis, ctx.x, 1)
     phi_q = e0 @ phi
     k_b = weighted_gram(e1, e1, w * params.b(phi_q))
     r1 = M @ (phi - phi_n) + tau * (k_b @ mu)

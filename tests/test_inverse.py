@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from chident.meshbasis import build_mesh, cubic_spline_basis, interpolate
+from chident.meshbasis import (
+    basis_matrix,
+    build_mesh,
+    cubic_spline_basis,
+    interpolate,
+    quadrature_rule,
+)
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
-from chident.data import ObservationData
+from chident.data import ObservationData, time_derivative
 from chident.inverse import (
     AssembledProblem,
     InverseError,
@@ -180,6 +186,53 @@ def test_assembly_rejects_out_of_range_data():
     params = default_params(GAMMA)
     with pytest.raises(InverseError):
         assemble_identify_f(data, GAMMA, params.b, [1e-4])
+
+
+def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n_quad=12):
+    """Reference (T, y): one time at a time, from sparse evaluation matrices."""
+    x, w = quadrature_rule(data.basis.mesh, n_quad)
+    e = [basis_matrix(data.basis, x, r) for r in range(4)]
+    nk, bs = grid.n_knots, data.basis.dof_count
+    blocks_t, blocks_y = [], []
+    for t in times:
+        c = data.coef[data.index_of(t)]
+        phi_q, dphi_q, d3_q = e[0] @ c, e[1] @ c, e[3] @ c
+        theta = grid.eval_matrix(phi_q)
+        my = data.grams.M_L2 @ time_derivative(data, t).coef
+        if kind == "f":
+            blocks_t.append(-(e[1].T @ ((w * dphi_q)[:, None] * theta)))
+            blocks_y.append(my - GAMMA * (e[1].T @ (w * mobility(phi_q) * d3_q)))
+        elif kind == "b":
+            dmu_q = -GAMMA * d3_q + potential(phi_q, 2) * dphi_q
+            blocks_t.append(-(e[1].T @ ((w * dmu_q)[:, None] * theta)))
+            blocks_y.append(my)
+        else:
+            blocks_t.append(np.hstack([
+                GAMMA * (e[1].T @ ((w * d3_q)[:, None] * theta)),
+                -(e[1].T @ ((w * dphi_q)[:, None] * theta)),
+            ]))
+            blocks_y.append(my)
+    assert blocks_t[0].shape == (bs, 2 * nk if kind == "joint" else nk)
+    return np.vstack(blocks_t), np.concatenate(blocks_y)
+
+
+@pytest.mark.parametrize("kind", ["f", "b", "joint"])
+def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window_times,
+                                                  kind):
+    grid = param_grid()
+    times = window_times[::29]  # seven times: the last assembly block is partial
+    if kind == "f":
+        problem = assemble_identify_f(reference_data, GAMMA, params.b, times, grid)
+    elif kind == "b":
+        problem = assemble_identify_b(reference_data, GAMMA, params.F, times, grid)
+    else:
+        problem = assemble_identify_joint(reference_data, GAMMA, times, grid)
+    t_ref, y_ref = _assemble_per_time(
+        reference_data, kind, times, grid, mobility=params.b, potential=params.F
+    )
+    assert problem.T.shape == t_ref.shape and problem.y.shape == y_ref.shape
+    assert np.max(np.abs(problem.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+    assert np.max(np.abs(problem.y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
 
 
 def test_problem_shapes_and_cache(reference_data, params, window_times):

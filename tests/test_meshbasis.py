@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chident.meshbasis import (
+    PERIODIC_CUBIC_SPLINE,
+    QUADRATIC_FE,
     BasisError,
     BlockPattern,
     MeshError,
+    SpatialBasis,
     assemble_grams,
     basis_matrix,
     build_mesh,
@@ -15,6 +20,7 @@ from chident.meshbasis import (
     dual_norm_Hm1,
     element_grams,
     eval_field,
+    gauss_table,
     interpolate,
     interpolate_many,
     l2_functional,
@@ -165,6 +171,42 @@ def test_block_pattern_matches_weighted_gram(n_cells):
     assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     with pytest.raises(BasisError):
         cell_shape_table(basis, 6, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([QUADRATIC_FE, PERIODIC_CUBIC_SPLINE]),
+    n_cells=st.integers(4, 64),
+    n_quad=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauss_table_matches_basis_matrix(kind, n_cells, n_quad, seed):
+    basis = SpatialBasis(kind, build_mesh(n_cells))
+    x, w = quadrature_rule(basis.mesh, n_quad)
+    rng = np.random.default_rng(seed)
+    # basis_matrix locates every global point again, which puts a rounding
+    # error of up to about n_cells ulp into its local coordinate; the
+    # cached table evaluates at the reference points themselves
+    tol = 8 * n_cells * np.finfo(float).eps
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for order in range(basis.max_order + 1):
+        tab = gauss_table(basis, n_quad, order)
+        assert gauss_table(basis, n_quad, order) is tab
+        assert np.array_equal(tab.weights.ravel(), w)
+        e = basis_matrix(basis, x, order)
+        coef = rng.standard_normal((3, basis.dof_count))
+        v = rng.standard_normal((3, n_cells, n_quad))
+        ref = (e @ coef.T).T.reshape(3, n_cells, n_quad)
+        assert rel(tab.gather(coef), ref) <= tol
+        assert rel(tab.gather(coef[0]), ref[0]) <= tol
+        ref_t = (e.T @ v.reshape(3, -1).T).T
+        assert rel(tab.scatter(v), ref_t) <= tol
+        assert rel(tab.scatter(v[1]), ref_t[1]) <= tol
+    with pytest.raises(BasisError):
+        gauss_table(basis, n_quad, basis.max_order + 1)
 
 
 def test_l2_functional_values():

@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from chident.meshbasis import build_mesh, cubic_spline_basis, interpolate, eval_field
+from chident.meshbasis import (
+    basis_matrix,
+    build_mesh,
+    cubic_spline_basis,
+    eval_field,
+    interpolate,
+    quadratic_fe,
+    quadrature_rule,
+)
 from chident.model import (
     ModelError,
     NaturalSplineGrid,
@@ -12,6 +22,7 @@ from chident.model import (
     SplineParameter,
     assemble_param_gram,
     check_mobility,
+    default_initial_profile,
     default_params,
     energy,
     mass,
@@ -80,6 +91,67 @@ def test_natural_spline_reproduces_linears():
     # partition of unity in the evaluation matrix
     e0 = grid.eval_matrix(s, 0)
     assert np.allclose(np.asarray(e0).sum(axis=1), 1.0, atol=1e-12)
+
+
+def _eval_matrix_add_at(grid, s, order):
+    """Evaluation matrix accumulated with np.add.at (the former construction)."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    sig = grid.spacing
+    piece = np.clip(np.floor((s - grid.lo) / sig).astype(np.int64), 0, grid.n_knots - 2)
+    u = (s - grid.knots[piece]) / sig
+    npts = len(s)
+    rows = np.arange(npts)
+    v_part = np.zeros((npts, grid.n_knots))
+    m_part = np.zeros((npts, grid.n_knots))
+    if order == 0:
+        v_left, v_right = 1.0 - u, u
+        m_left = sig**2 / 6.0 * ((1.0 - u) ** 3 - (1.0 - u))
+        m_right = sig**2 / 6.0 * (u**3 - u)
+    elif order == 1:
+        v_left, v_right = np.full(npts, -1.0 / sig), np.full(npts, 1.0 / sig)
+        m_left = sig / 6.0 * (1.0 - 3.0 * (1.0 - u) ** 2)
+        m_right = sig / 6.0 * (3.0 * u**2 - 1.0)
+    else:
+        v_left = v_right = np.zeros(npts)
+        m_left, m_right = 1.0 - u, u
+    np.add.at(v_part, (rows, piece), v_left)
+    np.add.at(v_part, (rows, piece + 1), v_right)
+    np.add.at(m_part, (rows, piece), m_left)
+    np.add.at(m_part, (rows, piece + 1), m_right)
+    return v_part + m_part @ grid._curvature_map
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spacing=st.sampled_from([0.1, 0.25, 0.5, 2.0 / 3.0]),
+    order=st.integers(0, 2),
+    data=st.data(),
+)
+def test_eval_matrix_matches_add_at_construction(spacing, order, data):
+    grid = NaturalSplineGrid(-1.0, 1.0, spacing)
+    inside = st.floats(-1.0, 1.0, allow_nan=False)
+    beyond = st.floats(-3.0, 3.0, allow_nan=False)
+    knots = st.sampled_from(list(grid.knots))
+    s = np.array(data.draw(st.lists(st.one_of(inside, beyond, knots), min_size=1, max_size=40)))
+    assert np.array_equal(grid.eval_matrix(s, order), _eval_matrix_add_at(grid, s, order))
+
+
+@pytest.mark.parametrize("make_basis", [quadratic_fe, cubic_spline_basis])
+@pytest.mark.parametrize("n_cells", [16, 64, 200])
+def test_mass_and_energy_match_basis_matrix_quadrature(make_basis, n_cells):
+    params = default_params(0.003)
+    basis = make_basis(build_mesh(n_cells))
+    rng = np.random.default_rng(n_cells)
+    x, w = quadrature_rule(basis.mesh, 8)
+    e0, e1 = basis_matrix(basis, x, 0), basis_matrix(basis, x, 1)
+    for _ in range(3):
+        phi = interpolate(basis, default_initial_profile)
+        phi.coef += 0.05 * rng.standard_normal(basis.dof_count)
+        m_ref = w @ (e0 @ phi.coef)
+        grad, vals = e1 @ phi.coef, e0 @ phi.coef
+        e_ref = w @ (0.5 * params.gamma * grad**2 + params.F(vals))
+        assert abs(mass(phi) - m_ref) <= 1e-14 * abs(m_ref)
+        assert abs(energy(phi, params) - e_ref) <= 1e-14 * abs(e_ref)
 
 
 def test_spline_parameter_validation():
