@@ -9,8 +9,11 @@ by a Newton iteration on the stacked (phi, mu) unknowns.  The implicit
 Euler discretization keeps the mass integral constant step by step; the
 Newton iteration is driven to the dual-norm residual tolerance and then
 polished by one extra iteration so that conservation holds to rounding
-over long runs.  The Newton Jacobian is assembled into a sparsity pattern
-fixed once per run and factorized by SuperLU.  Failed steps (Newton
+over long runs.  The unknowns are ordered with the FE dofs folded
+(0, n-1, 1, n-2, ...) and phi/mu interleaved, which makes the periodic
+Jacobian a pure band; it is assembled straight into LAPACK band storage
+through a pattern fixed once per run and factored and solved by one
+``dgbsv`` call per Newton iteration.  Failed steps (Newton
 failure, singular Jacobian, or a non-positive mobility along an iterate)
 are retried with recursive step halving, unless the mobility is already
 non-positive at the start of the step, where halving cannot help.
@@ -19,8 +22,8 @@ non-positive at the start of the step, where halving cannot help.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv
+from scipy.sparse.linalg import spsolve
 
 from .meshbasis import (
     BlockPattern,
@@ -75,10 +78,11 @@ class _ForwardContext:
 
         [[M + tau C, tau K_b], [-gamma K - M_f', M]],
 
-    keeps the sparsity pattern of the basis.  The pattern and the constant
-    blocks are set up here once; each Newton iteration only builds the
-    cell-local blocks of K_b (b-weighted stiffness), C (b' mu' coupling)
-    and M_f' (f'-weighted mass) and scatters them into it.  Fields are
+    keeps the sparsity pattern of the basis, which ``BlockPattern`` lays
+    out as a band.  The pattern and the constant blocks are set up here
+    once; each Newton iteration only builds the cell-local blocks of K_b
+    (b-weighted stiffness), C (b' mu' coupling) and M_f' (f'-weighted
+    mass) and scatters them into the band array.  Fields are
     evaluated at the quadrature points, and functionals tested against
     the basis, through the cached cell tables ``t0`` (values) and ``t1``
     (gradients).
@@ -117,7 +121,7 @@ class _ForwardContext:
         rhs = params.gamma * (self.K @ phi) + self._test(
             self.t0, params.f(self.t0.gather(phi).ravel())
         )
-        return sp.linalg.spsolve(self.M.tocsc(), rhs)
+        return spsolve(self.M.tocsc(), rhs)
 
     def residual(self, phi_n, phi, mu, tau):
         """Newton residual (r1, r2) at (phi, mu) and the point values it used.
@@ -141,8 +145,8 @@ class _ForwardContext:
         )
         return r1, r2, (phi_q, b_q, mu_grad_q)
 
-    def jacobian(self, tau, point_values) -> sp.csc_matrix:
-        """Newton Jacobian from the point values ``residual`` returned."""
+    def jacobian(self, tau, point_values) -> np.ndarray:
+        """Newton Jacobian, in band storage, from the values ``residual`` returned."""
         params = self.params
         phi_q, b_q, mu_grad_q = point_values
         w = self.t0.weights
@@ -153,13 +157,26 @@ class _ForwardContext:
         m_fp = element_grams(v0, v0, w * params.f(phi_q, 1).reshape(shape))
         return self.pattern.assemble(tau * c, tau * k_b, -m_fp)
 
-
-def initial_chemical_potential(
-    phi0: PeriodicField, params: ModelParams, n_quad: int = 8
-) -> PeriodicField:
-    """L2 projection of -gamma lap(phi0) + f(phi0) onto the basis."""
-    ctx = _ForwardContext(phi0.basis, params, n_quad)
-    return PeriodicField(phi0.basis, ctx.initial_mu(phi0.coef))
+    def newton_update(self, tau, point_values, r1, r2) -> np.ndarray:
+        """Solve J (dphi, dmu) = (r1, r2) on the band; returns rows dphi, dmu."""
+        pattern = self.pattern
+        rhs = np.empty(pattern.size)
+        rhs[pattern.position] = (r1, r2)
+        _, _, x, info = dgbsv(
+            pattern.kl,
+            pattern.ku,
+            self.jacobian(tau, point_values),
+            rhs,
+            overwrite_ab=1,
+            overwrite_b=1,
+        )
+        if info > 0:
+            raise NewtonError(
+                f"singular Newton Jacobian: zero pivot U[{info}, {info}]"
+            )
+        if info < 0:
+            raise SolverError(f"dgbsv rejected argument {-info}")
+        return x[pattern.position]
 
 
 def _newton_step(
@@ -189,36 +206,12 @@ def _newton_step(
             polish_left -= 1
         elif rnorm > 1e6 * max(first_norm, 1.0):
             raise NewtonError(f"Newton iteration diverged (residual {rnorm:.3e})")
-        try:
-            lu = splu(ctx.jacobian(tau, point_values))
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NewtonError(f"singular Newton Jacobian: {exc}") from exc
-        delta = lu.solve(np.concatenate([r1, r2]))
-        ndof = len(phi)
-        phi -= delta[:ndof]
-        mu -= delta[ndof:]
+        dphi, dmu = ctx.newton_update(tau, point_values, r1, r2)
+        phi -= dphi
+        mu -= dmu
     raise NewtonError(
         f"no convergence in {max_iter} Newton iterations (residual {rnorm:.3e})"
     )
-
-
-def step(
-    phi_n: PeriodicField,
-    mu_n: PeriodicField,
-    params: ModelParams,
-    tau: float,
-    newton_tol: float = 1e-12,
-    max_newton: int = 25,
-    n_quad: int = 8,
-):
-    """Single implicit Euler step; returns the new (phi, mu) fields."""
-    if not tau > 0.0:
-        raise SolverError(f"time step must be positive, got {tau}")
-    ctx = _ForwardContext(phi_n.basis, params, n_quad)
-    phi, mu, _ = _newton_step(
-        ctx, phi_n.coef, phi_n.coef, mu_n.coef, tau, newton_tol, max_newton
-    )
-    return PeriodicField(phi_n.basis, phi), PeriodicField(phi_n.basis, mu)
 
 
 def _advance(ctx, phi_n, mu_n, tau, tol, max_iter, depth, max_depth):
@@ -336,10 +329,3 @@ def energy_series(traj: Trajectory, params: ModelParams, n_quad: int = 8) -> np.
         [energy(traj.phi_field(k), params, n_quad) for k in range(traj.n_states)]
     )
 
-
-def mu_gradient_sup(traj: Trajectory, k: int, n_sample: int = 2000) -> float:
-    """Sup of |grad mu| at state k, sampled on a uniform grid."""
-    x = np.linspace(0.0, 1.0, n_sample, endpoint=False)
-    from .meshbasis import eval_field
-
-    return float(np.max(np.abs(eval_field(traj.mu_field(k), x, 1))))

@@ -371,55 +371,73 @@ def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarr
     return (w @ products).reshape(len(w), n_local, n_local)
 
 
+def _folded_order(n: int) -> np.ndarray:
+    """Indices 0, n-1, 1, n-2, ...: neighbours on the torus stay near."""
+    order = np.empty(n, dtype=np.int64)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    return order
+
+
 class BlockPattern:
-    """Fixed CSC sparsity pattern of a block matrix assembled cell by cell.
+    """Block matrix assembled cell by cell into LAPACK general-band storage.
 
     The matrix has ``n_blocks`` x ``n_blocks`` blocks of the basis size.
     Each block (I, J) in ``cell_blocks`` receives one dense local matrix
-    per cell, at rows ``cell_dofs() + I * dof`` and columns
-    ``cell_dofs() + J * dof``.  The sparse matrices in ``constant``, a
-    mapping (I, J) -> matrix, are folded into a base data array once, so
-    ``assemble`` costs one scatter-add per call.
+    per cell, at the dofs ``cell_dofs()`` of block I (rows) and block J
+    (columns).  The sparse matrices in ``constant``, a mapping
+    (I, J) -> matrix, are folded into a base array once, so ``assemble``
+    costs one scatter-add per call.
+
+    Unknowns are ordered by ``_folded_order`` of the dofs, with the blocks
+    interleaved inside each dof: ``position[I, d]`` is the row of dof d of
+    block I.  Cells then touch only nearby rows, also across the periodic
+    wrap, so the matrix is a pure band with ``kl`` sub- and ``ku``
+    super-diagonals, read off the pattern.  ``assemble`` returns the
+    Fortran-ordered (2 kl + ku + 1, size) array that LAPACK ``gbsv``
+    factors in place: entry (i, j) sits at row kl + ku + i - j, column j.
     """
 
     def __init__(self, basis: SpatialBasis, n_blocks: int, cell_blocks, constant):
         dof = basis.dof_count
-        size = n_blocks * dof
+        self.size = n_blocks * dof
+        self.position = np.empty((n_blocks, dof), dtype=np.int64)
+        self.position[:, _folded_order(dof)] = (
+            n_blocks * np.arange(dof) + np.arange(n_blocks)[:, None]
+        )
         cd = basis.cell_dofs().astype(np.int64)
         n_local = cd.shape[1]
         # local entry (i, j) of a cell sits at row cd[c, i], column cd[c, j]
         r_loc = np.repeat(cd, n_local, axis=1).ravel()
         c_loc = np.tile(cd, (1, n_local)).ravel()
-        rows = [r_loc + i * dof for i, _ in cell_blocks]
-        cols = [c_loc + j * dof for _, j in cell_blocks]
+        rows = [self.position[i, r_loc] for i, _ in cell_blocks]
+        cols = [self.position[j, c_loc] for _, j in cell_blocks]
         n_cell_entries = len(cell_blocks) * len(r_loc)
         values = []
         for (i, j), mat in constant.items():
             coo = sp.coo_matrix(mat)
-            rows.append(coo.row + i * dof)
-            cols.append(coo.col + j * dof)
+            rows.append(self.position[i, coo.row])
+            cols.append(self.position[j, coo.col])
             values.append(coo.data)
-        # column-major keys: np.unique sorts them into CSC slot order
-        keys, slots = np.unique(
-            np.concatenate(cols) * size + np.concatenate(rows), return_inverse=True
-        )
-        self.shape = (size, size)
-        self.indices = (keys % size).astype(np.int32)
-        self.indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self.kl = int(np.max(rows - cols))
+        self.ku = int(np.max(cols - rows))
+        self.n_band_rows = 2 * self.kl + self.ku + 1
+        # flat index into the column-major band array
+        slots = self.kl + self.ku + rows - cols + self.n_band_rows * cols
         self._cell_slots = slots[:n_cell_entries]
         self._base = np.bincount(
-            slots[n_cell_entries:], weights=np.concatenate(values), minlength=len(keys)
+            slots[n_cell_entries:],
+            weights=np.concatenate(values),
+            minlength=self.n_band_rows * self.size,
         )
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def assemble(self, *cell_values: np.ndarray) -> sp.csc_matrix:
+    def assemble(self, *cell_values: np.ndarray) -> np.ndarray:
         """Base plus the per-cell local matrices, one array per cell block."""
         vals = np.concatenate([v.ravel() for v in cell_values])
-        data = self._base + np.bincount(self._cell_slots, weights=vals, minlength=self.nnz)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        ab = np.bincount(self._cell_slots, weights=vals, minlength=len(self._base))
+        ab += self._base
+        return ab.reshape(self.size, self.n_band_rows).T
 
 
 # exact Gauss point counts for products of two shape functions
@@ -488,9 +506,3 @@ def dual_norm_Hm1(y: np.ndarray, grams: GramPair) -> float:
         raise AssemblyError("H1 gram solve produced a negative quadratic form")
     return float(np.sqrt(max(q, 0.0)))
 
-
-def l2_functional(basis: SpatialBasis, fn, n_quad: int = 8) -> np.ndarray:
-    """Vector of L2 pairings (fn, psi_i) for a callable integrand."""
-    x, _ = quadrature_rule(basis.mesh, n_quad)
-    tab = gauss_table(basis, n_quad)
-    return tab.scatter(tab.weights * fn(x).reshape(tab.weights.shape))

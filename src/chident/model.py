@@ -173,13 +173,6 @@ def mobility_floor(b, lo: float = -1.0, hi: float = 1.0, n_sample: int = 2001) -
     return float(np.min(b(np.linspace(lo, hi, n_sample))))
 
 
-def check_mobility(b, lo: float = -1.0, hi: float = 1.0):
-    floor = mobility_floor(b, lo, hi)
-    if floor <= 0.0:
-        raise ModelError(f"mobility is not positive on [{lo}, {hi}]: min {floor:g}")
-    return floor
-
-
 def scale_params(params: ModelParams, d: float, c: float = 0.0) -> ModelParams:
     """Rescale the model while keeping the phase evolution unchanged.
 

@@ -39,6 +39,26 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
+def band_dense():
+    """Dense block-order matrix from the band array of a ``BlockPattern``.
+
+    Band entry (i, j) sits at row kl + ku + i - j of column j; the rows
+    and columns are then put back in block order through ``position``.
+    """
+
+    def dense(pattern, ab):
+        kl, ku = pattern.kl, pattern.ku
+        assert ab.shape == (2 * kl + ku + 1, pattern.size)
+        i, j = np.indices((pattern.size, pattern.size))
+        inside = (i - j <= kl) & (j - i <= ku)
+        band = np.where(inside, ab[np.where(inside, kl + ku + i - j, 0), j], 0.0)
+        order = pattern.position.ravel()
+        return band[np.ix_(order, order)]
+
+    return dense
+
+
+@pytest.fixture(scope="session")
 def params():
     return default_params(GAMMA)
 

@@ -165,10 +165,11 @@ def test_numerical_failure_exit_code(tmp_path):
 def test_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
     from chident import forward
 
-    def singular(jac):
-        raise RuntimeError("Factor is exactly singular")
+    def singular(kl, ku, ab, b, **kw):
+        # what LAPACK gbsv returns when it meets an exactly zero pivot
+        return ab, np.arange(1, len(b) + 1, dtype=np.int32), b, 1
 
-    monkeypatch.setattr(forward, "splu", singular)
+    monkeypatch.setattr(forward, "dgbsv", singular)
     cfg, _ = _write_cfg(tmp_path, name="singular.cfg")
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert "singular Newton Jacobian" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from chident.meshbasis import (
     basis_matrix,
@@ -26,11 +27,8 @@ from chident.forward import (
     MobilityError,
     NewtonError,
     SolverError,
-    initial_chemical_potential,
     mass_series,
-    mu_gradient_sup,
     simulate,
-    step,
     verify_scaling_invariance,
 )
 
@@ -68,26 +66,14 @@ def test_energy_dissipates(short_traj):
     assert energies[-1] < energies[0]
 
 
-def test_single_step_matches_simulate(short_traj):
-    traj, params = short_traj
-    phi1, mu1 = step(traj.phi_field(0), traj.mu_field(0), params, tau=2e-5)
-    assert np.allclose(phi1.coef, traj.phi[1], atol=1e-12)
-    assert np.allclose(mu1.coef, traj.mu[1], atol=1e-10)
-
-
 def test_initial_chemical_potential_constant_state():
     params = default_params(0.003)
     fe = quadratic_fe(build_mesh(32))
     c = 0.2
     phi0 = interpolate(fe, lambda x: np.full_like(x, c))
-    mu0 = initial_chemical_potential(phi0, params)
+    mu0 = simulate(phi0, params, t_end=2e-5, tau=2e-5).mu_field(0)
     xi = np.linspace(0, 1, 101)
     assert np.max(np.abs(eval_field(mu0, xi) - params.f(c, 0))) < 1e-9
-
-
-def test_mu_gradient_sup_positive(short_traj):
-    traj, _ = short_traj
-    assert mu_gradient_sup(traj, traj.n_states - 1) > 0.0
 
 
 def test_scaling_invariance_identity():
@@ -133,43 +119,61 @@ def test_time_grid_validation():
     with pytest.raises(SolverError):
         simulate(phi0, params, t_end=-1e-4, tau=2e-5)
     with pytest.raises(SolverError):
-        step(phi0, initial_chemical_potential(phi0, params), params, tau=0.0)
+        simulate(phi0, params, t_end=2e-5, tau=0.0)
 
 
 def _two_half_steps(phi0, params, tau):
-    mu0 = initial_chemical_potential(phi0, params)
-    return step(*step(phi0, mu0, params, tau=0.5 * tau), params, tau=0.5 * tau)
+    """End state of one step of length tau taken as two half steps."""
+    return simulate(phi0, params, t_end=tau, tau=0.5 * tau).phi[-1]
+
+
+def _singular_gbsv(kl, ku, ab, b, **kw):
+    """What LAPACK gbsv returns when it meets an exactly zero pivot."""
+    return ab, np.arange(1, len(b) + 1, dtype=np.int32), b, 1
 
 
 def test_singular_jacobian_is_bisected(monkeypatch):
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
-    phi_half, _ = _two_half_steps(phi0, params, 2e-5)
-    real, calls = forward.splu, []
+    phi_half = _two_half_steps(phi0, params, 2e-5)
+    real, calls = forward.dgbsv, []
 
-    def singular_once(jac):
-        calls.append(jac.shape)
+    def singular_once(kl, ku, ab, b, **kw):
+        calls.append(ab.shape)
         if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return real(jac)
+            return _singular_gbsv(kl, ku, ab, b, **kw)
+        return real(kl, ku, ab, b, **kw)
 
-    monkeypatch.setattr(forward, "splu", singular_once)
+    monkeypatch.setattr(forward, "dgbsv", singular_once)
     traj = simulate(phi0, params, t_end=2e-5, tau=2e-5)
     assert len(calls) > 1
-    assert np.allclose(traj.phi[1], phi_half.coef, atol=1e-12)
+    assert np.allclose(traj.phi[1], phi_half, atol=1e-12)
 
-    def singular(jac):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(forward, "splu", singular)
+    monkeypatch.setattr(forward, "dgbsv", _singular_gbsv)
     with pytest.raises(NewtonError, match="singular"):
         simulate(phi0, params, t_end=2e-5, tau=2e-5, max_bisect=2)
+
+
+def test_rejected_gbsv_argument_is_not_bisected(monkeypatch):
+    params = default_params(0.003)
+    phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
+    calls = []
+
+    def bad_argument(kl, ku, ab, b, **kw):
+        calls.append(ab.shape)
+        return ab, np.zeros(len(b), dtype=np.int32), b, -3
+
+    monkeypatch.setattr(forward, "dgbsv", bad_argument)
+    with pytest.raises(SolverError, match="argument 3") as info:
+        simulate(phi0, params, t_end=2e-5, tau=2e-5)
+    assert not isinstance(info.value, NewtonError)
+    assert len(calls) == 1
 
 
 def test_mobility_failure_on_an_iterate_is_bisected():
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
-    phi_half, _ = _two_half_steps(phi0, params, 2e-5)
+    phi_half = _two_half_steps(phi0, params, 2e-5)
     calls = []
 
     def negative_once(s, order=0):
@@ -180,7 +184,7 @@ def test_mobility_failure_on_an_iterate_is_bisected():
     flaky = ModelParams(gamma=params.gamma, b=negative_once, F=params.F)
     traj = simulate(phi0, flaky, t_end=2e-5, tau=2e-5)
     assert len(calls) > 1
-    assert np.allclose(traj.phi[1], phi_half.coef, atol=1e-12)
+    assert np.allclose(traj.phi[1], phi_half, atol=1e-12)
 
 
 def test_inadmissible_start_state_is_not_bisected(monkeypatch):
@@ -222,7 +226,7 @@ def _bmat_route(ctx, phi_n, phi, mu, tau):
 
 
 @pytest.mark.parametrize("n_cells", [4, 5, 16, 64])
-def test_fixed_pattern_assembly_matches_bmat_route(n_cells):
+def test_fixed_pattern_assembly_matches_bmat_route(n_cells, band_dense):
     params = default_params(0.003)
     fe = quadratic_fe(build_mesh(n_cells))
     ctx = forward._ForwardContext(fe, params)
@@ -237,31 +241,58 @@ def test_fixed_pattern_assembly_matches_bmat_route(n_cells):
         phi = rng.uniform(-0.9, 0.9, dof)
         mu = rng.standard_normal(dof)
         r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
-        jac = ctx.jacobian(tau, point_values)
+        dense = band_dense(ctx.pattern, ctx.jacobian(tau, point_values))
         q1, q2, ref = _bmat_route(ctx, phi_n, phi, mu, tau)
         assert rel(r1, q1) <= 1e-13 and rel(r2, q2) <= 1e-13
-        assert jac.shape == ref.shape and jac.nnz == ref.nnz
-        dense, dense_ref = jac.toarray(), ref.toarray()
+        dense_ref = ref.toarray()
+        assert dense.shape == ref.shape and np.count_nonzero(dense) == ref.nnz
         for rows in (slice(0, dof), slice(dof, None)):
             for cols in (slice(0, dof), slice(dof, None)):
                 assert rel(dense[rows, cols], dense_ref[rows, cols]) <= 1e-13
 
 
-# Newton iterations (= splu calls) of the short 64-cell run, pinned from the
-# sp.bmat assembly that the fixed-pattern assembly replaced
+@pytest.mark.parametrize("n_cells", [4, 5, 16, 64])
+def test_banded_newton_step_matches_splu(n_cells):
+    params = default_params(0.003)
+    fe = quadratic_fe(build_mesh(n_cells))
+    ctx = forward._ForwardContext(fe, params)
+    rng = np.random.default_rng(100 + n_cells)
+    dof = fe.dof_count
+    for tau in (2e-5, 2e-3, 0.37):
+        phi_n = rng.uniform(-0.9, 0.9, dof)
+        phi = rng.uniform(-0.9, 0.9, dof)
+        mu = rng.standard_normal(dof)
+        r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
+        delta = ctx.newton_update(tau, point_values, r1, r2)
+        assert delta.shape == (2, dof)
+        jac = _bmat_route(ctx, phi_n, phi, mu, tau)[2]
+        rhs, step = np.concatenate([r1, r2]), delta.ravel()
+        # normwise backward error: a few ulp whatever the conditioning
+        assert np.max(np.abs(jac @ step - rhs)) <= 1e-14 * (
+            abs(jac).sum(axis=1).max() * np.max(np.abs(step))
+        )
+        # these rough random states reach a condition number near 1e6 at
+        # tau = 0.37, where two backward-stable solvers differ beyond 1e-12
+        if tau < 0.1:
+            ref = splu(jac).solve(rhs)
+            assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Newton iterations (= Jacobian builds) of the short 64-cell run, pinned from
+# the sp.bmat assembly that the fixed-pattern assembly replaced
 SHORT_RUN_NEWTON_ITERS = 80
 
 
 def test_newton_count_is_pinned_and_runs_are_deterministic(monkeypatch):
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(64)), default_initial_profile)
-    real, calls = forward.splu, []
+    real, calls = forward._ForwardContext.jacobian, []
 
-    def counting(jac):
-        calls.append(jac.shape)
-        return real(jac)
+    def counting(ctx, tau, point_values):
+        calls.append(tau)
+        return real(ctx, tau, point_values)
 
-    monkeypatch.setattr(forward, "splu", counting)
+    monkeypatch.setattr(forward._ForwardContext, "jacobian", counting)
     runs = []
     for _ in range(2):
         calls.clear()

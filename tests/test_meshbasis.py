@@ -23,7 +23,6 @@ from chident.meshbasis import (
     gauss_table,
     interpolate,
     interpolate_many,
-    l2_functional,
     quadratic_fe,
     quadrature_rule,
     spline_node_values,
@@ -147,7 +146,7 @@ def test_weighted_gram_matches_l2_gram():
 
 
 @pytest.mark.parametrize("n_cells", [4, 9])
-def test_block_pattern_matches_weighted_gram(n_cells):
+def test_block_pattern_matches_weighted_gram(n_cells, band_dense):
     # four local splines per cell wrap around the periodic ends
     basis = cubic_spline_basis(build_mesh(n_cells))
     x, w = quadrature_rule(basis.mesh, 6)
@@ -157,9 +156,10 @@ def test_block_pattern_matches_weighted_gram(n_cells):
     pattern = BlockPattern(basis, 2, [(0, 1), (1, 0)], {(0, 0): m, (1, 1): 2 * m})
     local = weights.reshape(n_cells, -1)
     v0, v1 = cell_shape_table(basis, 6, 0), cell_shape_table(basis, 6, 1)
-    got = pattern.assemble(
-        element_grams(v1, v1, local), element_grams(v1, v0, local)
-    ).toarray()
+    got = band_dense(
+        pattern,
+        pattern.assemble(element_grams(v1, v1, local), element_grams(v1, v0, local)),
+    )
     dof = basis.dof_count
     ref = np.block(
         [
@@ -171,6 +171,31 @@ def test_block_pattern_matches_weighted_gram(n_cells):
     assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     with pytest.raises(BasisError):
         cell_shape_table(basis, 6, 4)
+
+
+@pytest.mark.parametrize(
+    "kind, half_band", [(QUADRATIC_FE, 9), (PERIODIC_CUBIC_SPLINE, 13)]
+)
+def test_block_pattern_band_holds_the_periodic_wrap(kind, half_band, band_dense):
+    # without the fold, the cells across the periodic wrap would couple the
+    # first and last dofs and widen the band to the matrix size
+    for n_cells in (4, 5, 16, 64, 200):
+        basis = SpatialBasis(kind, build_mesh(n_cells))
+        dof, cd = basis.dof_count, basis.cell_dofs()
+        blocks = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        m = assemble_grams(basis).M_L2
+        pattern = BlockPattern(basis, 2, blocks, {(1, 0): m})
+        assert max(pattern.kl, pattern.ku) <= half_band
+        assert np.array_equal(np.sort(pattern.position.ravel()), np.arange(2 * dof))
+        ab = pattern.assemble(*[np.ones((n_cells,) + cd.shape[1:] * 2)] * 4)
+        ref = np.zeros((2 * dof, 2 * dof))
+        ref[dof:, :dof] = m.toarray()
+        for i, j in blocks:
+            for c in range(n_cells):
+                ref[np.ix_(cd[c] + i * dof, cd[c] + j * dof)] += 1.0
+        # every entry landed inside the band, and nothing else did
+        assert ab.sum() == pytest.approx(ref.sum(), rel=1e-14)
+        assert np.allclose(band_dense(pattern, ab), ref, rtol=0.0, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,14 +232,6 @@ def test_gauss_table_matches_basis_matrix(kind, n_cells, n_quad, seed):
         assert rel(tab.scatter(v[1]), ref_t[1]) <= tol
     with pytest.raises(BasisError):
         gauss_table(basis, n_quad, basis.max_order + 1)
-
-
-def test_l2_functional_values():
-    basis = cubic_spline_basis(build_mesh(20))
-    ell = l2_functional(basis, lambda x: np.ones_like(x))
-    assert ell.sum() == pytest.approx(1.0, abs=1e-12)
-    ell_sin = l2_functional(basis, _sin)
-    assert ell_sin.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dual_norm_oracle_and_convergence():

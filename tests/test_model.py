@@ -21,7 +21,6 @@ from chident.model import (
     ParameterError,
     SplineParameter,
     assemble_param_gram,
-    check_mobility,
     default_initial_profile,
     default_params,
     energy,
@@ -54,7 +53,6 @@ def test_default_mobility_values():
     assert params.b(-1.0) == pytest.approx(0.2, rel=1e-14)
     assert params.b(0.5) == pytest.approx(0.5**4 * 1.5**2 + 0.2, rel=1e-14)
     assert mobility_floor(params.b) == pytest.approx(0.2, rel=1e-6)
-    assert check_mobility(params.b) > 0.19
 
 
 @pytest.mark.parametrize("which", ["F", "b"])
@@ -201,13 +199,6 @@ def test_scale_params_spline_branch():
     scaled = scale_params(p2, 2.0, 1.0)
     s = np.linspace(-1.0, 1.0, 41)
     assert np.allclose(scaled.b(s), 2.0 * b_spline(s), rtol=1e-12)
-
-
-def test_check_mobility_rejects_sign_change():
-    grid = param_grid()
-    bad = SplineParameter(grid, grid.knots.copy(), name="b")  # b(s) = s
-    with pytest.raises(ModelError):
-        check_mobility(bad)
 
 
 def test_param_gram_is_spd_h2():
