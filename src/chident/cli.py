@@ -58,9 +58,7 @@ from .inverse import (
     IDENTIFY_F,
     IDENTIFY_JOINT,
     InverseError,
-    assemble_identify_b,
-    assemble_identify_f,
-    assemble_identify_joint,
+    assemble_problem,
     default_alpha_grid,
     lcurve_select,
     perturbation_scaling_probe,
@@ -212,14 +210,21 @@ def _selected_times(cfg: RunConfig, data) -> np.ndarray:
     return times
 
 
-def _assemble(cfg: RunConfig, data, times, grid):
+def _load_problem(cfg: RunConfig, args):
+    """Observation, selected times, assembled problem and alpha sweep grid."""
+    out = _outdir(cfg)
+    obs_path = Path(args.observation) if args.observation else out / "observation.bin"
+    data = chio.load_observation(obs_path)
     params = cfg.model_params()
-    kind = cfg.inverse.kind
-    if kind == IDENTIFY_F:
-        return assemble_identify_f(data, cfg.forward.gamma, params.b, times, grid)
-    if kind == IDENTIFY_B:
-        return assemble_identify_b(data, cfg.forward.gamma, params.F, times, grid)
-    return assemble_identify_joint(data, cfg.forward.gamma, times, grid)
+    grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
+    times = _selected_times(cfg, data)
+    problem = assemble_problem(
+        cfg.inverse.kind, data, cfg.forward.gamma, times, grid,
+        mobility=params.b, potential=params.F,
+    )
+    alphas = (np.asarray(cfg.inverse.alpha_grid)
+              if cfg.inverse.alpha_grid else default_alpha_grid())
+    return out, data, times, problem, alphas
 
 
 def _range_masks(cfg: RunConfig, data, times):
@@ -246,18 +251,11 @@ def _mask_of(intervals, s_grid):
 def cmd_identify(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    out = _outdir(cfg)
-    obs_path = Path(args.observation) if args.observation else out / "observation.bin"
-    data = chio.load_observation(obs_path)
+    out, data, times, problem, alphas = _load_problem(cfg, args)
     params = cfg.model_params()
-    grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
-    times = _selected_times(cfg, data)
-    problem = _assemble(cfg, data, times, grid)
+    grid = problem.grid
 
-    lcurve = None
     if cfg.inverse.alpha is None:
-        alphas = (np.asarray(cfg.inverse.alpha_grid)
-                  if cfg.inverse.alpha_grid else default_alpha_grid())
         alpha, lcurve = lcurve_select(problem, alphas)
         chio.lcurve_csv(lcurve, out / "lcurve.csv")
     else:
@@ -334,14 +332,7 @@ def cmd_identify(args) -> int:
 def cmd_lcurve(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    out = _outdir(cfg)
-    obs_path = Path(args.observation) if args.observation else out / "observation.bin"
-    data = chio.load_observation(obs_path)
-    grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
-    times = _selected_times(cfg, data)
-    problem = _assemble(cfg, data, times, grid)
-    alphas = (np.asarray(cfg.inverse.alpha_grid)
-              if cfg.inverse.alpha_grid else default_alpha_grid())
+    out, _, _, problem, alphas = _load_problem(cfg, args)
     alpha, curve = lcurve_select(problem, alphas)
     chio.lcurve_csv(curve, out / "lcurve.csv")
     report = {

@@ -1,10 +1,14 @@
 """Run configuration: flat key=value files with dotted section paths.
 
 A configuration is a plain-text file of ``section.key = value`` lines
-(``#`` comments and blank lines allowed).  :func:`parse_config` turns the
-text into a dictionary, :func:`build_config` validates it into a typed
-:class:`RunConfig`, and :func:`paper_preset` returns the built-in preset
-reproducing the reference experiment end to end.
+(``#`` comments and blank lines allowed).  One ordered key table maps
+every ``section.key`` to its parser and its echo formatter:
+:func:`parse_config` turns the text into a dictionary, :func:`build_config`
+parses each entry through the table onto a typed :class:`RunConfig` and
+validates it, and :func:`config_text` renders every key back through the
+same table, so the echo re-runs the configuration it came from.  Defaults
+live only in the block dataclasses; :func:`paper_preset` is the defaults
+with the reference experiment's observation window.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .inverse import PROBLEM_KINDS
 from .model import (
-    ClosedFormParameter,
+    ModelParams,
     NaturalSplineGrid,
     ParameterError,
     SplineParameter,
@@ -43,10 +48,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
-PROBLEM_KINDS = ("identify-f", "identify-b", "identify-joint")
-
-_CATALOG_POTENTIALS = ("default",)
-_CATALOG_MOBILITIES = ("default",)
 _CATALOG_INITIALS = ("default", "constant")
 
 
@@ -96,14 +97,12 @@ class RunConfig:
     # ---- materialized model ingredients -------------------------------
     def potential_fn(self):
         return _make_parameter(
-            self.forward.potential, "forward.potential", _CATALOG_POTENTIALS,
-            lambda: default_potential(),
+            self.forward.potential, "forward.potential", default_potential
         )
 
     def mobility_fn(self):
         return _make_parameter(
-            self.forward.mobility, "forward.mobility", _CATALOG_MOBILITIES,
-            lambda: default_mobility(),
+            self.forward.mobility, "forward.mobility", default_mobility
         )
 
     def initial_fn(self):
@@ -118,8 +117,6 @@ class RunConfig:
         )
 
     def model_params(self):
-        from .model import ModelParams
-
         return ModelParams(
             gamma=self.forward.gamma,
             b=self.mobility_fn(),
@@ -127,12 +124,10 @@ class RunConfig:
         )
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        # tuples -> lists for JSON friendliness
-        return d
+        return asdict(self)
 
 
-def _make_parameter(spec_str: str, path: str, catalog, default_factory):
+def _make_parameter(spec_str: str, path: str, default_factory):
     if spec_str == "default":
         return default_factory()
     if spec_str.startswith("spline:"):
@@ -148,8 +143,7 @@ def _make_parameter(spec_str: str, path: str, catalog, default_factory):
         except ParameterError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(
-        f"{path}: unknown id {spec_str!r} (catalog: {', '.join(catalog)}, "
-        "or spline:v0,v1,...)"
+        f"{path}: unknown id {spec_str!r} (catalog: default, or spline:v0,v1,...)"
     )
 
 
@@ -203,84 +197,93 @@ def _to_range(raw: str, path: str) -> tuple:
     return (lo, hi)
 
 
+def _to_times(raw: str, path: str) -> tuple:
+    try:
+        times = tuple(float(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: expected comma-separated numbers") from exc
+    if not np.all(np.isfinite(times)):
+        raise ConfigError(f"{path}: must be finite, got {raw!r}")
+    return times
+
+
+def _to_alpha(raw: str, path: str) -> float | None:
+    return None if raw == "auto" else _to_float(raw, path)
+
+
+def _to_grid(raw: str, path: str) -> tuple:
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{path}: expected 'high:low:count', got {raw!r}")
+    hi = _to_float(parts[0], path)
+    lo = _to_float(parts[1], path)
+    count = _to_int(parts[2], path)
+    if hi <= 0 or lo <= 0 or hi <= lo:
+        raise ConfigError(f"{path}: need high > low > 0, got {raw!r}")
+    if count < 10:
+        raise ConfigError(f"{path}: need at least 10 grid points")
+    grid = np.logspace(np.log10(hi), np.log10(lo), count)
+    # logspace can miss its endpoints by an ulp; pinned, the echoed
+    # high:low re-parses to this same grid
+    grid[0], grid[-1] = hi, lo
+    return tuple(float(v) for v in grid)
+
+
+def _optional(echo):
+    """Echo formatter that leaves the key out while its value is None."""
+    return lambda v: None if v is None else echo(v)
+
+
+_FLOAT = (_to_float, repr)
+_INT = (_to_int, str)
+_TEXT = (lambda raw, path: raw, str)
+
+# Every key, in echo order: ``section.key`` -> (parse(raw, path), echo(value))
+# for the field ``RunConfig.<section>.<key>``; an echo of None omits the line.
+_KEYS = {
+    "forward.gamma": _FLOAT,
+    "forward.potential": _TEXT,
+    "forward.mobility": _TEXT,
+    "forward.initial": _TEXT,
+    "forward.initial_constant": _FLOAT,
+    "forward.n_cells": _INT,
+    "forward.tau": _FLOAT,
+    "forward.t_end": _FLOAT,
+    "data.factor": _INT,
+    "data.delta": _FLOAT,
+    "data.seed": _INT,
+    "data.window": (_to_range, _optional(lambda w: f"{w[0]!r}:{w[1]!r}")),
+    "data.times": (_to_times, _optional(lambda ts: ",".join(map(repr, ts)))),
+    "inverse.kind": _TEXT,
+    "inverse.alpha": (_to_alpha, lambda a: "auto" if a is None else repr(a)),
+    "inverse.alpha_grid": (
+        _to_grid,
+        _optional(lambda g: f"{float(g[0])!r}:{float(g[-1])!r}:{len(g)}"),
+    ),
+    "inverse.sigma": _FLOAT,
+    "inverse.threshold": _FLOAT,
+    "output.directory": _TEXT,
+    "output.formats": (
+        lambda raw, path: tuple(x.strip() for x in raw.split(",") if x.strip()),
+        ",".join,
+    ),
+}
+
+
 def build_config(entries: dict) -> RunConfig:
     """Validate a parsed key/value mapping into a RunConfig."""
     cfg = RunConfig()
-    known = set()
-
-    def take(path, conv, setter):
-        known.add(path)
+    for path, (parse, _) in _KEYS.items():
         if path in entries:
-            setter(conv(entries[path], path))
-
-    fw = cfg.forward
-    take("forward.gamma", _to_float, lambda v: setattr(fw, "gamma", v))
-    take("forward.potential", lambda r, p: r, lambda v: setattr(fw, "potential", v))
-    take("forward.mobility", lambda r, p: r, lambda v: setattr(fw, "mobility", v))
-    take("forward.initial", lambda r, p: r, lambda v: setattr(fw, "initial", v))
-    take("forward.initial_constant", _to_float,
-         lambda v: setattr(fw, "initial_constant", v))
-    take("forward.n_cells", _to_int, lambda v: setattr(fw, "n_cells", v))
-    take("forward.tau", _to_float, lambda v: setattr(fw, "tau", v))
-    take("forward.t_end", _to_float, lambda v: setattr(fw, "t_end", v))
-
-    db = cfg.data
-    take("data.factor", _to_int, lambda v: setattr(db, "factor", v))
-    take("data.delta", _to_float, lambda v: setattr(db, "delta", v))
-    take("data.seed", _to_int, lambda v: setattr(db, "seed", v))
-    take("data.window", _to_range, lambda v: setattr(db, "window", v))
-
-    def parse_times(raw, path):
-        try:
-            times = tuple(float(v) for v in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: expected comma-separated numbers") from exc
-        if not times:
-            raise ConfigError(f"{path}: empty time list")
-        return times
-
-    take("data.times", parse_times, lambda v: setattr(db, "times", v))
+            section, key = path.split(".")
+            setattr(getattr(cfg, section), key, parse(entries[path], path))
     if "data.times" in entries:
-        db.window = None if "data.window" not in entries else db.window
-    if db.times is not None and "data.window" in entries:
-        raise ConfigError("data.times: give either data.times or data.window, not both")
-
-    iv = cfg.inverse
-    take("inverse.kind", lambda r, p: r, lambda v: setattr(iv, "kind", v))
-
-    def parse_alpha(raw, path):
-        if raw == "auto":
-            return None
-        return _to_float(raw, path)
-
-    take("inverse.alpha", parse_alpha, lambda v: setattr(iv, "alpha", v))
-
-    def parse_grid(raw, path):
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: expected 'high:low:count', got {raw!r}")
-        hi = _to_float(parts[0], path)
-        lo = _to_float(parts[1], path)
-        count = _to_int(parts[2], path)
-        if hi <= 0 or lo <= 0 or hi <= lo:
-            raise ConfigError(f"{path}: need high > low > 0, got {raw!r}")
-        if count < 10:
-            raise ConfigError(f"{path}: need at least 10 grid points")
-        return tuple(float(v) for v in np.logspace(np.log10(hi), np.log10(lo), count))
-
-    take("inverse.alpha_grid", parse_grid, lambda v: setattr(iv, "alpha_grid", v))
-    take("inverse.sigma", _to_float, lambda v: setattr(iv, "sigma", v))
-    take("inverse.threshold", _to_float, lambda v: setattr(iv, "threshold", v))
-
-    ob = cfg.output
-    take("output.directory", lambda r, p: r, lambda v: setattr(ob, "directory", v))
-    take(
-        "output.formats",
-        lambda r, p: tuple(x.strip() for x in r.split(",") if x.strip()),
-        lambda v: setattr(ob, "formats", v),
-    )
-
-    unknown = sorted(set(entries) - known)
+        if "data.window" in entries:
+            raise ConfigError(
+                "data.times: give either data.times or data.window, not both"
+            )
+        cfg.data.window = None
+    unknown = sorted(set(entries) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     validate_config(cfg)
@@ -352,51 +355,15 @@ def config_from_file(path) -> RunConfig:
 
 def paper_preset() -> RunConfig:
     """The built-in preset reproducing the reference experiment setup."""
-    cfg = RunConfig()
-    cfg.forward = ForwardBlock(
-        gamma=0.003, potential="default", mobility="default", initial="default",
-        n_cells=200, tau=2e-5, t_end=0.02,
-    )
-    cfg.data = DataBlock(factor=2, delta=0.0, seed=0, window=(0.0, 0.008))
-    cfg.inverse = InverseBlock(
-        kind="identify-f", alpha=1e-10, alpha_grid=None, sigma=0.1, threshold=1e-3
-    )
-    cfg.output = OutputBlock(directory="out", formats=("csv", "json"))
-    return cfg
+    return RunConfig(data=DataBlock(window=(0.0, 0.008)))
 
 
 def config_text(cfg: RunConfig) -> str:
     """Render a RunConfig back to its flat text form (config echo)."""
-    lines = [
-        f"forward.gamma = {cfg.forward.gamma!r}",
-        f"forward.potential = {cfg.forward.potential}",
-        f"forward.mobility = {cfg.forward.mobility}",
-        f"forward.initial = {cfg.forward.initial}",
-        f"forward.n_cells = {cfg.forward.n_cells}",
-        f"forward.tau = {cfg.forward.tau!r}",
-        f"forward.t_end = {cfg.forward.t_end!r}",
-        f"data.factor = {cfg.data.factor}",
-        f"data.delta = {cfg.data.delta!r}",
-        f"data.seed = {cfg.data.seed}",
-    ]
-    if cfg.data.times is not None:
-        lines.append("data.times = " + ",".join(repr(t) for t in cfg.data.times))
-    elif cfg.data.window is not None:
-        lines.append(f"data.window = {cfg.data.window[0]!r}:{cfg.data.window[1]!r}")
-    lines += [
-        f"inverse.kind = {cfg.inverse.kind}",
-        "inverse.alpha = " + ("auto" if cfg.inverse.alpha is None
-                              else repr(cfg.inverse.alpha)),
-    ]
-    if cfg.inverse.alpha_grid is not None:
-        g = cfg.inverse.alpha_grid
-        lines.append(
-            f"inverse.alpha_grid = {float(g[0])!r}:{float(g[-1])!r}:{len(g)}"
-        )
-    lines += [
-        f"inverse.sigma = {cfg.inverse.sigma!r}",
-        f"inverse.threshold = {cfg.inverse.threshold!r}",
-        f"output.directory = {cfg.output.directory}",
-        "output.formats = " + ",".join(cfg.output.formats),
-    ]
+    lines = []
+    for path, (_, echo) in _KEYS.items():
+        section, key = path.split(".")
+        text = echo(getattr(getattr(cfg, section), key))
+        if text is not None:
+            lines.append(f"{path} = {text}")
     return "\n".join(lines) + "\n"

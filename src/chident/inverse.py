@@ -30,6 +30,7 @@ from .model import (
 IDENTIFY_F = "identify-f"
 IDENTIFY_B = "identify-b"
 IDENTIFY_JOINT = "identify-joint"
+PROBLEM_KINDS = (IDENTIFY_F, IDENTIFY_B, IDENTIFY_JOINT)
 
 
 class InverseError(ValueError):
@@ -302,6 +303,30 @@ def assemble_identify_joint(
     return _assemble(data, gamma, IDENTIFY_JOINT, times_arr, grid, n_quad)
 
 
+def assemble_problem(
+    kind: str,
+    data: ObservationData,
+    gamma: float,
+    times,
+    grid: NaturalSplineGrid | None = None,
+    n_quad: int = 12,
+    mobility=None,
+    potential=None,
+) -> AssembledProblem:
+    """Equation-error system of one problem kind.
+
+    identify-f reads the known ``mobility``, identify-b the known
+    ``potential``; the other is ignored.
+    """
+    if kind == IDENTIFY_F:
+        return assemble_identify_f(data, gamma, mobility, times, grid, n_quad)
+    if kind == IDENTIFY_B:
+        return assemble_identify_b(data, gamma, potential, times, grid, n_quad)
+    if kind == IDENTIFY_JOINT:
+        return assemble_identify_joint(data, gamma, times, grid, n_quad)
+    raise InverseError(f"unknown problem kind {kind!r}")
+
+
 @dataclass
 class RegularizedSolution:
     """Tikhonov minimizer at one alpha, with its residual and penalty norms."""
@@ -515,13 +540,9 @@ def perturbation_scaling_probe(
     """
 
     def build(d: ObservationData) -> AssembledProblem:
-        if kind == IDENTIFY_F:
-            return assemble_identify_f(d, gamma, mobility, times, grid, n_quad)
-        if kind == IDENTIFY_B:
-            return assemble_identify_b(d, gamma, potential, times, grid, n_quad)
-        if kind == IDENTIFY_JOINT:
-            return assemble_identify_joint(d, gamma, times, grid, n_quad)
-        raise InverseError(f"unknown problem kind {kind!r}")
+        return assemble_problem(
+            kind, d, gamma, times, grid, n_quad, mobility, potential
+        )
 
     deltas = np.asarray(list(deltas), dtype=float)
     clean = build(data)

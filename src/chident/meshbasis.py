@@ -73,10 +73,6 @@ class PeriodicMesh:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_cells) * self.h
 
-    def wrap(self, x):
-        """Map points to [0, 1) by periodicity."""
-        return np.mod(x, 1.0)
-
     def locate(self, x):
         """Return (cell index, local coordinate in [0, 1)) for each point."""
         xw = np.mod(np.asarray(x, dtype=float), 1.0)

@@ -11,7 +11,7 @@ spline grid provides the Tikhonov penalty.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_banded
+from scipy.linalg import cho_factor, solve_banded
 
 from .meshbasis import PeriodicField, gauss_table
 
@@ -230,15 +230,12 @@ class RegularizerGram:
             raise ParameterError("regularizer gram deviates from symmetry")
         self.R = 0.5 * (self.R + self.R.T)
         try:
-            self._chol = cho_factor(self.R)
+            cho_factor(self.R)
         except np.linalg.LinAlgError as err:
             raise ParameterError(f"regularizer gram is not positive definite: {err}")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.R @ v
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, v)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ (self.R @ v), 0.0)))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chident.config import (
+    PROBLEM_KINDS,
     ConfigError,
     build_config,
     config_from_file,
@@ -79,6 +82,7 @@ def test_build_config_overrides_and_unknown_keys():
     ({"inverse.sigma": "0.3"}, "evenly divide"),
     ({"data.window": "0:0.5"}, "exceeds"),
     ({"output.formats": "csv,yaml"}, "unknown formats"),
+    ({"data.times": "4e-5,nan"}, "finite"),
 ])
 def test_validation_errors(overrides, fragment):
     base = {"forward.n_cells": "200", "forward.tau": "2e-5",
@@ -143,6 +147,78 @@ def test_config_text_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
     assert config_from_file(path).as_dict() == cfg.as_dict()
+    # every key is echoed, the constant initial value too
+    cfg = paper_preset()
+    cfg.forward.initial = "constant"
+    cfg.forward.initial_constant = 0.25
+    again = build_config(parse_config(config_text(cfg)))
+    assert again.forward.initial_constant == 0.25
+    assert again.as_dict() == cfg.as_dict()
+
+
+def _spline_or_default():
+    values = st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6)
+    return st.one_of(
+        st.just("default"),
+        values.map(lambda vs: "spline:" + ",".join(map(repr, vs))),
+    )
+
+
+@st.composite
+def _valid_entries(draw):
+    """A valid configuration over every key, as parse_config returns it."""
+    factor = draw(st.integers(1, 4))
+    tau = draw(st.floats(1e-7, 1e-2))
+    t_end = draw(st.integers(1, 50)) * factor * tau
+    e = {
+        "forward.gamma": repr(draw(st.floats(1e-5, 10.0))),
+        "forward.potential": draw(_spline_or_default()),
+        "forward.mobility": draw(_spline_or_default()),
+        "forward.initial": draw(st.sampled_from(["default", "constant"])),
+        "forward.initial_constant": repr(draw(st.floats(allow_nan=False,
+                                                        allow_infinity=False))),
+        "forward.n_cells": str(factor * draw(st.integers(4, 100))),
+        "forward.tau": repr(tau),
+        "forward.t_end": repr(t_end),
+        "data.factor": str(factor),
+        "data.delta": repr(draw(st.floats(0.0, 1.0))),
+        "data.seed": str(draw(st.integers(-(2**40), 2**40))),
+        "inverse.kind": draw(st.sampled_from(PROBLEM_KINDS)),
+        "inverse.alpha": draw(st.one_of(
+            st.just("auto"), st.floats(1e-14, 1.0).map(repr))),
+        "inverse.sigma": repr(2.0 / draw(st.integers(1, 40))),
+        "inverse.threshold": repr(draw(st.floats(0.0, 1.0))),
+        "output.directory": draw(st.from_regex(r"[\w./-]{1,12}", fullmatch=True)),
+        "output.formats": ",".join(draw(st.lists(
+            st.sampled_from(["csv", "json", "binary"]), unique=True))),
+    }
+    if draw(st.booleans()):
+        times = st.floats(0.0, t_end, exclude_min=True)
+        e["data.times"] = ",".join(map(repr, draw(st.lists(times, min_size=1,
+                                                           max_size=5))))
+    else:
+        lo = draw(st.floats(-t_end, t_end, exclude_max=True))
+        hi = draw(st.floats(lo, t_end, exclude_min=True))
+        e["data.window"] = f"{lo!r}:{hi!r}"
+    if draw(st.booleans()):
+        high = draw(st.floats(1e-12, 10.0))
+        low = high * 10.0 ** -draw(st.floats(0.5, 12.0))
+        e["inverse.alpha_grid"] = f"{high!r}:{low!r}:{draw(st.integers(10, 60))}"
+    return e
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=_valid_entries())
+@example(entries={
+    "inverse.alpha": "auto",
+    "inverse.alpha_grid": "0.3821991103136994:9.995707475249206e-09:38",
+})
+def test_config_echo_is_a_fixed_point(entries):
+    cfg = build_config(entries)
+    text = config_text(cfg)
+    again = build_config(parse_config(text))
+    assert again.as_dict() == cfg.as_dict()
+    assert config_text(again) == text
 
 
 def test_initial_profile_options():

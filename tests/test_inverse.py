@@ -46,9 +46,6 @@ class _ShimR:
     def apply(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def solve(self, x):
-        return np.asarray(x, dtype=float).copy()
-
 
 def _toy(T, y):
     T = np.atleast_2d(np.asarray(T, dtype=float))
