@@ -4,8 +4,10 @@ Simulated trajectories are restricted to a coarser space-time grid and
 re-expanded in periodic cubic splines; everything downstream (difference
 quotients, chemical potential reconstruction, noise injection, level-set
 diagnostics, inverse assembly) works on these spline snapshots.  The
-piecewise-cubic form makes ranges, level-set crossings, and indicator
-integrals exactly computable, which the co-area diagnostics rely on.
+piecewise-cubic form from ``meshbasis.cell_polys`` makes ranges, level-set
+crossings, and indicator integrals exactly computable, which the co-area
+diagnostics rely on; norms over the whole torus use the cached Gauss-point
+tables of ``meshbasis.gauss_table``.
 """
 
 from dataclasses import dataclass, field
@@ -18,13 +20,15 @@ from .meshbasis import (
     PeriodicField,
     SpatialBasis,
     assemble_grams,
-    basis_matrix,
     build_mesh,
+    cell_polys,
     cubic_spline_basis,
     dual_norm_Hm1,
     eval_field,
+    gauss_table,
     interpolate_many,
-    quadrature_rule,
+    poly_vals,
+    spline_node_values,
 )
 from .forward import Trajectory
 
@@ -115,17 +119,24 @@ def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
     values = traj.phi[kept][:, vert_dofs]
     coef = interpolate_many(basis, values)
 
-    # interpolation discrepancy in H1, measured on the fine quadrature
-    xq, wq = quadrature_rule(traj.basis.mesh, 8)
-    e_fine = [basis_matrix(traj.basis, xq, r) for r in (0, 1)]
-    e_coarse = [basis_matrix(basis, xq, r) for r in (0, 1)]
+    # interpolation discrepancy in H1, measured on the fine quadrature: the
+    # fine Gauss points sit at the same local coordinates in every coarse
+    # cell, so the coarse field there is its cell cubics times their powers
+    fine = [gauss_table(traj.basis, 8, r) for r in (0, 1)]
+    u_fine = (np.arange(factor)[:, None] + fine[0].points) / factor
+    powers = np.vander(u_fine.ravel(), 4, increasing=True).T
+    w_fine = fine[0].weights.reshape(mesh.n_cells, -1)
     errs = np.empty(len(kept))
-    for i, k in enumerate(kept):
+    # blocks of states keep each temporary near 1 MB
+    block = max(1, 2**17 // w_fine.size)
+    for start in range(0, len(kept), block):
+        sl = slice(start, start + block)
         acc = 0.0
-        for r in range(2):
-            diff = e_coarse[r] @ coef[i] - e_fine[r] @ traj.phi[k]
-            acc += wq @ diff**2
-        errs[i] = np.sqrt(max(acc, 0.0))
+        for r in (0, 1):
+            coarse = cell_polys(basis, coef[sl], r) @ powers
+            diff = coarse - fine[r].gather(traj.phi[kept[sl]]).reshape(coarse.shape)
+            acc = acc + np.sum(w_fine * diff**2, axis=(1, 2))
+        errs[sl] = np.sqrt(np.maximum(acc, 0.0))
     tau_data = factor * traj.tau
     trapz = np.ones(len(kept))
     trapz[0] = trapz[-1] = 0.5
@@ -182,11 +193,10 @@ class NoiseRecord:
 
 
 def _spline_h3_norm(basis: SpatialBasis, coef: np.ndarray) -> float:
-    x, w = quadrature_rule(basis.mesh, 4)
     acc = 0.0
     for order in range(4):
-        vals = basis_matrix(basis, x, order) @ coef
-        acc += w @ vals**2
+        tab = gauss_table(basis, 4, order)
+        acc += tab.weights.ravel() @ tab.gather(coef).ravel() ** 2
     return float(np.sqrt(max(acc, 0.0)))
 
 
@@ -206,8 +216,8 @@ def inject_noise(
 
     Returns the perturbed container and the noise record.
     """
-    if delta < 0.0:
-        raise DataError(f"noise level must be nonnegative, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise DataError(f"noise level must be finite and nonnegative, got {delta}")
     if delta == 0.0:
         clean = ObservationData(
             basis=data.basis,
@@ -241,8 +251,6 @@ def inject_noise(
     q = np.cos(omega * (data.times - t_peak))
 
     coef = data.coef + q[:, None] * p_coef[None, :]
-    from .meshbasis import spline_node_values
-
     vals = spline_node_values(coef)
     if np.max(np.abs(vals)) >= 1.0:
         raise DataError(
@@ -265,45 +273,12 @@ def inject_noise(
     return noisy, NoiseRecord(float(delta), seed, sup_h3, sup_rate, omega, t_peak)
 
 
-# --- piecewise-cubic helpers ----------------------------------------------
-
-_DIFF_U = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 2.0, 0.0, 0.0],
-        [0.0, 0.0, 3.0, 0.0],
-    ]
-)
-
-
-def _piece_polys(f: PeriodicField, order: int = 0) -> np.ndarray:
-    """Local monomial coefficients of d^order f on each cell, in u.
-
-    Row j holds (a0, a1, a2, a3) with
-    (d^order f)(x) = sum_k a_k u^k on cell j, u = x/h - j.
-    """
-    if f.basis.kind != PERIODIC_CUBIC_SPLINE:
-        raise DataError("piecewise-cubic helpers require the spline basis")
-    from .meshbasis import _BSPLINE_POLY
-
-    local = f.coef[f.basis.cell_dofs()] @ _BSPLINE_POLY
-    n = f.basis.mesh.n_cells
-    for _ in range(order):
-        local = (local @ _DIFF_U) * n
-    return local
-
-
-def _poly_vals(polys: np.ndarray, u: np.ndarray) -> np.ndarray:
-    vals = np.full(u.shape, polys[..., 3])
-    for k in (2, 1, 0):
-        vals = vals * u + polys[..., k]
-    return vals
+# --- piecewise-cubic diagnostics -------------------------------------------
 
 
 def piece_value_bounds(f: PeriodicField) -> np.ndarray:
-    """Exact (min, max) of the spline on each cell, shape (n_cells, 2)."""
-    p = _piece_polys(f)
+    """Exact (min, max) of the field on each cell, shape (n_cells, 2)."""
+    p = cell_polys(f.basis, f.coef)
     n = p.shape[0]
     cand = np.empty((n, 4))
     cand[:, 0] = p[:, 0]
@@ -319,12 +294,12 @@ def piece_value_bounds(f: PeriodicField) -> np.ndarray:
     for sign, col in ((1.0, 2), (-1.0, 3)):
         u = np.where(has, (-b + sign * sq) / np.where(has, 2.0 * a, 1.0), -1.0)
         ok = has & (u > 0.0) & (u < 1.0)
-        cand[ok, col] = _poly_vals(p[ok], u[ok])
+        cand[ok, col] = poly_vals(p[ok], u[ok])
     lin = ~quad & (np.abs(b) > 1e-300)
     if np.any(lin):
         u = np.where(lin, -c / np.where(lin, b, 1.0), -1.0)
         ok = lin & (u > 0.0) & (u < 1.0)
-        cand[ok, 2] = _poly_vals(p[ok], u[ok])
+        cand[ok, 2] = poly_vals(p[ok], u[ok])
     return np.stack([cand.min(axis=1), cand.max(axis=1)], axis=1)
 
 
@@ -376,7 +351,7 @@ def _level_roots(f: PeriodicField, levels: np.ndarray):
     piecewise bounds and solved in one batch.  Returns (level index,
     cell, local coordinate), ordered by level, then cell.
     """
-    p0 = _piece_polys(f)
+    p0 = cell_polys(f.basis, f.coef)
     bounds = piece_value_bounds(f)
     pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
     lv, cells = np.nonzero(
@@ -439,8 +414,8 @@ def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
         merged_node = merged_node[:-1]
 
     uk, jk = us[keep], pcs[keep]
-    slope = _poly_vals(_piece_polys(f, 1)[jk], uk)
-    p3 = _piece_polys(f, 3)[:, 0]
+    slope = poly_vals(cell_polys(f.basis, f.coef, 1)[jk], uk)
+    p3 = cell_polys(f.basis, f.coef, 3)[:, 0]
     # snapped to a knot: halfway between the adjacent cell midpoints
     jr = np.where(uk < 0.5, jk, (jk + 1) % n)
     at_knot = 0.5 * (p3[(jr - 1) % n] + p3[jr])
@@ -455,7 +430,7 @@ def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
 
 def spline_antiderivative(f: PeriodicField):
     """Closure evaluating int_0^x f for x in [0, 1], exactly per piece."""
-    p = _piece_polys(f)
+    p = cell_polys(f.basis, f.coef)
     h = f.basis.mesh.h
     # antiderivative in u, scaled by h
     anti = np.zeros((p.shape[0], 5))
@@ -519,10 +494,8 @@ def coarea_coefficients(
     dphi = time_derivative(data, t)
     integral = spline_antiderivative(dphi)
     # sup |phi'| over the cell midpoints and the knots
-    p1 = _piece_polys(f, 1)
-    sup_slope = float(
-        max(np.max(np.abs(_poly_vals(p1, np.full(len(p1), 0.5)))), np.max(np.abs(p1[:, 0])))
-    )
+    p1 = cell_polys(f.basis, f.coef, 1)
+    sup_slope = float(max(np.max(np.abs(poly_vals(p1, 0.5))), np.max(np.abs(p1[:, 0]))))
     if len(cr.x) == 0:
         lo, hi = attained_range(data, t)
         a_val = integral(1.0) if s > hi else 0.0
@@ -537,8 +510,7 @@ def coarea_coefficients(
     right = np.roll(left, -1)
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
-    cells, u = f.basis.mesh.locate(mid)
-    below = _poly_vals(_piece_polys(f)[cells], u) < s
+    below = eval_field(f, mid) < s
     a_val = 0.0
     for a, b, wrapped in zip(left[below], right[below], wrap[below]):
         if wrapped:
@@ -589,14 +561,14 @@ def observable_range(
     if span <= 0.0:
         return []
     if threshold is None:
-        xq, _ = quadrature_rule(data.basis.mesh, 8)
-        threshold = threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1))))
+        grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
+        threshold = threshold_rel * float(np.max(np.abs(grad)))
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
     # every crossing of every level in one batch; duplicates at a knot
     # are not merged, which leaves the maximum of the continuous |mu'|
     # unchanged up to rounding
     lv, cells, u = _level_roots(f, levels)
-    slopes = np.abs(basis_matrix(data.basis, (cells + u) * data.basis.mesh.h, 1) @ mu.coef)
+    slopes = np.abs(poly_vals(cell_polys(data.basis, mu.coef, 1)[cells], u))
     peak = np.full(n_levels, -np.inf)
     np.maximum.at(peak, lv, slopes)
     good = peak > threshold

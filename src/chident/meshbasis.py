@@ -5,8 +5,10 @@ basis families are provided: quadratic Lagrange finite elements (used by
 the time stepper) and periodic cubic B-splines (used for the observation
 grid).  Gram matrices carry the L2 and H1 inner products; the discrete
 H^-1 dual norm is evaluated through a sparse factorization of the H1 gram.
-Fields are evaluated at the Gauss points of their own mesh through cached
-cell tables; ``basis_matrix`` serves arbitrary points.
+On each cell a field is a cubic in the local coordinate, from the cell's
+coefficients and fixed shape polynomials: ``gauss_table`` evaluates these
+at the Gauss points (fields there, and the gram matrices), ``cell_polys``
+and ``poly_vals`` at arbitrary points.
 """
 
 import math
@@ -46,6 +48,9 @@ _BSPLINE_POLY = np.array(
 ) / 6.0
 
 _MAX_ORDER = {QUADRATIC_FE: 1, PERIODIC_CUBIC_SPLINE: 3}
+
+# d/du on monomial coefficients: (a0, a1, a2, a3) @ _DIFF_U = (a1, 2 a2, 3 a3, 0)
+_DIFF_U = np.diag([1.0, 2.0, 3.0], -1)
 
 
 class MeshError(ValueError):
@@ -93,21 +98,14 @@ def _shape_table(kind: str) -> np.ndarray:
     return _FE_POLY if kind == QUADRATIC_FE else _BSPLINE_POLY
 
 
-def _poly_eval(table: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """Evaluate d^order/du^order of each shape polynomial at local points.
+def poly_vals(polys: np.ndarray, u) -> np.ndarray:
+    """Horner evaluation of monomial coefficients (..., 4) at local coordinates u.
 
-    Returns an array of shape (len(u), n_local).
+    The leading shape ``polys.shape[:-1]`` and the shape of ``u`` broadcast.
     """
-    # derivative of the monomial coefficient table
-    coef = table.copy()
-    for _ in range(order):
-        coef = coef[:, 1:] * np.arange(1, coef.shape[1])
-    if coef.shape[1] == 0:
-        return np.zeros((len(u), table.shape[0]))
-    # Horner in u
-    vals = np.full((len(u), table.shape[0]), coef[:, -1])
-    for k in range(coef.shape[1] - 2, -1, -1):
-        vals = vals * u[:, None] + coef[:, k]
+    vals = np.broadcast_to(polys[..., 3], np.broadcast_shapes(polys.shape[:-1], np.shape(u)))
+    for k in (2, 1, 0):
+        vals = vals * u + polys[..., k]
     return vals
 
 
@@ -157,6 +155,18 @@ class SpatialBasis:
         return self.mesh.nodes()
 
 
+def _check_order(basis: SpatialBasis, order: int) -> None:
+    if order < 0 or order > basis.max_order:
+        raise BasisError(f"derivative order {order} out of range for {basis.kind}")
+
+
+def _cell_entries(basis: SpatialBasis):
+    """Global (row, column) of local entry (i, j) of cell c, flat in (c, i, j) order."""
+    cd = basis.cell_dofs()
+    n_local = cd.shape[1]
+    return np.repeat(cd, n_local, axis=1).ravel(), np.tile(cd, (1, n_local)).ravel()
+
+
 def quadratic_fe(mesh: PeriodicMesh) -> SpatialBasis:
     return SpatialBasis(QUADRATIC_FE, mesh)
 
@@ -187,28 +197,6 @@ def quadrature_rule(mesh: PeriodicMesh, n_points: int):
     return x, weights
 
 
-def basis_matrix(basis: SpatialBasis, x, order: int = 0) -> sp.csr_matrix:
-    """Sparse evaluation matrix E with E[p, i] = d^order psi_i (x_p).
-
-    The rows of ``E @ coef`` are point values of the expanded field.
-    """
-    if order < 0 or order > basis.max_order:
-        raise BasisError(
-            f"derivative order {order} out of range for {basis.kind}"
-        )
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    cells, u = basis.mesh.locate(x)
-    vals = _poly_eval(_shape_table(basis.kind), u, order)
-    vals *= float(basis.mesh.n_cells) ** order  # d/dx = n d/du
-    cols = basis.cell_dofs()[cells]
-    rows = np.repeat(np.arange(len(x)), basis.dofs_per_cell)
-    mat = sp.csr_matrix(
-        (vals.ravel(), (rows, cols.ravel())),
-        shape=(len(x), basis.dof_count),
-    )
-    return mat
-
-
 @dataclass
 class PeriodicField:
     """A scalar periodic field expanded in a spatial basis."""
@@ -225,15 +213,32 @@ class PeriodicField:
             )
 
 
+def cell_polys(basis: SpatialBasis, coef: np.ndarray, order: int = 0) -> np.ndarray:
+    """Monomial coefficients in u of d^order f / dx^order on every cell.
+
+    ``coef`` is one coefficient vector or a stack (..., dof); the result
+    has shape (..., n_cells, 4), and on cell j at x = (j + u) h the
+    derivative equals ``poly_vals(result[..., j, :], u)``.  The derivative
+    order is capped by the basis family: 1 for quadratic elements, 3 for
+    cubic splines.
+    """
+    _check_order(basis, order)
+    polys = np.asarray(coef, dtype=float)[..., basis.cell_dofs()] @ _shape_table(basis.kind)
+    for _ in range(order):
+        polys = (polys @ _DIFF_U) * basis.mesh.n_cells   # d/dx = n d/du
+    return polys
+
+
 def eval_field(f: PeriodicField, x, order: int = 0):
     """Evaluate a field (or one of its derivatives) at arbitrary points.
 
-    Points are wrapped periodically.  The derivative order is capped by
-    the basis family: 1 for quadratic elements, 3 for cubic splines.
+    Points are wrapped periodically and located in their cells, where the
+    cell's cubic from ``cell_polys`` is evaluated.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = basis_matrix(f.basis, x, order) @ f.coef
-    return float(out[0]) if scalar else out
+    polys = cell_polys(f.basis, f.coef, order)
+    cells, u = f.basis.mesh.locate(x)
+    out = poly_vals(polys[cells], u)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _spline_collocation_kernel(n: int) -> np.ndarray:
@@ -283,13 +288,6 @@ def interpolate_many(basis: SpatialBasis, values: np.ndarray) -> np.ndarray:
     return solve_circulant(ker, values.T).T
 
 
-def weighted_gram(
-    rows: sp.spmatrix, cols: sp.spmatrix, w: np.ndarray
-) -> sp.csr_matrix:
-    """Assemble rows^T diag(w) cols from point-evaluation matrices."""
-    return (rows.T @ sp.diags(w) @ cols).tocsr()
-
-
 def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.ndarray:
     """d^order psi_l / dx^order at the Gauss points of one cell.
 
@@ -297,11 +295,11 @@ def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.nda
     uniform mesh the table, of shape (n_quad, dofs_per_cell), is the same
     on every cell.
     """
-    if order < 0 or order > basis.max_order:
-        raise BasisError(
-            f"derivative order {order} out of range for {basis.kind}"
-        )
-    vals = _poly_eval(_shape_table(basis.kind), _gauss_legendre(n_quad)[0], order)
+    _check_order(basis, order)
+    polys = _shape_table(basis.kind)
+    for _ in range(order):
+        polys = polys @ _DIFF_U
+    vals = poly_vals(polys, _gauss_legendre(n_quad)[0][:, None])
     return vals * float(basis.mesh.n_cells) ** order
 
 
@@ -313,12 +311,14 @@ class GaussTable:
     the same on every cell, so evaluating a field at all quadrature points
     is a gather of its cell coefficients and one matrix product, and the
     transposed evaluation is the same product followed by a scatter-add
-    over ``cell_dofs``.  ``weights`` (n_cells, n_quad) are those of
+    over ``cell_dofs``.  ``points`` (n_quad,) are the local coordinates of
+    the Gauss points in a cell, and ``weights`` (n_cells, n_quad) those of
     ``quadrature_rule``, cell by cell.
     """
 
     cell_dofs: np.ndarray
     table: np.ndarray
+    points: np.ndarray
     weights: np.ndarray
     dof_count: int
 
@@ -351,7 +351,7 @@ def _gauss_table(kind: str, n_cells: int, n_quad: int, order: int) -> GaussTable
     cell_dofs = basis.cell_dofs()
     for arr in (cell_dofs, table, weights):
         arr.flags.writeable = False
-    return GaussTable(cell_dofs, table, weights, basis.dof_count)
+    return GaussTable(cell_dofs, table, _gauss_legendre(n_quad)[0], weights, basis.dof_count)
 
 
 def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -401,15 +401,11 @@ class BlockPattern:
         self.position[:, _folded_order(dof)] = (
             n_blocks * np.arange(dof) + np.arange(n_blocks)[:, None]
         )
-        cd = basis.cell_dofs().astype(np.int64)
-        n_local = cd.shape[1]
-        # local entry (i, j) of a cell sits at row cd[c, i], column cd[c, j]
-        r_loc = np.repeat(cd, n_local, axis=1).ravel()
-        c_loc = np.tile(cd, (1, n_local)).ravel()
+        r_loc, c_loc = _cell_entries(basis)
         rows = [self.position[i, r_loc] for i, _ in cell_blocks]
         cols = [self.position[j, c_loc] for _, j in cell_blocks]
         n_cell_entries = len(cell_blocks) * len(r_loc)
-        values = []
+        values = [np.zeros(0)]
         for (i, j), mat in constant.items():
             coo = sp.coo_matrix(mat)
             rows.append(self.position[i, coo.row])
@@ -469,15 +465,21 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
 def assemble_grams(basis: SpatialBasis, n_quad: int | None = None) -> GramPair:
     """Assemble the L2 gram and stiffness matrix of a basis.
 
-    The default quadrature integrates the products exactly.  Both
-    matrices are symmetrized and checked for positive diagonals.
+    The element grams of the cached cell tables go into one sparse
+    matrix each, summed over ``cell_dofs``.  The default quadrature
+    integrates the products exactly.  Both matrices are symmetrized and
+    checked for positive diagonals.
     """
     nq = n_quad if n_quad is not None else _GRAM_QUAD[basis.kind]
-    x, w = quadrature_rule(basis.mesh, nq)
-    e0 = basis_matrix(basis, x, 0)
-    e1 = basis_matrix(basis, x, 1)
-    m = _symmetrize(weighted_gram(e0, e0, w))
-    k = _symmetrize(weighted_gram(e1, e1, w))
+    rows, cols = _cell_entries(basis)
+    shape = (basis.dof_count, basis.dof_count)
+
+    def gram(order):
+        tab = gauss_table(basis, nq, order)
+        local = element_grams(tab.table, tab.table, tab.weights)
+        return _symmetrize(sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape))
+
+    m, k = gram(0), gram(1)
     if m.diagonal().min() <= 0.0:
         raise AssemblyError("L2 gram has a non-positive diagonal entry")
     return GramPair(basis, m, k, (m + k).tocsr())

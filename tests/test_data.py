@@ -12,9 +12,11 @@ from chident.meshbasis import (
     PeriodicField,
     assemble_grams,
     build_mesh,
+    cell_polys,
     cubic_spline_basis,
     eval_field,
     interpolate,
+    poly_vals,
     quadratic_fe,
     quadrature_rule,
 )
@@ -283,8 +285,9 @@ def test_inject_noise_edge_cases(reference_data):
     clean, rec = inject_noise(reference_data, 0.0, seed=3)
     assert rec.sup_h3 == 0.0
     assert np.array_equal(clean.coef, reference_data.coef)
-    with pytest.raises(DataError):
-        inject_noise(reference_data, -1e-3)
+    for delta in (-1e-3, np.nan, np.inf):
+        with pytest.raises(DataError):
+            inject_noise(reference_data, delta)
 
 
 @pytest.mark.parametrize("degeneracy_rel", [0.05, 0.4])
@@ -374,7 +377,7 @@ def test_unit_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
         k = np.arange(len(run)) / len(run)
         coef[run] = np.polyval(rng.uniform(-0.4, 0.4, flat_degree + 1), k)
     f = PeriodicField(basis, coef)
-    p0 = chdata._piece_polys(f)
+    p0 = cell_polys(basis, coef)
     lo, hi = float(p0[:, 0].min()), float(p0[:, 0].max())
     levels = np.concatenate([
         rng.uniform(lo, hi, 3),
@@ -400,7 +403,7 @@ def test_unit_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
     assert np.array_equal(rows, rows_ref)
     assert np.all(np.abs(u - u_ref) <= 1e-12)
     assert np.all((u >= 0.0) & (u < 1.0))
-    assert np.all(np.abs(chdata._poly_vals(stacked[rows], u)) <= 1e-9)
+    assert np.all(np.abs(poly_vals(stacked[rows], u)) <= 1e-9)
     on_spline = rows < len(polys)
     x = (rows[on_spline] % n_cells + u[on_spline]) / n_cells
     assert np.all(np.abs(eval_field(f, x) - levels[rows[on_spline] // n_cells]) <= 1e-9)

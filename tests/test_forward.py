@@ -6,13 +6,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from chident.meshbasis import (
-    basis_matrix,
     build_mesh,
     eval_field,
     interpolate,
     quadratic_fe,
-    weighted_gram,
+    quadrature_rule,
 )
+from sparse_oracle import basis_matrix, weighted_gram
 from chident.model import (
     ModelParams,
     SplineParameter,
@@ -211,8 +211,9 @@ def test_inadmissible_start_state_is_not_bisected(monkeypatch):
 def _bmat_route(ctx, phi_n, phi, mu, tau):
     """Residual and Jacobian assembled from weighted grams and sp.bmat."""
     params, gamma = ctx.params, ctx.params.gamma
-    M, K, w = ctx.M, ctx.K, ctx.w
-    e0, e1 = basis_matrix(ctx.basis, ctx.x, 0), basis_matrix(ctx.basis, ctx.x, 1)
+    M, K = ctx.M, ctx.K
+    x, w = quadrature_rule(ctx.basis.mesh, ctx.t0.weights.shape[1])
+    e0, e1 = basis_matrix(ctx.basis, x, 0), basis_matrix(ctx.basis, x, 1)
     phi_q = e0 @ phi
     k_b = weighted_gram(e1, e1, w * params.b(phi_q))
     r1 = M @ (phi - phi_n) + tau * (k_b @ mu)

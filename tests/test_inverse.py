@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from chident.meshbasis import (
-    basis_matrix,
     build_mesh,
     cubic_spline_basis,
     interpolate,
     quadrature_rule,
 )
+from sparse_oracle import basis_matrix
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident.data import ObservationData, time_derivative
 from chident.inverse import (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,9 @@ from chident.meshbasis import (
     BasisError,
     BlockPattern,
     MeshError,
+    PeriodicField,
     SpatialBasis,
     assemble_grams,
-    basis_matrix,
     build_mesh,
     cell_shape_table,
     cubic_spline_basis,
@@ -26,8 +27,8 @@ from chident.meshbasis import (
     quadratic_fe,
     quadrature_rule,
     spline_node_values,
-    weighted_gram,
 )
+from sparse_oracle import basis_matrix, weighted_gram
 
 # 1/sqrt(2) divided by sqrt(1 + 4 pi^2): the H^-1 norm of the L2
 # functional of sin(2 pi x) against the zero-mean H1 pairing.
@@ -173,6 +174,17 @@ def test_block_pattern_matches_weighted_gram(n_cells, band_dense):
         cell_shape_table(basis, 6, 4)
 
 
+def test_block_pattern_without_constant_blocks(band_dense):
+    basis = cubic_spline_basis(build_mesh(9))
+    x, w = quadrature_rule(basis.mesh, 4)
+    tab = gauss_table(basis, 4, 0)
+    pattern = BlockPattern(basis, 1, [(0, 0)], {})
+    got = band_dense(pattern, pattern.assemble(element_grams(tab.table, tab.table, tab.weights)))
+    e0 = basis_matrix(basis, x, 0)
+    ref = weighted_gram(e0, e0, w).toarray()
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize(
     "kind, half_band", [(QUADRATIC_FE, 9), (PERIODIC_CUBIC_SPLINE, 13)]
 )
@@ -232,6 +244,66 @@ def test_gauss_table_matches_basis_matrix(kind, n_cells, n_quad, seed):
         assert rel(tab.scatter(v[1]), ref_t[1]) <= tol
     with pytest.raises(BasisError):
         gauss_table(basis, n_quad, basis.max_order + 1)
+
+
+def _periodic_circulant(n, row):
+    """Sparse symmetric circulant with row[k] on the k-th off-diagonals."""
+    offsets = np.arange(1 - len(row), len(row))
+    rows = np.repeat(np.arange(n), len(offsets))
+    cols = (rows + np.tile(offsets, n)) % n
+    vals = np.tile(np.asarray(row)[np.abs(offsets)], n)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n_cells", [16, 100, 200, 1000])
+def test_grams_match_closed_form(n_cells):
+    h = 1.0 / n_cells
+
+    def rel(a, b):
+        return abs(a - b).max() / abs(b).max()
+
+    fe = quadratic_fe(build_mesh(n_cells))
+    cd = fe.cell_dofs()
+    rows, cols = np.repeat(cd, 3, axis=1).ravel(), np.tile(cd, (1, 3)).ravel()
+    m_loc = h / 30.0 * np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]])
+    k_loc = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0], [1.0, -8.0, 7.0]]) / (3.0 * h)
+    shape = (fe.dof_count, fe.dof_count)
+    grams = assemble_grams(fe)
+    assert rel(grams.M_L2, sp.csr_matrix((np.tile(m_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
+    assert rel(grams.K, sp.csr_matrix((np.tile(k_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
+
+    grams = assemble_grams(cubic_spline_basis(build_mesh(n_cells)))
+    m_row = h * np.array([2416.0, 1191.0, 120.0, 1.0]) / 5040.0
+    k_row = np.array([2.0 / 3.0, -1.0 / 8.0, -1.0 / 5.0, -1.0 / 120.0]) / h
+    assert rel(grams.M_L2, _periodic_circulant(n_cells, m_row)) <= 1e-15
+    assert rel(grams.K, _periodic_circulant(n_cells, k_row)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([QUADRATIC_FE, PERIODIC_CUBIC_SPLINE]),
+    n_cells=st.integers(4, 64),
+    seed=st.integers(0, 2**32 - 1),
+    points=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=30),
+)
+def test_eval_field_matches_sparse_oracle(kind, n_cells, seed, points):
+    basis = SpatialBasis(kind, build_mesh(n_cells))
+    f = PeriodicField(basis, np.random.default_rng(seed).uniform(-1.0, 1.0, basis.dof_count))
+    # random points inside and outside [0, 1), and every dof node exactly
+    x = np.concatenate([points, basis.dof_nodes(), [1.0, -1.0]])
+    for order in range(basis.max_order + 1):
+        ref = basis_matrix(basis, x, order) @ f.coef
+        got = eval_field(f, x, order)
+        # both routes locate the points alike; they differ in the order of
+        # the rounding in d^order/dx^order = n^order d^order/du^order
+        tol = 64 * np.finfo(float).eps * float(n_cells) ** order
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= tol
+        scalar = eval_field(f, float(x[0]), order)
+        assert isinstance(scalar, float) and abs(scalar - ref[0]) <= tol
+    for order in (-1, basis.max_order + 1):
+        with pytest.raises(BasisError):
+            eval_field(f, x, order)
 
 
 def test_dual_norm_oracle_and_convergence():

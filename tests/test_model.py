@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from chident.meshbasis import (
-    basis_matrix,
     build_mesh,
     cubic_spline_basis,
     eval_field,
@@ -15,6 +14,7 @@ from chident.meshbasis import (
     quadratic_fe,
     quadrature_rule,
 )
+from sparse_oracle import basis_matrix
 from chident.model import (
     ModelError,
     NaturalSplineGrid,
