@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .data import ObservationData, inject_noise, time_derivative
+from .data import ObservationData, inject_noise
 from .meshbasis import GramPair, gauss_table
 from .model import (
     NaturalSplineGrid,
@@ -58,6 +58,10 @@ class StandardForm:
     residual: float
 
 
+# time blocks per QR call of the standard-form fold
+_FOLD_CHUNK = 10
+
+
 @dataclass
 class AssembledProblem:
     """Stacked equation-error system for one problem kind.
@@ -95,26 +99,32 @@ class AssembledProblem:
 
     def weighted_misfit(self, residual: np.ndarray) -> float:
         """Block H^-1 aggregate of a stacked residual vector."""
-        acc = 0.0
-        for r in self._blocks(residual):
-            acc += r @ self.grams.solve_M(r)
+        r = self._blocks(residual).T
+        acc = float(np.sum(r * self.grams.solve_M(r)))
         return float(np.sqrt(max(acc, 0.0)))
 
     def standard_form(self) -> StandardForm:
         """Cached standard-form factorization, built on the first solve.
 
-        The whitened rows are folded into a (k+1)-column R-factor one
-        time block at a time, so the whitened operator is never formed.
+        The whitened rows [C' T_i | C' y_i] are folded into a (k+1)-column
+        R-factor ``_FOLD_CHUNK`` time blocks per QR call; only one chunk of
+        them exists at a time, so the whitened operator is never formed.
         """
         if self._factor is None:
             k, bs = self.n_cols, self.block_size
             minv = self.grams.solve_M(np.eye(bs))
             whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
+            t_blocks = self.T.reshape(self.n_blocks, bs, k)
+            y_blocks = self._blocks(self.y)[:, :, None]
+
+            def fold(r, sl):
+                """R-factor of r stacked on the whitened rows of blocks sl."""
+                rows = whiten.T @ np.concatenate([t_blocks[sl], y_blocks[sl]], axis=2)
+                return np.linalg.qr(np.vstack([r, rows.reshape(-1, k + 1)]), mode="r")
+
             r = np.zeros((0, k + 1))
-            for i in range(self.n_blocks):
-                sl = slice(i * bs, (i + 1) * bs)
-                rows = whiten.T @ np.column_stack([self.T[sl], self.y[sl]])
-                r = np.linalg.qr(np.vstack([r, rows]), mode="r")
+            for i in range(0, self.n_blocks, _FOLD_CHUNK):
+                r = fold(r, slice(i, i + _FOLD_CHUNK))
             # no more rows than columns: pad, the out-of-range residual is 0
             r = np.vstack([r, np.zeros((k + 1 - r.shape[0], k + 1))])
             pen = self.apply_regularizer(np.eye(k))
@@ -173,8 +183,9 @@ def _check_phase_values(data: ObservationData, idx: np.ndarray):
         )
 
 
-# observation times per assembly block: the block's point values and
-# parameter-basis table set the peak memory of the assembly
+# observation times per assembly block, halved for the joint problem's two
+# column blocks: the block's (point, 2 n_knots) local-weight rows, 0.8 MB
+# on the paper grid, set the peak memory of the assembly
 _ASSEMBLY_BLOCK = 2
 
 
@@ -188,54 +199,82 @@ def _assemble(
     mobility=None,
     potential=None,
 ) -> AssembledProblem:
+    """Row blocks (theta_j(phi) g, psi_i') and functionals of every time.
+
+    theta_j(s) is the natural spline of knot j; at a point in knot piece
+    k it is m_left D[k, j] + m_right D[k + 1, j] + v_left [k == j] +
+    v_right [k + 1 == j] with D the grid's curvature map.  Each Gauss
+    point therefore carries only its four local weights, scaled by w g,
+    in a 2 n_knots-wide row; one product with the psi' table sums the
+    points of every cell, the cells go to their dofs, and [D; I] maps
+    the (dof, 2 n_knots) block to knot columns once per block of times.
+    """
     idx = _select_indices(data, times)
     _check_phase_values(data, idx)
     if grid is None:
         grid = param_grid()
-    t0, t1, t3 = (gauss_table(data.basis, n_quad, r) for r in (0, 1, 3))
-    w = t0.weights
+    tabs = [gauss_table(data.basis, n_quad, r) for r in (0, 1, 3)]
+    cell_dofs, psi1 = tabs[1].cell_dofs, tabs[1].table
+    n_cells, n_local = cell_dofs.shape
+    table = np.vstack([t.table for t in tabs])   # rows: (order, point)
+    w = tabs[0].weights.T[:, :, None]            # (point, cell, 1)
     reg = assemble_param_gram(grid)
     nk = grid.n_knots
-    ncols = 2 * nk if kind == IDENTIFY_JOINT else nk
+    knot_map = np.vstack([grid.curvature_map, np.eye(nk)])
+    n_g = 2 if kind == IDENTIFY_JOINT else 1
     bs = data.basis.dof_count
-    T = np.empty((len(idx) * bs, ncols))
-    y = np.empty(len(idx) * bs)
-    m_l2 = data.grams.M_L2
-    for start in range(0, len(idx), _ASSEMBLY_BLOCK):
-        ks = idx[start:start + _ASSEMBLY_BLOCK]
-        nb = len(ks)
-        c = data.coef[ks]
-        phi_q, dphi_q, d3_q = t0.gather(c), t1.gather(c), t3.gather(c)
-        # theta_j(phi) at every point, as (time, knot, cell, point)
-        theta = np.moveaxis(
-            grid.eval_matrix(phi_q.ravel()).reshape(*phi_q.shape, nk), -1, 1
+    step = max(1, _ASSEMBLY_BLOCK // n_g)
+    T = np.empty((len(idx), bs, n_g * nk))
+    dtau = (data.coef[idx] - data.coef[idx - 1]) / data.tau_data
+    y = (data.grams.M_L2 @ dtau.T).T
+
+    def scatter(local):
+        """Cell sums (n_local, n_cells, ...) onto the dofs: (dof, ...)."""
+        out = np.zeros((bs,) + local.shape[2:])
+        for loc in range(n_local):
+            # a column of cell_dofs repeats no dof, so += adds every cell
+            out[cell_dofs[:, loc]] += local[loc]
+        return out
+
+    def add_block(start, stop):
+        """T rows of the times idx[start:stop], and their mobility term in y."""
+        nb = stop - start
+        cells = data.coef[idx[start:stop]].T[cell_dofs].transpose(1, 0, 2)
+        # phi, d phi / dx and d3 phi / dx3 as (point, cell, time)
+        phi_q, dphi_q, d3_q = (table @ cells.reshape(n_local, -1)).reshape(
+            3, n_quad, n_cells, nb
         )
-
-        def pair(g_q):
-            """(theta_j(phi) g, psi_i') per time, shape (nb, bs, nk)."""
-            return t1.scatter((w * g_q)[:, None] * theta).transpose(0, 2, 1)
-
-        dtau = np.stack([time_derivative(data, float(data.times[k])).coef for k in ks])
-        y_blk = (m_l2 @ dtau.T).T
-        t_blk = T[start * bs:(start + nb) * bs].reshape(nb, bs, ncols)
         if kind == IDENTIFY_F:
-            t_blk[:] = -pair(dphi_q)
+            gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
-            y_blk -= gamma * t1.scatter(w * b_q * d3_q)
+            local = psi1.T @ (w * b_q * d3_q).reshape(n_quad, -1)
+            y[start:stop] -= gamma * scatter(local.reshape(n_local, n_cells, nb)).T
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
             # spline snapshot; differencing a re-interpolated nodal mu field
             # would double up interpolation error
             fp_q = potential(phi_q.ravel(), 2).reshape(phi_q.shape)
-            t_blk[:] = -pair(-gamma * d3_q + fp_q * dphi_q)
+            gs = [gamma * d3_q - fp_q * dphi_q]
         else:
-            t_blk[:, :, :nk] = gamma * pair(d3_q)
-            t_blk[:, :, nk:] = -pair(dphi_q)
-        y[start * bs:(start + nb) * bs] = y_blk.ravel()
+            gs = [gamma * d3_q, -dphi_q]
+        piece, weights = grid.local_weights(phi_q.ravel())
+        wg = np.stack([w * g for g in gs], axis=-1).reshape(-1, n_g)
+        # the row of (point, g) starts at flat offset (point * n_g + g) * 2 nk
+        at = (np.arange(piece.size * n_g) * (2 * nk)).reshape(-1, n_g)
+        rows = np.zeros(piece.size * n_g * 2 * nk)
+        for col, lw in zip((piece, piece + 1, nk + piece, nk + piece + 1), weights):
+            rows[at + col[:, None]] = wg * lw[:, None]
+        local = (psi1.T @ rows.reshape(n_quad, -1)).reshape(n_local, n_cells, -1)
+        t_blk = scatter(local).reshape(-1, 2 * nk) @ knot_map
+        T[start:stop] = t_blk.reshape(bs, nb, -1).transpose(1, 0, 2)
+
+    # one call per block, so a block's temporaries are gone before the next
+    for start in range(0, len(idx), step):
+        add_block(start, min(start + step, len(idx)))
     return AssembledProblem(
         kind=kind,
-        T=T,
-        y=y,
+        T=T.reshape(len(idx) * bs, n_g * nk),
+        y=y.ravel(),
         grams=data.grams,
         R=reg,
         grid=grid,

@@ -139,20 +139,25 @@ class SpatialBasis:
         return _MAX_ORDER[self.kind]
 
     def cell_dofs(self) -> np.ndarray:
-        """Global dof indices of the local shape functions, per cell."""
-        n = self.mesh.n_cells
-        cells = np.arange(n)[:, None]
-        if self.kind == QUADRATIC_FE:
-            local = 2 * cells + np.arange(3)[None, :]
-            return np.mod(local, 2 * n)
-        local = cells + np.arange(-1, 3)[None, :]
-        return np.mod(local, n)
+        """Global dof indices of the local shape functions, per cell (read-only)."""
+        return _cell_dofs(self.kind, self.mesh.n_cells)
 
     def dof_nodes(self) -> np.ndarray:
         """Collocation points: FE dof locations, or spline cell nodes."""
         if self.kind == QUADRATIC_FE:
             return np.arange(self.dof_count) * (0.5 * self.mesh.h)
         return self.mesh.nodes()
+
+
+@lru_cache(maxsize=64)
+def _cell_dofs(kind: str, n_cells: int) -> np.ndarray:
+    cells = np.arange(n_cells)[:, None]
+    if kind == QUADRATIC_FE:
+        local = np.mod(2 * cells + np.arange(3)[None, :], 2 * n_cells)
+    else:
+        local = np.mod(cells + np.arange(-1, 3)[None, :], n_cells)
+    local.flags.writeable = False
+    return local
 
 
 def _check_order(basis: SpatialBasis, order: int) -> None:
@@ -348,10 +353,9 @@ def _gauss_table(kind: str, n_cells: int, n_quad: int, order: int) -> GaussTable
     basis = SpatialBasis(kind, PeriodicMesh(n_cells))
     table = cell_shape_table(basis, n_quad, order)
     weights = quadrature_rule(basis.mesh, n_quad)[1].reshape(n_cells, n_quad)
-    cell_dofs = basis.cell_dofs()
-    for arr in (cell_dofs, table, weights):
+    for arr in (table, weights):
         arr.flags.writeable = False
-    return GaussTable(cell_dofs, table, _gauss_legendre(n_quad)[0], weights, basis.dof_count)
+    return GaussTable(basis.cell_dofs(), table, _gauss_legendre(n_quad)[0], weights, basis.dof_count)
 
 
 def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:

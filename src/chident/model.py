@@ -91,11 +91,20 @@ class NaturalSplineGrid:
         d[1:-1, :] = solve_banded((1, 1), ab, rhs)
         return d
 
-    def eval_matrix(self, s, order: int = 0) -> np.ndarray:
-        """Dense matrix mapping knot values to point values at ``s``.
+    @property
+    def curvature_map(self) -> np.ndarray:
+        """(n_knots, n_knots) map from knot values to knot second derivatives."""
+        return self._curvature_map
 
-        Supports derivative orders 0..2.  Points beyond the grid use the
-        polynomial extension of the first or last piece.
+    def local_weights(self, s, order: int = 0):
+        """Knot piece of each point and its four local spline weights.
+
+        Returns ``piece`` and ``(m_left, m_right, v_left, v_right)``: with
+        knot values v and knot second derivatives m = ``curvature_map`` @ v,
+        the derivative of order 0..2 at s is m_left m[piece] + m_right
+        m[piece + 1] + v_left v[piece] + v_right v[piece + 1].  Points
+        beyond the grid fall in the first or last piece, which extends
+        that piece's cubic.
         """
         if order < 0 or order > 2:
             raise ParameterError(f"derivative order {order} not available")
@@ -106,8 +115,6 @@ class NaturalSplineGrid:
         )
         u = (s - self.knots[piece]) / sig
         npts = len(s)
-        rows = np.arange(npts)
-        m_part = np.zeros((npts, self.n_knots))
         if order == 0:
             v_left, v_right = 1.0 - u, u
             m_left = sig**2 / 6.0 * ((1.0 - u) ** 3 - (1.0 - u))
@@ -119,6 +126,17 @@ class NaturalSplineGrid:
         else:
             v_left = v_right = np.zeros(npts)
             m_left, m_right = 1.0 - u, u
+        return piece, (m_left, m_right, v_left, v_right)
+
+    def eval_matrix(self, s, order: int = 0) -> np.ndarray:
+        """Dense matrix mapping knot values to point values at ``s``.
+
+        Supports derivative orders 0..2.  Points beyond the grid use the
+        polynomial extension of the first or last piece.
+        """
+        piece, (m_left, m_right, v_left, v_right) = self.local_weights(s, order)
+        rows = np.arange(len(piece))
+        m_part = np.zeros((len(piece), self.n_knots))
         # each row touches two distinct columns, so plain assignment and
         # in-place addition need no np.add.at
         m_part[rows, piece] = m_left

@@ -11,6 +11,7 @@ from chident.meshbasis import (
 )
 from sparse_oracle import basis_matrix
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
+from chident import inverse
 from chident.data import ObservationData, time_derivative
 from chident.inverse import (
     AssembledProblem,
@@ -216,20 +217,57 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n
 @pytest.mark.parametrize("kind", ["f", "b", "joint"])
 def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window_times,
                                                   kind):
-    grid = param_grid()
-    times = window_times[::29]  # seven times: the last assembly block is partial
-    if kind == "f":
-        problem = assemble_identify_f(reference_data, GAMMA, params.b, times, grid)
-    elif kind == "b":
-        problem = assemble_identify_b(reference_data, GAMMA, params.F, times, grid)
-    else:
-        problem = assemble_identify_joint(reference_data, GAMMA, times, grid)
-    t_ref, y_ref = _assemble_per_time(
-        reference_data, kind, times, grid, mobility=params.b, potential=params.F
-    )
-    assert problem.T.shape == t_ref.shape and problem.y.shape == y_ref.shape
-    assert np.max(np.abs(problem.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
-    assert np.max(np.abs(problem.y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+    # three full assembly blocks and a partial last one (the joint problem
+    # takes one time per block), in no particular order
+    n_times = 3 * inverse._ASSEMBLY_BLOCK + 1
+    pick = np.random.default_rng(5).permutation(len(window_times))[:n_times]
+    times = window_times[pick]
+    assert np.any(np.diff(times) < 0)
+    # the narrow grid puts Gauss-point values beyond its end knots, where
+    # the boundary pieces are extended
+    for grid in (param_grid(), NaturalSplineGrid(-0.5, 0.5, 0.25)):
+        if kind == "f":
+            problem = assemble_identify_f(reference_data, GAMMA, params.b, times, grid)
+        elif kind == "b":
+            problem = assemble_identify_b(reference_data, GAMMA, params.F, times, grid)
+        else:
+            problem = assemble_identify_joint(reference_data, GAMMA, times, grid)
+        t_ref, y_ref = _assemble_per_time(
+            reference_data, kind, times, grid, mobility=params.b, potential=params.F
+        )
+        assert problem.T.shape == t_ref.shape and problem.y.shape == y_ref.shape
+        assert np.max(np.abs(problem.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+        assert np.max(np.abs(problem.y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+
+
+def _fold_per_block(problem):
+    """Reference R-factor of the whitened [T | y], one time block per QR call."""
+    bs, k = problem.block_size, problem.n_cols
+    minv = problem.grams.solve_M(np.eye(bs))
+    whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
+    r = np.zeros((0, k + 1))
+    for i in range(problem.n_blocks):
+        sl = slice(i * bs, (i + 1) * bs)
+        rows = whiten.T @ np.column_stack([problem.T[sl], problem.y[sl]])
+        r = np.linalg.qr(np.vstack([r, rows]), mode="r")
+    return r
+
+
+def test_chunked_fold_matches_per_block_fold(reference_data, params, window_times):
+    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    # one full QR chunk and a partial one
+    n_times = inverse._FOLD_CHUNK + 3
+    problem = assemble_identify_f(reference_data, GAMMA, params.b,
+                                  window_times[::13][:n_times], grid)
+    assert problem.n_blocks == n_times
+    ref = _fold_per_block(problem)
+    gram = ref.T @ ref                   # whitened [T | y] Gram
+    k = problem.n_cols
+    sf = problem.standard_form()
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(sf.r_k.T @ sf.r_k - gram[:k, :k])) <= 1e-12 * scale
+    assert np.max(np.abs(sf.r_k.T @ sf.c - gram[:k, k])) <= 1e-12 * scale
+    assert sf.residual == pytest.approx(abs(ref[k, k]), rel=1e-12)
 
 
 def test_problem_shapes_and_cache(reference_data, params, window_times):
