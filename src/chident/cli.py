@@ -46,6 +46,7 @@ from .forward import (
 from .data import (
     DataError,
     attained_range,
+    attained_ranges,
     build_observability_report,
     coarea_coefficients,
     inject_noise,
@@ -230,7 +231,7 @@ def _load_problem(cfg: RunConfig, args):
 def _range_masks(cfg: RunConfig, data, times):
     """Union of attained and observable ranges over the selected times."""
     params = cfg.model_params()
-    attained = merge_intervals([attained_range(data, t) for t in times])
+    attained = merge_intervals(attained_ranges(data, times))
     observable = merge_intervals(
         iv
         for t in times

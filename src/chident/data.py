@@ -7,7 +7,9 @@ diagnostics, inverse assembly) works on these spline snapshots.  The
 piecewise-cubic form from ``meshbasis.cell_polys`` makes ranges, level-set
 crossings, and indicator integrals exactly computable, which the co-area
 diagnostics rely on; norms over the whole torus use the cached Gauss-point
-tables of ``meshbasis.gauss_table``.
+tables of ``meshbasis.gauss_table``.  The observable range needs no
+crossing at all: it is the image under phi of the cell pieces where the
+chemical-potential slope is steep, cut at roots of quadratics.
 """
 
 from dataclasses import dataclass, field
@@ -276,36 +278,41 @@ def inject_noise(
 # --- piecewise-cubic diagnostics -------------------------------------------
 
 
-def piece_value_bounds(f: PeriodicField) -> np.ndarray:
-    """Exact (min, max) of the field on each cell, shape (n_cells, 2)."""
-    p = cell_polys(f.basis, f.coef)
-    n = p.shape[0]
-    cand = np.empty((n, 4))
-    cand[:, 0] = p[:, 0]
-    cand[:, 1] = p.sum(axis=1)
-    # interior critical points: 3 a3 u^2 + 2 a2 u + a1 = 0
-    a, b, c = 3.0 * p[:, 3], 2.0 * p[:, 2], p[:, 1]
-    cand[:, 2] = cand[:, 0]
-    cand[:, 3] = cand[:, 1]
+def piece_value_bounds(basis: SpatialBasis, coef: np.ndarray) -> np.ndarray:
+    """Exact (min, max) of a spline on each cell.
+
+    ``coef`` is one coefficient vector or a stack (..., dof), as for
+    ``cell_polys``; the result has shape (..., n_cells, 2).
+    """
+    p = cell_polys(basis, coef)
+    left, right = p[..., 0], p.sum(axis=-1)
+    # interior critical points: 3 a3 u^2 + 2 a2 u + a1 = 0; a candidate
+    # off (0, 1) is evaluated at u = 0, which repeats the left end value
+    a, b, c = 3.0 * p[..., 3], 2.0 * p[..., 2], p[..., 1]
     quad = np.abs(a) > 1e-300
     disc = np.where(quad, b * b - 4.0 * a * c, 0.0)
     has = quad & (disc >= 0.0)
     sq = np.sqrt(np.where(has, disc, 0.0))
-    for sign, col in ((1.0, 2), (-1.0, 3)):
-        u = np.where(has, (-b + sign * sq) / np.where(has, 2.0 * a, 1.0), -1.0)
-        ok = has & (u > 0.0) & (u < 1.0)
-        cand[ok, col] = poly_vals(p[ok], u[ok])
+    two_a = np.where(has, 2.0 * a, 1.0)
     lin = ~quad & (np.abs(b) > 1e-300)
-    if np.any(lin):
-        u = np.where(lin, -c / np.where(lin, b, 1.0), -1.0)
-        ok = lin & (u > 0.0) & (u < 1.0)
-        cand[ok, 2] = poly_vals(p[ok], u[ok])
-    return np.stack([cand.min(axis=1), cand.max(axis=1)], axis=1)
+    first = np.where(has, (-b + sq) / two_a, np.where(lin, -c / np.where(lin, b, 1.0), -1.0))
+    second = np.where(has, (-b - sq) / two_a, -1.0)
+    crit = [poly_vals(p, np.where((u > 0.0) & (u < 1.0), u, 0.0)) for u in (first, second)]
+    lo = np.minimum(np.minimum(left, right), np.minimum(*crit))
+    hi = np.maximum(np.maximum(left, right), np.maximum(*crit))
+    return np.stack([lo, hi], axis=-1)
+
+
+def attained_ranges(data: ObservationData, times) -> list[tuple[float, float]]:
+    """Exact range over the torus of the snapshot at each of the times."""
+    idx = [data.index_of(t) for t in times]
+    bounds = piece_value_bounds(data.basis, data.coef[idx])
+    return list(zip(bounds[..., 0].min(axis=-1).tolist(), bounds[..., 1].max(axis=-1).tolist()))
 
 
 def attained_range(data: ObservationData, t: float) -> tuple[float, float]:
     """Exact range of the snapshot at time t over the torus."""
-    bounds = piece_value_bounds(data.phi_field(data.index_of(t)))
+    bounds = piece_value_bounds(data.basis, data.coef[data.index_of(t)])
     return float(bounds[:, 0].min()), float(bounds[:, 1].max())
 
 
@@ -344,23 +351,20 @@ def _unit_roots(polys: np.ndarray, tol: float = 1e-10):
     return rows, np.clip(roots[rows, cols], 0.0, 1.0)
 
 
-def _level_roots(f: PeriodicField, levels: np.ndarray):
-    """Crossings of a snapshot with each level, before merging.
+def _level_roots(f: PeriodicField, s: float):
+    """Crossings of a snapshot with the level s, before merging.
 
-    Candidate (level, cell) pairs are bracketed through the exact
-    piecewise bounds and solved in one batch.  Returns (level index,
-    cell, local coordinate), ordered by level, then cell.
+    Candidate cells are bracketed through the exact piecewise bounds and
+    solved in one batch.  Returns (cell, local coordinate), ordered by cell.
     """
     p0 = cell_polys(f.basis, f.coef)
-    bounds = piece_value_bounds(f)
+    bounds = piece_value_bounds(f.basis, f.coef)
     pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
-    lv, cells = np.nonzero(
-        (bounds[:, 0] - pad <= levels[:, None]) & (levels[:, None] <= bounds[:, 1] + pad)
-    )
+    cells = np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]
     polys = p0[cells]
-    polys[:, 0] -= levels[lv]
+    polys[:, 0] -= s
     rows, u = _unit_roots(polys)
-    return lv[rows], cells[rows], u
+    return cells[rows], u
 
 
 @dataclass
@@ -386,7 +390,7 @@ def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
     of the two adjacent pieces, which is the same rule at the knot
     position.
     """
-    _, pcs, us = _level_roots(f, np.array([float(s)]))
+    pcs, us = _level_roots(f, float(s))
     if not len(us):
         return LevelCrossings(s, np.empty(0), np.empty(0), np.empty(0))
     h = f.basis.mesh.h
@@ -537,6 +541,18 @@ def merge_intervals(intervals):
     return out
 
 
+def _unit_interval_roots(a, b, c):
+    """Roots in (0, 1) of a u^2 + b u + c, two per row; 1.0 marks none.
+
+    The pair q / a, c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2
+    avoids cancellation, and c / q is the root when a = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([q / a, c / q], axis=-1)
+    return np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
+
+
 def observable_range(
     data: ObservationData,
     gamma: float,
@@ -548,13 +564,20 @@ def observable_range(
 ):
     """Levels whose crossings see a nonzero chemical-potential gradient.
 
-    Scans ``n_levels`` levels across the attained range and keeps those
-    with at least one crossing where |mu'| exceeds the threshold
+    Of ``n_levels`` levels spread evenly inside the attained range, keeps
+    those with at least one crossing where |mu'| exceeds the threshold
     (relative to sup |mu'| at that time unless an absolute value is
-    given).  Returns a list of closed level intervals.
+    given).  No level is solved for: these are the levels that phi takes
+    on the steep set {|mu'| > threshold}.  Each cell is split where
+    mu' = +-threshold and where phi' = 0, all roots of quadratics; on each
+    piece phi is monotone and |mu'| - threshold keeps one sign, so the
+    values phi takes on a steep piece are the closed interval between its
+    end values, and a level is observable iff one such interval holds it.
+    The tie, a crossing exactly where |mu'| = threshold, counts as
+    observable when |mu'| exceeds the threshold on either side of it.
+    Returns a list of closed level intervals.
     """
     k = data.index_of(t)
-    f = data.phi_field(k)
     mu = chemical_potential_from_data(data, gamma, potential, t)
     lo, hi = attained_range(data, t)
     span = hi - lo
@@ -564,14 +587,22 @@ def observable_range(
         grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
         threshold = threshold_rel * float(np.max(np.abs(grad)))
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
-    # every crossing of every level in one batch; duplicates at a knot
-    # are not merged, which leaves the maximum of the continuous |mu'|
-    # unchanged up to rounding
-    lv, cells, u = _level_roots(f, levels)
-    slopes = np.abs(poly_vals(cell_polys(data.basis, mu.coef, 1)[cells], u))
-    peak = np.full(n_levels, -np.inf)
-    np.maximum.at(peak, lv, slopes)
-    good = peak > threshold
+    p = cell_polys(data.basis, data.coef[k])
+    d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2
+    cuts = np.sort(np.concatenate([
+        np.tile([0.0, 1.0], (len(p), 1)),
+        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - threshold),
+        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + threshold),
+        _unit_interval_roots(3.0 * p[:, 3], 2.0 * p[:, 2], p[:, 1]),
+    ], axis=1), axis=1)
+    mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    steep = np.abs(poly_vals(d[:, None, :], mid)) > threshold
+    ends = poly_vals(p[:, None, :], cuts)
+    left, right = ends[:, :-1][steep], ends[:, 1:][steep]
+    # level s lies in #{lower <= s} - #{upper < s} of the steep images
+    lower = np.sort(np.minimum(left, right))
+    upper = np.sort(np.maximum(left, right))
+    good = np.searchsorted(lower, levels, "right") > np.searchsorted(upper, levels, "left")
     intervals = []
     i = 0
     while i < n_levels:
@@ -680,7 +711,7 @@ def build_observability_report(
     for t in times:
         if data.index_of(t) == 0:
             raise DataError("observability rows need a predecessor time")
-    attained = [attained_range(data, t) for t in times]
+    attained = attained_ranges(data, times)
     observable = [
         observable_range(data, gamma, potential, t, threshold_rel=threshold_rel)
         for t in times

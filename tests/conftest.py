@@ -2,13 +2,17 @@
 
 The acceptance tests record a PASS/FAIL line per criterion; the
 terminal-summary hook prints them in order at the end of the run so the
-verdicts are visible even when per-test output is captured.
+verdicts are visible even when per-test output is captured.  One
+hypothesis profile applies to every property test: no deadline (the
+examples build splines and solve small systems, whose time varies with
+the host), and a failing example prints the blob that reproduces it.
 """
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chident.meshbasis import build_mesh, quadratic_fe, interpolate
 from chident.model import default_params, default_initial_profile
@@ -23,6 +27,9 @@ DATA_FACTOR = 2
 WINDOW_END = 0.008
 
 ACCEPTANCE_LINES = []
+
+settings.register_profile("chident", deadline=None, print_blob=True)
+settings.load_profile("chident")
 
 
 def record_criterion(num: int, name: str, ok: bool, detail: str) -> None:

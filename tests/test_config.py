@@ -207,7 +207,7 @@ def _valid_entries(draw):
     return e
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(entries=_valid_entries())
 @example(entries={
     "inverse.alpha": "auto",

@@ -25,6 +25,7 @@ from chident.data import (
     DataError,
     ObservationData,
     attained_range,
+    attained_ranges,
     build_observability_report,
     chemical_potential_from_data,
     coarea_coefficients,
@@ -117,9 +118,14 @@ def test_attained_range_bounds_nodal_values(reference_data):
                       np.linspace(0, 1, 2001))
     assert lo <= vals.min() + 1e-12 and hi >= vals.max() - 1e-12
     assert hi - lo < 2.0
-    bounds = piece_value_bounds(reference_data.phi_field(100))
+    bounds = piece_value_bounds(reference_data.basis, reference_data.coef[100])
     assert bounds.shape == (reference_data.basis.mesh.n_cells, 2)
     assert np.all(bounds[:, 0] <= bounds[:, 1])
+    # a stack of snapshots gives each snapshot's own bounds and ranges
+    stacked = piece_value_bounds(reference_data.basis, reference_data.coef[[7, 100]])
+    assert np.array_equal(stacked[1], bounds)
+    times = reference_data.times[[7, 100]]
+    assert attained_ranges(reference_data, times) == [attained_range(reference_data, t) for t in times]
 
 
 def test_level_crossings_on_sine():
@@ -360,7 +366,7 @@ def _unit_roots_loop(polys):
     return rows, np.concatenate([np.empty(0), *per_row])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     n_cells=st.integers(8, 64),
     seed=st.integers(0, 2**32 - 1),
@@ -445,3 +451,46 @@ def test_batched_level_sets_match_loop_oracle(reference_data, params, window_tim
         ref = level_crossings(f, s)
         for name in ("x", "slope", "third"):
             assert np.array_equal(getattr(cr, name), getattr(ref, name))
+
+
+def _random_periodic_spline(n_cells, seed, shape):
+    """Spline coefficients: rough noise, a few smooth modes, or smooth with a flat run."""
+    rng = np.random.default_rng(seed)
+    if shape == "rough":
+        return rng.uniform(-0.9, 0.9, n_cells)
+    x = np.arange(n_cells) / n_cells
+    coef = sum(rng.standard_normal() / k**2 * np.cos(2 * np.pi * k * x + rng.uniform(0, 2 * np.pi))
+               for k in range(1, 5))
+    coef = 0.8 * coef / np.max(np.abs(coef))
+    if shape == "flat-run":
+        # coefficients on a polynomial of degree 0-2 over a run of nodes; the
+        # run leaves one node out, since on a snapshot that is constant up to
+        # rounding every route decides on rounding noise
+        run = (rng.integers(n_cells) + np.arange(rng.integers(4, n_cells))) % n_cells
+        coef[run] = np.polyval(rng.uniform(-0.4, 0.4, rng.integers(1, 4)), np.arange(len(run)) / len(run))
+    return coef
+
+
+@settings(max_examples=40)
+@given(
+    n_cells=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["rough", "smooth", "flat-run"]),
+    threshold_rel=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+)
+def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, threshold_rel):
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    coef = _random_periodic_spline(n_cells, seed, shape)
+    data = ObservationData(basis=basis, times=[0.0], coef=coef[None], tau_data=1e-4)
+    potential = default_params(GAMMA).F
+    got = observable_range(data, GAMMA, potential, 0.0, threshold_rel=threshold_rel)
+    assert got == _observable_range_loop(data, GAMMA, potential, 0.0, threshold_rel)
+
+    # sup |mu'| exactly: mu' is a quadratic on each cell, so the sup sits at
+    # an end or at the vertex of some piece
+    mu = chemical_potential_from_data(data, GAMMA, potential, 0.0)
+    d = cell_polys(basis, mu.coef, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(np.nan_to_num(-d[:, 1] / (2.0 * d[:, 2])), 0.0, 1.0)
+    sup = max(np.max(np.abs(poly_vals(d, u))) for u in (0.0, 1.0, vertex))
+    assert observable_range(data, GAMMA, potential, 0.0, threshold=sup * (1.0 + 1e-9)) == []

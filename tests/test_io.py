@@ -3,14 +3,19 @@
 import hashlib
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chident.meshbasis import build_mesh, cubic_spline_basis, quadratic_fe, interpolate
 from chident.model import default_params, default_initial_profile
 from chident.forward import simulate
-from chident.data import restrict_to_data_grid, inject_noise
+from chident.data import ObservationData, restrict_to_data_grid, inject_noise
 from chident import io as chio
 
 
@@ -73,6 +78,44 @@ def test_observation_roundtrip(tiny_traj, tmp_path):
     assert back.interp_l2 == noisy.interp_l2
     assert np.array_equal(back.times, noisy.times)
     assert np.array_equal(back.coef, noisy.coef)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _observations(draw):
+    """Random observation containers: every finite double, signed zeros included."""
+    n_cells = draw(st.integers(4, 24))
+    n_times = draw(st.integers(1, 6))
+    return ObservationData(
+        basis=cubic_spline_basis(build_mesh(n_cells)),
+        times=draw(hnp.arrays(float, n_times, elements=_FINITE)),
+        coef=draw(hnp.arrays(float, (n_times, n_cells), elements=_FINITE)),
+        tau_data=draw(_FINITE),
+        delta=draw(_FINITE),
+        provenance=draw(st.sampled_from(["interpolation-only", "interpolation+synthetic-noise"])),
+        interp_sup=draw(_FINITE),
+        interp_l2=draw(_FINITE),
+    )
+
+
+@settings(max_examples=40)
+@given(data=_observations())
+def test_observation_container_round_trip(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+        chio.save_observation(data, first)
+        back = chio.load_observation(first)
+        assert back.basis == data.basis
+        assert np.array_equal(back.times, data.times)
+        assert np.array_equal(back.coef, data.coef)
+        for name in ("tau_data", "delta", "provenance", "interp_sup", "interp_l2"):
+            assert getattr(back, name) == getattr(data, name)
+        chio.save_observation(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        manifest = lambda p: p.with_suffix(".bin.manifest").read_bytes()
+        assert manifest(second) == manifest(first)
 
 
 def test_container_kind_and_magic_checks(tiny_traj, tmp_path):

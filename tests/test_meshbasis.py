@@ -210,7 +210,7 @@ def test_block_pattern_band_holds_the_periodic_wrap(kind, half_band, band_dense)
         assert np.allclose(band_dense(pattern, ab), ref, rtol=0.0, atol=1e-15)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from([QUADRATIC_FE, PERIODIC_CUBIC_SPLINE]),
     n_cells=st.integers(4, 64),
@@ -279,7 +279,7 @@ def test_grams_match_closed_form(n_cells):
     assert rel(grams.K, _periodic_circulant(n_cells, k_row)) <= 1e-15
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from([QUADRATIC_FE, PERIODIC_CUBIC_SPLINE]),
     n_cells=st.integers(4, 64),

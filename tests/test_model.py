@@ -119,7 +119,7 @@ def _eval_matrix_add_at(grid, s, order):
     return v_part + m_part @ grid._curvature_map
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     spacing=st.sampled_from([0.1, 0.25, 0.5, 2.0 / 3.0]),
     order=st.integers(0, 2),
