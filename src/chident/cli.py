@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,7 @@ def cmd_simulate(args) -> int:
         "energy_final": energies[-1],
         "max_energy_increase": float(np.max(increases)) if len(increases) else 0.0,
         "energy_monotone": bool(np.all(increases <= 1e-10)),
+        "solver": asdict(traj.telemetry),
         "trajectory_file": "trajectory.bin",
     }
     chio.save_trajectory(traj, out / "trajectory.bin")

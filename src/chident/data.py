@@ -553,6 +553,13 @@ def _unit_interval_roots(a, b, c):
     return np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
 
 
+# Absolute floor under the relative threshold of ``observable_range``.  On a
+# snapshot that is constant up to rounding, mu' is rounding noise (below
+# 1e-12 on 8-100 cells), and the verdict must not rest on it; the paper
+# observation has sup |mu'| between 22 and 60.
+MU_GRAD_FLOOR = 1e-9
+
+
 def observable_range(
     data: ObservationData,
     gamma: float,
@@ -566,9 +573,10 @@ def observable_range(
 
     Of ``n_levels`` levels spread evenly inside the attained range, keeps
     those with at least one crossing where |mu'| exceeds the threshold
-    (relative to sup |mu'| at that time unless an absolute value is
-    given).  No level is solved for: these are the levels that phi takes
-    on the steep set {|mu'| > threshold}.  Each cell is split where
+    (relative to sup |mu'| at that time, but never below
+    ``MU_GRAD_FLOOR``, unless an absolute value is given).  No level is
+    solved for: these are the levels that phi takes on the steep set
+    {|mu'| > threshold}.  Each cell is split where
     mu' = +-threshold and where phi' = 0, all roots of quadratics; on each
     piece phi is monotone and |mu'| - threshold keeps one sign, so the
     values phi takes on a steep piece are the closed interval between its
@@ -585,7 +593,7 @@ def observable_range(
         return []
     if threshold is None:
         grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
-        threshold = threshold_rel * float(np.max(np.abs(grad)))
+        threshold = max(threshold_rel * float(np.max(np.abs(grad))), MU_GRAD_FLOOR)
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
     p = cell_polys(data.basis, data.coef[k])
     d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2

@@ -4,7 +4,9 @@ Everything lives on the unit interval identified with the 1-torus.  Two
 basis families are provided: quadratic Lagrange finite elements (used by
 the time stepper) and periodic cubic B-splines (used for the observation
 grid).  Gram matrices carry the L2 and H1 inner products; the discrete
-H^-1 dual norm is evaluated through a sparse factorization of the H1 gram.
+H^-1 dual norm is evaluated through a banded Cholesky factor of the H1
+gram, with the dofs in the folded order that makes the periodic gram a
+pure band.
 On each cell a field is a cubic in the local coordinate, from the cell's
 coefficients and fixed shape polynomials: ``gauss_table`` evaluates these
 at the Gauss points (fields there, and the gram matrices), ``cell_polys``
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_circulant
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 QUADRATIC_FE = "quadratic-fe"
 PERIODIC_CUBIC_SPLINE = "periodic-cubic-spline"
@@ -440,21 +442,62 @@ class BlockPattern:
 _GRAM_QUAD = {QUADRATIC_FE: 3, PERIODIC_CUBIC_SPLINE: 4}
 
 
+class BandCholesky:
+    """Cholesky factor of a symmetric positive definite gram, as a band.
+
+    In ``_folded_order`` the dofs that share a cell stay near each other,
+    also across the periodic wrap, so the gram is a pure band of
+    half-width ``kd``, read off its entries.  The lower band goes to
+    LAPACK ``dpbtrf`` once (entry (i, j), i >= j, at row i - j, column
+    j); ``solve`` permutes into the folded order and back around one
+    ``dpbtrs`` call.
+    """
+
+    def __init__(self, mat: sp.spmatrix):
+        coo = sp.coo_matrix(mat)
+        n = coo.shape[0]
+        self.order = _folded_order(n)
+        position = np.empty(n, dtype=np.int64)
+        position[self.order] = np.arange(n)
+        rows, cols = position[coo.row], position[coo.col]
+        lower = rows >= cols
+        self.kd = int(np.max(rows - cols))
+        ab = np.zeros((self.kd + 1, n), order="F")
+        np.add.at(ab, (rows[lower] - cols[lower], cols[lower]), coo.data[lower])
+        self._factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for one vector or for stacked columns."""
+        x, info = dpbtrs(self._factor, np.asarray(rhs, dtype=float)[self.order], lower=1)
+        if info != 0:
+            raise AssemblyError(f"dpbtrs rejected argument {-info}")
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
 @dataclass
 class GramPair:
-    """L2 and H1 gram matrices of a basis, with a cached H1 factorization."""
+    """L2 and H1 gram matrices of a basis.
+
+    The H1 gram is factored on the first ``solve_M`` call, once, as a
+    symmetric band (``BandCholesky``); the forward, data and inverse
+    layers all apply its inverse through that factor.
+    """
 
     basis: SpatialBasis
     M_L2: sp.csr_matrix
     K: sp.csr_matrix          # stiffness (grad, grad)
     M: sp.csr_matrix          # H1 gram = M_L2 + K
-    _factor: object = field(default=None, repr=False)
+    _factor: BandCholesky | None = field(default=None, repr=False)
 
     def solve_M(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse H1 gram to one vector or to stacked columns."""
         if self._factor is None:
-            object.__setattr__(self, "_factor", splu(self.M.tocsc()))
-        return self._factor.solve(np.asarray(rhs, dtype=float))
+            self._factor = BandCholesky(self.M)
+        return self._factor.solve(rhs)
 
 
 def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:

@@ -1,14 +1,16 @@
-"""Sparse point-evaluation matrices: the independent reference for the tests.
+"""Sparse reference routes: the independent oracles for the tests.
 
 ``chident.meshbasis`` turns coefficients into values through its cell
 tables and cell polynomials only.  The tests check those against the
 route below, which locates every point again, evaluates the shape
 functions from its own copy of their monomial tables and builds an
-explicit sparse matrix E with E[p, i] = d^order psi_i(x_p).
+explicit sparse matrix E with E[p, i] = d^order psi_i(x_p).  The banded
+Cholesky gram solve is checked against SuperLU on the sparse gram.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from chident.meshbasis import QUADRATIC_FE, BasisError, SpatialBasis
 
@@ -83,3 +85,8 @@ def weighted_gram(
 ) -> sp.csr_matrix:
     """Assemble rows^T diag(w) cols from point-evaluation matrices."""
     return (rows.T @ sp.diags(w) @ cols).tocsr()
+
+
+def gram_solve(mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """mat^-1 rhs by a SuperLU factorization of the sparse matrix."""
+    return splu(sp.csc_matrix(mat)).solve(np.asarray(rhs, dtype=float))

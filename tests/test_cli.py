@@ -51,6 +51,20 @@ def test_simulate_outputs(pipeline):
     assert report["mass_drift_max"] <= 1e-10
     assert report["energy_monotone"] is True
     assert "config_text" in report
+    solver = report["solver"]
+    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 80, 0)
+    assert solver["max_newton_iters"] >= 1
+    assert 0.0 < solver["worst_residual"] <= 1e-12
+    assert solver["min_mobility"] > 0.0
+
+
+def test_simulate_report_is_byte_identical_on_rerun(tmp_path):
+    cfg, out = _write_cfg(tmp_path)
+    reports = []
+    for _ in range(2):
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        reports.append((out / "simulate_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_make_data_outputs(pipeline):
@@ -165,11 +179,11 @@ def test_numerical_failure_exit_code(tmp_path):
 def test_singular_jacobian_exit_code(tmp_path, monkeypatch, capsys):
     from chident import forward
 
-    def singular(kl, ku, ab, b, **kw):
-        # what LAPACK gbsv returns when it meets an exactly zero pivot
-        return ab, np.arange(1, len(b) + 1, dtype=np.int32), b, 1
+    def singular(ab, kl, ku, **kw):
+        # what LAPACK gbtrf returns when it meets an exactly zero pivot
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
 
-    monkeypatch.setattr(forward, "dgbsv", singular)
+    monkeypatch.setattr(forward, "dgbtrf", singular)
     cfg, _ = _write_cfg(tmp_path, name="singular.cfg")
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert "singular Newton Jacobian" in capsys.readouterr().err

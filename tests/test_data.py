@@ -211,6 +211,13 @@ def test_observable_range_constant_data_is_empty():
     lo, hi = attained_range(data, data.times[1])
     assert lo == pytest.approx(0.25, abs=1e-12)
     assert hi == pytest.approx(0.25, abs=1e-12)
+    # constant up to rounding: the attained span is about 1e-17 and sup |mu'|
+    # rounding noise near 1e-16, which the absolute floor keeps out
+    basis = cubic_spline_basis(build_mesh(9))
+    flat = ObservationData(basis=basis, times=[0.0], coef=np.full((1, 9), 0.32177206377279066),
+                           tau_data=1e-4)
+    assert observable_range(flat, GAMMA, params.F, 0.0) == []
+    assert _observable_range_loop(flat, GAMMA, params.F, 0.0) == []
 
 
 def test_observable_range_inside_attained(reference_data, params):
@@ -421,7 +428,8 @@ def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_leve
     mu = chemical_potential_from_data(data, gamma, potential, t)
     lo, hi = attained_range(data, t)
     xq, _ = quadrature_rule(data.basis.mesh, 8)
-    threshold = threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1))))
+    threshold = max(threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1)))),
+                    chdata.MU_GRAD_FLOOR)
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * (hi - lo)
     good = []
     for s in levels:
@@ -454,8 +462,11 @@ def test_batched_level_sets_match_loop_oracle(reference_data, params, window_tim
 
 
 def _random_periodic_spline(n_cells, seed, shape):
-    """Spline coefficients: rough noise, a few smooth modes, or smooth with a flat run."""
+    """Spline coefficients: rough noise, a few smooth modes, smooth with a
+    flat run, or one value repeated (a snapshot constant up to rounding)."""
     rng = np.random.default_rng(seed)
+    if shape == "constant":
+        return np.full(n_cells, rng.uniform(-0.9, 0.9))
     if shape == "rough":
         return rng.uniform(-0.9, 0.9, n_cells)
     x = np.arange(n_cells) / n_cells
@@ -463,9 +474,8 @@ def _random_periodic_spline(n_cells, seed, shape):
                for k in range(1, 5))
     coef = 0.8 * coef / np.max(np.abs(coef))
     if shape == "flat-run":
-        # coefficients on a polynomial of degree 0-2 over a run of nodes; the
-        # run leaves one node out, since on a snapshot that is constant up to
-        # rounding every route decides on rounding noise
+        # coefficients on a polynomial of degree 0-2 over a run of nodes,
+        # which leaves at least one node out
         run = (rng.integers(n_cells) + np.arange(rng.integers(4, n_cells))) % n_cells
         coef[run] = np.polyval(rng.uniform(-0.4, 0.4, rng.integers(1, 4)), np.arange(len(run)) / len(run))
     return coef
@@ -475,7 +485,7 @@ def _random_periodic_spline(n_cells, seed, shape):
 @given(
     n_cells=st.integers(8, 40),
     seed=st.integers(0, 2**32 - 1),
-    shape=st.sampled_from(["rough", "smooth", "flat-run"]),
+    shape=st.sampled_from(["rough", "smooth", "flat-run", "constant"]),
     threshold_rel=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
 )
 def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, threshold_rel):
@@ -485,6 +495,8 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
     potential = default_params(GAMMA).F
     got = observable_range(data, GAMMA, potential, 0.0, threshold_rel=threshold_rel)
     assert got == _observable_range_loop(data, GAMMA, potential, 0.0, threshold_rel)
+    if shape == "constant":
+        assert got == []
 
     # sup |mu'| exactly: mu' is a quadratic on each cell, so the sup sits at
     # an end or at the vertex of some piece

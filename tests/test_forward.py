@@ -127,31 +127,72 @@ def _two_half_steps(phi0, params, tau):
     return simulate(phi0, params, t_end=tau, tau=0.5 * tau).phi[-1]
 
 
-def _singular_gbsv(kl, ku, ab, b, **kw):
-    """What LAPACK gbsv returns when it meets an exactly zero pivot."""
-    return ab, np.arange(1, len(b) + 1, dtype=np.int32), b, 1
+def _singular_gbtrf(ab, kl, ku, **kw):
+    """What LAPACK gbtrf returns when it meets an exactly zero pivot."""
+    return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
 
 
 def test_singular_jacobian_is_bisected(monkeypatch):
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
     phi_half = _two_half_steps(phi0, params, 2e-5)
-    real, calls = forward.dgbsv, []
+    real, calls = forward.dgbtrf, []
 
-    def singular_once(kl, ku, ab, b, **kw):
+    def singular_once(ab, kl, ku, **kw):
         calls.append(ab.shape)
         if len(calls) == 1:
-            return _singular_gbsv(kl, ku, ab, b, **kw)
-        return real(kl, ku, ab, b, **kw)
+            return _singular_gbtrf(ab, kl, ku, **kw)
+        return real(ab, kl, ku, **kw)
 
-    monkeypatch.setattr(forward, "dgbsv", singular_once)
+    monkeypatch.setattr(forward, "dgbtrf", singular_once)
     traj = simulate(phi0, params, t_end=2e-5, tau=2e-5)
     assert len(calls) > 1
     assert np.allclose(traj.phi[1], phi_half, atol=1e-12)
 
-    monkeypatch.setattr(forward, "dgbsv", _singular_gbsv)
+    monkeypatch.setattr(forward, "dgbtrf", _singular_gbtrf)
     with pytest.raises(NewtonError, match="singular"):
         simulate(phi0, params, t_end=2e-5, tau=2e-5, max_bisect=2)
+
+
+def test_half_step_after_zero_pivot_refactors(monkeypatch):
+    # the zero pivot is met when the second step refactors, while the
+    # first step's factor at tau is still held
+    params = default_params(0.003)
+    phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
+    tau = 2e-5
+    one = simulate(phi0, params, t_end=tau, tau=tau)
+    phi_ref = _two_half_steps(one.phi_field(1), params, tau)
+    real_factorize = forward._ForwardContext.factorize
+    real_update = forward._ForwardContext.newton_update
+    real_trf, log, trf_calls = forward.dgbtrf, [], []
+
+    def factorize(ctx, tau_f, point_values):
+        log.append(("factorize", tau_f))
+        return real_factorize(ctx, tau_f, point_values)
+
+    def newton_update(ctx, r1, r2):
+        log.append(("solve", ctx.factor_tau))
+        return real_update(ctx, r1, r2)
+
+    def trf(ab, kl, ku, **kw):
+        trf_calls.append(ab.shape)
+        if len(trf_calls) == one.telemetry.factorizations + 1:
+            return _singular_gbtrf(ab, kl, ku, **kw)
+        return real_trf(ab, kl, ku, **kw)
+
+    monkeypatch.setattr(forward._ForwardContext, "factorize", factorize)
+    monkeypatch.setattr(forward._ForwardContext, "newton_update", newton_update)
+    monkeypatch.setattr(forward, "dgbtrf", trf)
+    traj = simulate(phi0, params, t_end=2 * tau, tau=tau)
+    assert traj.telemetry.bisections == 1
+    k = [i for i, e in enumerate(log) if e == ("factorize", tau)][-1]
+    # the attempt at tau solved with the first step's factor before refactoring
+    assert log[:k].count(("factorize", tau)) == one.telemetry.factorizations
+    assert log[:k].count(("solve", tau)) > one.telemetry.solves
+    # the half steps factor afresh at tau / 2 before their first solve
+    assert log[k + 1] == ("factorize", 0.5 * tau)
+    assert {e[1] for e in log[k + 1:]} == {0.5 * tau}
+    assert np.allclose(traj.phi[2], phi_ref, atol=1e-12)
 
 
 def test_rejected_gbsv_argument_is_not_bisected(monkeypatch):
@@ -159,11 +200,11 @@ def test_rejected_gbsv_argument_is_not_bisected(monkeypatch):
     phi0 = interpolate(quadratic_fe(build_mesh(32)), default_initial_profile)
     calls = []
 
-    def bad_argument(kl, ku, ab, b, **kw):
+    def bad_argument(ab, kl, ku, **kw):
         calls.append(ab.shape)
-        return ab, np.zeros(len(b), dtype=np.int32), b, -3
+        return ab, np.zeros(ab.shape[1], dtype=np.int32), -3
 
-    monkeypatch.setattr(forward, "dgbsv", bad_argument)
+    monkeypatch.setattr(forward, "dgbtrf", bad_argument)
     with pytest.raises(SolverError, match="argument 3") as info:
         simulate(phi0, params, t_end=2e-5, tau=2e-5)
     assert not isinstance(info.value, NewtonError)
@@ -264,7 +305,8 @@ def test_banded_newton_step_matches_splu(n_cells):
         phi = rng.uniform(-0.9, 0.9, dof)
         mu = rng.standard_normal(dof)
         r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
-        delta = ctx.newton_update(tau, point_values, r1, r2)
+        ctx.factorize(tau, point_values)
+        delta = ctx.newton_update(r1, r2)
         assert delta.shape == (2, dof)
         jac = _bmat_route(ctx, phi_n, phi, mu, tau)[2]
         rhs, step = np.concatenate([r1, r2]), delta.ravel()
@@ -279,26 +321,21 @@ def test_banded_newton_step_matches_splu(n_cells):
             assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-# Newton iterations (= Jacobian builds) of the short 64-cell run, pinned from
-# the sp.bmat assembly that the fixed-pattern assembly replaced
-SHORT_RUN_NEWTON_ITERS = 80
+# Factorizations (= Jacobian builds) and band solves (= Newton updates) of
+# the short 64-cell run under the chord rule
+SHORT_RUN_FACTORIZATIONS = 21
+SHORT_RUN_SOLVES = 80
 
 
-def test_newton_count_is_pinned_and_runs_are_deterministic(monkeypatch):
+def test_newton_count_is_pinned_and_runs_are_deterministic():
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(64)), default_initial_profile)
-    real, calls = forward._ForwardContext.jacobian, []
-
-    def counting(ctx, tau, point_values):
-        calls.append(tau)
-        return real(ctx, tau, point_values)
-
-    monkeypatch.setattr(forward._ForwardContext, "jacobian", counting)
-    runs = []
-    for _ in range(2):
-        calls.clear()
-        runs.append(simulate(phi0, params, t_end=4e-4, tau=2e-5))
-        assert len(calls) == SHORT_RUN_NEWTON_ITERS
+    runs = [simulate(phi0, params, t_end=4e-4, tau=2e-5) for _ in range(2)]
+    for run in runs:
+        assert run.telemetry.factorizations == SHORT_RUN_FACTORIZATIONS
+        assert run.telemetry.solves == SHORT_RUN_SOLVES
+        assert run.telemetry.bisections == 0
     assert runs[0].n_states == 21
+    assert runs[0].telemetry == runs[1].telemetry
     assert np.array_equal(runs[0].phi, runs[1].phi)
     assert np.array_equal(runs[0].mu, runs[1].mu)
