@@ -309,6 +309,7 @@ def cmd_identify(args) -> int:
         quotient = lambda s: c_sol(s) / np.clip(b_sol(s), 1e-8, None)
         emit("fprime", quotient, truth_fprime, attained, knots_of=c_sol)
 
+    sv = problem.standard_form().s
     report = {
         **_echo(cfg),
         "kind": kind,
@@ -317,7 +318,9 @@ def cmd_identify(args) -> int:
         "times_used": [float(t) for t in times],
         "residual_norm": sol.residual_norm,
         "solution_norm": sol.solution_norm,
-        "singular_values": problem.standard_form().s.tolist(),
+        "singular_values": sv.tolist(),
+        # sum of the filter factors s^2 / (s^2 + alpha) of the solve
+        "effective_rank": float(np.sum(sv**2 / (sv**2 + alpha))),
         "delta": data.delta,
         "provenance": data.provenance,
         "attained_range": [list(iv) for iv in attained],

@@ -13,6 +13,7 @@ with the reference experiment's observation window.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -84,7 +85,6 @@ class InverseBlock:
 @dataclass
 class OutputBlock:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
 
 
 @dataclass
@@ -263,15 +263,16 @@ _KEYS = {
     "inverse.sigma": _FLOAT,
     "inverse.threshold": _FLOAT,
     "output.directory": _TEXT,
-    "output.formats": (
-        lambda raw, path: tuple(x.strip() for x in raw.split(",") if x.strip()),
-        ",".join,
-    ),
 }
 
 
 def build_config(entries: dict) -> RunConfig:
     """Validate a parsed key/value mapping into a RunConfig."""
+    if "output.formats" in entries:
+        # retired key: no writer ever read it, but older echoes carry it
+        warnings.warn("output.formats is no longer read; the key is ignored",
+                      DeprecationWarning, stacklevel=2)
+        entries = {k: v for k, v in entries.items() if k != "output.formats"}
     cfg = RunConfig()
     for path, (parse, _) in _KEYS.items():
         if path in entries:
@@ -343,9 +344,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"inverse.threshold: must be >= 0, got {iv.threshold}")
     if not ob.directory:
         raise ConfigError("output.directory: must not be empty")
-    bad = [f for f in ob.formats if f not in ("csv", "json", "binary")]
-    if bad:
-        raise ConfigError(f"output.formats: unknown formats {', '.join(bad)}")
 
 
 def config_from_file(path) -> RunConfig:

@@ -7,12 +7,15 @@ diagnostics, inverse assembly) works on these spline snapshots.  The
 piecewise-cubic form from ``meshbasis.cell_polys`` makes ranges, level-set
 crossings, and indicator integrals exactly computable, which the co-area
 diagnostics rely on; norms over the whole torus use the cached Gauss-point
-tables of ``meshbasis.gauss_table``.  The observable range needs no
-crossing at all: it is the image under phi of the cell pieces where the
-chemical-potential slope is steep, cut at roots of quadratics.
+tables of ``meshbasis.gauss_table``.  The level-set layer cuts every cell
+cubic at the closed-form roots of phi' into monotone pieces: their end
+values bound the cell, a level crosses each at most once (bracketed Newton
+steps find it), and the observable range is the image under phi of the
+pieces, cut again where |mu'| = threshold, on which mu' is steep.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -278,29 +281,28 @@ def inject_noise(
 # --- piecewise-cubic diagnostics -------------------------------------------
 
 
+def _monotone_pieces(p: np.ndarray):
+    """Cut local cubics where phi' = 0, so that phi is monotone between cuts.
+
+    ``p`` holds monomial coefficients (..., 4).  Returns the cuts (..., 4):
+    0, the roots of phi' in (0, 1) in increasing order, 1.0 in place of a
+    missing root, and 1; and the values of phi at the cuts (..., 4).
+    """
+    r = _unit_interval_roots(3.0 * p[..., 3], 2.0 * p[..., 2], p[..., 1])
+    lo, hi = np.minimum(r[..., 0], r[..., 1]), np.maximum(r[..., 0], r[..., 1])
+    cuts = np.stack([np.zeros_like(lo), lo, hi, np.ones_like(lo)], axis=-1)
+    return cuts, poly_vals(p[..., None, :], cuts)
+
+
 def piece_value_bounds(basis: SpatialBasis, coef: np.ndarray) -> np.ndarray:
     """Exact (min, max) of a spline on each cell.
 
     ``coef`` is one coefficient vector or a stack (..., dof), as for
     ``cell_polys``; the result has shape (..., n_cells, 2).
     """
-    p = cell_polys(basis, coef)
-    left, right = p[..., 0], p.sum(axis=-1)
-    # interior critical points: 3 a3 u^2 + 2 a2 u + a1 = 0; a candidate
-    # off (0, 1) is evaluated at u = 0, which repeats the left end value
-    a, b, c = 3.0 * p[..., 3], 2.0 * p[..., 2], p[..., 1]
-    quad = np.abs(a) > 1e-300
-    disc = np.where(quad, b * b - 4.0 * a * c, 0.0)
-    has = quad & (disc >= 0.0)
-    sq = np.sqrt(np.where(has, disc, 0.0))
-    two_a = np.where(has, 2.0 * a, 1.0)
-    lin = ~quad & (np.abs(b) > 1e-300)
-    first = np.where(has, (-b + sq) / two_a, np.where(lin, -c / np.where(lin, b, 1.0), -1.0))
-    second = np.where(has, (-b - sq) / two_a, -1.0)
-    crit = [poly_vals(p, np.where((u > 0.0) & (u < 1.0), u, 0.0)) for u in (first, second)]
-    lo = np.minimum(np.minimum(left, right), np.minimum(*crit))
-    hi = np.maximum(np.maximum(left, right), np.maximum(*crit))
-    return np.stack([lo, hi], axis=-1)
+    vals = np.moveaxis(_monotone_pieces(cell_polys(basis, coef))[1], -1, 0)
+    # pairwise over the four cuts: a reduction along a short axis is slower
+    return np.stack([reduce(np.minimum, vals), reduce(np.maximum, vals)], axis=-1)
 
 
 def attained_ranges(data: ObservationData, times) -> list[tuple[float, float]]:
@@ -316,55 +318,48 @@ def attained_range(data: ObservationData, t: float) -> tuple[float, float]:
     return float(bounds[:, 0].min()), float(bounds[:, 1].max())
 
 
-def _unit_roots(polys: np.ndarray, tol: float = 1e-10):
-    """Real roots in [0, 1) of a stack of local cubics.
-
-    Row i of ``polys`` holds monomial coefficients (a0, a1, a2, a3).
-    Leading coefficients below 1e-14 of the largest are dropped, and the
-    companion matrices of each effective degree go through one
-    ``eigvals`` call; exact trailing zeros become roots at 0, as
-    ``np.roots`` makes them.  Returns (row index, root), ordered by row
-    and, within a row, in ``np.roots`` order.
-    """
-    coeffs = polys[:, ::-1]                      # highest power first
-    mag = np.abs(coeffs)
-    lead = mag.max(axis=1)
-    first = np.argmax(mag > 1e-14 * lead[:, None], axis=1)
-    last = 3 - np.argmax(polys != 0.0, axis=1)   # last nonzero of coeffs
-    solvable = (lead > 0.0) & (first < 3)
-    degree = last - first                        # companion size
-    roots = np.full((len(polys), 3), np.nan)
-    for d in (1, 2, 3):
-        sel = np.nonzero(solvable & (degree == d))[0]
-        if not len(sel):
-            continue
-        p = np.take_along_axis(coeffs[sel], first[sel, None] + np.arange(d + 1), axis=1)
-        comp = np.zeros((len(sel), d, d))
-        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        ev = np.linalg.eigvals(comp)
-        roots[sel, :d] = np.where(np.abs(ev.imag) < 1e-8, ev.real, np.nan)
-    slot = np.arange(3)
-    roots[solvable[:, None] & (slot >= degree[:, None]) & (slot < 3 - first[:, None])] = 0.0
-    keep = (roots >= -tol) & (roots < 1.0 - tol)
-    rows, cols = np.nonzero(keep)
-    return rows, np.clip(roots[rows, cols], 0.0, 1.0)
+# Newton-bisection stops once every step is this small, or after this many
+_NEWTON_STEP_TOL = 1e-15
+_NEWTON_MAX_ITERS = 60
 
 
 def _level_roots(f: PeriodicField, s: float):
     """Crossings of a snapshot with the level s, before merging.
 
-    Candidate cells are bracketed through the exact piecewise bounds and
-    solved in one batch.  Returns (cell, local coordinate), ordered by cell.
+    A monotone piece (``_monotone_pieces``) holds one crossing when its
+    half-open value range [start, end) holds s, so a piece constant at the
+    level holds none.  A cell ends at the next cell's value at their knot,
+    so a crossing at a knot lies in exactly one piece.  All held pieces are
+    solved together by Newton steps from the secant point, kept inside
+    their brackets by bisection.  Returns (cell, local coordinate), by cell.
     """
-    p0 = cell_polys(f.basis, f.coef)
-    bounds = piece_value_bounds(f.basis, f.coef)
-    pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
-    cells = np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]
-    polys = p0[cells]
-    polys[:, 0] -= s
-    rows, u = _unit_roots(polys)
-    return cells[rows], u
+    p = cell_polys(f.basis, f.coef)
+    cuts, vals = _monotone_pieces(p)
+    vals = np.where(cuts == 1.0, np.concatenate([vals[1:, :1], vals[:1, :1]]), vals)
+    start, end = vals[:, :-1], vals[:, 1:]
+    cells, piece = np.nonzero(((start <= s) & (s < end)) | ((end < s) & (s <= start)))
+    lo, hi = cuts[cells, piece], cuts[cells, piece + 1]
+    v0, v1 = start[cells, piece], end[cells, piece]
+    rising = v1 > v0
+    u = lo + (s - v0) / (v1 - v0) * (hi - lo)
+    p = p[cells]
+    dp = p[:, 1:] * [1.0, 2.0, 3.0]                 # phi' in u, constant term first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_MAX_ITERS):
+            g = poly_vals(p, u) - s
+            right = (g < 0.0) == rising             # the root lies right of u
+            lo = np.where(right, u, lo)
+            hi = np.where(right, hi, u)
+            newton = np.where(g == 0.0, u, u - g / ((dp[:, 2] * u + dp[:, 1]) * u + dp[:, 0]))
+            # keep a zero step or one strictly inside the bracket; a step
+            # onto an end would revisit a point and can cycle, so bisect
+            keep = (newton == u) | ((lo < newton) & (newton < hi))
+            nxt = np.where(keep, newton, 0.5 * (lo + hi))
+            step = np.max(np.abs(nxt - u), initial=0.0)
+            u = nxt
+            if step <= _NEWTON_STEP_TOL:
+                break
+    return cells, u
 
 
 @dataclass
@@ -380,21 +375,23 @@ class LevelCrossings:
 def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
     """All points of {phi = s} with slopes and third derivatives.
 
-    Candidate cells are bracketed through exact piecewise bounds, their
-    local cubics are solved in one batch, and near-node duplicates are
-    merged.  The spline's third derivative is piecewise constant, which
-    is only first-order accurate at an arbitrary point but second-order
-    accurate at cell midpoints; the reported value therefore interpolates
-    the two nearest midpoint values linearly, restoring second-order
-    pointwise accuracy.  A crossing merged onto a knot gets the average
-    of the two adjacent pieces, which is the same rule at the knot
-    position.
+    Each monotone piece whose half-open value range [start, end) holds s
+    gives one crossing (``_level_roots``); a piece constant at the level
+    gives none, and the co-area sample there is degenerate either way.
+    Crossings closer than 1e-9 are merged.  The spline's third derivative
+    is piecewise constant, which is only first-order accurate at an
+    arbitrary point but second-order accurate at cell midpoints; the
+    reported value therefore interpolates the two nearest midpoint values
+    linearly, restoring second-order pointwise accuracy.  A crossing merged
+    onto a knot gets the average of the two adjacent pieces, which is the
+    same rule at the knot position.
     """
     pcs, us = _level_roots(f, float(s))
     if not len(us):
         return LevelCrossings(s, np.empty(0), np.empty(0), np.empty(0))
     h = f.basis.mesh.h
-    xs = (pcs + us) * h
+    # a root a rounding step below u = 1 in the last cell lands on x = 1
+    xs = ((pcs + us) * h) % 1.0
     order = np.argsort(xs)
     xs = xs[order]
     us = us[order]
@@ -598,10 +595,9 @@ def observable_range(
     p = cell_polys(data.basis, data.coef[k])
     d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2
     cuts = np.sort(np.concatenate([
-        np.tile([0.0, 1.0], (len(p), 1)),
+        _monotone_pieces(p)[0],
         _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - threshold),
         _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + threshold),
-        _unit_interval_roots(3.0 * p[:, 3], 2.0 * p[:, 2], p[:, 1]),
     ], axis=1), axis=1)
     mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
     steep = np.abs(poly_vals(d[:, None, :], mid)) > threshold

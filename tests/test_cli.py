@@ -100,6 +100,9 @@ def test_identify_report_singular_values(pipeline):
     s = np.array(report["singular_values"])
     assert len(s) == NaturalSplineGrid(-1.0, 1.0, 0.25).n_knots
     assert np.all(s > 0) and np.all(np.diff(s) <= 0)
+    alpha = report["alpha"]
+    assert report["effective_rank"] == pytest.approx(np.sum(s**2 / (s**2 + alpha)), rel=1e-12)
+    assert 0.0 < report["effective_rank"] <= len(s)
 
 
 def test_identify_rejects_non_finite_data(pipeline, tmp_path, capsys):

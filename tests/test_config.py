@@ -81,7 +81,7 @@ def test_build_config_overrides_and_unknown_keys():
     ({"inverse.alpha": "0"}, "inverse.alpha"),
     ({"inverse.sigma": "0.3"}, "evenly divide"),
     ({"data.window": "0:0.5"}, "exceeds"),
-    ({"output.formats": "csv,yaml"}, "unknown formats"),
+    ({"output.directory": ""}, "output.directory"),
     ({"data.times": "4e-5,nan"}, "finite"),
 ])
 def test_validation_errors(overrides, fragment):
@@ -90,6 +90,15 @@ def test_validation_errors(overrides, fragment):
     base.update(overrides)
     with pytest.raises(ConfigError, match=fragment):
         build_config(base)
+
+
+def test_retired_output_formats_key_warns_and_is_dropped():
+    echo = config_text(paper_preset())
+    assert "output.formats" not in echo
+    with pytest.warns(DeprecationWarning, match="output.formats"):
+        old = build_config(parse_config(echo + "output.formats = csv,yaml\n"))
+    assert old.as_dict() == build_config(parse_config(echo)).as_dict()
+    assert config_text(old) == echo
 
 
 def test_times_and_window_are_exclusive():
@@ -189,8 +198,6 @@ def _valid_entries(draw):
         "inverse.sigma": repr(2.0 / draw(st.integers(1, 40))),
         "inverse.threshold": repr(draw(st.floats(0.0, 1.0))),
         "output.directory": draw(st.from_regex(r"[\w./-]{1,12}", fullmatch=True)),
-        "output.formats": ",".join(draw(st.lists(
-            st.sampled_from(["csv", "json", "binary"]), unique=True))),
     }
     if draw(st.booleans()):
         times = st.floats(0.0, t_end, exclude_min=True)

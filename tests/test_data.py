@@ -347,7 +347,7 @@ def test_observability_report_smoke(reference_data, params):
     assert report.attained and report.observable
 
 
-# --- batch root kernel against the per-cell np.roots loop -------------------
+# --- monotone-piece root kernel against the per-cell np.roots loop ---------
 
 
 def _np_roots_unit(poly, tol=1e-10):
@@ -366,11 +366,18 @@ def _np_roots_unit(poly, tol=1e-10):
     return np.clip(r, 0.0, 1.0)
 
 
-def _unit_roots_loop(polys):
-    """The batch kernel's contract, one np.roots call per cubic."""
-    per_row = [_np_roots_unit(poly) for poly in polys]
-    rows = np.repeat(np.arange(len(polys)), [len(r) for r in per_row])
-    return rows, np.concatenate([np.empty(0), *per_row])
+def _level_roots_loop(f, s):
+    """Reference: cells bracketed by their value bounds, padded by 1e-12,
+    and one np.roots call per bracketed cell."""
+    p0 = cell_polys(f.basis, f.coef)
+    bounds = piece_value_bounds(f.basis, f.coef)
+    pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
+    cells = np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]
+    polys = p0[cells]
+    polys[:, 0] -= s
+    per_cell = [_np_roots_unit(poly) for poly in polys]
+    rows = np.repeat(cells, [len(r) for r in per_cell])
+    return rows, np.concatenate([np.empty(0), *per_cell])
 
 
 @settings(max_examples=40)
@@ -379,7 +386,7 @@ def _unit_roots_loop(polys):
     seed=st.integers(0, 2**32 - 1),
     flat_degree=st.sampled_from([None, 0, 1, 2]),
 )
-def test_unit_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
+def test_level_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
     rng = np.random.default_rng(seed)
     basis = cubic_spline_basis(build_mesh(n_cells))
     coef = rng.uniform(-0.9, 0.9, n_cells)
@@ -398,28 +405,43 @@ def test_unit_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
         [p0[run[1], 0]] if flat_degree is not None else [],
         [lo - 0.5, hi + 0.5],                      # outside the range
     ])
-    polys = np.repeat(p0[None], len(levels), axis=0)
-    polys[:, :, 0] -= levels[:, None]
-    polys = polys.reshape(-1, 4)
-    # extra cubics whose leading one or two coefficients sit on either
-    # side of the 1e-14 degree-drop rule
-    near = polys[rng.integers(len(polys), size=8)]
-    for row, drop in zip(near, rng.integers(1, 3, size=8)):
-        rest = np.max(np.abs(row[: 4 - drop]))
-        row[4 - drop:] = rest * rng.choice([-1.0, 1.0], drop) * 10.0 ** -rng.uniform(12.0, 16.0, drop)
-    stacked = np.concatenate([polys, near])
+    p1 = cell_polys(basis, coef, 1)
+    sup_slope = np.max(np.abs(poly_vals(p1[:, None, :], np.linspace(0.0, 1.0, 9))))
+    h = 1.0 / n_cells
+    real = chdata._level_roots
+    for s in levels:
+        got = level_crossings(f, s)
+        chdata._level_roots = _level_roots_loop
+        try:
+            ref = level_crossings(f, s)
+        finally:
+            chdata._level_roots = real
+        assert np.all((got.x >= 0.0) & (got.x < 1.0))
+        assert np.all(np.abs(eval_field(f, got.x) - s) <= 1e-12)
+        # cells on which the spline is the constant s, to rounding
+        flat = np.all(np.abs(p0 - [s, 0.0, 0.0, 0.0]) <= 1e-14, axis=1)
+        if flat.any():
+            # no crossing inside a constant piece: a knot between two
+            # constant cells is inside it, the knots at its ends are not
+            side = [basis.mesh.locate(got.x + d)[0] for d in (-1e-6 * h, 1e-6 * h)]
+            assert not np.any(flat[side[0]] & flat[side[1]])
+            continue
+        # s touches the spline at a knot where phi' = 0: np.roots splits
+        # the double root by up to sqrt(eps), so the reference may report
+        # it twice; both routes must still put crossings at the same places
+        if np.any((np.abs(p0[:, 0] - s) <= 1e-12) & (np.abs(p1[:, 0]) <= 1e-12 * sup_slope)):
+            assert np.all(_periodic_dist(got.x, ref.x) <= 1e-6 * h)
+            assert np.all(_periodic_dist(ref.x, got.x) <= 1e-6 * h)
+            continue
+        assert len(got.x) == len(ref.x)
+        steep = np.abs(got.slope) >= 1e-3 * sup_slope
+        assert np.all(_periodic_dist(got.x[steep], ref.x) <= 1e-12)
 
-    rows, u = chdata._unit_roots(stacked)
-    rows_ref, u_ref = _unit_roots_loop(stacked)
-    counts = np.bincount(rows, minlength=len(stacked))
-    assert np.array_equal(counts, np.bincount(rows_ref, minlength=len(stacked)))
-    assert np.array_equal(rows, rows_ref)
-    assert np.all(np.abs(u - u_ref) <= 1e-12)
-    assert np.all((u >= 0.0) & (u < 1.0))
-    assert np.all(np.abs(poly_vals(stacked[rows], u)) <= 1e-9)
-    on_spline = rows < len(polys)
-    x = (rows[on_spline] % n_cells + u[on_spline]) / n_cells
-    assert np.all(np.abs(eval_field(f, x) - levels[rows[on_spline] // n_cells]) <= 1e-9)
+
+def _periodic_dist(x, ref):
+    """Distance on the unit torus from each point of x to its nearest in ref."""
+    dist = np.abs(x[:, None] - ref[None, :])
+    return np.min(np.minimum(dist, 1.0 - dist), axis=1, initial=np.inf)
 
 
 def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_levels=201):
@@ -452,13 +474,15 @@ def test_batched_level_sets_match_loop_oracle(reference_data, params, window_tim
     levels = lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo)
     crossings = [level_crossings(f, s) for s in levels]
 
-    monkeypatch.setattr(chdata, "_unit_roots", _unit_roots_loop)
+    monkeypatch.setattr(chdata, "_level_roots", _level_roots_loop)
     for t, ivs in zip(times, batched):
         assert ivs == _observable_range_loop(reference_data, GAMMA, params.F, t)
     for s, cr in zip(levels, crossings):
         ref = level_crossings(f, s)
         for name in ("x", "slope", "third"):
-            assert np.array_equal(getattr(cr, name), getattr(ref, name))
+            got, want = getattr(cr, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def _random_periodic_spline(n_cells, seed, shape):
@@ -497,6 +521,14 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
     assert got == _observable_range_loop(data, GAMMA, potential, 0.0, threshold_rel)
     if shape == "constant":
         assert got == []
+
+    # piece bounds against phi at the cell ends and at the np.roots of phi'
+    p = cell_polys(basis, coef)
+    bounds = piece_value_bounds(basis, coef)
+    for poly, (lo, hi) in zip(p, bounds):
+        u = np.concatenate([[0.0, 1.0], _np_roots_unit(poly[1:] * [1.0, 2.0, 3.0])])
+        vals = poly_vals(poly, u)
+        assert abs(lo - vals.min()) <= 1e-14 and abs(hi - vals.max()) <= 1e-14
 
     # sup |mu'| exactly: mu' is a quadratic on each cell, so the sup sits at
     # an end or at the vertex of some piece
