@@ -423,9 +423,9 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
                 if t <= 0 or t > data.times[-1] + 1e-12:
                     continue
                 lo, hi = attained_range(data, t)
-                for frac in np.linspace(0.12, 0.88, 7):
-                    s = lo + frac * (hi - lo)
-                    smp = coarea_coefficients(data, cfg.forward.gamma, s, t)
+                levels = lo + np.linspace(0.12, 0.88, 7) * (hi - lo)
+                for smp in coarea_coefficients(data, cfg.forward.gamma, levels, t):
+                    s = smp.s
                     if smp.degenerate:
                         continue
                     lhs = smp.A_b * params.b(s) + smp.A_c * params.b(s) * params.f(s, 1)

@@ -269,9 +269,10 @@ _KEYS = {
 def build_config(entries: dict) -> RunConfig:
     """Validate a parsed key/value mapping into a RunConfig."""
     if "output.formats" in entries:
-        # retired key: no writer ever read it, but older echoes carry it
+        # retired key: no writer ever read it, but older echoes carry it;
+        # a FutureWarning is shown by default, so command-line users see it
         warnings.warn("output.formats is no longer read; the key is ignored",
-                      DeprecationWarning, stacklevel=2)
+                      FutureWarning, stacklevel=2)
         entries = {k: v for k, v in entries.items() if k != "output.formats"}
     cfg = RunConfig()
     for path, (parse, _) in _KEYS.items():

@@ -12,6 +12,9 @@ cubic at the closed-form roots of phi' into monotone pieces: their end
 values bound the cell, a level crosses each at most once (bracketed Newton
 steps find it), and the observable range is the image under phi of the
 pieces, cut again where |mu'| = threshold, on which mu' is steep.
+``level_crossings`` and ``coarea_coefficients`` take one level or an array
+of levels: one call builds the snapshot's cell tables once and serves all
+of its levels, each exactly as a call with that level alone would.
 """
 
 from dataclasses import dataclass, field
@@ -323,27 +326,33 @@ _NEWTON_STEP_TOL = 1e-15
 _NEWTON_MAX_ITERS = 60
 
 
-def _level_roots(f: PeriodicField, s: float):
-    """Crossings of a snapshot with the level s, before merging.
+def _level_roots(f: PeriodicField, levels: np.ndarray):
+    """Crossings of a snapshot with each of the levels, before merging.
 
     A monotone piece (``_monotone_pieces``) holds one crossing when its
     half-open value range [start, end) holds s, so a piece constant at the
     level holds none.  A cell ends at the next cell's value at their knot,
-    so a crossing at a knot lies in exactly one piece.  All held pieces are
-    solved together by Newton steps from the secant point, kept inside
-    their brackets by bisection.  Returns (cell, local coordinate), by cell.
+    so a crossing at a knot lies in exactly one piece.  All held (level,
+    piece) pairs are solved together by Newton steps from the secant
+    point, kept inside their brackets by bisection; a level stops in the
+    iteration where its own largest step is small enough, so its roots do
+    not depend on the other levels.  Returns (level index, cell, local
+    coordinate), by level and cell.
     """
     p = cell_polys(f.basis, f.coef)
     cuts, vals = _monotone_pieces(p)
     vals = np.where(cuts == 1.0, np.concatenate([vals[1:, :1], vals[:1, :1]]), vals)
     start, end = vals[:, :-1], vals[:, 1:]
-    cells, piece = np.nonzero(((start <= s) & (s < end)) | ((end < s) & (s <= start)))
+    s = levels[:, None, None]
+    lev, cells, piece = np.nonzero(((start <= s) & (s < end)) | ((end < s) & (s <= start)))
+    s = levels[lev]
     lo, hi = cuts[cells, piece], cuts[cells, piece + 1]
     v0, v1 = start[cells, piece], end[cells, piece]
     rising = v1 > v0
     u = lo + (s - v0) / (v1 - v0) * (hi - lo)
     p = p[cells]
     dp = p[:, 1:] * [1.0, 2.0, 3.0]                 # phi' in u, constant term first
+    active = np.ones(len(levels), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITERS):
             g = poly_vals(p, u) - s
@@ -355,11 +364,13 @@ def _level_roots(f: PeriodicField, s: float):
             # onto an end would revisit a point and can cycle, so bisect
             keep = (newton == u) | ((lo < newton) & (newton < hi))
             nxt = np.where(keep, newton, 0.5 * (lo + hi))
-            step = np.max(np.abs(nxt - u), initial=0.0)
-            u = nxt
-            if step <= _NEWTON_STEP_TOL:
+            step = np.zeros(len(levels))
+            np.maximum.at(step, lev, np.abs(nxt - u))
+            u = np.where(active[lev], nxt, u)
+            active &= ~(step <= _NEWTON_STEP_TOL)
+            if not active.any():
                 break
-    return cells, u
+    return lev, cells, u
 
 
 @dataclass
@@ -372,49 +383,71 @@ class LevelCrossings:
     third: np.ndarray      # phi''' there (midpoint-interpolated, second order)
 
 
-def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
-    """All points of {phi = s} with slopes and third derivatives.
-
-    Each monotone piece whose half-open value range [start, end) holds s
-    gives one crossing (``_level_roots``); a piece constant at the level
-    gives none, and the co-area sample there is degenerate either way.
-    Crossings closer than 1e-9 are merged.  The spline's third derivative
-    is piecewise constant, which is only first-order accurate at an
-    arbitrary point but second-order accurate at cell midpoints; the
-    reported value therefore interpolates the two nearest midpoint values
-    linearly, restoring second-order pointwise accuracy.  A crossing merged
-    onto a knot gets the average of the two adjacent pieces, which is the
-    same rule at the knot position.
-    """
-    pcs, us = _level_roots(f, float(s))
-    if not len(us):
-        return LevelCrossings(s, np.empty(0), np.empty(0), np.empty(0))
-    h = f.basis.mesh.h
-    # a root a rounding step below u = 1 in the last cell lands on x = 1
-    xs = ((pcs + us) * h) % 1.0
-    order = np.argsort(xs)
-    xs = xs[order]
-    us = us[order]
-    pcs = pcs[order]
-
-    n = f.basis.mesh.n_cells
-    # merge duplicates across cell boundaries (including the wrap-around)
+def _merge_close(xs: np.ndarray, us: np.ndarray, dist: float):
+    """Greedy merge of one level's sorted crossings closer than dist: the
+    kept indices and, for each, whether it stands on a knot."""
     keep, merged_node = [], []
     i = 0
     m = len(xs)
     while i < m:
         j = i
-        while j + 1 < m and xs[j + 1] - xs[i] < 1e-9 * max(h, 1.0):
+        while j + 1 < m and xs[j + 1] - xs[i] < dist:
             j += 1
         keep.append(i)
         merged_node.append(j > i or us[i] < 1e-9 or us[i] > 1.0 - 1e-9)
         i = j + 1
-    if len(keep) > 1 and (xs[keep[0]] + 1.0) - xs[keep[-1]] < 1e-9 * max(h, 1.0):
+    if len(keep) > 1 and (xs[keep[0]] + 1.0) - xs[keep[-1]] < dist:
         keep = keep[:-1]
         merged_node[0] = True
         merged_node = merged_node[:-1]
+    return np.asarray(keep, dtype=int), merged_node
 
-    uk, jk = us[keep], pcs[keep]
+
+def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings]:
+    """All points of {phi = s} with slopes and third derivatives.
+
+    ``s`` is one level or a 1-D array of levels; an array gives a list of
+    crossings, one per level and each equal to the scalar call's, from one
+    set of cell tables.  Each monotone piece whose half-open value range
+    [start, end) holds s gives one crossing (``_level_roots``); a piece
+    constant at the level gives none, and the co-area sample there is
+    degenerate either way.  Crossings closer than 1e-9 are merged; a level
+    with no such pair, the wrap-around included, keeps all of them.  The
+    spline's third derivative is piecewise constant, which is only
+    first-order accurate at an arbitrary point but second-order accurate at
+    cell midpoints; the reported value therefore interpolates the two
+    nearest midpoint values linearly, restoring second-order pointwise
+    accuracy.  A crossing merged onto a knot gets the average of the two
+    adjacent pieces, which is the same rule at the knot position.
+    """
+    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    lev, pcs, us = _level_roots(f, levels)
+    h = f.basis.mesh.h
+    n = f.basis.mesh.n_cells
+    # a root a rounding step below u = 1 in the last cell lands on x = 1
+    xs = ((pcs + us) * h) % 1.0
+    order = np.lexsort((xs, lev))
+    lev, xs, us, pcs = lev[order], xs[order], us[order], pcs[order]
+
+    # merge duplicates across cell boundaries (including the wrap-around),
+    # on the levels that have crossings this close
+    dist = 1e-9 * max(h, 1.0)
+    counts = np.bincount(lev, minlength=len(levels))
+    first = np.cumsum(counts) - counts
+    crowded = np.zeros(len(levels), dtype=bool)
+    crowded[lev[1:][(lev[1:] == lev[:-1]) & (np.diff(xs) < dist)]] = True
+    many = counts > 1
+    crowded[many] |= (xs[first[many]] + 1.0) - xs[first[many] + counts[many] - 1] < dist
+    keep = np.ones(len(xs), dtype=bool)
+    merged_node = (us < 1e-9) | (us > 1.0 - 1e-9)
+    for k in np.flatnonzero(crowded):
+        seg = slice(first[k], first[k] + counts[k])
+        kept, merged = _merge_close(xs[seg], us[seg], dist)
+        keep[seg] = False
+        keep[first[k] + kept] = True
+        merged_node[first[k] + kept] = merged
+
+    lev, xk, uk, jk, merged_node = lev[keep], xs[keep], us[keep], pcs[keep], merged_node[keep]
     slope = poly_vals(cell_polys(f.basis, f.coef, 1)[jk], uk)
     p3 = cell_polys(f.basis, f.coef, 3)[:, 0]
     # snapped to a knot: halfway between the adjacent cell midpoints
@@ -426,11 +459,17 @@ def level_crossings(f: PeriodicField, s: float) -> LevelCrossings:
     left = np.where(upper, jk, (jk - 1) % n)
     between = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
     third = np.where(merged_node, at_knot, between)
-    return LevelCrossings(s, xs[keep], slope, third)
+    cut = np.cumsum(np.bincount(lev, minlength=len(levels)))[:-1]
+    out = [
+        LevelCrossings(float(level), *parts)
+        for level, *parts in zip(levels, *(np.split(a, cut) for a in (xk, slope, third)))
+    ]
+    return out if np.ndim(s) else out[0]
 
 
 def spline_antiderivative(f: PeriodicField):
-    """Closure evaluating int_0^x f for x in [0, 1], exactly per piece."""
+    """Closure evaluating int_0^x f at x in [0, 1] (a point or an array),
+    exactly per piece."""
     p = cell_polys(f.basis, f.coef)
     h = f.basis.mesh.h
     # antiderivative in u, scaled by h
@@ -438,15 +477,12 @@ def spline_antiderivative(f: PeriodicField):
     anti[:, 1:] = h * p / np.arange(1, 5)
     cum = np.concatenate([[0.0], np.cumsum(anti[:, 1:].sum(axis=1))])
 
-    def integral(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return float(cum[-1])
+    def integral(x):
         cells, u = f.basis.mesh.locate(x)
-        j = int(cells)
-        val = anti[j, 1] * u + anti[j, 2] * u**2 + anti[j, 3] * u**3 + anti[j, 4] * u**4
-        return float(cum[j] + val)
+        a = anti[cells]
+        val = a[..., 1] * u + a[..., 2] * u**2 + a[..., 3] * u**3 + a[..., 4] * u**4
+        out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, cum[-1], cum[cells] + val))
+        return float(out) if np.ndim(x) == 0 else out
 
     return integral
 
@@ -473,11 +509,11 @@ class CoareaSample:
 def coarea_coefficients(
     data: ObservationData,
     gamma: float,
-    s: float,
+    s,
     t: float,
     degeneracy_rel: float = 0.05,
-) -> CoareaSample:
-    """Evaluate the level-set identity ingredients at one (t, s) pair.
+) -> CoareaSample | list[CoareaSample]:
+    """Evaluate the level-set identity ingredients at (t, s) pairs.
 
     For smooth enough data the triple satisfies A_b b(s) + A_c c(s) = A
     with c = b f'.  A integrates the difference quotient over the
@@ -485,45 +521,61 @@ def coarea_coefficients(
     the regularized indicator and integrating by parts produces exactly
     this orientation alongside the signs of A_b and A_c.  The sample is
     flagged degenerate when there is no crossing or some crossing slope
-    falls below ``degeneracy_rel`` times the sup of |phi'|.
+    falls below ``degeneracy_rel`` times the sup of |phi'|.  ``s`` is one
+    level or a 1-D array of levels; an array gives a list of samples, one
+    per level and each equal to the scalar call's, from one
+    ``level_crossings`` call and one antiderivative table.
     """
     k = data.index_of(t)
     if k == 0:
         raise DataError(f"t = {t} has no predecessor for the difference quotient")
+    levels = np.atleast_1d(np.asarray(s, dtype=float))
     f = data.phi_field(k)
-    cr = level_crossings(f, s)
-    dphi = time_derivative(data, t)
-    integral = spline_antiderivative(dphi)
+    crossings = level_crossings(f, levels)
+    integral = spline_antiderivative(time_derivative(data, t))
     # sup |phi'| over the cell midpoints and the knots
     p1 = cell_polys(f.basis, f.coef, 1)
     sup_slope = float(max(np.max(np.abs(poly_vals(p1, 0.5))), np.max(np.abs(p1[:, 0]))))
-    if len(cr.x) == 0:
-        lo, hi = attained_range(data, t)
-        a_val = integral(1.0) if s > hi else 0.0
-        return CoareaSample(t, s, 0.0, 0.0, a_val, 0, 0.0, True, sup_slope)
 
-    a_b = -gamma * float(np.sum(cr.third * np.sign(cr.slope)))
-    a_c = float(np.sum(np.abs(cr.slope)))
+    counts = np.array([len(cr.x) for cr in crossings], dtype=int)
+    lev = np.repeat(np.arange(len(levels)), counts)
+    x, slope, third = (
+        np.concatenate([np.empty(0), *(getattr(cr, name) for cr in crossings)])
+        for name in ("x", "slope", "third")
+    )
+    a_b = -gamma * np.bincount(lev, third * np.sign(slope), len(levels))
+    a_c = np.bincount(lev, np.abs(slope), len(levels))
+    min_slope = np.full(len(levels), np.inf)
+    np.minimum.at(min_slope, lev, np.abs(slope))
 
     # integrate the difference quotient over {phi < s}: the gaps between
-    # consecutive crossings whose midpoint lies below the level
-    left = cr.x
-    right = np.roll(left, -1)
+    # consecutive crossings of a level (its last wrapping to its first)
+    # whose midpoint lies below the level
+    first = np.cumsum(counts) - counts
+    nxt = np.arange(1, len(x) + 1)
+    nxt[(first + counts - 1)[counts > 0]] = first[counts > 0]
+    left, right = x, x[nxt]
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
-    below = eval_field(f, mid) < s
-    a_val = 0.0
-    for a, b, wrapped in zip(left[below], right[below], wrap[below]):
-        if wrapped:
-            a_val += integral(1.0) - integral(a) + integral(b)
-        else:
-            a_val += integral(b) - integral(a)
+    below = eval_field(f, mid) < levels[lev]
+    total = integral(1.0)
+    ia, ib = integral(left), integral(right)
+    gap = np.where(wrap, total - ia + ib, ib - ia)
+    a_val = np.bincount(lev[below], gap[below], len(levels))
+    if np.any(counts == 0):
+        # no crossing: the sublevel set is the torus above the range, else empty
+        hi = attained_range(data, t)[1]
+        a_val = np.where(counts == 0, np.where(levels > hi, total, 0.0), a_val)
 
-    min_slope = float(np.min(np.abs(cr.slope)))
-    degenerate = min_slope < degeneracy_rel * sup_slope
-    return CoareaSample(
-        t, s, a_b, a_c, a_val, len(cr.x), min_slope, degenerate, sup_slope
-    )
+    samples = [
+        CoareaSample(t, level, ab, ac, a, n, ms, ms < degeneracy_rel * sup_slope, sup_slope)
+        if n else CoareaSample(t, level, 0.0, 0.0, a, 0, 0.0, True, sup_slope)
+        for level, ab, ac, a, n, ms in zip(
+            levels.tolist(), a_b.tolist(), a_c.tolist(), a_val.tolist(),
+            counts.tolist(), min_slope.tolist(),
+        )
+    ]
+    return samples if np.ndim(s) else samples[0]
 
 
 def merge_intervals(intervals):
@@ -706,7 +758,9 @@ def build_observability_report(
 
     Levels are interior quantiles of each attained range.  Each row pairs
     the time with its successor (or predecessor, at the boundary) for
-    the two-time independence condition number.
+    the two-time independence condition number; a time's levels are
+    sampled in one ``coarea_coefficients`` call there and one at the
+    partner time.
     """
     if times is None:
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
@@ -720,31 +774,29 @@ def build_observability_report(
         observable_range(data, gamma, potential, t, threshold_rel=threshold_rel)
         for t in times
     ]
+    fractions = (np.arange(levels_per_time) + 1.0) / (levels_per_time + 1.0)
     rows = []
     for i, t in enumerate(times):
         lo, hi = attained[i]
-        span = hi - lo
-        fractions = (np.arange(levels_per_time) + 1.0) / (levels_per_time + 1.0)
+        levels = lo + fractions * (hi - lo)
         partner = times[i + 1] if i + 1 < len(times) else times[i - 1]
-        for frac in fractions:
-            s = lo + frac * span
-            sample = coarea_coefficients(data, gamma, s, t, degeneracy_rel)
-            other = coarea_coefficients(data, gamma, s, partner)
+        samples = coarea_coefficients(data, gamma, levels, t, degeneracy_rel)
+        others = coarea_coefficients(data, gamma, levels, partner)
+        for s, sample, other in zip(levels.tolist(), samples, others):
             try:
                 cond, _, _ = _independence([sample, other], cond_cap)
             except DataError:
                 cond = np.inf
-            in_obs = any(a <= s <= b for a, b in observable[i])
             rows.append(
                 ObservabilityRow(
                     t=float(t),
-                    s=float(s),
+                    s=s,
                     A_b=sample.A_b,
                     A_c=sample.A_c,
                     A=sample.A,
                     cond=cond,
                     in_attained=lo <= s <= hi,
-                    in_observable=in_obs,
+                    in_observable=any(a <= s <= b for a, b in observable[i]),
                     degenerate=sample.degenerate,
                 )
             )

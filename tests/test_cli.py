@@ -1,6 +1,10 @@
 """Batch front end: pipelines, exit codes, determinism, invariant suite."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +94,22 @@ def test_identify_f_outputs_and_determinism(pipeline, tmp_path):
     assert cli.main(["identify", "--config", str(cfg)]) == 0
     assert (out / "solution_fprime.csv").read_bytes() == first
     assert (out / "knots_fprime.csv").read_bytes() == knots
+
+
+def test_retired_key_in_old_echo_is_named_on_stderr(pipeline, tmp_path):
+    """An echo written before output.formats was retired still runs, and
+    the command line says that the key is ignored."""
+    cfg, _ = pipeline
+    old = tmp_path / "old_echo.cfg"
+    old.write_text(cfg.read_text() + "output.formats = csv,json\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "chident", "identify", "--config", str(old)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "output.formats" in run.stderr
 
 
 def test_identify_report_singular_values(pipeline):
@@ -229,8 +249,8 @@ def test_verify_negative_control(tmp_path, monkeypatch):
     original = cli.coarea_coefficients
 
     def flipped(data, gamma, s, t, degeneracy_rel=0.05):
-        sample = original(data, gamma, s, t, degeneracy_rel)
-        return dataclasses.replace(sample, A_b=-sample.A_b)
+        samples = original(data, gamma, s, t, degeneracy_rel)
+        return [dataclasses.replace(sample, A_b=-sample.A_b) for sample in samples]
 
     monkeypatch.setattr(cli, "coarea_coefficients", flipped)
     out = tmp_path / "vneg"

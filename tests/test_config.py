@@ -95,7 +95,7 @@ def test_validation_errors(overrides, fragment):
 def test_retired_output_formats_key_warns_and_is_dropped():
     echo = config_text(paper_preset())
     assert "output.formats" not in echo
-    with pytest.warns(DeprecationWarning, match="output.formats"):
+    with pytest.warns(FutureWarning, match="output.formats"):
         old = build_config(parse_config(echo + "output.formats = csv,yaml\n"))
     assert old.as_dict() == build_config(parse_config(echo)).as_dict()
     assert config_text(old) == echo

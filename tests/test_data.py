@@ -317,7 +317,16 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
         reference_data, GAMMA, params.F, degeneracy_rel=degeneracy_rel
     )
     monkeypatch.undo()
-    assert len(report.rows) == 35 and len(calls) == 2 * len(report.rows)
+    # one call per time at the time itself, one at its partner, each with
+    # that time's levels
+    n_times = len(report.times)
+    assert len(report.rows) == 35 and len(calls) == 2 * n_times
+    for k, t in enumerate(report.times):
+        levels = [row.s for row in report.rows if row.t == t]
+        partner = report.times[k + 1] if k + 1 < n_times else report.times[k - 1]
+        assert len(levels) == 7
+        assert calls[2 * k][1] == t and calls[2 * k + 1][1] == partner
+        assert all(np.array_equal(call[0], levels) for call in calls[2 * k:2 * k + 2])
     # oracle: the row's sample and the two-time check from the public functions
     for i, row in enumerate(report.rows):
         k = list(report.times).index(row.t)
@@ -366,18 +375,19 @@ def _np_roots_unit(poly, tol=1e-10):
     return np.clip(r, 0.0, 1.0)
 
 
-def _level_roots_loop(f, s):
-    """Reference: cells bracketed by their value bounds, padded by 1e-12,
-    and one np.roots call per bracketed cell."""
+def _level_roots_loop(f, levels):
+    """Reference: per level, cells bracketed by their value bounds, padded
+    by 1e-12, and one np.roots call per bracketed cell."""
     p0 = cell_polys(f.basis, f.coef)
     bounds = piece_value_bounds(f.basis, f.coef)
     pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
-    cells = np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]
-    polys = p0[cells]
-    polys[:, 0] -= s
-    per_cell = [_np_roots_unit(poly) for poly in polys]
-    rows = np.repeat(cells, [len(r) for r in per_cell])
-    return rows, np.concatenate([np.empty(0), *per_cell])
+    found = []                                   # (level index, cell, u)
+    for k, s in enumerate(levels):
+        for cell in np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]:
+            poly = p0[cell] - [s, 0.0, 0.0, 0.0]
+            found += [(k, cell, u) for u in _np_roots_unit(poly)]
+    lev, cells, us = np.array(found, dtype=float).reshape(-1, 3).T
+    return lev.astype(int), cells.astype(int), us
 
 
 @settings(max_examples=40)
@@ -538,3 +548,60 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
         vertex = np.clip(np.nan_to_num(-d[:, 1] / (2.0 * d[:, 2])), 0.0, 1.0)
     sup = max(np.max(np.abs(poly_vals(d, u))) for u in (0.0, 1.0, vertex))
     assert observable_range(data, GAMMA, potential, 0.0, threshold=sup * (1.0 + 1e-9)) == []
+
+
+# --- a level array against one call per level -----------------------------
+
+
+def _assert_level_array_matches_scalar_calls(data, t, levels):
+    """Every field of an array call equals the scalar call's, level by level."""
+    f = data.phi_field(data.index_of(t))
+    crossings = level_crossings(f, levels)
+    samples = coarea_coefficients(data, GAMMA, levels, t)
+    assert len(crossings) == len(samples) == len(levels)
+    for s, cr, sample in zip(levels, crossings, samples):
+        one = level_crossings(f, s)
+        assert cr.s == one.s == s
+        for name in ("x", "slope", "third"):
+            assert np.array_equal(getattr(cr, name), getattr(one, name)), name
+        assert sample == coarea_coefficients(data, GAMMA, s, t)
+
+
+@settings(max_examples=40)
+@given(
+    n_cells=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["rough", "smooth", "flat-run", "constant"]),
+)
+def test_level_array_calls_equal_scalar_calls(n_cells, seed, shape):
+    rng = np.random.default_rng(seed)
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    coef = _random_periodic_spline(n_cells, seed, shape)
+    before = coef + 1e-3 * rng.standard_normal(n_cells)
+    data = ObservationData(basis=basis, times=[0.0, 1e-4], coef=[before, coef], tau_data=1e-4)
+    lo, hi = attained_range(data, 1e-4)
+    levels = rng.permutation(np.concatenate([
+        rng.uniform(lo, hi, 4),
+        cell_polys(basis, coef)[rng.integers(n_cells, size=3), 0],   # exact knot values
+        [lo, hi],                                                    # tangent touches
+        [lo - 0.1, hi + 0.1],                                        # outside the range
+    ]))
+    _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
+    assert level_crossings(data.phi_field(1), []) == []
+    assert coarea_coefficients(data, GAMMA, [], 1e-4) == []
+
+
+def test_level_array_with_merged_knot_crossings():
+    # phi has a double zero at the knot x = 0 (and one at x = 0.25); just
+    # above zero, the roots on either side of x = 0 are closer than the
+    # merge distance, so these levels run the greedy merge
+    basis = cubic_spline_basis(build_mesh(12))
+    coef = np.full(12, 0.5)
+    coef[[11, 0, 1]] = coef[[2, 3, 4]] = [0.2, -0.1, 0.2]
+    f = PeriodicField(basis, coef)
+    levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0])
+    raw = np.bincount(chdata._level_roots(f, levels)[0], minlength=len(levels))
+    merged = [len(cr.x) for cr in level_crossings(f, levels)]
+    assert merged[0] < raw[0] and merged[2] < raw[2]
+    data = ObservationData(basis=basis, times=[0.0, 1e-4], coef=[0.9 * coef, coef], tau_data=1e-4)
+    _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
