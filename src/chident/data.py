@@ -411,13 +411,12 @@ def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings
     set of cell tables.  Each monotone piece whose half-open value range
     [start, end) holds s gives one crossing (``_level_roots``); a piece
     constant at the level gives none, and the co-area sample there is
-    degenerate either way.  Crossings closer than 1e-9 are merged; a level
-    with no such pair, the wrap-around included, keeps all of them.  The
-    spline's third derivative is piecewise constant, which is only
-    first-order accurate at an arbitrary point but second-order accurate at
-    cell midpoints; the reported value therefore interpolates the two
-    nearest midpoint values linearly, restoring second-order pointwise
-    accuracy.  A crossing merged onto a knot gets the average of the two
+    degenerate either way.  Each level's crossings closer than 1e-9, the
+    wrap-around included, are merged (``_merge_close``).  The spline's
+    third derivative is piecewise constant, which is only first-order
+    accurate at an arbitrary point but second-order accurate at cell
+    midpoints; the reported value therefore interpolates the two nearest
+    midpoint values linearly, restoring second-order pointwise accuracy.  A crossing merged onto a knot gets the average of the two
     adjacent pieces, which is the same rule at the knot position.
     """
     levels = np.atleast_1d(np.asarray(s, dtype=float))
@@ -430,20 +429,15 @@ def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings
     lev, xs, us, pcs = lev[order], xs[order], us[order], pcs[order]
 
     # merge duplicates across cell boundaries (including the wrap-around),
-    # on the levels that have crossings this close
+    # level by level
     dist = 1e-9 * max(h, 1.0)
     counts = np.bincount(lev, minlength=len(levels))
     first = np.cumsum(counts) - counts
-    crowded = np.zeros(len(levels), dtype=bool)
-    crowded[lev[1:][(lev[1:] == lev[:-1]) & (np.diff(xs) < dist)]] = True
-    many = counts > 1
-    crowded[many] |= (xs[first[many]] + 1.0) - xs[first[many] + counts[many] - 1] < dist
-    keep = np.ones(len(xs), dtype=bool)
-    merged_node = (us < 1e-9) | (us > 1.0 - 1e-9)
-    for k in np.flatnonzero(crowded):
+    keep = np.zeros(len(xs), dtype=bool)
+    merged_node = np.zeros(len(xs), dtype=bool)
+    for k in np.flatnonzero(counts):
         seg = slice(first[k], first[k] + counts[k])
         kept, merged = _merge_close(xs[seg], us[seg], dist)
-        keep[seg] = False
         keep[first[k] + kept] = True
         merged_node[first[k] + kept] = merged
 
