@@ -91,15 +91,6 @@ class ObservationData:
     def phi_field(self, k: int) -> PeriodicField:
         return PeriodicField(self.basis, self.coef[k])
 
-    def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(np.int64(self.basis.mesh.n_cells).tobytes())
-        h.update(self.times.tobytes())
-        h.update(np.ascontiguousarray(self.coef).tobytes())
-        return h.hexdigest()[:16]
-
 
 def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
     """Subsample a trajectory in space and time and re-expand in splines.
@@ -208,16 +199,18 @@ def _spline_h3_norm(basis: SpatialBasis, coef: np.ndarray) -> float:
     return float(np.sqrt(max(acc, 0.0)))
 
 
-def inject_noise(
-    data: ObservationData, delta: float, seed: int = 0, n_modes: int = 8
-):
+# Fourier modes of the spatial noise profile
+NOISE_MODES = 8
+
+
+def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     """Add a separable perturbation eta(x, t) = p(x) q(t) to the snapshots.
 
-    The spatial profile p is a random truncated Fourier sum with decaying
-    coefficients, re-expanded in the data spline space and scaled so that
-    its H3 norm equals ``delta`` exactly.  The temporal factor
-    q(t) = cos(omega (t - t_peak)) peaks at a randomly chosen data time
-    with |q| <= 1, and omega is capped so that the H^-1 norm of the
+    The spatial profile p is a random Fourier sum of ``NOISE_MODES``
+    modes with decaying coefficients, re-expanded in the data spline space
+    and scaled so that its H3 norm equals ``delta`` exactly.  The temporal
+    factor q(t) = cos(omega (t - t_peak)) peaks at a randomly chosen data
+    time with |q| <= 1, and omega is capped so that the H^-1 norm of the
     backward difference quotient of eta stays below ``delta`` as well.
     Both attained measures scale linearly in ``delta`` by construction
     and are returned in the accompanying record.
@@ -242,7 +235,7 @@ def inject_noise(
     rng = np.random.default_rng(seed)
     nodes = data.basis.mesh.nodes()
     profile = np.zeros_like(nodes)
-    for k in range(1, n_modes + 1):
+    for k in range(1, NOISE_MODES + 1):
         a, b = rng.standard_normal(2) / k**2
         profile += a * np.cos(2.0 * np.pi * k * nodes) + b * np.sin(
             2.0 * np.pi * k * nodes
@@ -317,8 +310,7 @@ def attained_ranges(data: ObservationData, times) -> list[tuple[float, float]]:
 
 def attained_range(data: ObservationData, t: float) -> tuple[float, float]:
     """Exact range of the snapshot at time t over the torus."""
-    bounds = piece_value_bounds(data.basis, data.coef[data.index_of(t)])
-    return float(bounds[:, 0].min()), float(bounds[:, 1].max())
+    return attained_ranges(data, [t])[0]
 
 
 # Newton-bisection stops once every step is this small, or after this many
@@ -495,17 +487,14 @@ class CoareaSample:
     degenerate: bool
     sup_slope: float       # sup of |phi'| over the cell midpoints and knots
 
-    def degenerate_at(self, degeneracy_rel: float) -> bool:
-        """No crossing, or some crossing slope below degeneracy_rel sup |phi'|."""
-        return self.n_crossings == 0 or self.min_slope < degeneracy_rel * self.sup_slope
+
+# a co-area sample is degenerate when some crossing slope falls below this
+# fraction of sup |phi'|
+DEGENERACY_REL = 0.05
 
 
 def coarea_coefficients(
-    data: ObservationData,
-    gamma: float,
-    s,
-    t: float,
-    degeneracy_rel: float = 0.05,
+    data: ObservationData, gamma: float, s, t: float
 ) -> CoareaSample | list[CoareaSample]:
     """Evaluate the level-set identity ingredients at (t, s) pairs.
 
@@ -515,7 +504,7 @@ def coarea_coefficients(
     the regularized indicator and integrating by parts produces exactly
     this orientation alongside the signs of A_b and A_c.  The sample is
     flagged degenerate when there is no crossing or some crossing slope
-    falls below ``degeneracy_rel`` times the sup of |phi'|.  ``s`` is one
+    falls below ``DEGENERACY_REL`` times the sup of |phi'|.  ``s`` is one
     level or a 1-D array of levels; an array gives a list of samples, one
     per level and each equal to the scalar call's, from one
     ``level_crossings`` call and one antiderivative table.
@@ -562,7 +551,7 @@ def coarea_coefficients(
         a_val = np.where(counts == 0, np.where(levels > hi, total, 0.0), a_val)
 
     samples = [
-        CoareaSample(t, level, ab, ac, a, n, ms, ms < degeneracy_rel * sup_slope, sup_slope)
+        CoareaSample(t, level, ab, ac, a, n, ms, ms < DEGENERACY_REL * sup_slope, sup_slope)
         if n else CoareaSample(t, level, 0.0, 0.0, a, 0, 0.0, True, sup_slope)
         for level, ab, ac, a, n, ms in zip(
             levels.tolist(), a_b.tolist(), a_c.tolist(), a_val.tolist(),
@@ -601,6 +590,8 @@ def _unit_interval_roots(a, b, c):
 # 1e-12 on 8-100 cells), and the verdict must not rest on it; the paper
 # observation has sup |mu'| between 22 and 60.
 MU_GRAD_FLOOR = 1e-9
+# levels spread over the attained range by ``observable_range``
+RANGE_LEVELS = 201
 
 
 def observable_range(
@@ -608,21 +599,19 @@ def observable_range(
     gamma: float,
     potential,
     t: float,
-    threshold: float | None = None,
     threshold_rel: float = 1e-3,
-    n_levels: int = 201,
+    n_levels: int = RANGE_LEVELS,
 ):
     """Levels whose crossings see a nonzero chemical-potential gradient.
 
     Of ``n_levels`` levels spread evenly inside the attained range, keeps
     those with at least one crossing where |mu'| exceeds the threshold
     (relative to sup |mu'| at that time, but never below
-    ``MU_GRAD_FLOOR``, unless an absolute value is given).  No level is
-    solved for: these are the levels that phi takes on the steep set
-    {|mu'| > threshold}.  Each cell is split where
-    mu' = +-threshold and where phi' = 0, all roots of quadratics; on each
-    piece phi is monotone and |mu'| - threshold keeps one sign, so the
-    values phi takes on a steep piece are the closed interval between its
+    ``MU_GRAD_FLOOR``).  No level is solved for: these are the levels
+    that phi takes on the steep set {|mu'| > threshold}.  Each cell is
+    split where mu' = +-threshold and where phi' = 0, all roots of
+    quadratics; on each piece phi is monotone and |mu'| - threshold keeps
+    one sign, so the values phi takes on a steep piece are the closed interval between its
     end values, and a level is observable iff one such interval holds it.
     The tie, a crossing exactly where |mu'| = threshold, counts as
     observable when |mu'| exceeds the threshold on either side of it.
@@ -634,9 +623,8 @@ def observable_range(
     span = hi - lo
     if span <= 0.0:
         return []
-    if threshold is None:
-        grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
-        threshold = max(threshold_rel * float(np.max(np.abs(grad))), MU_GRAD_FLOOR)
+    grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
+    threshold = max(threshold_rel * float(np.max(np.abs(grad))), MU_GRAD_FLOOR)
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
     p = cell_polys(data.basis, data.coef[k])
     d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2
@@ -667,33 +655,21 @@ def observable_range(
     return intervals
 
 
-def independence_check(
-    data: ObservationData,
-    gamma: float,
-    s: float,
-    t1: float,
-    t2: float,
-    cond_cap: float = 1e4,
-):
-    """Condition the 2x2 system built from (A_b, A_c) rows at two times.
-
-    Two observation times at a fixed level give the linear system for
-    the pair (b(s), c(s)); its column-scaled condition number tells
-    whether the two are separable there.  Returns (condition, verdict,
-    row matrix).  Degenerate level sets at either time are an error.
-    """
-    samples = [coarea_coefficients(data, gamma, s, t) for t in (t1, t2)]
-    return _independence(samples, cond_cap)
+# column-scaled condition number below which two times separate b(s) from c(s)
+COND_CAP = 1e4
 
 
-def _independence(samples, cond_cap: float):
-    """``independence_check`` on two co-area samples of one level.
+def _independence(samples):
+    """Condition the 2x2 system built from the (A_b, A_c) rows of two
+    co-area samples of one level, at two times.
 
-    The degeneracy test is that of ``coarea_coefficients`` at its default
-    ``degeneracy_rel`` of 0.05, whatever the samples were flagged with.
+    The rows give the linear system for the pair (b(s), c(s)); its
+    column-scaled condition number tells whether the two are separable
+    there.  Returns (condition, verdict cond < ``COND_CAP``, row matrix).
+    A degenerate sample at either time is an error.
     """
     for sample in samples:
-        if sample.degenerate_at(0.05):
+        if sample.degenerate:
             raise DataError(
                 f"degenerate level set at (s, t) = ({sample.s:g}, {sample.t:g})"
             )
@@ -702,7 +678,11 @@ def _independence(samples, cond_cap: float):
     if np.any(scale == 0.0):
         return np.inf, False, mat
     cond = float(np.linalg.cond(mat / scale))
-    return cond, cond < cond_cap, mat
+    return cond, cond < COND_CAP, mat
+
+
+# levels sampled per observation time in the observability report
+LEVELS_PER_TIME = 7
 
 
 @dataclass
@@ -743,18 +723,15 @@ def build_observability_report(
     gamma: float,
     potential,
     times=None,
-    levels_per_time: int = 7,
     threshold_rel: float = 1e-3,
-    cond_cap: float = 1e4,
-    degeneracy_rel: float = 0.05,
 ) -> ObservabilityReport:
     """Tabulate level-set functionals over sampled (time, level) pairs.
 
-    Levels are interior quantiles of each attained range.  Each row pairs
-    the time with its successor (or predecessor, at the boundary) for
-    the two-time independence condition number; a time's levels are
-    sampled in one ``coarea_coefficients`` call there and one at the
-    partner time.
+    Levels are ``LEVELS_PER_TIME`` interior quantiles of each attained
+    range.  Each row pairs the time with its successor (or predecessor,
+    at the boundary) for the two-time independence condition number
+    (``_independence``); a time's levels are sampled in one
+    ``coarea_coefficients`` call there and one at the partner time.
     """
     if times is None:
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
@@ -768,17 +745,17 @@ def build_observability_report(
         observable_range(data, gamma, potential, t, threshold_rel=threshold_rel)
         for t in times
     ]
-    fractions = (np.arange(levels_per_time) + 1.0) / (levels_per_time + 1.0)
+    fractions = (np.arange(LEVELS_PER_TIME) + 1.0) / (LEVELS_PER_TIME + 1.0)
     rows = []
     for i, t in enumerate(times):
         lo, hi = attained[i]
         levels = lo + fractions * (hi - lo)
         partner = times[i + 1] if i + 1 < len(times) else times[i - 1]
-        samples = coarea_coefficients(data, gamma, levels, t, degeneracy_rel)
+        samples = coarea_coefficients(data, gamma, levels, t)
         others = coarea_coefficients(data, gamma, levels, partner)
         for s, sample, other in zip(levels.tolist(), samples, others):
             try:
-                cond, _, _ = _independence([sample, other], cond_cap)
+                cond, _, _ = _independence([sample, other])
             except DataError:
                 cond = np.inf
             rows.append(

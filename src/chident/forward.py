@@ -45,7 +45,7 @@ from .meshbasis import (
     element_grams,
     gauss_table,
 )
-from .model import ModelParams, energy, mass
+from .model import N_QUAD, ModelParams, energy, mass
 
 
 class SolverError(RuntimeError):
@@ -63,6 +63,11 @@ class MobilityError(SolverError):
 # contraction ratio |r_k| / |r_{k-1}| above which the chord iteration
 # rebuilds and refactors the Jacobian at the current iterate
 THETA = 0.01
+# a step converges once its dual-norm residual is at most NEWTON_TOL, within
+# MAX_NEWTON updates; a failed step is halved at most MAX_BISECT levels deep
+NEWTON_TOL = 1e-12
+MAX_NEWTON = 25
+MAX_BISECT = 8
 
 
 @dataclass
@@ -106,9 +111,6 @@ class Trajectory:
     def phi_field(self, k: int) -> PeriodicField:
         return PeriodicField(self.basis, self.phi[k])
 
-    def mu_field(self, k: int) -> PeriodicField:
-        return PeriodicField(self.basis, self.mu[k])
-
 
 class _ForwardContext:
     """Quadrature tables, gram matrices, the Jacobian pattern and its factor.
@@ -132,11 +134,11 @@ class _ForwardContext:
     ``newton_update`` solves with it; ``telemetry`` counts both.
     """
 
-    def __init__(self, basis: SpatialBasis, params: ModelParams, n_quad: int = 8):
+    def __init__(self, basis: SpatialBasis, params: ModelParams):
         self.basis = basis
         self.params = params
-        self.t0 = gauss_table(basis, n_quad, 0)
-        self.t1 = gauss_table(basis, n_quad, 1)
+        self.t0 = gauss_table(basis, N_QUAD, 0)
+        self.t1 = gauss_table(basis, N_QUAD, 1)
         self.grams: GramPair = assemble_grams(basis)
         self.M = self.grams.M_L2
         self.K = self.grams.K
@@ -236,34 +238,26 @@ class _ForwardContext:
         return x[pattern.position]
 
 
-def _newton_step(
-    ctx: _ForwardContext,
-    phi_n: np.ndarray,
-    phi: np.ndarray,
-    mu: np.ndarray,
-    tau: float,
-    tol: float,
-    max_iter: int,
-):
-    """Advance one implicit Euler step from phi_n, warm-started at (phi, mu).
+def _newton_step(ctx: _ForwardContext, phi_n: np.ndarray, mu: np.ndarray, tau: float):
+    """Advance one implicit Euler step from phi_n, warm-started at (phi_n, mu).
 
     Chord iteration: the held factor serves every update until the step
     length changes or the residual contracts by less than ``THETA``, and
     then the Jacobian is rebuilt at the current iterate.  Returns the new
     state, the number of updates made and the final residual norm.
     """
-    phi = phi.copy()
+    phi = phi_n.copy()
     mu = mu.copy()
     first_norm = last_norm = None
     polish_left = 1
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON):
         r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
         rnorm = ctx.residual_norm(r1, r2)
         if not np.isfinite(rnorm):
             raise NewtonError("Newton residual is not finite")
         if first_norm is None:
             first_norm = rnorm
-        if rnorm <= tol:
+        if rnorm <= NEWTON_TOL:
             if polish_left == 0:
                 return phi, mu, it, rnorm
             polish_left -= 1
@@ -278,13 +272,13 @@ def _newton_step(
         mu -= dmu
         last_norm = rnorm
     raise NewtonError(
-        f"no convergence in {max_iter} Newton iterations (residual {rnorm:.3e})"
+        f"no convergence in {MAX_NEWTON} Newton iterations (residual {rnorm:.3e})"
     )
 
 
-def _advance(ctx, phi_n, mu_n, tau, tol, max_iter, depth, max_depth):
+def _advance(ctx, phi_n, mu_n, tau, depth=0):
     try:
-        phi, mu, iters, rnorm = _newton_step(ctx, phi_n, phi_n, mu_n, tau, tol, max_iter)
+        phi, mu, iters, rnorm = _newton_step(ctx, phi_n, mu_n, tau)
         stats = ctx.telemetry
         stats.max_newton_iters = max(stats.max_newton_iters, iters)
         stats.worst_residual = max(stats.worst_residual, rnorm)
@@ -292,30 +286,21 @@ def _advance(ctx, phi_n, mu_n, tau, tol, max_iter, depth, max_depth):
     except (NewtonError, MobilityError):
         ctx.drop_factor()
         # halving the step cannot help when its start state is inadmissible
-        if depth >= max_depth or ctx.min_mobility(phi_n) <= 0.0:
+        if depth >= MAX_BISECT or ctx.min_mobility(phi_n) <= 0.0:
             raise
     ctx.telemetry.bisections += 1
     half = 0.5 * tau
-    phi_h, mu_h = _advance(ctx, phi_n, mu_n, half, tol, max_iter, depth + 1, max_depth)
-    return _advance(ctx, phi_h, mu_h, half, tol, max_iter, depth + 1, max_depth)
+    phi_h, mu_h = _advance(ctx, phi_n, mu_n, half, depth + 1)
+    return _advance(ctx, phi_h, mu_h, half, depth + 1)
 
 
-def simulate(
-    phi0: PeriodicField,
-    params: ModelParams,
-    t_end: float,
-    tau: float,
-    newton_tol: float = 1e-12,
-    max_newton: int = 25,
-    max_bisect: int = 8,
-    n_quad: int = 8,
-) -> Trajectory:
+def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float) -> Trajectory:
     """Run the stepper from ``phi0`` to ``t_end`` on a uniform time grid.
 
     ``t_end`` must be an integer multiple of ``tau`` up to rounding.  On a
     Newton failure (no convergence, a singular Jacobian, or a non-positive
     mobility along an iterate) the step is bisected (recursively, up to
-    ``max_bisect`` levels); recorded states stay on the uniform grid.  A
+    ``MAX_BISECT`` levels); recorded states stay on the uniform grid.  A
     step whose start state already has a non-positive mobility fails at
     once with ``MobilityError``.  The returned trajectory carries the
     run's ``SolverTelemetry``.
@@ -327,16 +312,14 @@ def simulate(
         raise SolverError(
             f"t_end = {t_end} is not an integer multiple of tau = {tau}"
         )
-    ctx = _ForwardContext(phi0.basis, params, n_quad)
+    ctx = _ForwardContext(phi0.basis, params)
     dof = phi0.basis.dof_count
     phi = np.empty((n_steps + 1, dof))
     mu = np.empty((n_steps + 1, dof))
     phi[0] = phi0.coef
     mu[0] = ctx.initial_mu(phi0.coef)
     for k in range(n_steps):
-        phi[k + 1], mu[k + 1] = _advance(
-            ctx, phi[k], mu[k], tau, newton_tol, max_newton, 0, max_bisect
-        )
+        phi[k + 1], mu[k + 1] = _advance(ctx, phi[k], mu[k], tau)
     times = np.arange(n_steps + 1) * tau
     return Trajectory(phi0.basis, tau, times, phi, mu, ctx.telemetry)
 
@@ -360,7 +343,6 @@ def verify_scaling_invariance(
     c: float,
     t_end: float,
     tau: float,
-    **kw,
 ) -> ScalingCheck:
     """Run the model and its (d, c) rescaling from the same initial state.
 
@@ -370,8 +352,8 @@ def verify_scaling_invariance(
     """
     from .model import scale_params
 
-    base = simulate(phi0, params, t_end, tau, **kw)
-    scaled = simulate(phi0, scale_params(params, d, c), t_end, tau, **kw)
+    base = simulate(phi0, params, t_end, tau)
+    scaled = simulate(phi0, scale_params(params, d, c), t_end, tau)
     grams = assemble_grams(phi0.basis)
 
     def l2(v):
@@ -390,16 +372,12 @@ def verify_scaling_invariance(
     return ScalingCheck(d, c, rel_phi, abs_phi, rel_mu, abs_mu)
 
 
-def mass_series(traj: Trajectory, n_quad: int = 8) -> np.ndarray:
+def mass_series(traj: Trajectory) -> np.ndarray:
     """Mass integral at every recorded state."""
-    return np.array(
-        [mass(traj.phi_field(k), n_quad) for k in range(traj.n_states)]
-    )
+    return np.array([mass(traj.phi_field(k)) for k in range(traj.n_states)])
 
 
-def energy_series(traj: Trajectory, params: ModelParams, n_quad: int = 8) -> np.ndarray:
+def energy_series(traj: Trajectory, params: ModelParams) -> np.ndarray:
     """Free energy at every recorded state."""
-    return np.array(
-        [energy(traj.phi_field(k), params, n_quad) for k in range(traj.n_states)]
-    )
+    return np.array([energy(traj.phi_field(k), params) for k in range(traj.n_states)])
 

@@ -33,6 +33,14 @@ IDENTIFY_JOINT = "identify-joint"
 PROBLEM_KINDS = (IDENTIFY_F, IDENTIFY_B, IDENTIFY_JOINT)
 
 
+# Gauss points per observation cell of the assembly
+N_QUAD = 12
+# Gauss-Legendre points per interval of ``range_restricted_error``
+ERROR_QUAD = 32
+# smallest known mobility at a knot that ``recover_fprime`` divides by
+B_FLOOR = 1e-8
+
+
 class InverseError(ValueError):
     """Invalid assembly or solve request."""
 
@@ -79,7 +87,6 @@ class AssembledProblem:
     R: RegularizerGram
     grid: NaturalSplineGrid
     times: np.ndarray
-    data_hash: str
     _factor: StandardForm | None = field(default=None, repr=False)
 
     @property
@@ -195,7 +202,6 @@ def _assemble(
     kind: str,
     times,
     grid: NaturalSplineGrid | None,
-    n_quad: int,
     mobility=None,
     potential=None,
 ) -> AssembledProblem:
@@ -213,7 +219,7 @@ def _assemble(
     _check_phase_values(data, idx)
     if grid is None:
         grid = param_grid()
-    tabs = [gauss_table(data.basis, n_quad, r) for r in (0, 1, 3)]
+    tabs = [gauss_table(data.basis, N_QUAD, r) for r in (0, 1, 3)]
     cell_dofs, psi1 = tabs[1].cell_dofs, tabs[1].table
     n_cells, n_local = cell_dofs.shape
     table = np.vstack([t.table for t in tabs])   # rows: (order, point)
@@ -242,12 +248,12 @@ def _assemble(
         cells = data.coef[idx[start:stop]].T[cell_dofs].transpose(1, 0, 2)
         # phi, d phi / dx and d3 phi / dx3 as (point, cell, time)
         phi_q, dphi_q, d3_q = (table @ cells.reshape(n_local, -1)).reshape(
-            3, n_quad, n_cells, nb
+            3, N_QUAD, n_cells, nb
         )
         if kind == IDENTIFY_F:
             gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
-            local = psi1.T @ (w * b_q * d3_q).reshape(n_quad, -1)
+            local = psi1.T @ (w * b_q * d3_q).reshape(N_QUAD, -1)
             y[start:stop] -= gamma * scatter(local.reshape(n_local, n_cells, nb)).T
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
@@ -264,7 +270,7 @@ def _assemble(
         rows = np.zeros(piece.size * n_g * 2 * nk)
         for col, lw in zip((piece, piece + 1, nk + piece, nk + piece + 1), weights):
             rows[at + col[:, None]] = wg * lw[:, None]
-        local = (psi1.T @ rows.reshape(n_quad, -1)).reshape(n_local, n_cells, -1)
+        local = (psi1.T @ rows.reshape(N_QUAD, -1)).reshape(n_local, n_cells, -1)
         t_blk = scatter(local).reshape(-1, 2 * nk) @ knot_map
         T[start:stop] = t_blk.reshape(bs, nb, -1).transpose(1, 0, 2)
 
@@ -279,7 +285,6 @@ def _assemble(
         R=reg,
         grid=grid,
         times=np.asarray([float(data.times[k]) for k in idx]),
-        data_hash=data.fingerprint(),
     )
 
 
@@ -289,7 +294,6 @@ def assemble_identify_f(
     mobility,
     times,
     grid: NaturalSplineGrid | None = None,
-    n_quad: int = 12,
 ) -> AssembledProblem:
     """Equation-error system for c = b f' with the mobility known.
 
@@ -300,7 +304,7 @@ def assemble_identify_f(
 
     if mobility_floor(mobility) <= 0.0:
         raise InverseError("known mobility must be strictly positive")
-    return _assemble(data, gamma, IDENTIFY_F, times, grid, n_quad, mobility=mobility)
+    return _assemble(data, gamma, IDENTIFY_F, times, grid, mobility=mobility)
 
 
 def assemble_identify_b(
@@ -309,14 +313,13 @@ def assemble_identify_b(
     potential,
     times,
     grid: NaturalSplineGrid | None = None,
-    n_quad: int = 12,
 ) -> AssembledProblem:
     """Equation-error system for the mobility with the potential known.
 
     The chemical potential is rebuilt from the snapshots; row block
     T_ij = -(theta_j(phi) mu', psi_i') and y_i = (d_tau phi, psi_i).
     """
-    return _assemble(data, gamma, IDENTIFY_B, times, grid, n_quad, potential=potential)
+    return _assemble(data, gamma, IDENTIFY_B, times, grid, potential=potential)
 
 
 def assemble_identify_joint(
@@ -324,7 +327,6 @@ def assemble_identify_joint(
     gamma: float,
     times,
     grid: NaturalSplineGrid | None = None,
-    n_quad: int = 12,
 ) -> AssembledProblem:
     """Equation-error system for (b, c) together, no known parameters.
 
@@ -339,7 +341,7 @@ def assemble_identify_joint(
             "joint identification from fewer than two times is rank deficient",
             stacklevel=2,
         )
-    return _assemble(data, gamma, IDENTIFY_JOINT, times_arr, grid, n_quad)
+    return _assemble(data, gamma, IDENTIFY_JOINT, times_arr, grid)
 
 
 def assemble_problem(
@@ -348,7 +350,6 @@ def assemble_problem(
     gamma: float,
     times,
     grid: NaturalSplineGrid | None = None,
-    n_quad: int = 12,
     mobility=None,
     potential=None,
 ) -> AssembledProblem:
@@ -358,11 +359,11 @@ def assemble_problem(
     ``potential``; the other is ignored.
     """
     if kind == IDENTIFY_F:
-        return assemble_identify_f(data, gamma, mobility, times, grid, n_quad)
+        return assemble_identify_f(data, gamma, mobility, times, grid)
     if kind == IDENTIFY_B:
-        return assemble_identify_b(data, gamma, potential, times, grid, n_quad)
+        return assemble_identify_b(data, gamma, potential, times, grid)
     if kind == IDENTIFY_JOINT:
-        return assemble_identify_joint(data, gamma, times, grid, n_quad)
+        return assemble_identify_joint(data, gamma, times, grid)
     raise InverseError(f"unknown problem kind {kind!r}")
 
 
@@ -510,27 +511,23 @@ def lcurve_select(
     return float(alphas[corner]), curve
 
 
-def recover_fprime(
-    c_sol: SplineParameter, b, b_floor: float = 1e-8
-) -> SplineParameter:
+def recover_fprime(c_sol: SplineParameter, b) -> SplineParameter:
     """Pointwise quotient f' = c / b refitted on the same knots."""
     knots = c_sol.grid.knots
     b_knots = np.asarray(b(knots), dtype=float)
-    if np.min(b_knots) < b_floor:
+    if np.min(b_knots) < B_FLOOR:
         raise InverseError(
             f"mobility falls below the positivity floor ({np.min(b_knots):.3e})"
         )
     return SplineParameter(c_sol.grid, c_sol.values / b_knots, name="fprime")
 
 
-def range_restricted_error(
-    reconstruction, truth, intervals, n_quad: int = 32
-) -> float:
+def range_restricted_error(reconstruction, truth, intervals) -> float:
     """Relative L2 distance of two parameter functions over interval unions."""
     ivs = [(float(a), float(b)) for a, b in intervals if float(b) > float(a)]
     if not ivs:
         raise InverseError("empty range for error evaluation")
-    g, wref = np.polynomial.legendre.leggauss(n_quad)
+    g, wref = np.polynomial.legendre.leggauss(ERROR_QUAD)
     num = den = 0.0
     for a, b in ivs:
         s = 0.5 * (a + b) + 0.5 * (b - a) * g
@@ -567,7 +564,6 @@ def perturbation_scaling_probe(
     potential=None,
     grid: NaturalSplineGrid | None = None,
     seed: int = 1234,
-    n_quad: int = 12,
 ) -> PerturbationProbe:
     """Measure how assembly perturbations scale with the noise level.
 
@@ -579,9 +575,7 @@ def perturbation_scaling_probe(
     """
 
     def build(d: ObservationData) -> AssembledProblem:
-        return assemble_problem(
-            kind, d, gamma, times, grid, n_quad, mobility, potential
-        )
+        return assemble_problem(kind, d, gamma, times, grid, mobility, potential)
 
     deltas = np.asarray(list(deltas), dtype=float)
     clean = build(data)

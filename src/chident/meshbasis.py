@@ -133,10 +133,6 @@ class SpatialBasis:
         return 2 * n if self.kind == QUADRATIC_FE else n
 
     @property
-    def dofs_per_cell(self) -> int:
-        return 3 if self.kind == QUADRATIC_FE else 4
-
-    @property
     def max_order(self) -> int:
         return _MAX_ORDER[self.kind]
 
@@ -262,8 +258,7 @@ def interpolate(basis: SpatialBasis, values) -> PeriodicField:
 
     Quadratic elements collocate at vertices and midpoints, so the
     coefficients are the nodal values themselves.  Periodic splines
-    collocate at the cell nodes; the banded circulant system is solved
-    by FFT.
+    collocate at the cell nodes (``interpolate_many``).
     """
     if callable(values):
         values = values(basis.dof_nodes())
@@ -272,10 +267,7 @@ def interpolate(basis: SpatialBasis, values) -> PeriodicField:
         raise BasisError(
             f"expected {basis.dof_count} nodal values, got shape {values.shape}"
         )
-    if basis.kind == QUADRATIC_FE:
-        return PeriodicField(basis, values.copy())
-    coef = solve_circulant(_spline_collocation_kernel(basis.dof_count), values)
-    return PeriodicField(basis, coef)
+    return PeriodicField(basis, interpolate_many(basis, values[None, :])[0])
 
 
 def spline_node_values(coef: np.ndarray) -> np.ndarray:
@@ -287,7 +279,10 @@ def spline_node_values(coef: np.ndarray) -> np.ndarray:
 
 
 def interpolate_many(basis: SpatialBasis, values: np.ndarray) -> np.ndarray:
-    """Row-wise interpolation of a (n_fields, dof) value array."""
+    """Row-wise interpolation of a (n_fields, dof) value array.
+
+    For periodic splines the banded circulant system is solved by FFT.
+    """
     values = np.asarray(values, dtype=float)
     if basis.kind == QUADRATIC_FE:
         return values.copy()
@@ -299,7 +294,7 @@ def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.nda
     """d^order psi_l / dx^order at the Gauss points of one cell.
 
     The points are those of ``quadrature_rule`` inside a cell; on the
-    uniform mesh the table, of shape (n_quad, dofs_per_cell), is the same
+    uniform mesh the table, of shape (n_quad, n_local), is the same
     on every cell.
     """
     _check_order(basis, order)
@@ -509,15 +504,15 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
     return ((a + a.T) * 0.5).tocsr()
 
 
-def assemble_grams(basis: SpatialBasis, n_quad: int | None = None) -> GramPair:
+def assemble_grams(basis: SpatialBasis) -> GramPair:
     """Assemble the L2 gram and stiffness matrix of a basis.
 
     The element grams of the cached cell tables go into one sparse
-    matrix each, summed over ``cell_dofs``.  The default quadrature
-    integrates the products exactly.  Both matrices are symmetrized and
-    checked for positive diagonals.
+    matrix each, summed over ``cell_dofs``.  The quadrature
+    (``_GRAM_QUAD``) integrates the products exactly.  Both matrices are
+    symmetrized and checked for positive diagonals.
     """
-    nq = n_quad if n_quad is not None else _GRAM_QUAD[basis.kind]
+    nq = _GRAM_QUAD[basis.kind]
     rows, cols = _cell_entries(basis)
     shape = (basis.dof_count, basis.dof_count)
 

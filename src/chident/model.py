@@ -16,6 +16,16 @@ from scipy.linalg import cho_factor, solve_banded
 from .meshbasis import PeriodicField, gauss_table
 
 
+# Gauss points per cell of the phase-field integrals: mass, energy and the
+# stepper's residual and Jacobian
+N_QUAD = 8
+# Gauss points per knot span of the parameter gram: exact for its
+# piecewise-cubic products
+PARAM_GRAM_QUAD = 4
+# points sampled evenly over the phase range [-1, 1] by ``mobility_floor``
+MOBILITY_SAMPLES = 2001
+
+
 class ParameterError(ValueError):
     """Invalid parameter-function construction or evaluation."""
 
@@ -186,9 +196,9 @@ class ModelParams:
         return self.F(s, order + 1)
 
 
-def mobility_floor(b, lo: float = -1.0, hi: float = 1.0, n_sample: int = 2001) -> float:
-    """Minimum of the mobility over a dense sample of [lo, hi]."""
-    return float(np.min(b(np.linspace(lo, hi, n_sample))))
+def mobility_floor(b) -> float:
+    """Minimum of the mobility over a dense sample of [-1, 1]."""
+    return float(np.min(b(np.linspace(-1.0, 1.0, MOBILITY_SAMPLES))))
 
 
 def scale_params(params: ModelParams, d: float, c: float = 0.0) -> ModelParams:
@@ -221,16 +231,16 @@ def scale_params(params: ModelParams, d: float, c: float = 0.0) -> ModelParams:
     )
 
 
-def mass(phi: PeriodicField, n_quad: int = 8) -> float:
+def mass(phi: PeriodicField) -> float:
     """Integral of the phase field over the torus."""
-    tab = gauss_table(phi.basis, n_quad)
+    tab = gauss_table(phi.basis, N_QUAD)
     return float(tab.weights.ravel() @ tab.gather(phi.coef).ravel())
 
 
-def energy(phi: PeriodicField, params: ModelParams, n_quad: int = 8) -> float:
+def energy(phi: PeriodicField, params: ModelParams) -> float:
     """Free energy: gamma/2 |grad phi|^2 + F(phi), integrated."""
-    tab = gauss_table(phi.basis, n_quad)
-    grad = gauss_table(phi.basis, n_quad, 1).gather(phi.coef).ravel()
+    tab = gauss_table(phi.basis, N_QUAD)
+    grad = gauss_table(phi.basis, N_QUAD, 1).gather(phi.coef).ravel()
     vals = tab.gather(phi.coef).ravel()
     return float(tab.weights.ravel() @ (0.5 * params.gamma * grad**2 + params.F(vals)))
 
@@ -255,17 +265,14 @@ class RegularizerGram:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.R @ v
 
-    def norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ (self.R @ v), 0.0)))
 
-
-def assemble_param_gram(grid: NaturalSplineGrid, n_quad: int = 4) -> RegularizerGram:
+def assemble_param_gram(grid: NaturalSplineGrid) -> RegularizerGram:
     """H2 gram over the knot interval: orders 0, 1, 2 of the spline basis.
 
-    Four Gauss points per knot span integrate the piecewise-cubic
-    products exactly.
+    ``PARAM_GRAM_QUAD`` Gauss points per knot span integrate the
+    piecewise-cubic products exactly.
     """
-    g, wref = np.polynomial.legendre.leggauss(n_quad)
+    g, wref = np.polynomial.legendre.leggauss(PARAM_GRAM_QUAD)
     u = 0.5 * (g + 1.0)
     sig = grid.spacing
     pts = (grid.knots[:-1, None] + u[None, :] * sig).ravel()

@@ -1,5 +1,8 @@
 """Shared fixtures: one reference forward run feeds most of the suite.
 
+``toy_problem`` builds a Tikhonov problem straight from an operator and
+data, for the solver tests that need no assembly.
+
 The acceptance tests record a PASS/FAIL line per criterion; the
 terminal-summary hook prints them in order at the end of the run so the
 verdicts are visible even when per-test output is captured.  One
@@ -18,6 +21,7 @@ from chident.meshbasis import build_mesh, quadratic_fe, interpolate
 from chident.model import default_params, default_initial_profile
 from chident.forward import simulate
 from chident.data import restrict_to_data_grid
+from chident.inverse import AssembledProblem
 
 GAMMA = 0.003
 N_CELLS = 200
@@ -43,6 +47,32 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+class _ShimGrams:
+    """Identity observation gram over ``n`` degrees of freedom."""
+
+    def __init__(self, n):
+        self.basis = type("_B", (), {"dof_count": n})()
+
+    def solve_M(self, v):
+        return np.asarray(v, dtype=float).copy()
+
+
+class _ShimR:
+    """Identity penalty."""
+
+    def apply(self, x):
+        return np.asarray(x, dtype=float).copy()
+
+
+def toy_problem(T, y):
+    """Tikhonov problem on an explicit operator: one block, identity norms."""
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    return AssembledProblem(
+        kind="toy", T=T, y=np.asarray(y, dtype=float), grams=_ShimGrams(T.shape[0]),
+        R=_ShimR(), grid=None, times=np.array([0.0]),
+    )
 
 
 @pytest.fixture(scope="session")

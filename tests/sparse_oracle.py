@@ -72,7 +72,7 @@ def basis_matrix(basis: SpatialBasis, x, order: int = 0) -> sp.csr_matrix:
     vals = _poly_eval(_shape_table(basis.kind), u, order)
     vals *= float(basis.mesh.n_cells) ** order  # d/dx = n d/du
     cols = basis.cell_dofs()[cells]
-    rows = np.repeat(np.arange(len(x)), basis.dofs_per_cell)
+    rows = np.repeat(np.arange(len(x)), cols.shape[1])
     mat = sp.csr_matrix(
         (vals.ravel(), (rows, cols.ravel())),
         shape=(len(x), basis.dof_count),

@@ -34,7 +34,6 @@ from chident.data import (
     observable_range,
 )
 from chident.inverse import (
-    AssembledProblem,
     assemble_identify_b,
     assemble_identify_f,
     assemble_identify_joint,
@@ -46,7 +45,7 @@ from chident.inverse import (
     tikhonov_solve_direct,
 )
 
-from conftest import GAMMA, record_criterion
+from conftest import GAMMA, record_criterion, toy_problem
 
 
 # --------------------------------------------------------------------------
@@ -63,28 +62,6 @@ def attained_union(reference_data, window_times):
 def problem_f(reference_data, params, window_times):
     grid = param_grid()  # 21 knots at spacing 0.1
     return assemble_identify_f(reference_data, GAMMA, params.b, window_times, grid)
-
-
-class _ShimGrams:
-    def __init__(self, n):
-        self.basis = type("_B", (), {"dof_count": n})()
-
-    def solve_M(self, v):
-        return np.asarray(v, dtype=float).copy()
-
-
-class _ShimR:
-    def apply(self, x):
-        return np.asarray(x, dtype=float).copy()
-
-
-def _toy(T, y):
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    return AssembledProblem(
-        kind="toy", T=T, y=np.asarray(y, dtype=float),
-        grams=_ShimGrams(T.shape[0]), R=_ShimR(), grid=None,
-        times=np.array([0.0]), data_hash="toy",
-    )
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +284,7 @@ def test_criterion_10_noise_ladder(reference_data, params, window_times,
 
 def test_criterion_11_dual_route_agreement(reference_data, params, window_times):
     # scalar toy: both routes against the closed form x = 1/(1 + alpha)
-    scalar = _toy([[1.0]], [1.0])
+    scalar = toy_problem([[1.0]], [1.0])
     dev_scalar = 0.0
     for alpha in (1e-1, 1e-3, 1e-6):
         exact = 1.0 / (1.0 + alpha)
@@ -319,7 +296,7 @@ def test_criterion_11_dual_route_agreement(reference_data, params, window_times)
     sv = 10.0 ** -np.arange(7)
     rng = np.random.default_rng(7)
     g = rng.standard_normal(7)
-    toy = _toy(np.diag(sv), sv + 1e-3 * g / np.linalg.norm(g))
+    toy = toy_problem(np.diag(sv), sv + 1e-3 * g / np.linalg.norm(g))
     dev_toy = 0.0
     for alpha in (1e-1, 1e-2):
         xc = tikhonov_solve(toy, alpha).coefficients
@@ -365,7 +342,7 @@ def test_criterion_12_lcurve_corner(problem_f):
     rng = np.random.default_rng(7)
     x_true = np.ones(7)
     g = rng.standard_normal(7)
-    toy = _toy(np.diag(sv), sv * x_true + 1e-3 * g / np.linalg.norm(g))
+    toy = toy_problem(np.diag(sv), sv * x_true + 1e-3 * g / np.linalg.norm(g))
     alphas = np.logspace(-1, -11, 21)
     alpha_star, curve = lcurve_select(toy, alphas)
     errs = [

@@ -1,0 +1,59 @@
+"""The package surface that the benchmark harness in ``perfbench/`` calls.
+
+``perfbench/pipeline.py`` and ``perfbench/tracing.py`` reach the package
+through module attributes, keywords and result fields that no other
+caller may use.  The benchmark's own test takes minutes, so this one
+makes the same calls, in the same form, on the shared reference data:
+removing or renaming any of them fails here first.
+"""
+
+import inspect
+
+import numpy as np
+
+from chident import data, inverse, model
+
+from conftest import GAMMA
+
+
+def test_observable_range_keywords_and_level_count(reference_data, params, window_times):
+    # pipeline.py reads the level count per range from the signature
+    default = inspect.signature(data.observable_range).parameters["n_levels"].default
+    assert default == 201
+    t = window_times[0]
+    ivs = data.observable_range(reference_data, GAMMA, params.F, t, threshold_rel=1e-3)
+    lo, hi = data.attained_range(reference_data, t)
+    assert ivs and all(lo <= a <= b <= hi for a, b in ivs)
+    report = data.build_observability_report(
+        reference_data, GAMMA, params.F, times=window_times[:2], threshold_rel=1e-3
+    )
+    assert np.isfinite(
+        np.median(report.residual(params.b, lambda s: params.b(s) * params.f(s, 1)))
+    )
+
+
+def test_assembly_and_solver_calls(reference_data, params, window_times):
+    times = window_times[:3]
+    grid = model.param_grid()
+    problems = {
+        "f": inverse.assemble_identify_f(reference_data, GAMMA, params.b, times, grid),
+        "b": inverse.assemble_identify_b(reference_data, GAMMA, params.F, times, grid),
+        "joint": inverse.assemble_identify_joint(reference_data, GAMMA, times, grid),
+    }
+    alphas = inverse.default_alpha_grid()
+    for kind, problem in problems.items():
+        sol = inverse.tikhonov_solve(problem, 1e-9)
+        # tracing.py sums this field over the solves
+        assert sol.cg_iterations == 0
+        direct = inverse.tikhonov_solve_direct(problem, 1e-9)
+        assert np.all(np.isfinite(direct.coefficients)), kind
+        alpha, curve = inverse.lcurve_select(problem, alphas, threads=1)
+        assert alpha in alphas and len(curve.solutions) == len(alphas)
+    attained = data.merge_intervals([data.attained_range(reference_data, t) for t in times])
+    c_vals = inverse.tikhonov_solve(problems["f"], 1e-10).coefficients
+    c_sol = model.SplineParameter(grid, c_vals, name="c")
+    rec = inverse.recover_fprime(c_sol, params.b)
+    err = inverse.range_restricted_error(rec, lambda s: params.f(s, 1), attained)
+    assert 0.0 <= err < 1.0
+    b_vals, c_vals = problems["joint"].split(np.zeros(problems["joint"].n_cols))
+    assert len(b_vals) == len(c_vals) == grid.n_knots

@@ -248,8 +248,8 @@ def test_verify_negative_control(tmp_path, monkeypatch):
 
     original = cli.coarea_coefficients
 
-    def flipped(data, gamma, s, t, degeneracy_rel=0.05):
-        samples = original(data, gamma, s, t, degeneracy_rel)
+    def flipped(data, gamma, s, t):
+        samples = original(data, gamma, s, t)
         return [dataclasses.replace(sample, A_b=-sample.A_b) for sample in samples]
 
     monkeypatch.setattr(cli, "coarea_coefficients", flipped)

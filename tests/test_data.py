@@ -15,6 +15,7 @@ from chident.meshbasis import (
     cell_polys,
     cubic_spline_basis,
     eval_field,
+    gauss_table,
     interpolate,
     poly_vals,
     quadratic_fe,
@@ -29,7 +30,6 @@ from chident.data import (
     build_observability_report,
     chemical_potential_from_data,
     coarea_coefficients,
-    independence_check,
     inject_noise,
     level_crossings,
     merge_intervals,
@@ -242,13 +242,18 @@ def test_chemical_potential_nodal_consistency(reference_data, params):
     assert np.max(np.abs(eval_field(mu, nodes) - direct)) < 1e-12
 
 
+def _independence_at(data, s, t1, t2):
+    """Two-time independence test of level s from the public co-area samples."""
+    return chdata._independence([coarea_coefficients(data, GAMMA, s, t) for t in (t1, t2)])
+
+
 def test_independence_check(reference_data):
-    cond, ok, mat = independence_check(reference_data, GAMMA, 0.1, 0.002, 0.006)
+    cond, ok, mat = _independence_at(reference_data, 0.1, 0.002, 0.006)
     assert mat.shape == (2, 2)
     assert ok and 1.0 <= cond < 100.0
     lo, hi = attained_range(reference_data, 0.002)
     with pytest.raises(DataError):
-        independence_check(reference_data, GAMMA, hi + 0.05, 0.002, 0.006)
+        _independence_at(reference_data, hi + 0.05, 0.002, 0.006)
 
 
 def test_spline_antiderivative_matches_closed_form():
@@ -303,9 +308,7 @@ def test_inject_noise_edge_cases(reference_data):
             inject_noise(reference_data, delta)
 
 
-@pytest.mark.parametrize("degeneracy_rel", [0.05, 0.4])
-def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
-                                       degeneracy_rel):
+def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
     real, calls = chdata.coarea_coefficients, []
 
     def counting(*args, **kwargs):
@@ -313,9 +316,7 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(chdata, "coarea_coefficients", counting)
-    report = build_observability_report(
-        reference_data, GAMMA, params.F, degeneracy_rel=degeneracy_rel
-    )
+    report = build_observability_report(reference_data, GAMMA, params.F)
     monkeypatch.undo()
     # one call per time at the time itself, one at its partner, each with
     # that time's levels
@@ -327,13 +328,13 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
         assert len(levels) == 7
         assert calls[2 * k][1] == t and calls[2 * k + 1][1] == partner
         assert all(np.array_equal(call[0], levels) for call in calls[2 * k:2 * k + 2])
-    # oracle: the row's sample and the two-time check from the public functions
+    # oracle: the row's sample and the two-time check from one call per level
     for i, row in enumerate(report.rows):
         k = list(report.times).index(row.t)
         partner = report.times[k + 1] if k + 1 < len(report.times) else report.times[k - 1]
-        sample = coarea_coefficients(reference_data, GAMMA, row.s, row.t, degeneracy_rel)
+        sample = coarea_coefficients(reference_data, GAMMA, row.s, row.t)
         try:
-            cond, _, _ = independence_check(reference_data, GAMMA, row.s, row.t, partner)
+            cond, _, _ = _independence_at(reference_data, row.s, row.t, partner)
         except DataError:
             cond = np.inf
         assert (row.A_b, row.A_c, row.A, row.degenerate) == (
@@ -344,11 +345,9 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch,
 
 def test_observability_report_smoke(reference_data, params):
     times = reference_data.times[[10, 50]]
-    report = build_observability_report(
-        reference_data, GAMMA, params.F, times=times, levels_per_time=5
-    )
+    report = build_observability_report(reference_data, GAMMA, params.F, times=times)
     assert np.allclose(report.times, times)
-    assert len(report.rows) == 10
+    assert len(report.rows) == 14
     for row in report.rows:
         assert row.t in times
         assert row.cond > 0.0  # inf marks an unusable partner time
@@ -547,7 +546,11 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.clip(np.nan_to_num(-d[:, 1] / (2.0 * d[:, 2])), 0.0, 1.0)
     sup = max(np.max(np.abs(poly_vals(d, u))) for u in (0.0, 1.0, vertex))
-    assert observable_range(data, GAMMA, potential, 0.0, threshold=sup * (1.0 + 1e-9)) == []
+    # the threshold is relative to the largest |mu'| at the Gauss points
+    # (at most sup), and never below MU_GRAD_FLOOR
+    gauss_sup = float(np.max(np.abs(gauss_table(basis, 8, 1).gather(mu.coef))))
+    just_above = sup * (1.0 + 1e-9) / gauss_sup if gauss_sup > 0.0 else 1.0
+    assert observable_range(data, GAMMA, potential, 0.0, threshold_rel=just_above) == []
 
 
 # --- a level array against one call per level -----------------------------

@@ -14,7 +14,6 @@ from chident.model import NaturalSplineGrid, SplineParameter, default_params, pa
 from chident import inverse
 from chident.data import ObservationData, time_derivative
 from chident.inverse import (
-    AssembledProblem,
     InverseError,
     assemble_identify_b,
     assemble_identify_f,
@@ -28,39 +27,15 @@ from chident.inverse import (
     tikhonov_solve_direct,
 )
 
+from conftest import toy_problem
+
 GAMMA = 0.003
-
-
-class _ShimGrams:
-    """Identity observation gram over ``n`` degrees of freedom."""
-
-    def __init__(self, n):
-        self.basis = type("_B", (), {"dof_count": n})()
-
-    def solve_M(self, v):
-        return np.asarray(v, dtype=float).copy()
-
-
-class _ShimR:
-    """Identity penalty."""
-
-    def apply(self, x):
-        return np.asarray(x, dtype=float).copy()
-
-
-def _toy(T, y):
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    y = np.asarray(y, dtype=float)
-    return AssembledProblem(
-        kind="toy", T=T, y=y, grams=_ShimGrams(T.shape[0]), R=_ShimR(),
-        grid=None, times=np.array([0.0]), data_hash="toy",
-    )
 
 
 @pytest.mark.parametrize("alpha", [1e-1, 1e-3, 1e-6])
 def test_scalar_closed_form(alpha):
     # min (x - 1)^2 + alpha x^2  ->  x = 1 / (1 + alpha)
-    problem = _toy([[1.0]], [1.0])
+    problem = toy_problem([[1.0]], [1.0])
     sol = tikhonov_solve(problem, alpha)
     exact = 1.0 / (1.0 + alpha)
     assert sol.coefficients[0] == pytest.approx(exact, rel=1e-12)
@@ -71,13 +46,13 @@ def test_scalar_closed_form(alpha):
 
 
 def test_zero_data_gives_zero_solution():
-    sol = tikhonov_solve(_toy([[1.0]], [0.0]), 1e-3)
+    sol = tikhonov_solve(toy_problem([[1.0]], [0.0]), 1e-3)
     assert sol.coefficients[0] == 0.0
     assert sol.residual_norm == 0.0 and sol.solution_norm == 0.0
 
 
 def test_alpha_validation():
-    problem = _toy([[1.0]], [1.0])
+    problem = toy_problem([[1.0]], [1.0])
     with pytest.raises(InverseError):
         tikhonov_solve(problem, 0.0)
     with pytest.raises(InverseError):
@@ -90,7 +65,7 @@ def _diag_toy():
     x_true = np.ones(7)
     g = rng.standard_normal(7)
     y = sv * x_true + 1e-3 * g / np.linalg.norm(g)
-    return _toy(np.diag(sv), y), x_true
+    return toy_problem(np.diag(sv), y), x_true
 
 
 def test_lcurve_corner_matches_brute_force():
