@@ -165,14 +165,7 @@ def cmd_make_data(args) -> int:
     noise = None
     if cfg.data.delta > 0.0:
         data, record = inject_noise(data, cfg.data.delta, cfg.data.seed)
-        noise = {
-            "delta": record.delta,
-            "seed": record.seed,
-            "sup_h3": record.sup_h3,
-            "sup_rate_dual": record.sup_rate_dual,
-            "omega": record.omega,
-            "t_peak": record.t_peak,
-        }
+        noise = asdict(record)
     params = cfg.model_params()
     report_obj = build_observability_report(
         data, cfg.forward.gamma, params.F,

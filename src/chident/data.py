@@ -220,17 +220,17 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     if not 0.0 <= delta < np.inf:
         raise DataError(f"noise level must be finite and nonnegative, got {delta}")
     if delta == 0.0:
-        clean = ObservationData(
+        same = ObservationData(
             basis=data.basis,
             times=data.times.copy(),
             coef=data.coef.copy(),
             tau_data=data.tau_data,
-            delta=0.0,
+            delta=data.delta,
             provenance=data.provenance,
             interp_sup=data.interp_sup,
             interp_l2=data.interp_l2,
         )
-        return clean, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
+        return same, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
 
     rng = np.random.default_rng(seed)
     nodes = data.basis.mesh.nodes()
@@ -319,7 +319,7 @@ _NEWTON_MAX_ITERS = 60
 
 
 def _level_roots(f: PeriodicField, levels: np.ndarray):
-    """Crossings of a snapshot with each of the levels, before merging.
+    """Crossings of a snapshot with each of the levels.
 
     A monotone piece (``_monotone_pieces``) holds one crossing when its
     half-open value range [start, end) holds s, so a piece constant at the
@@ -375,76 +375,37 @@ class LevelCrossings:
     third: np.ndarray      # phi''' there (midpoint-interpolated, second order)
 
 
-def _merge_close(xs: np.ndarray, us: np.ndarray, dist: float):
-    """Greedy merge of one level's sorted crossings closer than dist: the
-    kept indices and, for each, whether it stands on a knot."""
-    keep, merged_node = [], []
-    i = 0
-    m = len(xs)
-    while i < m:
-        j = i
-        while j + 1 < m and xs[j + 1] - xs[i] < dist:
-            j += 1
-        keep.append(i)
-        merged_node.append(j > i or us[i] < 1e-9 or us[i] > 1.0 - 1e-9)
-        i = j + 1
-    if len(keep) > 1 and (xs[keep[0]] + 1.0) - xs[keep[-1]] < dist:
-        keep = keep[:-1]
-        merged_node[0] = True
-        merged_node = merged_node[:-1]
-    return np.asarray(keep, dtype=int), merged_node
-
-
 def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings]:
     """All points of {phi = s} with slopes and third derivatives.
 
     ``s`` is one level or a 1-D array of levels; an array gives a list of
     crossings, one per level and each equal to the scalar call's, from one
     set of cell tables.  Each monotone piece whose half-open value range
-    [start, end) holds s gives one crossing (``_level_roots``); a piece
-    constant at the level gives none, and the co-area sample there is
-    degenerate either way.  Each level's crossings closer than 1e-9, the
-    wrap-around included, are merged (``_merge_close``).  The spline's
-    third derivative is piecewise constant, which is only first-order
-    accurate at an arbitrary point but second-order accurate at cell
-    midpoints; the reported value therefore interpolates the two nearest
-    midpoint values linearly, restoring second-order pointwise accuracy.  A crossing merged onto a knot gets the average of the two
-    adjacent pieces, which is the same rule at the knot position.
+    [start, end) holds s gives one crossing (``_level_roots``), so a
+    crossing at a cut or a knot is counted once; a piece constant at the
+    level gives none, and the co-area sample there is degenerate either
+    way.  The spline's third derivative is piecewise constant, which is
+    only first-order accurate at an arbitrary point but second-order
+    accurate at cell midpoints; the reported value therefore interpolates
+    the two nearest midpoint values linearly, restoring second-order
+    pointwise accuracy.  At a knot this is the average of the two adjacent
+    cells' values.
     """
     levels = np.atleast_1d(np.asarray(s, dtype=float))
-    lev, pcs, us = _level_roots(f, levels)
+    lev, jk, uk = _level_roots(f, levels)
     h = f.basis.mesh.h
     n = f.basis.mesh.n_cells
     # a root a rounding step below u = 1 in the last cell lands on x = 1
-    xs = ((pcs + us) * h) % 1.0
-    order = np.lexsort((xs, lev))
-    lev, xs, us, pcs = lev[order], xs[order], us[order], pcs[order]
-
-    # merge duplicates across cell boundaries (including the wrap-around),
-    # level by level
-    dist = 1e-9 * max(h, 1.0)
-    counts = np.bincount(lev, minlength=len(levels))
-    first = np.cumsum(counts) - counts
-    keep = np.zeros(len(xs), dtype=bool)
-    merged_node = np.zeros(len(xs), dtype=bool)
-    for k in np.flatnonzero(counts):
-        seg = slice(first[k], first[k] + counts[k])
-        kept, merged = _merge_close(xs[seg], us[seg], dist)
-        keep[first[k] + kept] = True
-        merged_node[first[k] + kept] = merged
-
-    lev, xk, uk, jk, merged_node = lev[keep], xs[keep], us[keep], pcs[keep], merged_node[keep]
+    xk = ((jk + uk) * h) % 1.0
+    order = np.lexsort((xk, lev))
+    lev, xk, uk, jk = lev[order], xk[order], uk[order], jk[order]
     slope = poly_vals(cell_polys(f.basis, f.coef, 1)[jk], uk)
     p3 = cell_polys(f.basis, f.coef, 3)[:, 0]
-    # snapped to a knot: halfway between the adjacent cell midpoints
-    jr = np.where(uk < 0.5, jk, (jk + 1) % n)
-    at_knot = 0.5 * (p3[(jr - 1) % n] + p3[jr])
-    # otherwise: between the midpoints of this cell and its nearer neighbour
+    # between the midpoints of this cell and its nearer neighbour
     upper = uk >= 0.5
     t = np.where(upper, uk - 0.5, uk + 0.5)
     left = np.where(upper, jk, (jk - 1) % n)
-    between = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
-    third = np.where(merged_node, at_knot, between)
+    third = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
     cut = np.cumsum(np.bincount(lev, minlength=len(levels)))[:-1]
     out = [
         LevelCrossings(float(level), *parts)
@@ -619,17 +580,18 @@ def observable_range(
     """
     k = data.index_of(t)
     mu = chemical_potential_from_data(data, gamma, potential, t)
-    lo, hi = attained_range(data, t)
+    p = cell_polys(data.basis, data.coef[k])
+    pieces, vals = _monotone_pieces(p)
+    lo, hi = float(vals.min()), float(vals.max())   # the attained range
     span = hi - lo
     if span <= 0.0:
         return []
     grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
     threshold = max(threshold_rel * float(np.max(np.abs(grad))), MU_GRAD_FLOOR)
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
-    p = cell_polys(data.basis, data.coef[k])
     d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2
     cuts = np.sort(np.concatenate([
-        _monotone_pieces(p)[0],
+        pieces,
         _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - threshold),
         _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + threshold),
     ], axis=1), axis=1)

@@ -32,6 +32,23 @@ def test_observable_range_keywords_and_level_count(reference_data, params, windo
     )
 
 
+def test_report_reaches_level_crossings_through_the_module(
+    reference_data, params, window_times, monkeypatch
+):
+    # tracing.py counts the report's level-set work by wrapping this attribute
+    real, calls = data.level_crossings, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(data, "level_crossings", counting)
+    report = data.build_observability_report(
+        reference_data, GAMMA, params.F, times=window_times[:2], threshold_rel=1e-3
+    )
+    assert len(calls) == 2 * len(report.times) == 4
+
+
 def test_assembly_and_solver_calls(reference_data, params, window_times):
     times = window_times[:3]
     grid = model.param_grid()

@@ -303,6 +303,11 @@ def test_inject_noise_edge_cases(reference_data):
     clean, rec = inject_noise(reference_data, 0.0, seed=3)
     assert rec.sup_h3 == 0.0
     assert np.array_equal(clean.coef, reference_data.coef)
+    # zero noise on a noisy container keeps its noise level and provenance
+    noisy, _ = inject_noise(reference_data, 1e-3, seed=3)
+    same, rec = inject_noise(noisy, 0.0, seed=3)
+    assert rec.delta == 0.0 and np.array_equal(same.coef, noisy.coef)
+    assert (same.delta, same.provenance) == (1e-3, "interpolation+synthetic-noise")
     for delta in (-1e-3, np.nan, np.inf):
         with pytest.raises(DataError):
             inject_noise(reference_data, delta)
@@ -594,17 +599,52 @@ def test_level_array_calls_equal_scalar_calls(n_cells, seed, shape):
     assert coarea_coefficients(data, GAMMA, [], 1e-4) == []
 
 
-def test_level_array_with_merged_knot_crossings():
+def test_level_array_keeps_every_root_and_knot_crossings():
     # phi has a double zero at the knot x = 0 (and one at x = 0.25); just
-    # above zero, the roots on either side of x = 0 are closer than the
-    # merge distance, so these levels run the greedy merge
+    # above zero, roots on either side of x = 0 lie closer than 1e-9, and
+    # every root of every level is kept
     basis = cubic_spline_basis(build_mesh(12))
     coef = np.full(12, 0.5)
     coef[[11, 0, 1]] = coef[[2, 3, 4]] = [0.2, -0.1, 0.2]
     f = PeriodicField(basis, coef)
-    levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0])
-    raw = np.bincount(chdata._level_roots(f, levels)[0], minlength=len(levels))
-    merged = [len(cr.x) for cr in level_crossings(f, levels)]
-    assert merged[0] < raw[0] and merged[2] < raw[2]
+    h = basis.mesh.h
+    knot_level = cell_polys(basis, coef)[1, 0]      # phi crosses it at the knots h and 2h
+    levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0, knot_level])
+    lev, cells, u = chdata._level_roots(f, levels)
+    crossings = level_crossings(f, levels)
+    for k, cr in enumerate(crossings):
+        assert np.array_equal(cr.x, np.sort(((cells + u)[lev == k] * h) % 1.0))
+    assert np.min(np.diff(crossings[0].x)) < 1e-9
+
+    # on a knot, phi''' is the average of the two adjacent cells' values
+    p3 = cell_polys(basis, coef, 3)[:, 0]
+    cr = crossings[-1]
+    for j in (1, 2):
+        (i,) = np.flatnonzero(cr.x == j * h)
+        assert cr.third[i] == 0.5 * (p3[j - 1] + p3[j])
     data = ObservationData(basis=basis, times=[0.0, 1e-4], coef=[0.9 * coef, coef], tau_data=1e-4)
     _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
+
+
+@settings(max_examples=40)
+@given(
+    n_cells=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["rough", "smooth"]),
+)
+def test_transversal_crossings_alternate_around_the_torus(n_cells, seed, shape):
+    # a duplicated or lost crossing leaves an odd count or two slopes of one
+    # sign in a row
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    coef = _random_periodic_spline(n_cells, seed, shape)
+    bounds = piece_value_bounds(basis, coef)
+    lo, hi = bounds[:, 0].min(), bounds[:, 1].max()
+    u = np.linspace(0.0, 1.0, 65)[:, None]
+    sup_slope = np.max(np.abs(poly_vals(cell_polys(basis, coef, 1), u)))
+    levels = lo + np.random.default_rng(seed).uniform(0.01, 0.99, 6) * (hi - lo)
+    for cr in level_crossings(PeriodicField(basis, coef), levels):
+        if np.min(np.abs(cr.slope), initial=np.inf) < 1e-6 * sup_slope:
+            continue
+        signs = np.sign(cr.slope)
+        assert len(signs) >= 2 and len(signs) % 2 == 0
+        assert np.all(signs != np.roll(signs, 1))
