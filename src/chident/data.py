@@ -213,7 +213,10 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     time with |q| <= 1, and omega is capped so that the H^-1 norm of the
     backward difference quotient of eta stays below ``delta`` as well.
     Both attained measures scale linearly in ``delta`` by construction
-    and are returned in the accompanying record.
+    and are returned in the accompanying record.  Only clean snapshots
+    take noise: on a container whose provenance already records synthetic
+    noise, ``delta`` would not bound the total perturbation, so any
+    ``delta`` > 0 raises ``DataError`` (``delta`` = 0 returns a copy).
 
     Returns the perturbed container and the noise record.
     """
@@ -231,6 +234,11 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
             interp_l2=data.interp_l2,
         )
         return same, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
+    if "synthetic-noise" in data.provenance:
+        raise DataError(
+            f"snapshots already carry synthetic noise (delta = {data.delta}); "
+            "noise is added to clean snapshots only"
+        )
 
     rng = np.random.default_rng(seed)
     nodes = data.basis.mesh.nodes()

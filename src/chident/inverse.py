@@ -18,12 +18,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import ObservationData, inject_noise
-from .meshbasis import GramPair, gauss_table
+from .meshbasis import GramPair, gauss_table, spline_node_values
 from .model import (
     NaturalSplineGrid,
     RegularizerGram,
     SplineParameter,
     assemble_param_gram,
+    mobility_floor,
     param_grid,
 )
 
@@ -179,8 +180,6 @@ def _select_indices(data: ObservationData, times) -> np.ndarray:
 
 
 def _check_phase_values(data: ObservationData, idx: np.ndarray):
-    from .meshbasis import spline_node_values
-
     vals = spline_node_values(data.coef[idx])
     if not np.all(np.isfinite(vals)):
         raise InverseError("data values are not finite")
@@ -191,9 +190,10 @@ def _check_phase_values(data: ObservationData, idx: np.ndarray):
 
 
 # observation times per assembly block, halved for the joint problem's two
-# column blocks: the block's (point, 2 n_knots) local-weight rows, 0.8 MB
-# on the paper grid, set the peak memory of the assembly
-_ASSEMBLY_BLOCK = 2
+# column blocks: the block's (point, 2 width) piece-relative local-weight
+# rows, 0.4 MB on the paper grid, and the (dof, time, 2 n_knots) cell sums
+# set the peak memory of the assembly
+_ASSEMBLY_BLOCK = 4
 
 
 def _assemble(
@@ -210,10 +210,14 @@ def _assemble(
     theta_j(s) is the natural spline of knot j; at a point in knot piece
     k it is m_left D[k, j] + m_right D[k + 1, j] + v_left [k == j] +
     v_right [k + 1 == j] with D the grid's curvature map.  Each Gauss
-    point therefore carries only its four local weights, scaled by w g,
-    in a 2 n_knots-wide row; one product with the psi' table sums the
-    points of every cell, the cells go to their dofs, and [D; I] maps
-    the (dof, 2 n_knots) block to knot columns once per block of times.
+    point therefore carries only its four local weights, scaled by w g.
+    They go into a row 2 width wide, relative to p0, the first piece
+    reached by the points of its (cell, time): width = max(piece - p0) + 2
+    over the block, and p0 <= n_knots - width keeps every column on the
+    grid.  One product with the psi' table sums the points of every
+    cell, one bincount adds column p0 + j of each cell's rows to its
+    dofs, and [D; I] maps the (dof, 2 n_knots) block to knot columns
+    once per block of times.
     """
     idx = _select_indices(data, times)
     _check_phase_values(data, idx)
@@ -234,13 +238,23 @@ def _assemble(
     dtau = (data.coef[idx] - data.coef[idx - 1]) / data.tau_data
     y = (data.grams.M_L2 @ dtau.T).T
 
-    def scatter(local):
-        """Cell sums (n_local, n_cells, ...) onto the dofs: (dof, ...)."""
-        out = np.zeros((bs,) + local.shape[2:])
-        for loc in range(n_local):
-            # a column of cell_dofs repeats no dof, so += adds every cell
-            out[cell_dofs[:, loc]] += local[loc]
-        return out
+    def piece_rows(phi_q, wg):
+        """p0 per (cell, time), the block's width and the rows relative to p0.
+
+        The rows come as (point, (cell, time, g, m/v, j)) for the psi' product.
+        """
+        piece, weights = grid.local_weights(phi_q.ravel())
+        piece = piece.reshape(phi_q.shape)
+        p0 = piece.min(axis=0)
+        width = int((piece - p0).max()) + 2
+        p0 = np.minimum(p0, nk - width)
+        rel = (piece - p0).ravel()
+        # the row of (point, g) starts at flat offset (point * n_g + g) * 2 width
+        at = (np.arange(rel.size * n_g) * (2 * width)).reshape(-1, n_g)
+        rows = np.zeros(rel.size * n_g * 2 * width)
+        for col, lw in zip((rel, rel + 1, width + rel, width + rel + 1), weights):
+            rows[at + col[:, None]] = wg * lw[:, None]
+        return p0, width, rows.reshape(N_QUAD, -1)
 
     def add_block(start, stop):
         """T rows of the times idx[start:stop], and their mobility term in y."""
@@ -250,11 +264,14 @@ def _assemble(
         phi_q, dphi_q, d3_q = (table @ cells.reshape(n_local, -1)).reshape(
             3, N_QUAD, n_cells, nb
         )
+        # flat (dof, time) of every (local dof, cell, time)
+        dof_time = cell_dofs.T[:, :, None] * nb + np.arange(nb)
         if kind == IDENTIFY_F:
             gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
             local = psi1.T @ (w * b_q * d3_q).reshape(N_QUAD, -1)
-            y[start:stop] -= gamma * scatter(local.reshape(n_local, n_cells, nb)).T
+            mob = np.bincount(dof_time.ravel(), local.ravel(), bs * nb)
+            y[start:stop] -= gamma * mob.reshape(bs, nb).T
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
             # spline snapshot; differencing a re-interpolated nodal mu field
@@ -263,15 +280,15 @@ def _assemble(
             gs = [gamma * d3_q - fp_q * dphi_q]
         else:
             gs = [gamma * d3_q, -dphi_q]
-        piece, weights = grid.local_weights(phi_q.ravel())
         wg = np.stack([w * g for g in gs], axis=-1).reshape(-1, n_g)
-        # the row of (point, g) starts at flat offset (point * n_g + g) * 2 nk
-        at = (np.arange(piece.size * n_g) * (2 * nk)).reshape(-1, n_g)
-        rows = np.zeros(piece.size * n_g * 2 * nk)
-        for col, lw in zip((piece, piece + 1, nk + piece, nk + piece + 1), weights):
-            rows[at + col[:, None]] = wg * lw[:, None]
-        local = (psi1.T @ rows.reshape(N_QUAD, -1)).reshape(n_local, n_cells, -1)
-        t_blk = scatter(local).reshape(-1, 2 * nk) @ knot_map
+        p0, width, rows = piece_rows(phi_q, wg)
+        local = psi1.T @ rows
+        # (local dof, cell, time, g, m/v, j) -> (dof, time, g, m/v nk + p0 + j)
+        offsets = (np.arange(2)[:, None] * nk + np.arange(width)).ravel()
+        target = ((dof_time[..., None] * n_g + np.arange(n_g)) * (2 * nk)
+                  + p0[:, :, None])[..., None] + offsets
+        sums = np.bincount(target.ravel(), local.ravel(), bs * nb * n_g * 2 * nk)
+        t_blk = sums.reshape(-1, 2 * nk) @ knot_map
         T[start:stop] = t_blk.reshape(bs, nb, -1).transpose(1, 0, 2)
 
     # one call per block, so a block's temporaries are gone before the next
@@ -300,8 +317,6 @@ def assemble_identify_f(
     Row block at time t: T_ij = -(theta_j(phi) phi', psi_i') and
     y_i = (d_tau phi, psi_i) - gamma (b(phi) phi''', psi_i').
     """
-    from .model import mobility_floor
-
     if mobility_floor(mobility) <= 0.0:
         raise InverseError("known mobility must be strictly positive")
     return _assemble(data, gamma, IDENTIFY_F, times, grid, mobility=mobility)

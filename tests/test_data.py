@@ -308,6 +308,9 @@ def test_inject_noise_edge_cases(reference_data):
     same, rec = inject_noise(noisy, 0.0, seed=3)
     assert rec.delta == 0.0 and np.array_equal(same.coef, noisy.coef)
     assert (same.delta, same.provenance) == (1e-3, "interpolation+synthetic-noise")
+    # a second noise draw would report only its own delta, not the total
+    with pytest.raises(DataError, match="already carry synthetic noise"):
+        inject_noise(noisy, 1e-3, seed=4)
     for delta in (-1e-3, np.nan, np.inf):
         with pytest.raises(DataError):
             inject_noise(reference_data, delta)
