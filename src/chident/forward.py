@@ -16,7 +16,12 @@ assembled straight into LAPACK band storage through a pattern fixed once
 per run, factored by ``dgbtrf`` and solved by ``dgbtrs``.  The factor is
 rebuilt when there is none, when the step length differs from the one
 it was built at (bisection), when the residual contracted by less than
-``THETA`` over the last iteration, and after a failed attempt.
+``THETA`` over the last iteration, and after a failed attempt.  The
+iterate stays in that band order for the whole step: the residual is a
+BLAS ``dgbmv`` with the constant blocks plus one scatter-add of the
+nonlinear terms, the update is ``dgbtrs`` on it as it is, and only the
+accepted state is put back in dof order.  Every step after the first
+starts from the linear extrapolation of the last two states.
 
 Convergence is judged on the true residual, in the dual norm, and the
 iteration is polished by one extra update once it meets the tolerance.
@@ -123,10 +128,20 @@ class _ForwardContext:
     out as a band.  The pattern and the constant blocks are set up here
     once; each Jacobian build only makes the cell-local blocks of K_b
     (b-weighted stiffness), C (b' mu' coupling) and M_f' (f'-weighted
-    mass) and scatters them into the band array.  Fields are evaluated
-    at the quadrature points, and functionals tested against the basis,
-    through the cached cell tables ``t0`` (values) and ``t1``
-    (gradients).
+    mass) and scatters them into the band array.
+
+    The Newton iterate, the residual and the update are band vectors:
+    arrays of the pattern's ``size`` in its ``position`` order, phi and
+    mu interleaved on the folded dofs.  The linear part of the residual,
+    [[M, 0], [-gamma K, M]] times the iterate, is one BLAS ``dgbmv``
+    with the pattern's constant blocks; M phi_n is formed once per step.
+    Fields are evaluated at the quadrature points from the iterate
+    through the rows ``cell_rows`` of each cell's dofs and the cached
+    cell tables ``t0`` (values) and ``t1`` (gradients), and the two
+    nonlinear terms are tested against the basis by one ``bincount``
+    onto those rows.  Read as a (dof, 2) array, a band vector holds phi
+    and mu as columns in the folded order of the H1 gram's band Cholesky
+    factor, so the dual norm is one ``dpbtrs`` call with that factor.
 
     The context keeps the band LU factor of the last Jacobian it built,
     with the step length it was built at.  ``factorize`` replaces it,
@@ -148,6 +163,16 @@ class _ForwardContext:
             [(0, 0), (0, 1), (1, 0)],
             {(0, 0): self.M, (1, 1): self.M, (1, 0): -params.gamma * self.K},
         )
+        # band-vector rows of the phi and mu dofs of every cell, (2, n_cells, n_local)
+        self.cell_rows = self.pattern.position[:, basis.cell_dofs()]
+        # tables that test tau b mu' against psi_i' (phi rows) and -f against
+        # psi_i (mu rows), with the quadrature weights folded in (the same on
+        # every cell of the uniform mesh); ``_local`` takes their cell sums
+        self._tests = (
+            self.t1.weights[0][:, None] * self.t1.table,
+            -self.t0.weights[0][:, None] * self.t0.table,
+        )
+        self._local = np.empty(self.cell_rows.shape)
         self.factor_tau = None          # step length of the held factor
         self._lu = None
         self.telemetry = SolverTelemetry()
@@ -156,9 +181,28 @@ class _ForwardContext:
         """Pairings (v, psi_i) (or with psi_i') of point values, weights included."""
         return tab.scatter(tab.weights * v.reshape(tab.weights.shape))
 
-    def residual_norm(self, r1: np.ndarray, r2: np.ndarray) -> float:
-        z = self.grams.solve_M(np.column_stack([r1, r2]))
-        return float(np.sqrt(max(r1 @ z[:, 0] + r2 @ z[:, 1], 0.0)))
+    def to_band(self, phi: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Band vector of the state (phi, mu)."""
+        x = np.empty(self.pattern.size)
+        x[self.pattern.position] = (phi, mu)
+        return x
+
+    def from_band(self, x: np.ndarray):
+        """The (phi, mu) coefficient vectors of a band vector."""
+        return x[self.pattern.position]
+
+    def mass_product(self, phi_n: np.ndarray) -> np.ndarray:
+        """Band vector of M phi_n on the phi rows, zero on the mu rows."""
+        out = self.pattern.constant_product(self.to_band(phi_n, np.zeros_like(phi_n)))
+        out[self.pattern.position[1]] = 0.0
+        return out
+
+    def dual_norm(self, r: np.ndarray) -> float:
+        """H^-1 norm of the residual pair, through the H1 gram's band factor."""
+        pairs = r.reshape(-1, 2)
+        z = self.grams.factor.solve_folded(pairs)
+        q = pairs[:, 0] @ z[:, 0] + pairs[:, 1] @ z[:, 1]
+        return float(np.sqrt(max(q, 0.0)))
 
     def min_mobility(self, phi: np.ndarray) -> float:
         return float(np.min(self.params.b(self.t0.gather(phi).ravel())))
@@ -171,28 +215,30 @@ class _ForwardContext:
         )
         return BandCholesky(self.M).solve(rhs)
 
-    def residual(self, phi_n, phi, mu, tau):
-        """Newton residual (r1, r2) at (phi, mu) and the point values it used.
+    def residual(self, x: np.ndarray, m_phi_n: np.ndarray, tau: float):
+        """Newton residual at the band vector x and the point values it used.
 
+        ``m_phi_n`` is ``mass_product(phi_n)`` of the step's start state.
         Raises MobilityError if the mobility is non-positive at a
         quadrature point of phi.
         """
         params = self.params
-        phi_q = self.t0.gather(phi).ravel()
+        rows, table0, table1 = self.cell_rows, self.t0.table, self.t1.table
+        phi_q = (x.take(rows[0]) @ table0.T).ravel()
         b_q = params.b(phi_q)
-        b_min = float(np.min(b_q))
+        b_min = float(b_q.min())
         if b_min <= 0.0:
             raise MobilityError(f"mobility reached {b_min:.3e} at a quadrature point")
         stats = self.telemetry
         stats.min_mobility = min(stats.min_mobility, b_min)
-        mu_grad_q = self.t1.gather(mu).ravel()
-        r1 = self.M @ (phi - phi_n) + tau * self._test(self.t1, b_q * mu_grad_q)
-        r2 = (
-            self.M @ mu
-            - params.gamma * (self.K @ phi)
-            - self._test(self.t0, params.f(phi_q))
-        )
-        return r1, r2, (phi_q, b_q, mu_grad_q)
+        mu_grad_q = (x.take(rows[1]) @ table1.T).ravel()
+        local, shape = self._local, self.t0.weights.shape
+        np.matmul((tau * b_q * mu_grad_q).reshape(shape), self._tests[0], out=local[0])
+        np.matmul(params.f(phi_q).reshape(shape), self._tests[1], out=local[1])
+        r = self.pattern.constant_product(x)
+        r -= m_phi_n
+        r += np.bincount(rows.ravel(), weights=local.ravel(), minlength=len(r))
+        return r, (phi_q, b_q, mu_grad_q)
 
     def jacobian(self, tau, point_values) -> np.ndarray:
         """Newton Jacobian, in band storage, from the values ``residual`` returned."""
@@ -225,40 +271,42 @@ class _ForwardContext:
     def drop_factor(self) -> None:
         self._lu = self.factor_tau = None
 
-    def newton_update(self, r1, r2) -> np.ndarray:
-        """Solve J (dphi, dmu) = (r1, r2) with the held factor; rows dphi, dmu."""
+    def newton_update(self, r: np.ndarray) -> np.ndarray:
+        """Solve J dx = r with the held factor; r and dx are band vectors."""
         pattern = self.pattern
-        rhs = np.empty(pattern.size)
-        rhs[pattern.position] = (r1, r2)
         lu, piv = self._lu
-        x, info = dgbtrs(lu, pattern.kl, pattern.ku, rhs, piv, overwrite_b=1)
+        dx, info = dgbtrs(lu, pattern.kl, pattern.ku, r, piv)
         if info != 0:
             raise SolverError(f"dgbtrs rejected argument {-info}")
         self.telemetry.solves += 1
-        return x[pattern.position]
+        return dx
 
 
-def _newton_step(ctx: _ForwardContext, phi_n: np.ndarray, mu: np.ndarray, tau: float):
-    """Advance one implicit Euler step from phi_n, warm-started at (phi_n, mu).
+def _newton_step(ctx: _ForwardContext, phi_n, mu, tau, guess=None):
+    """Advance one implicit Euler step from phi_n.
 
-    Chord iteration: the held factor serves every update until the step
-    length changes or the residual contracts by less than ``THETA``, and
-    then the Jacobian is rebuilt at the current iterate.  Returns the new
-    state, the number of updates made and the final residual norm.
+    The iteration starts from ``guess``, a (phi, mu) pair, or else from
+    (phi_n, mu).  Chord iteration: the held factor serves every update
+    until the step length changes or the residual contracts by less than
+    ``THETA``, and then the Jacobian is rebuilt at the current iterate.
+    Returns the new state, the number of updates made and the final
+    residual norm.
     """
-    phi = phi_n.copy()
-    mu = mu.copy()
+    start = (phi_n, mu) if guess is None else guess
+    x = ctx.to_band(*start)
+    m_phi_n = ctx.mass_product(phi_n)
     first_norm = last_norm = None
     polish_left = 1
     for it in range(MAX_NEWTON):
-        r1, r2, point_values = ctx.residual(phi_n, phi, mu, tau)
-        rnorm = ctx.residual_norm(r1, r2)
+        r, point_values = ctx.residual(x, m_phi_n, tau)
+        rnorm = ctx.dual_norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("Newton residual is not finite")
         if first_norm is None:
             first_norm = rnorm
         if rnorm <= NEWTON_TOL:
             if polish_left == 0:
+                phi, mu = ctx.from_band(x)
                 return phi, mu, it, rnorm
             polish_left -= 1
         elif rnorm > 1e6 * max(first_norm, 1.0):
@@ -267,18 +315,16 @@ def _newton_step(ctx: _ForwardContext, phi_n: np.ndarray, mu: np.ndarray, tau: f
             last_norm is not None and rnorm > THETA * last_norm
         ):
             ctx.factorize(tau, point_values)
-        dphi, dmu = ctx.newton_update(r1, r2)
-        phi -= dphi
-        mu -= dmu
+        x -= ctx.newton_update(r)
         last_norm = rnorm
     raise NewtonError(
         f"no convergence in {MAX_NEWTON} Newton iterations (residual {rnorm:.3e})"
     )
 
 
-def _advance(ctx, phi_n, mu_n, tau, depth=0):
+def _advance(ctx, phi_n, mu_n, tau, guess=None, depth=0):
     try:
-        phi, mu, iters, rnorm = _newton_step(ctx, phi_n, mu_n, tau)
+        phi, mu, iters, rnorm = _newton_step(ctx, phi_n, mu_n, tau, guess)
         stats = ctx.telemetry
         stats.max_newton_iters = max(stats.max_newton_iters, iters)
         stats.worst_residual = max(stats.worst_residual, rnorm)
@@ -290,20 +336,24 @@ def _advance(ctx, phi_n, mu_n, tau, depth=0):
             raise
     ctx.telemetry.bisections += 1
     half = 0.5 * tau
-    phi_h, mu_h = _advance(ctx, phi_n, mu_n, half, depth + 1)
-    return _advance(ctx, phi_h, mu_h, half, depth + 1)
+    phi_h, mu_h = _advance(ctx, phi_n, mu_n, half, depth=depth + 1)
+    return _advance(ctx, phi_h, mu_h, half, depth=depth + 1)
 
 
 def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float) -> Trajectory:
     """Run the stepper from ``phi0`` to ``t_end`` on a uniform time grid.
 
-    ``t_end`` must be an integer multiple of ``tau`` up to rounding.  On a
-    Newton failure (no convergence, a singular Jacobian, or a non-positive
-    mobility along an iterate) the step is bisected (recursively, up to
-    ``MAX_BISECT`` levels); recorded states stay on the uniform grid.  A
-    step whose start state already has a non-positive mobility fails at
-    once with ``MobilityError``.  The returned trajectory carries the
-    run's ``SolverTelemetry``.
+    ``t_end`` must be an integer multiple of ``tau`` up to rounding.  Every
+    step after the first starts its Newton iteration from the linear
+    extrapolation 2 x_n - x_(n-1) of the last two states (x = phi and
+    mu), whose phase mass is that of phi_n.  On a Newton failure (no
+    convergence, a singular Jacobian, or a non-positive mobility along
+    an iterate) the step is bisected (recursively, up to ``MAX_BISECT``
+    levels), and the half steps start from their own start state;
+    recorded states stay on the uniform grid.  A step whose start state
+    already has a non-positive mobility fails at once with
+    ``MobilityError``.  The returned trajectory carries the run's
+    ``SolverTelemetry``.
     """
     if not tau > 0.0 or not t_end > 0.0:
         raise SolverError("tau and t_end must be positive")
@@ -319,7 +369,8 @@ def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float)
     phi[0] = phi0.coef
     mu[0] = ctx.initial_mu(phi0.coef)
     for k in range(n_steps):
-        phi[k + 1], mu[k + 1] = _advance(ctx, phi[k], mu[k], tau)
+        guess = None if k == 0 else (2.0 * phi[k] - phi[k - 1], 2.0 * mu[k] - mu[k - 1])
+        phi[k + 1], mu[k + 1] = _advance(ctx, phi[k], mu[k], tau, guess)
     times = np.arange(n_steps + 1) * tau
     return Trajectory(phi0.basis, tau, times, phi, mu, ctx.telemetry)
 

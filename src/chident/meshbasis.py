@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_circulant
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 QUADRATIC_FE = "quadratic-fe"
@@ -391,8 +392,10 @@ class BlockPattern:
     block I.  Cells then touch only nearby rows, also across the periodic
     wrap, so the matrix is a pure band with ``kl`` sub- and ``ku``
     super-diagonals, read off the pattern.  ``assemble`` returns the
-    Fortran-ordered (2 kl + ku + 1, size) array that LAPACK ``gbsv``
+    Fortran-ordered (2 kl + ku + 1, size) array that LAPACK ``gbtrf``
     factors in place: entry (i, j) sits at row kl + ku + i - j, column j.
+    ``constant_product`` multiplies the constant blocks alone with a
+    vector in this order.
     """
 
     def __init__(self, basis: SpatialBasis, n_blocks: int, cell_blocks, constant):
@@ -424,6 +427,18 @@ class BlockPattern:
             weights=np.concatenate(values),
             minlength=self.n_band_rows * self.size,
         )
+        # the constant blocks in BLAS gbmv storage: entry (i, j) at row ku + i - j
+        self._constant_band = np.asfortranarray(
+            self._base.reshape(self.size, self.n_band_rows).T[self.kl:]
+        )
+
+    def constant_product(self, x: np.ndarray) -> np.ndarray:
+        """The constant blocks times x, by one BLAS ``dgbmv``."""
+        # the wrapper asks for at least kl + ku + 1 rows; the band holds no
+        # entry in rows past ``size``, so the product is 0 there
+        rows = max(self.size, self.kl + self.ku + 1)
+        out = dgbmv(rows, self.size, self.kl, self.ku, 1.0, self._constant_band, x)
+        return out[: self.size]
 
     def assemble(self, *cell_values: np.ndarray) -> np.ndarray:
         """Base plus the per-cell local matrices, one array per cell block."""
@@ -444,8 +459,8 @@ class BandCholesky:
     also across the periodic wrap, so the gram is a pure band of
     half-width ``kd``, read off its entries.  The lower band goes to
     LAPACK ``dpbtrf`` once (entry (i, j), i >= j, at row i - j, column
-    j); ``solve`` permutes into the folded order and back around one
-    ``dpbtrs`` call.
+    j).  ``solve_folded`` is one ``dpbtrs`` call on rows already in the
+    folded order; ``solve`` permutes into that order and back around it.
     """
 
     def __init__(self, mat: sp.spmatrix):
@@ -463,11 +478,16 @@ class BandCholesky:
         if info != 0:
             raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs for one vector or for stacked columns."""
-        x, info = dpbtrs(self._factor, np.asarray(rhs, dtype=float)[self.order], lower=1)
+    def solve_folded(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs, with the rows of rhs and of the result in folded order."""
+        x, info = dpbtrs(self._factor, rhs, lower=1)
         if info != 0:
             raise AssemblyError(f"dpbtrs rejected argument {-info}")
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for one vector or for stacked columns."""
+        x = self.solve_folded(np.asarray(rhs, dtype=float)[self.order])
         out = np.empty_like(x)
         out[self.order] = x
         return out
@@ -477,9 +497,9 @@ class BandCholesky:
 class GramPair:
     """L2 and H1 gram matrices of a basis.
 
-    The H1 gram is factored on the first ``solve_M`` call, once, as a
-    symmetric band (``BandCholesky``); the forward, data and inverse
-    layers all apply its inverse through that factor.
+    The H1 gram is factored on first use, once, as a symmetric band
+    (``factor``); the forward, data and inverse layers all apply its
+    inverse through that factor.
     """
 
     basis: SpatialBasis
@@ -488,11 +508,16 @@ class GramPair:
     M: sp.csr_matrix          # H1 gram = M_L2 + K
     _factor: BandCholesky | None = field(default=None, repr=False)
 
-    def solve_M(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse H1 gram to one vector or to stacked columns."""
+    @property
+    def factor(self) -> BandCholesky:
+        """Band Cholesky factor of the H1 gram, built on first use."""
         if self._factor is None:
             self._factor = BandCholesky(self.M)
-        return self._factor.solve(rhs)
+        return self._factor
+
+    def solve_M(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the inverse H1 gram to one vector or to stacked columns."""
+        return self.factor.solve(rhs)
 
 
 def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:

@@ -289,18 +289,33 @@ def assemble_param_gram(grid: NaturalSplineGrid) -> RegularizerGram:
 GAMMA_DEFAULT = 0.003
 
 
+# The closed forms below use products, not ``**``: numpy's float power
+# goes through libm pow for cubes and fourth powers, several times slower
+# than a multiplication, and the stepper evaluates f and b at every Newton
+# iteration.
+
+
 def _dw_F(s):
-    return (s - 0.99) ** 2 * (s + 0.99) ** 4
+    """F(s) = (s - 0.99)^2 (s + 0.99)^4."""
+    a, p = s - 0.99, s + 0.99
+    p2 = p * p
+    return a * a * (p2 * p2)
 
 
 def _dw_f(s):
+    """F'(s) = 2 (s - 0.99) (s + 0.99)^4 + 4 (s - 0.99)^2 (s + 0.99)^3."""
     a, p = s - 0.99, s + 0.99
-    return 2.0 * a * p**4 + 4.0 * a**2 * p**3
+    p3 = p * p * p
+    return 2.0 * a * (p3 * p) + 4.0 * (a * a) * p3
 
 
 def _dw_fprime(s):
+    """F''(s) = 2 (s + 0.99)^4 + 16 (s - 0.99) (s + 0.99)^3
+    + 12 (s - 0.99)^2 (s + 0.99)^2.
+    """
     a, p = s - 0.99, s + 0.99
-    return 2.0 * p**4 + 16.0 * a * p**3 + 12.0 * a**2 * p**2
+    p2 = p * p
+    return 2.0 * (p2 * p2) + 16.0 * a * (p2 * p) + 12.0 * (a * a) * p2
 
 
 def default_potential() -> ClosedFormParameter:
@@ -309,19 +324,24 @@ def default_potential() -> ClosedFormParameter:
 
 
 def _mob(s):
-    return (1.0 - s) ** 4 * (1.0 + s) ** 2 + 0.2
+    """b(s) = (1 - s)^4 (1 + s)^2 + 0.2."""
+    u, v = 1.0 - s, 1.0 + s
+    u2 = u * u
+    return (u2 * u2) * (v * v) + 0.2
 
 
 def _mob_d1(s):
-    return -4.0 * (1.0 - s) ** 3 * (1.0 + s) ** 2 + 2.0 * (1.0 - s) ** 4 * (1.0 + s)
+    """b'(s) = -4 (1 - s)^3 (1 + s)^2 + 2 (1 - s)^4 (1 + s)."""
+    u, v = 1.0 - s, 1.0 + s
+    u3 = u * u * u
+    return -4.0 * u3 * (v * v) + 2.0 * (u3 * u) * v
 
 
 def _mob_d2(s):
-    return (
-        12.0 * (1.0 - s) ** 2 * (1.0 + s) ** 2
-        - 16.0 * (1.0 - s) ** 3 * (1.0 + s)
-        + 2.0 * (1.0 - s) ** 4
-    )
+    """b''(s) = 12 (1 - s)^2 (1 + s)^2 - 16 (1 - s)^3 (1 + s) + 2 (1 - s)^4."""
+    u, v = 1.0 - s, 1.0 + s
+    u2 = u * u
+    return 12.0 * u2 * (v * v) - 16.0 * (u2 * u) * v + 2.0 * (u2 * u2)
 
 
 def default_mobility() -> ClosedFormParameter:

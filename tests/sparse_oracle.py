@@ -61,23 +61,38 @@ def _poly_eval(table: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
 def basis_matrix(basis: SpatialBasis, x, order: int = 0) -> sp.csr_matrix:
     """Sparse evaluation matrix E with E[p, i] = d^order psi_i (x_p).
 
-    The rows of ``E @ coef`` are point values of the expanded field.
+    ``x`` holds abscissae, which are located in their cells, or a pair
+    (cells, u) of cell indices and local coordinates in [0, 1], which
+    are taken as they are.  The rows of ``E @ coef`` are point values of
+    the expanded field.
     """
     if order < 0 or order > basis.max_order:
         raise BasisError(
             f"derivative order {order} out of range for {basis.kind}"
         )
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    cells, u = basis.mesh.locate(x)
+    if isinstance(x, tuple):
+        cells, u = (np.atleast_1d(np.asarray(a)) for a in x)
+    else:
+        cells, u = basis.mesh.locate(np.atleast_1d(np.asarray(x, dtype=float)))
     vals = _poly_eval(_shape_table(basis.kind), u, order)
     vals *= float(basis.mesh.n_cells) ** order  # d/dx = n d/du
     cols = basis.cell_dofs()[cells]
-    rows = np.repeat(np.arange(len(x)), cols.shape[1])
-    mat = sp.csr_matrix(
+    rows = np.repeat(np.arange(len(u)), cols.shape[1])
+    return sp.csr_matrix(
         (vals.ravel(), (rows, cols.ravel())),
-        shape=(len(x), basis.dof_count),
+        shape=(len(u), basis.dof_count),
     )
-    return mat
+
+
+def gauss_points(basis: SpatialBasis, n_quad: int):
+    """(cells, u) of the Gauss-Legendre points of every cell, cell by cell.
+
+    The same points as ``quadrature_rule``, given by cell index and local
+    coordinate, so that ``basis_matrix`` need not locate them again.
+    """
+    u = 0.5 * (np.polynomial.legendre.leggauss(n_quad)[0] + 1.0)
+    n_cells = basis.mesh.n_cells
+    return np.repeat(np.arange(n_cells), n_quad), np.tile(u, n_cells)
 
 
 def weighted_gram(

@@ -56,7 +56,7 @@ def test_simulate_outputs(pipeline):
     assert report["energy_monotone"] is True
     assert "config_text" in report
     solver = report["solver"]
-    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 80, 0)
+    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 81, 0)
     assert solver["max_newton_iters"] >= 1
     assert 0.0 < solver["worst_residual"] <= 1e-12
     assert solver["min_mobility"] > 0.0

@@ -11,7 +11,7 @@ from chident.meshbasis import (
     interpolate,
     quadrature_rule,
 )
-from sparse_oracle import basis_matrix
+from sparse_oracle import basis_matrix, gauss_points
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
 from chident.data import ObservationData, time_derivative
@@ -164,8 +164,9 @@ def test_assembly_rejects_out_of_range_data():
 
 def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n_quad=12):
     """Reference (T, y): one time at a time, from sparse evaluation matrices."""
-    x, w = quadrature_rule(data.basis.mesh, n_quad)
-    e = [basis_matrix(data.basis, x, r) for r in range(4)]
+    w = quadrature_rule(data.basis.mesh, n_quad)[1]
+    points = gauss_points(data.basis, n_quad)
+    e = [basis_matrix(data.basis, points, r) for r in range(4)]
     nk, bs = grid.n_knots, data.basis.dof_count
     blocks_t, blocks_y = [], []
     for t in times:
@@ -213,11 +214,10 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
     grids = (param_grid(), NaturalSplineGrid(-0.5, 0.5, 0.25),
              NaturalSplineGrid(-1.0, 1.0, 0.02))
     for grid in grids:
-        # the oracle locates its Gauss points from rounded abscissae (local
-        # coordinates off by up to 1.4e-14), which moves phi by up to 4e-15
-        # where |phi'| ~ 30; theta_j has slopes ~ 1 / spacing, so below the
-        # paper spacing the deviation grows that way (2.3e-13 at 0.02)
-        tol = 1e-13 * max(1.0, 0.1 / grid.spacing)
+        # the b weight mu' = gamma phi''' - F''(phi) phi' nearly cancels where
+        # phi is near a well, so the two routes' rounding of phi' (summed in
+        # different orders) shows there, most on the fine grid (1.3e-13)
+        tol = 2e-13 if kind == "b" and grid.spacing < 0.1 else 1e-13
         problem = _assemble_kind(reference_data, kind, times, grid, params)
         t_ref, y_ref = _assemble_per_time(
             reference_data, kind, times, grid, mobility=params.b, potential=params.F

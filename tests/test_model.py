@@ -67,6 +67,32 @@ def test_closed_form_derivatives_consistent(which):
     assert np.max(np.abs(fd2 - p(s, 2))) < 1e-5 * max(1.0, np.max(np.abs(fd2)))
 
 
+# the closed forms written with ``**``, as in the model's documentation
+_LITERAL_FORMS = {
+    "F": (
+        lambda s: (s - 0.99) ** 2 * (s + 0.99) ** 4,
+        lambda s: 2.0 * (s - 0.99) * (s + 0.99) ** 4 + 4.0 * (s - 0.99) ** 2 * (s + 0.99) ** 3,
+        lambda s: 2.0 * (s + 0.99) ** 4 + 16.0 * (s - 0.99) * (s + 0.99) ** 3
+        + 12.0 * (s - 0.99) ** 2 * (s + 0.99) ** 2,
+    ),
+    "b": (
+        lambda s: (1.0 - s) ** 4 * (1.0 + s) ** 2 + 0.2,
+        lambda s: -4.0 * (1.0 - s) ** 3 * (1.0 + s) ** 2 + 2.0 * (1.0 - s) ** 4 * (1.0 + s),
+        lambda s: 12.0 * (1.0 - s) ** 2 * (1.0 + s) ** 2
+        - 16.0 * (1.0 - s) ** 3 * (1.0 + s) + 2.0 * (1.0 - s) ** 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("which", ["F", "b"])
+def test_closed_forms_match_literal_powers(which):
+    p = getattr(default_params(0.003), which)
+    s = np.linspace(-1.5, 1.5, 30001)
+    for order, literal in enumerate(_LITERAL_FORMS[which]):
+        ref = literal(s)
+        assert np.max(np.abs(p(s, order) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_natural_spline_grid_matches_reference():
     grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
     assert grid.n_knots == 9
