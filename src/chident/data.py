@@ -611,22 +611,30 @@ def observable_range(
     lower = np.sort(np.minimum(left, right))
     upper = np.sort(np.maximum(left, right))
     good = np.searchsorted(lower, levels, "right") > np.searchsorted(upper, levels, "left")
-    intervals = []
-    i = 0
-    while i < n_levels:
-        if good[i]:
-            j = i
-            while j + 1 < n_levels and good[j + 1]:
-                j += 1
-            intervals.append((float(levels[i]), float(levels[j])))
-            i = j + 1
-        else:
-            i += 1
-    return intervals
+    return _level_runs(levels, good)
+
+
+def _level_runs(levels: np.ndarray, good: np.ndarray) -> list[tuple[float, float]]:
+    """(first, last) level of each run of consecutive ``good`` levels."""
+    # +1 where a run starts, -1 one past its end
+    edges = np.diff(good.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return list(zip(levels[starts].tolist(), levels[stops - 1].tolist()))
 
 
 # column-scaled condition number below which two times separate b(s) from c(s)
 COND_CAP = 1e4
+
+
+def _column_scaled_cond(mats: np.ndarray) -> np.ndarray:
+    """Condition numbers of a stack (n, 2, 2) of row matrices after
+    scaling each matrix's columns to unit norm; ``inf`` where a column
+    is zero."""
+    scale = np.linalg.norm(mats, axis=1)
+    usable = np.all(scale != 0.0, axis=1)
+    cond = np.full(len(mats), np.inf)
+    cond[usable] = np.linalg.cond(mats[usable] / scale[usable, None, :])
+    return cond
 
 
 def _independence(samples):
@@ -644,10 +652,7 @@ def _independence(samples):
                 f"degenerate level set at (s, t) = ({sample.s:g}, {sample.t:g})"
             )
     mat = np.asarray([[sample.A_b, sample.A_c] for sample in samples])
-    scale = np.linalg.norm(mat, axis=0)
-    if np.any(scale == 0.0):
-        return np.inf, False, mat
-    cond = float(np.linalg.cond(mat / scale))
+    cond = float(_column_scaled_cond(mat[None])[0])
     return cond, cond < COND_CAP, mat
 
 
@@ -700,8 +705,9 @@ def build_observability_report(
     Levels are ``LEVELS_PER_TIME`` interior quantiles of each attained
     range.  Each row pairs the time with its successor (or predecessor,
     at the boundary) for the two-time independence condition number
-    (``_independence``); a time's levels are sampled in one
-    ``coarea_coefficients`` call there and one at the partner time.
+    (``_column_scaled_cond``, ``inf`` when either sample is degenerate).
+    Each distinct time is sampled in one ``coarea_coefficients`` call:
+    its own rows' levels, then those of the rows that use it as partner.
     """
     if times is None:
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
@@ -716,29 +722,41 @@ def build_observability_report(
         for t in times
     ]
     fractions = (np.arange(LEVELS_PER_TIME) + 1.0) / (LEVELS_PER_TIME + 1.0)
-    rows = []
-    for i, t in enumerate(times):
-        lo, hi = attained[i]
-        levels = lo + fractions * (hi - lo)
-        partner = times[i + 1] if i + 1 < len(times) else times[i - 1]
-        samples = coarea_coefficients(data, gamma, levels, t)
-        others = coarea_coefficients(data, gamma, levels, partner)
-        for s, sample, other in zip(levels.tolist(), samples, others):
-            try:
-                cond, _, _ = _independence([sample, other])
-            except DataError:
-                cond = np.inf
-            rows.append(
-                ObservabilityRow(
-                    t=float(t),
-                    s=s,
-                    A_b=sample.A_b,
-                    A_c=sample.A_c,
-                    A=sample.A,
-                    cond=cond,
-                    in_attained=lo <= s <= hi,
-                    in_observable=any(a <= s <= b for a, b in observable[i]),
-                    degenerate=sample.degenerate,
-                )
-            )
+    lo, hi = np.asarray(attained, dtype=float).reshape(-1, 2).T
+    levels = lo[:, None] + fractions * (hi - lo)[:, None]
+    n = len(times)
+    partner = np.append(np.arange(1, n), max(n - 2, 0))[:n]
+    # slot j < n_rows is row j at its own time, slot n_rows + j the same
+    # row at its partner time; each distinct time takes its slots in order
+    distinct, own = np.unique(times, return_inverse=True)
+    keys = np.repeat(np.concatenate([own, own[partner]]), LEVELS_PER_TIME)
+    flat = np.concatenate([levels, levels]).ravel()
+    samples = [None] * len(flat)
+    for u, t in enumerate(distinct):
+        slots = np.flatnonzero(keys == u)
+        for j, sample in zip(slots.tolist(), coarea_coefficients(data, gamma, flat[slots], t)):
+            samples[j] = sample
+    n_rows = levels.size
+    mine, other = samples[:n_rows], samples[n_rows:]
+
+    mats = np.array([[[a.A_b, a.A_c], [b.A_b, b.A_c]] for a, b in zip(mine, other)])
+    cond = _column_scaled_cond(mats.reshape(n_rows, 2, 2))
+    cond[[a.degenerate or b.degenerate for a, b in zip(mine, other)]] = np.inf
+    rows = [
+        ObservabilityRow(
+            t=float(times[i]),
+            s=s,
+            A_b=sample.A_b,
+            A_c=sample.A_c,
+            A=sample.A,
+            cond=c,
+            in_attained=attained[i][0] <= s <= attained[i][1],
+            in_observable=any(a <= s <= b for a, b in observable[i]),
+            degenerate=sample.degenerate,
+        )
+        for i, s, sample, c in zip(
+            np.repeat(np.arange(n), LEVELS_PER_TIME).tolist(),
+            levels.ravel().tolist(), mine, cond.tolist(),
+        )
+    ]
     return ObservabilityReport(times, attained, observable, rows)

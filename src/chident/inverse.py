@@ -36,8 +36,11 @@ PROBLEM_KINDS = (IDENTIFY_F, IDENTIFY_B, IDENTIFY_JOINT)
 
 # Gauss points per observation cell of the assembly
 N_QUAD = 12
-# Gauss-Legendre points per interval of ``range_restricted_error``
+# Gauss-Legendre points per interval of ``range_restricted_error``, and
+# the rule on [-1, 1], built once
 ERROR_QUAD = 32
+_ERROR_NODES, _ERROR_WEIGHTS = np.polynomial.legendre.leggauss(ERROR_QUAD)
+_ERROR_NODES.flags.writeable = _ERROR_WEIGHTS.flags.writeable = False
 # smallest known mobility at a knot that ``recover_fprime`` divides by
 B_FLOOR = 1e-8
 
@@ -542,11 +545,10 @@ def range_restricted_error(reconstruction, truth, intervals) -> float:
     ivs = [(float(a), float(b)) for a, b in intervals if float(b) > float(a)]
     if not ivs:
         raise InverseError("empty range for error evaluation")
-    g, wref = np.polynomial.legendre.leggauss(ERROR_QUAD)
     num = den = 0.0
     for a, b in ivs:
-        s = 0.5 * (a + b) + 0.5 * (b - a) * g
-        w = 0.5 * (b - a) * wref
+        s = 0.5 * (a + b) + 0.5 * (b - a) * _ERROR_NODES
+        w = 0.5 * (b - a) * _ERROR_WEIGHTS
         rec = np.asarray(reconstruction(s), dtype=float)
         tru = np.asarray(truth(s), dtype=float)
         num += w @ (rec - tru) ** 2

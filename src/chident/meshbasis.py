@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_circulant
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -245,13 +244,20 @@ def eval_field(f: PeriodicField, x, order: int = 0):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _spline_collocation_kernel(n: int) -> np.ndarray:
-    """First column of the circulant spline collocation matrix."""
+@lru_cache(maxsize=64)
+def _collocation_spectrum(n: int) -> np.ndarray:
+    """FFT of the first column of the circulant spline collocation matrix.
+
+    Its entries are 2/3 + cos(2 pi k / n) / 3 >= 1/3, so the system is
+    never singular.  Read-only.
+    """
     ker = np.zeros(n)
     ker[0] = 4.0 / 6.0
     ker[1] = 1.0 / 6.0
     ker[-1] = 1.0 / 6.0
-    return ker
+    spectrum = np.fft.fft(ker)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def interpolate(basis: SpatialBasis, values) -> PeriodicField:
@@ -282,13 +288,14 @@ def spline_node_values(coef: np.ndarray) -> np.ndarray:
 def interpolate_many(basis: SpatialBasis, values: np.ndarray) -> np.ndarray:
     """Row-wise interpolation of a (n_fields, dof) value array.
 
-    For periodic splines the banded circulant system is solved by FFT.
+    For periodic splines the circulant collocation system is solved by
+    FFT, row by row, against the cached spectrum of its kernel.
     """
     values = np.asarray(values, dtype=float)
     if basis.kind == QUADRATIC_FE:
         return values.copy()
-    ker = _spline_collocation_kernel(basis.dof_count)
-    return solve_circulant(ker, values.T).T
+    spectrum = _collocation_spectrum(basis.dof_count)
+    return np.fft.ifft(np.fft.fft(values, axis=-1) / spectrum, axis=-1).real
 
 
 def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.ndarray:
@@ -520,22 +527,14 @@ class GramPair:
         return self.factor.solve(rhs)
 
 
-def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
-    a = a.tocsr()
-    dev = abs(a - a.T)
-    scale = max(abs(a).max(), 1.0)
-    if dev.nnz and dev.max() > 1e-12 * scale:
-        raise AssemblyError("assembled gram deviates from symmetry")
-    return ((a + a.T) * 0.5).tocsr()
-
-
 def assemble_grams(basis: SpatialBasis) -> GramPair:
     """Assemble the L2 gram and stiffness matrix of a basis.
 
     The element grams of the cached cell tables go into one sparse
     matrix each, summed over ``cell_dofs``.  The quadrature
-    (``_GRAM_QUAD``) integrates the products exactly.  Both matrices are
-    symmetrized and checked for positive diagonals.
+    (``_GRAM_QUAD``) integrates the products exactly.  The element grams
+    are checked for symmetry and symmetrized before the sum, and the L2
+    gram is checked for a positive diagonal.
     """
     nq = _GRAM_QUAD[basis.kind]
     rows, cols = _cell_entries(basis)
@@ -544,7 +543,12 @@ def assemble_grams(basis: SpatialBasis) -> GramPair:
     def gram(order):
         tab = gauss_table(basis, nq, order)
         local = element_grams(tab.table, tab.table, tab.weights)
-        return _symmetrize(sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape))
+        local_t = local.transpose(0, 2, 1)
+        scale = max(float(np.max(np.abs(local))), 1.0)
+        if np.max(np.abs(local - local_t)) > 1e-12 * scale:
+            raise AssemblyError("assembled gram deviates from symmetry")
+        local = (local + local_t) * 0.5
+        return sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)
 
     m, k = gram(0), gram(1)
     if m.diagonal().min() <= 0.0:

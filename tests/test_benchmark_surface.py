@@ -46,7 +46,13 @@ def test_report_reaches_level_crossings_through_the_module(
     report = data.build_observability_report(
         reference_data, GAMMA, params.F, times=window_times[:2], threshold_rel=1e-3
     )
-    assert len(calls) == 2 * len(report.times) == 4
+    # one call per time: its own 7 levels, then those of the row that
+    # partners it (the two rows of a two-time report partner each other)
+    assert len(calls) == len(report.times) == 2
+    own = [[row.s for row in report.rows if row.t == t] for t in report.times]
+    for k, (f, levels) in enumerate(calls):
+        assert np.array_equal(f.coef, reference_data.coef[reference_data.index_of(report.times[k])])
+        assert np.array_equal(levels, own[k] + own[1 - k]), k
 
 
 def test_assembly_and_solver_calls(reference_data, params, window_times):

@@ -256,6 +256,52 @@ def test_independence_check(reference_data):
         _independence_at(reference_data, hi + 0.05, 0.002, 0.006)
 
 
+def test_column_scaled_cond_matches_per_matrix_cond():
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((6, 2, 2))
+    mats[2, :, 1] = 0.0                       # zero column
+    mats[4] = [[1.0, 2.0], [2.0, 4.0]]        # singular
+    got = chdata._column_scaled_cond(mats)
+    for i, mat in enumerate(mats):
+        scale = np.linalg.norm(mat, axis=0)
+        want = np.inf if np.any(scale == 0.0) else float(np.linalg.cond(mat / scale))
+        assert got[i] == want, i
+    assert got[2] == np.inf and got[4] > 1e15
+
+
+def _level_runs_loop(levels, good):
+    """Reference: the per-level scan that ``_level_runs`` replaced."""
+    n_levels = len(levels)
+    intervals = []
+    i = 0
+    while i < n_levels:
+        if good[i]:
+            j = i
+            while j + 1 < n_levels and good[j + 1]:
+                j += 1
+            intervals.append((float(levels[i]), float(levels[j])))
+            i = j + 1
+        else:
+            i += 1
+    return intervals
+
+
+def test_level_runs_match_loop():
+    levels = np.linspace(-0.3, 0.7, 201)
+    rng = np.random.default_rng(9)
+    cases = [
+        np.zeros(201, bool),                              # none observable
+        np.ones(201, bool),                               # all observable
+        np.r_[np.ones(5, bool), np.zeros(191, bool), np.ones(5, bool)],   # both ends
+        np.r_[True, np.zeros(199, bool), True],           # single levels at both ends
+        np.arange(201) % 2 == 0,                          # alternating
+        *(rng.random(201) < p for p in (0.1, 0.5, 0.9)),
+    ]
+    for good in cases:
+        assert chdata._level_runs(levels, good) == _level_runs_loop(levels, good)
+    assert chdata._level_runs(levels[:0], np.zeros(0, bool)) == []
+
+
 def test_spline_antiderivative_matches_closed_form():
     basis = cubic_spline_basis(build_mesh(200))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
@@ -326,16 +372,18 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
     monkeypatch.setattr(chdata, "coarea_coefficients", counting)
     report = build_observability_report(reference_data, GAMMA, params.F)
     monkeypatch.undo()
-    # one call per time at the time itself, one at its partner, each with
-    # that time's levels
+    # one call per time, with that time's own levels and then the levels
+    # of each row that uses it as partner (row k partners time k + 1, the
+    # last row time k - 1)
     n_times = len(report.times)
-    assert len(report.rows) == 35 and len(calls) == 2 * n_times
+    assert len(report.rows) == 35 and len(calls) == n_times
+    own = [[row.s for row in report.rows if row.t == t] for t in report.times]
+    partner_of = [k + 1 if k + 1 < n_times else k - 1 for k in range(n_times)]
     for k, t in enumerate(report.times):
-        levels = [row.s for row in report.rows if row.t == t]
-        partner = report.times[k + 1] if k + 1 < n_times else report.times[k - 1]
-        assert len(levels) == 7
-        assert calls[2 * k][1] == t and calls[2 * k + 1][1] == partner
-        assert all(np.array_equal(call[0], levels) for call in calls[2 * k:2 * k + 2])
+        assert len(own[k]) == 7
+        expect = own[k] + [s for i, p in enumerate(partner_of) if p == k for s in own[i]]
+        assert calls[k][1] == t
+        assert np.array_equal(calls[k][0], expect), k
     # oracle: the row's sample and the two-time check from one call per level
     for i, row in enumerate(report.rows):
         k = list(report.times).index(row.t)

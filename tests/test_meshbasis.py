@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_circulant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chident import meshbasis
 from chident.meshbasis import (
     PERIODIC_CUBIC_SPLINE,
     QUADRATIC_FE,
+    AssemblyError,
     BasisError,
     BlockPattern,
     MeshError,
@@ -88,6 +91,16 @@ def test_interpolate_many_matches_single():
     assert np.allclose(spline_node_values(coef)[0], vals[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 8, 100, 400])
+def test_interpolate_many_equals_solve_circulant(n):
+    basis = cubic_spline_basis(build_mesh(n))
+    ker = np.zeros(n)
+    ker[[0, 1, -1]] = [4.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]
+    rng = np.random.default_rng(n)
+    for values in (rng.standard_normal((1, n)), rng.standard_normal((5, n))):
+        assert np.array_equal(interpolate_many(basis, values), solve_circulant(ker, values.T).T)
+
+
 def test_spline_derivatives_converge():
     errs = []
     for n in (50, 100, 200):
@@ -122,6 +135,39 @@ def test_gram_matrices_structure(make):
     # M = M_L2 + K (full H1 gram)
     mh1 = grams.M.toarray() if hasattr(grams.M, "toarray") else np.asarray(grams.M)
     assert np.allclose(mh1, m + k, atol=1e-12)
+
+
+def _gram_oracle(basis, order):
+    """Sparse sum of the element grams, then (a + a^T) / 2 on the sparse matrix."""
+    tab = gauss_table(basis, meshbasis._GRAM_QUAD[basis.kind], order)
+    local = element_grams(tab.table, tab.table, tab.weights)
+    cd = basis.cell_dofs()
+    n_local = cd.shape[1]
+    rows, cols = np.repeat(cd, n_local, axis=1).ravel(), np.tile(cd, (1, n_local)).ravel()
+    a = sp.csr_matrix((local.ravel(), (rows, cols)), shape=(basis.dof_count,) * 2)
+    return ((a + a.T) * 0.5).tocsr()
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [cubic_spline_basis(build_mesh(8)), cubic_spline_basis(build_mesh(100)), quadratic_fe(build_mesh(200))],
+    ids=["spline-8", "spline-100", "fe-200"],
+)
+def test_gram_symmetry_check_and_sparse_oracle(basis, monkeypatch):
+    grams = assemble_grams(basis)
+    for got, order in ((grams.M_L2, 0), (grams.K, 1)):
+        want = _gram_oracle(basis, order)
+        assert np.array_equal(got.toarray(), want.toarray()), order
+    real = meshbasis.element_grams
+
+    def skewed(rows, cols, w):
+        local = real(rows, cols, w)
+        local[3, 0, 1] += 1e-9 * max(np.max(np.abs(local)), 1.0)
+        return local
+
+    monkeypatch.setattr(meshbasis, "element_grams", skewed)
+    with pytest.raises(AssemblyError, match="symmetry"):
+        assemble_grams(basis)
 
 
 def test_solve_M_roundtrip():
