@@ -254,7 +254,7 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
         raise DataError("degenerate noise profile")
     p_coef *= delta / h3
 
-    p_dual = dual_norm_Hm1(data.grams.M_L2 @ p_coef, data.grams)
+    p_dual = dual_norm_Hm1(data.grams.mass(p_coef), data.grams)
     omega = 0.9 * delta / p_dual
     t_peak = float(rng.choice(data.times))
     q = np.cos(omega * (data.times - t_peak))

@@ -155,13 +155,12 @@ class _ForwardContext:
         self.t0 = gauss_table(basis, N_QUAD, 0)
         self.t1 = gauss_table(basis, N_QUAD, 1)
         self.grams: GramPair = assemble_grams(basis)
-        self.M = self.grams.M_L2
-        self.K = self.grams.K
+        m_local, k_local = self.grams.m_local, self.grams.k_local
         self.pattern = BlockPattern(
             basis,
             2,
             [(0, 0), (0, 1), (1, 0)],
-            {(0, 0): self.M, (1, 1): self.M, (1, 0): -params.gamma * self.K},
+            {(0, 0): m_local, (1, 1): m_local, (1, 0): -params.gamma * k_local},
         )
         # band-vector rows of the phi and mu dofs of every cell, (2, n_cells, n_local)
         self.cell_rows = self.pattern.position[:, basis.cell_dofs()]
@@ -210,10 +209,10 @@ class _ForwardContext:
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """L2 projection of -gamma lap(phi) + f(phi) onto the basis."""
         params = self.params
-        rhs = params.gamma * (self.K @ phi) + self._test(
+        rhs = params.gamma * self.grams.stiffness(phi) + self._test(
             self.t0, params.f(self.t0.gather(phi).ravel())
         )
-        return BandCholesky(self.M).solve(rhs)
+        return BandCholesky(self.basis, self.grams.m_local).solve(rhs)
 
     def residual(self, x: np.ndarray, m_phi_n: np.ndarray, tau: float):
         """Newton residual at the band vector x and the point values it used.
@@ -408,7 +407,7 @@ def verify_scaling_invariance(
     grams = assemble_grams(phi0.basis)
 
     def l2(v):
-        return float(np.sqrt(max(v @ (grams.M_L2 @ v), 0.0)))
+        return float(np.sqrt(max(v @ grams.mass(v), 0.0)))
 
     ones = np.ones(phi0.basis.dof_count)
     rel_phi = abs_phi = rel_mu = abs_mu = 0.0

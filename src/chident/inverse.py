@@ -237,9 +237,9 @@ def _assemble(
     n_g = 2 if kind == IDENTIFY_JOINT else 1
     bs = data.basis.dof_count
     step = max(1, _ASSEMBLY_BLOCK // n_g)
-    T = np.empty((len(idx), bs, n_g * nk))
     dtau = (data.coef[idx] - data.coef[idx - 1]) / data.tau_data
-    y = (data.grams.M_L2 @ dtau.T).T
+    y = data.grams.mass(dtau)   # before T exists, so its temporaries do not add to it
+    T = np.empty((len(idx), bs, n_g * nk))
 
     def piece_rows(phi_q, wg):
         """p0 per (cell, time), the block's width and the rows relative to p0.

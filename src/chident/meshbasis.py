@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -105,7 +104,7 @@ def poly_vals(polys: np.ndarray, u) -> np.ndarray:
 
     The leading shape ``polys.shape[:-1]`` and the shape of ``u`` broadcast.
     """
-    vals = np.broadcast_to(polys[..., 3], np.broadcast_shapes(polys.shape[:-1], np.shape(u)))
+    vals = polys[..., 3]
     for k in (2, 1, 0):
         vals = vals * u + polys[..., k]
     return vals
@@ -161,13 +160,6 @@ def _cell_dofs(kind: str, n_cells: int) -> np.ndarray:
 def _check_order(basis: SpatialBasis, order: int) -> None:
     if order < 0 or order > basis.max_order:
         raise BasisError(f"derivative order {order} out of range for {basis.kind}")
-
-
-def _cell_entries(basis: SpatialBasis):
-    """Global (row, column) of local entry (i, j) of cell c, flat in (c, i, j) order."""
-    cd = basis.cell_dofs()
-    n_local = cd.shape[1]
-    return np.repeat(cd, n_local, axis=1).ravel(), np.tile(cd, (1, n_local)).ravel()
 
 
 def quadratic_fe(mesh: PeriodicMesh) -> SpatialBasis:
@@ -338,14 +330,18 @@ class GaussTable:
 
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """Adjoint of ``gather``, E^T v: (..., n_cells, n_quad) -> (..., dof)."""
-        local = v @ self.table
-        lead = local.shape[:-2]
-        n_rows = math.prod(lead)
-        index = self.cell_dofs.ravel()
-        if n_rows > 1:
-            index = (index + self.dof_count * np.arange(n_rows)[:, None]).ravel()
-        out = np.bincount(index, weights=local.ravel(), minlength=n_rows * self.dof_count)
-        return out.reshape(*lead, self.dof_count)
+        local = np.moveaxis(v @ self.table, (-2, -1), (0, 1))
+        return np.moveaxis(_cell_sum(self.cell_dofs, local, self.dof_count), 0, -1)
+
+
+def _cell_sum(cell_dofs: np.ndarray, local: np.ndarray, dof_count: int) -> np.ndarray:
+    """Scatter-add of cell-local values (n_cells, n_local, ...) onto the dofs: (dof, ...)."""
+    n_cols = math.prod(local.shape[2:])
+    index = cell_dofs.ravel()
+    if n_cols > 1:
+        index = (n_cols * index[:, None] + np.arange(n_cols)).ravel()
+    out = np.bincount(index, weights=local.ravel(), minlength=dof_count * n_cols)
+    return out.reshape(dof_count, *local.shape[2:])
 
 
 def gauss_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> GaussTable:
@@ -390,9 +386,9 @@ class BlockPattern:
     The matrix has ``n_blocks`` x ``n_blocks`` blocks of the basis size.
     Each block (I, J) in ``cell_blocks`` receives one dense local matrix
     per cell, at the dofs ``cell_dofs()`` of block I (rows) and block J
-    (columns).  The sparse matrices in ``constant``, a mapping
-    (I, J) -> matrix, are folded into a base array once, so ``assemble``
-    costs one scatter-add per call.
+    (columns).  ``constant``, a mapping (I, J) -> cell-local matrices of
+    shape (n_cells, n_local, n_local), goes the same way into a base
+    array once, so ``assemble`` costs one scatter-add per call.
 
     Unknowns are ordered by ``_folded_order`` of the dofs, with the blocks
     interleaved inside each dof: ``position[I, d]`` is the row of dof d of
@@ -412,26 +408,23 @@ class BlockPattern:
         self.position[:, _folded_order(dof)] = (
             n_blocks * np.arange(dof) + np.arange(n_blocks)[:, None]
         )
-        r_loc, c_loc = _cell_entries(basis)
-        rows = [self.position[i, r_loc] for i, _ in cell_blocks]
-        cols = [self.position[j, c_loc] for _, j in cell_blocks]
-        n_cell_entries = len(cell_blocks) * len(r_loc)
-        values = [np.zeros(0)]
-        for (i, j), mat in constant.items():
-            coo = sp.coo_matrix(mat)
-            rows.append(self.position[i, coo.row])
-            cols.append(self.position[j, coo.col])
-            values.append(coo.data)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        # global (row, column) of local entry (i, j) of cell c, flat in (c, i, j) order
+        cd = basis.cell_dofs()
+        r_loc = np.repeat(cd, cd.shape[1], axis=1).ravel()
+        c_loc = np.tile(cd, (1, cd.shape[1])).ravel()
+        blocks = list(cell_blocks) + list(constant)
+        rows = np.concatenate([self.position[i, r_loc] for i, _ in blocks])
+        cols = np.concatenate([self.position[j, c_loc] for _, j in blocks])
         self.kl = int(np.max(rows - cols))
         self.ku = int(np.max(cols - rows))
         self.n_band_rows = 2 * self.kl + self.ku + 1
         # flat index into the column-major band array
         slots = self.kl + self.ku + rows - cols + self.n_band_rows * cols
+        n_cell_entries = len(cell_blocks) * len(r_loc)
         self._cell_slots = slots[:n_cell_entries]
         self._base = np.bincount(
             slots[n_cell_entries:],
-            weights=np.concatenate(values),
+            weights=np.concatenate([np.ravel(v) for v in constant.values()] + [np.zeros(0)]),
             minlength=self.n_band_rows * self.size,
         )
         # the constant blocks in BLAS gbmv storage: entry (i, j) at row ku + i - j
@@ -462,26 +455,22 @@ _GRAM_QUAD = {QUADRATIC_FE: 3, PERIODIC_CUBIC_SPLINE: 4}
 class BandCholesky:
     """Cholesky factor of a symmetric positive definite gram, as a band.
 
-    In ``_folded_order`` the dofs that share a cell stay near each other,
-    also across the periodic wrap, so the gram is a pure band of
-    half-width ``kd``, read off its entries.  The lower band goes to
-    LAPACK ``dpbtrf`` once (entry (i, j), i >= j, at row i - j, column
-    j).  ``solve_folded`` is one ``dpbtrs`` call on rows already in the
-    folded order; ``solve`` permutes into that order and back around it.
+    The gram is the sum of the assembled element grams ``local``.  In
+    ``_folded_order`` the dofs that share a cell stay near each other,
+    also across the periodic wrap, so each term is the lower band (entry
+    (i, j), i >= j, at row i - j) of a one-block ``BlockPattern``; their
+    sum goes to LAPACK ``dpbtrf`` once.  Summed after assembly, the small
+    L2 part is rounded once against the stiffness; near-constant dual
+    norms are sensitive to that rounding.  ``solve_folded`` is one
+    ``dpbtrs`` call on rows already in the folded order; ``solve``
+    permutes into that order and back around it.
     """
 
-    def __init__(self, mat: sp.spmatrix):
-        coo = sp.coo_matrix(mat)
-        n = coo.shape[0]
-        self.order = _folded_order(n)
-        position = np.empty(n, dtype=np.int64)
-        position[self.order] = np.arange(n)
-        rows, cols = position[coo.row], position[coo.col]
-        lower = rows >= cols
-        self.kd = int(np.max(rows - cols))
-        ab = np.zeros((self.kd + 1, n), order="F")
-        np.add.at(ab, (rows[lower] - cols[lower], cols[lower]), coo.data[lower])
-        self._factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    def __init__(self, basis: SpatialBasis, *local: np.ndarray):
+        patterns = [BlockPattern(basis, 1, [], {(0, 0): a}) for a in local]
+        self.order = _folded_order(basis.dof_count)
+        band = sum(p._constant_band[p.ku:] for p in patterns)
+        self._factor, info = dpbtrf(band, lower=1)
         if info != 0:
             raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")
 
@@ -502,25 +491,42 @@ class BandCholesky:
 
 @dataclass
 class GramPair:
-    """L2 and H1 gram matrices of a basis.
+    """L2 and stiffness element grams of a basis, one matrix per cell.
 
-    The H1 gram is factored on first use, once, as a symmetric band
-    (``factor``); the forward, data and inverse layers all apply its
+    ``mass`` and ``stiffness`` multiply with the assembled matrices.  The
+    H1 gram, their sum, is factored on first use, once, as a symmetric
+    band (``factor``); the forward, data and inverse layers all apply its
     inverse through that factor.
     """
 
     basis: SpatialBasis
-    M_L2: sp.csr_matrix
-    K: sp.csr_matrix          # stiffness (grad, grad)
-    M: sp.csr_matrix          # H1 gram = M_L2 + K
+    m_local: np.ndarray
+    k_local: np.ndarray
     _factor: BandCholesky | None = field(default=None, repr=False)
 
     @property
     def factor(self) -> BandCholesky:
         """Band Cholesky factor of the H1 gram, built on first use."""
         if self._factor is None:
-            self._factor = BandCholesky(self.M)
+            self._factor = BandCholesky(self.basis, self.m_local, self.k_local)
         return self._factor
+
+    def _product(self, local: np.ndarray, v) -> np.ndarray:
+        """Assembled ``local`` times v: gather, one product per cell, scatter-add."""
+        cd = self.basis.cell_dofs()
+        v = np.asarray(v, dtype=float)
+        # stacked rows become columns: (n_local, n_local) @ (n_local, n_rows) per cell
+        columns = np.moveaxis(v, -1, 0)[cd].reshape(*cd.shape, -1)
+        out = _cell_sum(cd, local @ columns, self.basis.dof_count)
+        return np.moveaxis(out, 0, -1).reshape(v.shape)
+
+    def mass(self, v) -> np.ndarray:
+        """L2 gram times one vector, or times each row of a stack (..., dof)."""
+        return self._product(self.m_local, v)
+
+    def stiffness(self, v) -> np.ndarray:
+        """Stiffness matrix times one vector, or times each row of a stack (..., dof)."""
+        return self._product(self.k_local, v)
 
     def solve_M(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse H1 gram to one vector or to stacked columns."""
@@ -528,17 +534,14 @@ class GramPair:
 
 
 def assemble_grams(basis: SpatialBasis) -> GramPair:
-    """Assemble the L2 gram and stiffness matrix of a basis.
+    """Element L2 grams and stiffness matrices of a basis.
 
-    The element grams of the cached cell tables go into one sparse
-    matrix each, summed over ``cell_dofs``.  The quadrature
+    They come from the cached cell tables; the quadrature
     (``_GRAM_QUAD``) integrates the products exactly.  The element grams
-    are checked for symmetry and symmetrized before the sum, and the L2
-    gram is checked for a positive diagonal.
+    are checked for symmetry and symmetrized, and the assembled L2 gram
+    is checked for a positive diagonal.
     """
     nq = _GRAM_QUAD[basis.kind]
-    rows, cols = _cell_entries(basis)
-    shape = (basis.dof_count, basis.dof_count)
 
     def gram(order):
         tab = gauss_table(basis, nq, order)
@@ -547,13 +550,13 @@ def assemble_grams(basis: SpatialBasis) -> GramPair:
         scale = max(float(np.max(np.abs(local))), 1.0)
         if np.max(np.abs(local - local_t)) > 1e-12 * scale:
             raise AssemblyError("assembled gram deviates from symmetry")
-        local = (local + local_t) * 0.5
-        return sp.csr_matrix((local.ravel(), (rows, cols)), shape=shape)
+        return (local + local_t) * 0.5
 
-    m, k = gram(0), gram(1)
-    if m.diagonal().min() <= 0.0:
+    m = gram(0)
+    diagonal = np.diagonal(m, axis1=1, axis2=2)
+    if _cell_sum(basis.cell_dofs(), diagonal, basis.dof_count).min() <= 0.0:
         raise AssemblyError("L2 gram has a non-positive diagonal entry")
-    return GramPair(basis, m, k, (m + k).tocsr())
+    return GramPair(basis, m, gram(1))
 
 
 def dual_norm_Hm1(y: np.ndarray, grams: GramPair) -> float:

@@ -102,6 +102,14 @@ def weighted_gram(
     return (rows.T @ sp.diags(w) @ cols).tocsr()
 
 
+def assembled_gram(basis: SpatialBasis, local: np.ndarray) -> sp.csr_matrix:
+    """Sum of cell-local matrices (n_cells, n_local, n_local) over ``cell_dofs``."""
+    cd = basis.cell_dofs()
+    n_local = cd.shape[1]
+    rows, cols = np.repeat(cd, n_local, axis=1).ravel(), np.tile(cd, (1, n_local)).ravel()
+    return sp.csr_matrix((np.ravel(local), (rows, cols)), shape=(basis.dof_count,) * 2)
+
+
 def gram_solve(mat: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """mat^-1 rhs by a SuperLU factorization of the sparse matrix."""
     return splu(sp.csc_matrix(mat)).solve(np.asarray(rhs, dtype=float))

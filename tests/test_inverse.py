@@ -11,7 +11,7 @@ from chident.meshbasis import (
     interpolate,
     quadrature_rule,
 )
-from sparse_oracle import basis_matrix, gauss_points
+from sparse_oracle import basis_matrix, gauss_points, weighted_gram
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
 from chident.data import ObservationData, time_derivative
@@ -167,13 +167,14 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n
     w = quadrature_rule(data.basis.mesh, n_quad)[1]
     points = gauss_points(data.basis, n_quad)
     e = [basis_matrix(data.basis, points, r) for r in range(4)]
+    m_l2 = weighted_gram(e[0], e[0], w)
     nk, bs = grid.n_knots, data.basis.dof_count
     blocks_t, blocks_y = [], []
     for t in times:
         c = data.coef[data.index_of(t)]
         phi_q, dphi_q, d3_q = e[0] @ c, e[1] @ c, e[3] @ c
         theta = grid.eval_matrix(phi_q)
-        my = data.grams.M_L2 @ time_derivative(data, t).coef
+        my = m_l2 @ time_derivative(data, t).coef
         if kind == "f":
             blocks_t.append(-(e[1].T @ ((w * dphi_q)[:, None] * theta)))
             blocks_y.append(my - GAMMA * (e[1].T @ (w * mobility(phi_q) * d3_q)))
@@ -338,7 +339,8 @@ def _dense_stacked_lstsq(problem, alpha):
     """Reference: lstsq on [L_M^-1 T; sqrt(alpha) L_R'] with L_M L_M' = M."""
     from scipy.linalg import cholesky, solve_triangular
 
-    chol_m = cholesky(problem.grams.M.toarray(), lower=True)
+    eye = np.eye(problem.block_size)
+    chol_m = cholesky(problem.grams.mass(eye) + problem.grams.stiffness(eye), lower=True)
     bs, k = problem.block_size, problem.n_cols
     blocks = [slice(i * bs, (i + 1) * bs) for i in range(problem.n_blocks)]
     t_w = np.vstack([solve_triangular(chol_m, problem.T[sl], lower=True)

@@ -31,7 +31,7 @@ from chident.meshbasis import (
     quadrature_rule,
     spline_node_values,
 )
-from sparse_oracle import basis_matrix, gram_solve, weighted_gram
+from sparse_oracle import assembled_gram, basis_matrix, gram_solve, weighted_gram
 
 # 1/sqrt(2) divided by sqrt(1 + 4 pi^2): the H^-1 norm of the L2
 # functional of sin(2 pi x) against the zero-mean H1 pairing.
@@ -121,30 +121,34 @@ def test_periodic_wraparound():
     assert eval_field(f, x)[0] == pytest.approx(eval_field(f, x + 1.0)[0], abs=1e-12)
 
 
+def _dense_grams(grams):
+    """Assembled L2 gram and stiffness matrix, as the products with the identity."""
+    eye = np.eye(grams.basis.dof_count)
+    return grams.mass(eye), grams.stiffness(eye)
+
+
 @pytest.mark.parametrize("make", [quadratic_fe, cubic_spline_basis])
 def test_gram_matrices_structure(make):
     basis = make(build_mesh(12))
     grams = assemble_grams(basis)
-    m = grams.M_L2.toarray() if hasattr(grams.M_L2, "toarray") else np.asarray(grams.M_L2)
-    k = grams.K.toarray() if hasattr(grams.K, "toarray") else np.asarray(grams.K)
+    m, k = _dense_grams(grams)
     # partition of unity: the L2 gram sums to the domain length
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(m, m.T, atol=1e-14)
     # constants lie in the stiffness kernel
-    assert np.max(np.abs(k @ np.ones(basis.dof_count))) < 1e-12
-    # M = M_L2 + K (full H1 gram)
-    mh1 = grams.M.toarray() if hasattr(grams.M, "toarray") else np.asarray(grams.M)
-    assert np.allclose(mh1, m + k, atol=1e-12)
+    assert np.max(np.abs(grams.stiffness(np.ones(basis.dof_count)))) < 1e-12
+    # one vector and stacked rows give the same products
+    v = np.random.default_rng(3).standard_normal((2, basis.dof_count))
+    assert np.allclose(grams.mass(v[1]), m @ v[1], rtol=0.0, atol=1e-15)
+    assert np.allclose(grams.stiffness(v), v @ k, rtol=0.0, atol=1e-12)
+    # the factor is that of the H1 gram M_L2 + K
+    assert np.allclose(grams.solve_M(m + k), np.eye(basis.dof_count), atol=1e-12)
 
 
 def _gram_oracle(basis, order):
     """Sparse sum of the element grams, then (a + a^T) / 2 on the sparse matrix."""
     tab = gauss_table(basis, meshbasis._GRAM_QUAD[basis.kind], order)
-    local = element_grams(tab.table, tab.table, tab.weights)
-    cd = basis.cell_dofs()
-    n_local = cd.shape[1]
-    rows, cols = np.repeat(cd, n_local, axis=1).ravel(), np.tile(cd, (1, n_local)).ravel()
-    a = sp.csr_matrix((local.ravel(), (rows, cols)), shape=(basis.dof_count,) * 2)
+    a = assembled_gram(basis, element_grams(tab.table, tab.table, tab.weights))
     return ((a + a.T) * 0.5).tocsr()
 
 
@@ -155,9 +159,9 @@ def _gram_oracle(basis, order):
 )
 def test_gram_symmetry_check_and_sparse_oracle(basis, monkeypatch):
     grams = assemble_grams(basis)
-    for got, order in ((grams.M_L2, 0), (grams.K, 1)):
+    for got, order in zip(_dense_grams(grams), (0, 1)):
         want = _gram_oracle(basis, order)
-        assert np.array_equal(got.toarray(), want.toarray()), order
+        assert np.array_equal(got, want.toarray()), order
     real = meshbasis.element_grams
 
     def skewed(rows, cols, w):
@@ -175,12 +179,12 @@ def test_solve_M_roundtrip():
     grams = assemble_grams(basis)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(basis.dof_count)
-    w = grams.solve_M(grams.M @ v)
+    w = grams.solve_M(grams.mass(v) + grams.stiffness(v))
     assert np.allclose(w, v, atol=1e-10)
     # matrix right-hand sides are solved column-consistently
-    vm = rng.standard_normal((basis.dof_count, 3))
-    wm = grams.solve_M(grams.M @ vm)
-    assert np.allclose(wm, vm, atol=1e-10)
+    vm = rng.standard_normal((3, basis.dof_count))
+    wm = grams.solve_M((grams.mass(vm) + grams.stiffness(vm)).T)
+    assert np.allclose(wm, vm.T, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", [QUADRATIC_FE, PERIODIC_CUBIC_SPLINE])
@@ -188,17 +192,18 @@ def test_solve_M_roundtrip():
 def test_banded_cholesky_solve_matches_splu(kind, n_cells):
     basis = SpatialBasis(kind, build_mesh(n_cells))
     grams = assemble_grams(basis)
+    h1_gram = _gram_oracle(basis, 0) + _gram_oracle(basis, 1)
     rng = np.random.default_rng(n_cells)
     # right-hand sides M v, errors in the H1 norm: on a random right-hand
     # side the quadratic-element gram at 64 cells (condition 8.7e4) puts
     # SuperLU 1.4e-12 from an iteratively refined solution, the band 5e-14
     for v in (rng.standard_normal(basis.dof_count),
               rng.standard_normal((basis.dof_count, 3))):
-        rhs = grams.M @ v
-        got, ref = grams.solve_M(rhs), gram_solve(grams.M, rhs)
+        rhs = h1_gram @ v
+        got, ref = grams.solve_M(rhs), gram_solve(h1_gram, rhs)
         assert got.shape == rhs.shape
         err = got - ref
-        h1 = lambda u: np.sqrt(np.sum(u * (grams.M @ u)))
+        h1 = lambda u: np.sqrt(np.sum(u * (h1_gram @ u)))
         assert h1(err) <= 1e-13 * h1(ref)
 
 
@@ -207,7 +212,7 @@ def test_weighted_gram_matches_l2_gram():
     x, w = quadrature_rule(basis.mesh, 8)
     e0 = basis_matrix(basis, x, 0)
     m_quad = weighted_gram(e0, e0, w).toarray()
-    m_ref = assemble_grams(basis).M_L2.toarray()
+    m_ref = assemble_grams(basis).mass(np.eye(basis.dof_count))
     assert np.allclose(m_quad, m_ref, atol=1e-13)
 
 
@@ -218,8 +223,11 @@ def test_block_pattern_matches_weighted_gram(n_cells, band_dense):
     x, w = quadrature_rule(basis.mesh, 6)
     e0, e1 = basis_matrix(basis, x, 0), basis_matrix(basis, x, 1)
     weights = w * (2.0 + np.sin(2.0 * np.pi * x))
-    m = assemble_grams(basis).M_L2
-    pattern = BlockPattern(basis, 2, [(0, 1), (1, 0)], {(0, 0): m, (1, 1): 2 * m})
+    grams = assemble_grams(basis)
+    m = grams.mass(np.eye(basis.dof_count))
+    pattern = BlockPattern(
+        basis, 2, [(0, 1), (1, 0)], {(0, 0): grams.m_local, (1, 1): 2 * grams.m_local}
+    )
     local = weights.reshape(n_cells, -1)
     v0, v1 = cell_shape_table(basis, 6, 0), cell_shape_table(basis, 6, 1)
     got = band_dense(
@@ -229,8 +237,8 @@ def test_block_pattern_matches_weighted_gram(n_cells, band_dense):
     dof = basis.dof_count
     ref = np.block(
         [
-            [m.toarray(), weighted_gram(e1, e1, weights).toarray()],
-            [weighted_gram(e1, e0, weights).toarray(), 2 * m.toarray()],
+            [m, weighted_gram(e1, e1, weights).toarray()],
+            [weighted_gram(e1, e0, weights).toarray(), 2 * m],
         ]
     )
     assert got.shape == (2 * dof, 2 * dof)
@@ -260,13 +268,13 @@ def test_block_pattern_band_holds_the_periodic_wrap(kind, half_band, band_dense)
         basis = SpatialBasis(kind, build_mesh(n_cells))
         dof, cd = basis.dof_count, basis.cell_dofs()
         blocks = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        m = assemble_grams(basis).M_L2
-        pattern = BlockPattern(basis, 2, blocks, {(1, 0): m})
+        grams = assemble_grams(basis)
+        pattern = BlockPattern(basis, 2, blocks, {(1, 0): grams.m_local})
         assert max(pattern.kl, pattern.ku) <= half_band
         assert np.array_equal(np.sort(pattern.position.ravel()), np.arange(2 * dof))
         ab = pattern.assemble(*[np.ones((n_cells,) + cd.shape[1:] * 2)] * 4)
         ref = np.zeros((2 * dof, 2 * dof))
-        ref[dof:, :dof] = m.toarray()
+        ref[dof:, :dof] = grams.mass(np.eye(dof))
         for i, j in blocks:
             for c in range(n_cells):
                 ref[np.ix_(cd[c] + i * dof, cd[c] + j * dof)] += 1.0
@@ -327,21 +335,26 @@ def test_grams_match_closed_form(n_cells):
     def rel(a, b):
         return abs(a - b).max() / abs(b).max()
 
+    def sparse_grams(basis):
+        # the products are checked against this sum in test_gram_symmetry_check_and_sparse_oracle
+        grams = assemble_grams(basis)
+        return assembled_gram(basis, grams.m_local), assembled_gram(basis, grams.k_local)
+
     fe = quadratic_fe(build_mesh(n_cells))
     cd = fe.cell_dofs()
     rows, cols = np.repeat(cd, 3, axis=1).ravel(), np.tile(cd, (1, 3)).ravel()
     m_loc = h / 30.0 * np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]])
     k_loc = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0], [1.0, -8.0, 7.0]]) / (3.0 * h)
     shape = (fe.dof_count, fe.dof_count)
-    grams = assemble_grams(fe)
-    assert rel(grams.M_L2, sp.csr_matrix((np.tile(m_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
-    assert rel(grams.K, sp.csr_matrix((np.tile(k_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
+    m, k = sparse_grams(fe)
+    assert rel(m, sp.csr_matrix((np.tile(m_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
+    assert rel(k, sp.csr_matrix((np.tile(k_loc.ravel(), n_cells), (rows, cols)), shape)) <= 1e-15
 
-    grams = assemble_grams(cubic_spline_basis(build_mesh(n_cells)))
+    m, k = sparse_grams(cubic_spline_basis(build_mesh(n_cells)))
     m_row = h * np.array([2416.0, 1191.0, 120.0, 1.0]) / 5040.0
     k_row = np.array([2.0 / 3.0, -1.0 / 8.0, -1.0 / 5.0, -1.0 / 120.0]) / h
-    assert rel(grams.M_L2, _periodic_circulant(n_cells, m_row)) <= 1e-15
-    assert rel(grams.K, _periodic_circulant(n_cells, k_row)) <= 1e-15
+    assert rel(m, _periodic_circulant(n_cells, m_row)) <= 1e-15
+    assert rel(k, _periodic_circulant(n_cells, k_row)) <= 1e-15
 
 
 @settings(max_examples=60)
@@ -377,7 +390,7 @@ def test_dual_norm_oracle_and_convergence():
         basis = cubic_spline_basis(build_mesh(n))
         grams = assemble_grams(basis)
         f = interpolate(basis, _sin)
-        val = dual_norm_Hm1(grams.M_L2 @ f.coef, grams)
+        val = dual_norm_Hm1(grams.mass(f.coef), grams)
         errs[n] = abs(val - DUAL_NORM_SIN)
     assert errs[400] < 1e-8
     assert errs[100] > errs[200] > errs[400]
