@@ -13,11 +13,13 @@ values bound the cell, a level crosses each at most once (bracketed Newton
 steps find it), and the observable range is the image under phi of the
 pieces, cut again where |mu'| = threshold, on which mu' is steep.
 ``level_crossings`` and ``coarea_coefficients`` take one level or an array
-of levels: one call builds the snapshot's cell tables once and serves all
-of its levels, each exactly as a call with that level alone would.
+of levels and return one table: crossings carry the index of their level,
+and co-area fields are arrays over the levels.  One call builds the
+snapshot's cell tables once, and level i's rows equal a call with that
+level alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -223,16 +225,7 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     if not 0.0 <= delta < np.inf:
         raise DataError(f"noise level must be finite and nonnegative, got {delta}")
     if delta == 0.0:
-        same = ObservationData(
-            basis=data.basis,
-            times=data.times.copy(),
-            coef=data.coef.copy(),
-            tau_data=data.tau_data,
-            delta=data.delta,
-            provenance=data.provenance,
-            interp_sup=data.interp_sup,
-            interp_l2=data.interp_l2,
-        )
+        same = replace(data, times=data.times.copy(), coef=data.coef.copy())
         return same, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
     if "synthetic-noise" in data.provenance:
         raise DataError(
@@ -269,15 +262,12 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     sup_h3 = float(np.max(np.abs(q))) * delta
     dq = np.abs(np.diff(q)) / data.tau_data
     sup_rate = float(dq.max(initial=0.0)) * p_dual
-    noisy = ObservationData(
-        basis=data.basis,
+    noisy = replace(
+        data,
         times=data.times.copy(),
         coef=coef,
-        tau_data=data.tau_data,
         delta=float(delta),
         provenance="interpolation+synthetic-noise",
-        interp_sup=data.interp_sup,
-        interp_l2=data.interp_l2,
     )
     return noisy, NoiseRecord(float(delta), seed, sup_h3, sup_rate, omega, t_peak)
 
@@ -375,31 +365,33 @@ def _level_roots(f: PeriodicField, levels: np.ndarray):
 
 @dataclass
 class LevelCrossings:
-    """Level-set crossings of one snapshot at one level."""
+    """Level-set crossings of one snapshot, one entry per crossing, sorted
+    by level and then by x."""
 
-    s: float
-    x: np.ndarray          # sorted crossing locations in [0, 1)
+    s: float | np.ndarray  # the level, or the array of levels, of the call
+    level: np.ndarray      # index of each crossing's level in s (0 for one level)
+    x: np.ndarray          # crossing locations in [0, 1)
     slope: np.ndarray      # phi' there
     third: np.ndarray      # phi''' there (midpoint-interpolated, second order)
 
 
-def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings]:
+def level_crossings(f: PeriodicField, s) -> LevelCrossings:
     """All points of {phi = s} with slopes and third derivatives.
 
-    ``s`` is one level or a 1-D array of levels; an array gives a list of
-    crossings, one per level and each equal to the scalar call's, from one
-    set of cell tables.  Each monotone piece whose half-open value range
-    [start, end) holds s gives one crossing (``_level_roots``), so a
-    crossing at a cut or a knot is counted once; a piece constant at the
-    level gives none, and the co-area sample there is degenerate either
-    way.  The spline's third derivative is piecewise constant, which is
-    only first-order accurate at an arbitrary point but second-order
-    accurate at cell midpoints; the reported value therefore interpolates
-    the two nearest midpoint values linearly, restoring second-order
-    pointwise accuracy.  At a knot this is the average of the two adjacent
-    cells' values.
+    ``s`` is one level or a 1-D array of levels; an array gives one table
+    from one set of cell tables, whose entries with ``level == i`` equal
+    those of a call with ``s[i]`` alone.  Each monotone piece whose
+    half-open value range [start, end) holds s gives one crossing
+    (``_level_roots``), so a crossing at a cut or a knot is counted once;
+    a piece constant at the level gives none, and the co-area sample
+    there is degenerate either way.  The spline's third derivative is
+    piecewise constant, which is only first-order accurate at an
+    arbitrary point but second-order accurate at cell midpoints; the
+    reported value therefore interpolates the two nearest midpoint values
+    linearly, restoring second-order pointwise accuracy.  At a knot this
+    is the average of the two adjacent cells' values.
     """
-    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    levels = np.array(s, dtype=float, ndmin=1)
     lev, jk, uk = _level_roots(f, levels)
     h = f.basis.mesh.h
     n = f.basis.mesh.n_cells
@@ -414,12 +406,7 @@ def level_crossings(f: PeriodicField, s) -> LevelCrossings | list[LevelCrossings
     t = np.where(upper, uk - 0.5, uk + 0.5)
     left = np.where(upper, jk, (jk - 1) % n)
     third = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
-    cut = np.cumsum(np.bincount(lev, minlength=len(levels)))[:-1]
-    out = [
-        LevelCrossings(float(level), *parts)
-        for level, *parts in zip(levels, *(np.split(a, cut) for a in (xk, slope, third)))
-    ]
-    return out if np.ndim(s) else out[0]
+    return LevelCrossings(levels if np.ndim(s) else float(levels[0]), lev, xk, slope, third)
 
 
 def spline_antiderivative(f: PeriodicField):
@@ -444,17 +431,18 @@ def spline_antiderivative(f: PeriodicField):
 
 @dataclass
 class CoareaSample:
-    """Level-set functionals of one (time, level) pair."""
+    """Level-set functionals at one time, for one level or an array of
+    levels; for an array, each per-level field is an array over them."""
 
     t: float
-    s: float
-    A_b: float             # -gamma sum phi''' sign(phi')
-    A_c: float             # sum |phi'|
-    A: float               # int over {phi < s} of the difference quotient
-    n_crossings: int
-    min_slope: float       # smallest |phi'| among crossings
-    degenerate: bool
-    sup_slope: float       # sup of |phi'| over the cell midpoints and knots
+    s: float | np.ndarray
+    A_b: float | np.ndarray        # -gamma sum phi''' sign(phi')
+    A_c: float | np.ndarray        # sum |phi'|
+    A: float | np.ndarray          # int over {phi < s} of the difference quotient
+    n_crossings: int | np.ndarray
+    min_slope: float | np.ndarray  # smallest |phi'| among crossings, 0 without any
+    degenerate: bool | np.ndarray
+    sup_slope: float               # sup of |phi'| over the cell midpoints and knots
 
 
 # a co-area sample is degenerate when some crossing slope falls below this
@@ -462,9 +450,7 @@ class CoareaSample:
 DEGENERACY_REL = 0.05
 
 
-def coarea_coefficients(
-    data: ObservationData, gamma: float, s, t: float
-) -> CoareaSample | list[CoareaSample]:
+def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> CoareaSample:
     """Evaluate the level-set identity ingredients at (t, s) pairs.
 
     For smooth enough data the triple satisfies A_b b(s) + A_c c(s) = A
@@ -474,38 +460,35 @@ def coarea_coefficients(
     this orientation alongside the signs of A_b and A_c.  The sample is
     flagged degenerate when there is no crossing or some crossing slope
     falls below ``DEGENERACY_REL`` times the sup of |phi'|.  ``s`` is one
-    level or a 1-D array of levels; an array gives a list of samples, one
-    per level and each equal to the scalar call's, from one
-    ``level_crossings`` call and one antiderivative table.
+    level, giving Python scalars, or a 1-D array of levels, giving arrays
+    from one ``level_crossings`` call and one antiderivative table; entry
+    i of each equals the scalar call's at ``s[i]``.
     """
     k = data.index_of(t)
     if k == 0:
         raise DataError(f"t = {t} has no predecessor for the difference quotient")
-    levels = np.atleast_1d(np.asarray(s, dtype=float))
+    levels = np.array(s, dtype=float, ndmin=1)
     f = data.phi_field(k)
-    crossings = level_crossings(f, levels)
+    cr = level_crossings(f, levels)
     integral = spline_antiderivative(time_derivative(data, t))
     # sup |phi'| over the cell midpoints and the knots
     p1 = cell_polys(f.basis, f.coef, 1)
     sup_slope = float(max(np.max(np.abs(poly_vals(p1, 0.5))), np.max(np.abs(p1[:, 0]))))
 
-    counts = np.array([len(cr.x) for cr in crossings], dtype=int)
-    lev = np.repeat(np.arange(len(levels)), counts)
-    x, slope, third = (
-        np.concatenate([np.empty(0), *(getattr(cr, name) for cr in crossings)])
-        for name in ("x", "slope", "third")
-    )
-    a_b = -gamma * np.bincount(lev, third * np.sign(slope), len(levels))
-    a_c = np.bincount(lev, np.abs(slope), len(levels))
+    lev, x, abs_slope = cr.level, cr.x, np.abs(cr.slope)
+    counts = np.bincount(lev, minlength=len(levels))
+    crossed = counts > 0
+    a_b = -gamma * np.bincount(lev, cr.third * np.sign(cr.slope), len(levels))
+    a_c = np.bincount(lev, abs_slope, len(levels))
     min_slope = np.full(len(levels), np.inf)
-    np.minimum.at(min_slope, lev, np.abs(slope))
+    np.minimum.at(min_slope, lev, abs_slope)
 
     # integrate the difference quotient over {phi < s}: the gaps between
     # consecutive crossings of a level (its last wrapping to its first)
     # whose midpoint lies below the level
     first = np.cumsum(counts) - counts
     nxt = np.arange(1, len(x) + 1)
-    nxt[(first + counts - 1)[counts > 0]] = first[counts > 0]
+    nxt[(first + counts - 1)[crossed]] = first[crossed]
     left, right = x, x[nxt]
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
@@ -514,20 +497,18 @@ def coarea_coefficients(
     ia, ib = integral(left), integral(right)
     gap = np.where(wrap, total - ia + ib, ib - ia)
     a_val = np.bincount(lev[below], gap[below], len(levels))
-    if np.any(counts == 0):
+    if not crossed.all():
         # no crossing: the sublevel set is the torus above the range, else empty
         hi = attained_range(data, t)[1]
-        a_val = np.where(counts == 0, np.where(levels > hi, total, 0.0), a_val)
+        a_val = np.where(crossed, a_val, np.where(levels > hi, total, 0.0))
+        # and A_b = +0 (not -gamma * 0) and smallest slope 0
+        a_b[~crossed] = min_slope[~crossed] = 0.0
 
-    samples = [
-        CoareaSample(t, level, ab, ac, a, n, ms, ms < DEGENERACY_REL * sup_slope, sup_slope)
-        if n else CoareaSample(t, level, 0.0, 0.0, a, 0, 0.0, True, sup_slope)
-        for level, ab, ac, a, n, ms in zip(
-            levels.tolist(), a_b.tolist(), a_c.tolist(), a_val.tolist(),
-            counts.tolist(), min_slope.tolist(),
-        )
-    ]
-    return samples if np.ndim(s) else samples[0]
+    fields = (levels, a_b, a_c, a_val, counts, min_slope,
+              ~crossed | (min_slope < DEGENERACY_REL * sup_slope))
+    if not np.ndim(s):
+        fields = (a[0].item() for a in fields)
+    return CoareaSample(t, *fields, sup_slope)
 
 
 def merge_intervals(intervals):
@@ -622,38 +603,20 @@ def _level_runs(levels: np.ndarray, good: np.ndarray) -> list[tuple[float, float
     return list(zip(levels[starts].tolist(), levels[stops - 1].tolist()))
 
 
-# column-scaled condition number below which two times separate b(s) from c(s)
-COND_CAP = 1e4
-
-
 def _column_scaled_cond(mats: np.ndarray) -> np.ndarray:
     """Condition numbers of a stack (n, 2, 2) of row matrices after
     scaling each matrix's columns to unit norm; ``inf`` where a column
-    is zero."""
+    is zero.
+
+    The (A_b, A_c) rows of one level at two times give the linear system
+    for the pair (b(s), c(s)); its condition number tells whether the
+    two are separable there.
+    """
     scale = np.linalg.norm(mats, axis=1)
     usable = np.all(scale != 0.0, axis=1)
     cond = np.full(len(mats), np.inf)
     cond[usable] = np.linalg.cond(mats[usable] / scale[usable, None, :])
     return cond
-
-
-def _independence(samples):
-    """Condition the 2x2 system built from the (A_b, A_c) rows of two
-    co-area samples of one level, at two times.
-
-    The rows give the linear system for the pair (b(s), c(s)); its
-    column-scaled condition number tells whether the two are separable
-    there.  Returns (condition, verdict cond < ``COND_CAP``, row matrix).
-    A degenerate sample at either time is an error.
-    """
-    for sample in samples:
-        if sample.degenerate:
-            raise DataError(
-                f"degenerate level set at (s, t) = ({sample.s:g}, {sample.t:g})"
-            )
-    mat = np.asarray([[sample.A_b, sample.A_c] for sample in samples])
-    cond = float(_column_scaled_cond(mat[None])[0])
-    return cond, cond < COND_CAP, mat
 
 
 # levels sampled per observation time in the observability report
@@ -726,37 +689,38 @@ def build_observability_report(
     levels = lo[:, None] + fractions * (hi - lo)[:, None]
     n = len(times)
     partner = np.append(np.arange(1, n), max(n - 2, 0))[:n]
-    # slot j < n_rows is row j at its own time, slot n_rows + j the same
-    # row at its partner time; each distinct time takes its slots in order
+    # slot (0, j) is row j at its own time, slot (1, j) the same row at its
+    # partner time; each distinct time takes its slots in order
     distinct, own = np.unique(times, return_inverse=True)
-    keys = np.repeat(np.concatenate([own, own[partner]]), LEVELS_PER_TIME)
-    flat = np.concatenate([levels, levels]).ravel()
-    samples = [None] * len(flat)
+    keys = np.repeat(np.stack([own, own[partner]]), LEVELS_PER_TIME, axis=1)
+    slot_levels = np.stack([levels.ravel()] * 2)
+    a_b, a_c, a_val = np.empty((3, *keys.shape))
+    degenerate = np.empty(keys.shape, dtype=bool)
     for u, t in enumerate(distinct):
-        slots = np.flatnonzero(keys == u)
-        for j, sample in zip(slots.tolist(), coarea_coefficients(data, gamma, flat[slots], t)):
-            samples[j] = sample
-    n_rows = levels.size
-    mine, other = samples[:n_rows], samples[n_rows:]
+        slots = np.nonzero(keys == u)
+        sample = coarea_coefficients(data, gamma, slot_levels[slots], t)
+        a_b[slots], a_c[slots], a_val[slots] = sample.A_b, sample.A_c, sample.A
+        degenerate[slots] = sample.degenerate
 
-    mats = np.array([[[a.A_b, a.A_c], [b.A_b, b.A_c]] for a, b in zip(mine, other)])
-    cond = _column_scaled_cond(mats.reshape(n_rows, 2, 2))
-    cond[[a.degenerate or b.degenerate for a, b in zip(mine, other)]] = np.inf
+    # row j: its (A_b, A_c) at its own time, then at its partner time
+    cond = _column_scaled_cond(np.stack([a_b, a_c], axis=-1).swapaxes(0, 1))
+    cond[degenerate.any(axis=0)] = np.inf
     rows = [
         ObservabilityRow(
             t=float(times[i]),
             s=s,
-            A_b=sample.A_b,
-            A_c=sample.A_c,
-            A=sample.A,
+            A_b=ab,
+            A_c=ac,
+            A=a,
             cond=c,
             in_attained=attained[i][0] <= s <= attained[i][1],
-            in_observable=any(a <= s <= b for a, b in observable[i]),
-            degenerate=sample.degenerate,
+            in_observable=any(a0 <= s <= a1 for a0, a1 in observable[i]),
+            degenerate=dg,
         )
-        for i, s, sample, c in zip(
+        for i, s, ab, ac, a, c, dg in zip(
             np.repeat(np.arange(n), LEVELS_PER_TIME).tolist(),
-            levels.ravel().tolist(), mine, cond.tolist(),
+            levels.ravel().tolist(), a_b[0].tolist(), a_c[0].tolist(),
+            a_val[0].tolist(), cond.tolist(), degenerate[0].tolist(),
         )
     ]
     return ObservabilityReport(times, attained, observable, rows)

@@ -494,26 +494,20 @@ def lcurve_select(
     y = np.log(eta)
 
     # noise floor: as alpha decreases rho must not increase, eta not decrease
-    flagged = np.zeros(len(alphas), dtype=bool)
     slack = 1e-12
-    for i in range(1, len(alphas)):
-        if rho[i] > rho[i - 1] * (1.0 + slack) or eta[i] < eta[i - 1] * (1.0 - slack):
-            flagged[i] = True
+    flagged = np.zeros(len(alphas), dtype=bool)
+    flagged[1:] = (rho[1:] > rho[:-1] * (1.0 + slack)) | (eta[1:] < eta[:-1] * (1.0 - slack))
 
+    # Menger curvature at each interior point i from the chords i-1 -> i,
+    # i -> i+1 and i-1 -> i+1
+    dx, dy = np.diff(x), np.diff(y)
+    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    l1, l2 = np.hypot(dx[:-1], dy[:-1]), np.hypot(dx[1:], dy[1:])
+    l3 = np.hypot(x[2:] - x[:-2], y[2:] - y[:-2])
+    usable = ~(flagged[:-2] | flagged[1:-1] | flagged[2:]) & np.all([l1, l2, l3], axis=0)
     curv = np.full(len(alphas), np.nan)
-    for i in range(1, len(alphas) - 1):
-        if flagged[i - 1] or flagged[i] or flagged[i + 1]:
-            continue
-        v1 = np.array([x[i] - x[i - 1], y[i] - y[i - 1]])
-        v2 = np.array([x[i + 1] - x[i], y[i + 1] - y[i]])
-        cross = v1[0] * v2[1] - v1[1] * v2[0]
-        l1 = np.hypot(*v1)
-        l2 = np.hypot(*v2)
-        l3 = np.hypot(x[i + 1] - x[i - 1], y[i + 1] - y[i - 1])
-        if min(l1, l2, l3) == 0.0:
-            continue
-        # sign flip: corners bending toward the origin get positive curvature
-        curv[i] = -2.0 * cross / (l1 * l2 * l3)
+    # sign flip: corners bending toward the origin get positive curvature
+    curv[1:-1][usable] = -2.0 * cross[usable] / (l1 * l2 * l3)[usable]
     if not np.any(np.isfinite(curv)):
         raise InverseError("no valid interior point for corner selection")
     corner = int(np.nanargmax(curv))

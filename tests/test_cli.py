@@ -249,8 +249,8 @@ def test_verify_negative_control(tmp_path, monkeypatch):
     original = cli.coarea_coefficients
 
     def flipped(data, gamma, s, t):
-        samples = original(data, gamma, s, t)
-        return [dataclasses.replace(sample, A_b=-sample.A_b) for sample in samples]
+        sample = original(data, gamma, s, t)
+        return dataclasses.replace(sample, A_b=-sample.A_b)
 
     monkeypatch.setattr(cli, "coarea_coefficients", flipped)
     out = tmp_path / "vneg"

@@ -187,6 +187,10 @@ def test_coarea_degenerate_outside_range(reference_data):
     assert above.degenerate and above.n_crossings == 0
     below = coarea_coefficients(reference_data, GAMMA, lo - 0.1, t)
     assert below.degenerate and below.n_crossings == 0
+    for sample in (above, below):
+        # no crossing: the two sums and the smallest slope are +0.0
+        vals = [sample.A_b, sample.A_c, sample.min_slope]
+        assert vals == [0.0] * 3 and not np.signbit(vals).any()
     # sublevel set orientation: below the range the set is empty, above
     # it is the whole torus, whose difference-quotient integral is the
     # mass rate of the interpolated snapshots -- zero up to the
@@ -242,18 +246,20 @@ def test_chemical_potential_nodal_consistency(reference_data, params):
     assert np.max(np.abs(eval_field(mu, nodes) - direct)) < 1e-12
 
 
-def _independence_at(data, s, t1, t2):
-    """Two-time independence test of level s from the public co-area samples."""
-    return chdata._independence([coarea_coefficients(data, GAMMA, s, t) for t in (t1, t2)])
+def _two_time_cond(data, s, t1, t2):
+    """The report's two-time condition number of level s from one scalar
+    co-area call per time: ``inf`` when either sample is degenerate."""
+    samples = [coarea_coefficients(data, GAMMA, s, t) for t in (t1, t2)]
+    if any(sample.degenerate for sample in samples):
+        return np.inf
+    mat = np.array([[sample.A_b, sample.A_c] for sample in samples])
+    return float(chdata._column_scaled_cond(mat[None])[0])
 
 
 def test_independence_check(reference_data):
-    cond, ok, mat = _independence_at(reference_data, 0.1, 0.002, 0.006)
-    assert mat.shape == (2, 2)
-    assert ok and 1.0 <= cond < 100.0
+    assert 1.0 <= _two_time_cond(reference_data, 0.1, 0.002, 0.006) < 100.0
     lo, hi = attained_range(reference_data, 0.002)
-    with pytest.raises(DataError):
-        _independence_at(reference_data, hi + 0.05, 0.002, 0.006)
+    assert _two_time_cond(reference_data, hi + 0.05, 0.002, 0.006) == np.inf
 
 
 def test_column_scaled_cond_matches_per_matrix_cond():
@@ -389,14 +395,10 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
         k = list(report.times).index(row.t)
         partner = report.times[k + 1] if k + 1 < len(report.times) else report.times[k - 1]
         sample = coarea_coefficients(reference_data, GAMMA, row.s, row.t)
-        try:
-            cond, _, _ = _independence_at(reference_data, row.s, row.t, partner)
-        except DataError:
-            cond = np.inf
         assert (row.A_b, row.A_c, row.A, row.degenerate) == (
             sample.A_b, sample.A_c, sample.A, sample.degenerate
         ), i
-        assert row.cond == cond, i
+        assert row.cond == _two_time_cond(reference_data, row.s, row.t, partner), i
 
 
 def test_observability_report_smoke(reference_data, params):
@@ -612,18 +614,27 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
 # --- a level array against one call per level -----------------------------
 
 
+_PER_LEVEL = ("s", "A_b", "A_c", "A", "n_crossings", "min_slope", "degenerate")
+
+
 def _assert_level_array_matches_scalar_calls(data, t, levels):
-    """Every field of an array call equals the scalar call's, level by level."""
+    """Every field of an array call equals the scalar call's, level by level:
+    the crossings with ``level == i`` and entry i of each sample field."""
     f = data.phi_field(data.index_of(t))
-    crossings = level_crossings(f, levels)
-    samples = coarea_coefficients(data, GAMMA, levels, t)
-    assert len(crossings) == len(samples) == len(levels)
-    for s, cr, sample in zip(levels, crossings, samples):
+    cr = level_crossings(f, levels)
+    sample = coarea_coefficients(data, GAMMA, levels, t)
+    assert np.array_equal(cr.s, levels) and np.all(np.diff(cr.level) >= 0)
+    for name in _PER_LEVEL:
+        assert getattr(sample, name).shape == (len(levels),), name
+    for i, s in enumerate(levels):
         one = level_crossings(f, s)
-        assert cr.s == one.s == s
+        assert one.s == s and type(one.s) is float and not np.any(one.level)
         for name in ("x", "slope", "third"):
-            assert np.array_equal(getattr(cr, name), getattr(one, name)), name
-        assert sample == coarea_coefficients(data, GAMMA, s, t)
+            assert np.array_equal(getattr(cr, name)[cr.level == i], getattr(one, name)), name
+        row = chdata.CoareaSample(
+            sample.t, *(getattr(sample, name)[i].item() for name in _PER_LEVEL), sample.sup_slope
+        )
+        assert row == coarea_coefficients(data, GAMMA, s, t)
 
 
 @settings(max_examples=40)
@@ -646,8 +657,13 @@ def test_level_array_calls_equal_scalar_calls(n_cells, seed, shape):
         [lo - 0.1, hi + 0.1],                                        # outside the range
     ]))
     _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
-    assert level_crossings(data.phi_field(1), []) == []
-    assert coarea_coefficients(data, GAMMA, [], 1e-4) == []
+    # no levels: empty tables
+    empty = level_crossings(data.phi_field(1), [])
+    for a in (empty.s, empty.level, empty.x, empty.slope, empty.third):
+        assert a.shape == (0,)
+    sample = coarea_coefficients(data, GAMMA, [], 1e-4)
+    for name in _PER_LEVEL:
+        assert getattr(sample, name).shape == (0,), name
 
 
 def test_level_array_keeps_every_root_and_knot_crossings():
@@ -662,17 +678,17 @@ def test_level_array_keeps_every_root_and_knot_crossings():
     knot_level = cell_polys(basis, coef)[1, 0]      # phi crosses it at the knots h and 2h
     levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0, knot_level])
     lev, cells, u = chdata._level_roots(f, levels)
-    crossings = level_crossings(f, levels)
-    for k, cr in enumerate(crossings):
-        assert np.array_equal(cr.x, np.sort(((cells + u)[lev == k] * h) % 1.0))
-    assert np.min(np.diff(crossings[0].x)) < 1e-9
+    cr = level_crossings(f, levels)
+    for k in range(len(levels)):
+        assert np.array_equal(cr.x[cr.level == k], np.sort(((cells + u)[lev == k] * h) % 1.0))
+    assert np.min(np.diff(cr.x[cr.level == 0])) < 1e-9
 
     # on a knot, phi''' is the average of the two adjacent cells' values
     p3 = cell_polys(basis, coef, 3)[:, 0]
-    cr = crossings[-1]
+    knot_x, knot_third = (a[cr.level == len(levels) - 1] for a in (cr.x, cr.third))
     for j in (1, 2):
-        (i,) = np.flatnonzero(cr.x == j * h)
-        assert cr.third[i] == 0.5 * (p3[j - 1] + p3[j])
+        (i,) = np.flatnonzero(knot_x == j * h)
+        assert knot_third[i] == 0.5 * (p3[j - 1] + p3[j])
     data = ObservationData(basis=basis, times=[0.0, 1e-4], coef=[0.9 * coef, coef], tau_data=1e-4)
     _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
 
@@ -693,9 +709,11 @@ def test_transversal_crossings_alternate_around_the_torus(n_cells, seed, shape):
     u = np.linspace(0.0, 1.0, 65)[:, None]
     sup_slope = np.max(np.abs(poly_vals(cell_polys(basis, coef, 1), u)))
     levels = lo + np.random.default_rng(seed).uniform(0.01, 0.99, 6) * (hi - lo)
-    for cr in level_crossings(PeriodicField(basis, coef), levels):
-        if np.min(np.abs(cr.slope), initial=np.inf) < 1e-6 * sup_slope:
+    cr = level_crossings(PeriodicField(basis, coef), levels)
+    for k in range(len(levels)):
+        slope = cr.slope[cr.level == k]
+        if np.min(np.abs(slope), initial=np.inf) < 1e-6 * sup_slope:
             continue
-        signs = np.sign(cr.slope)
+        signs = np.sign(slope)
         assert len(signs) >= 2 and len(signs) % 2 == 0
         assert np.all(signs != np.roll(signs, 1))

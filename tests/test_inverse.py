@@ -97,6 +97,52 @@ def test_lcurve_monotone_and_routes_agree():
         assert np.linalg.norm(xc - xd) <= 1e-10 * np.linalg.norm(xd)
 
 
+def _lcurve_loop(rho, eta, slack=1e-12):
+    """Reference: noise-floor flags and Menger curvature, one point at a time."""
+    x, y = np.log(rho), np.log(eta)
+    flagged = np.zeros(len(rho), dtype=bool)
+    for i in range(1, len(rho)):
+        if rho[i] > rho[i - 1] * (1.0 + slack) or eta[i] < eta[i - 1] * (1.0 - slack):
+            flagged[i] = True
+    curv = np.full(len(rho), np.nan)
+    for i in range(1, len(rho) - 1):
+        if flagged[i - 1] or flagged[i] or flagged[i + 1]:
+            continue
+        v1 = np.array([x[i] - x[i - 1], y[i] - y[i - 1]])
+        v2 = np.array([x[i + 1] - x[i], y[i + 1] - y[i]])
+        cross = v1[0] * v2[1] - v1[1] * v2[0]
+        l1, l2 = np.hypot(*v1), np.hypot(*v2)
+        l3 = np.hypot(x[i + 1] - x[i - 1], y[i + 1] - y[i - 1])
+        if min(l1, l2, l3) == 0.0:
+            continue
+        curv[i] = -2.0 * cross / (l1 * l2 * l3)
+    return flagged, curv
+
+
+def test_lcurve_flags_and_curvature_match_loop(monkeypatch):
+    # prescribed norms: a random monotone curve, one point past the noise
+    # floor (rho rises), and one repeated point (a zero-length chord)
+    rng = np.random.default_rng(11)
+    rho = np.cumsum(rng.uniform(0.1, 1.0, 16))[::-1].copy()
+    eta = np.cumsum(rng.uniform(0.1, 1.0, 16))
+    rho[5] = rho[4] * 1.5
+    rho[11], eta[11] = rho[10], eta[10]
+    alphas = np.logspace(-1, -11, 16)
+    norms = dict(zip(alphas.tolist(), zip(rho, eta)))
+
+    def fake_solve(problem, alpha):
+        r, e = norms[float(alpha)]
+        return inverse.RegularizedSolution("toy", np.zeros(1), alpha, r, e)
+
+    monkeypatch.setattr(inverse, "tikhonov_solve", fake_solve)
+    _, curve = lcurve_select(None, alphas)
+    flagged, curv = _lcurve_loop(rho, eta)
+    assert flagged[5] and not flagged[11] and np.isnan(curv[11])
+    assert np.array_equal(curve.flagged, flagged)
+    assert np.array_equal(curve.curvature, curv, equal_nan=True)
+    assert curve.corner_index == int(np.nanargmax(curv))
+
+
 def test_lcurve_grid_validation():
     problem, _ = _diag_toy()
     with pytest.raises(InverseError):
