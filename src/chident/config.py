@@ -320,6 +320,11 @@ def validate_config(cfg: RunConfig) -> None:
             f"data.factor: {db.factor} must divide forward.n_cells "
             f"({fw.n_cells}) and the step count ({round(n_steps)})"
         )
+    if fw.n_cells // db.factor < 4:
+        raise ConfigError(
+            f"data.factor: forward.n_cells / data.factor = {fw.n_cells} / "
+            f"{db.factor} = {fw.n_cells // db.factor} data cells, need >= 4"
+        )
     if db.delta < 0:
         raise ConfigError(f"data.delta: must be >= 0, got {db.delta}")
     if db.times is not None and any(t <= 0 or t > fw.t_end for t in db.times):

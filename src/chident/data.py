@@ -20,7 +20,6 @@ level alone.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -82,13 +81,25 @@ class ObservationData:
             self._grams = assemble_grams(self.basis)
         return self._grams
 
+    def indices_of(self, times) -> np.ndarray:
+        """Grid index of each of the times: the nearest multiple of
+        ``tau_data``, which must hold a stored time within 1e-9 relative."""
+        t = np.asarray(times, dtype=float).reshape(-1)
+        k = np.rint(t / self.tau_data)
+        # fmax/fmin send NaN to 0, so an off-range or NaN k differs from idx
+        idx = np.fmin(np.fmax(k, 0.0), self.n_times - 1.0).astype(np.intp)
+        on_grid = (idx == k) & (
+            np.abs(self.times[idx] - t)
+            <= 1e-9 * np.fmax(np.abs(t), max(self.tau_data, 1e-300))
+        )
+        if not on_grid.all():
+            raise DataError(
+                f"t = {t[np.argmin(on_grid)]} is not on the observation time grid"
+            )
+        return idx
+
     def index_of(self, t: float) -> int:
-        k = int(round(t / self.tau_data))
-        if k < 0 or k >= self.n_times or abs(self.times[k] - t) > 1e-9 * max(
-            self.tau_data, abs(t), 1e-300
-        ):
-            raise DataError(f"t = {t} is not on the observation time grid")
-        return k
+        return int(self.indices_of([t])[0])
 
     def phi_field(self, k: int) -> PeriodicField:
         return PeriodicField(self.basis, self.coef[k])
@@ -294,16 +305,18 @@ def piece_value_bounds(basis: SpatialBasis, coef: np.ndarray) -> np.ndarray:
     ``coef`` is one coefficient vector or a stack (..., dof), as for
     ``cell_polys``; the result has shape (..., n_cells, 2).
     """
-    vals = np.moveaxis(_monotone_pieces(cell_polys(basis, coef))[1], -1, 0)
-    # pairwise over the four cuts: a reduction along a short axis is slower
-    return np.stack([reduce(np.minimum, vals), reduce(np.maximum, vals)], axis=-1)
+    vals = _monotone_pieces(cell_polys(basis, coef))[1]
+    return np.stack([vals.min(axis=-1), vals.max(axis=-1)], axis=-1)
 
 
 def attained_ranges(data: ObservationData, times) -> list[tuple[float, float]]:
-    """Exact range over the torus of the snapshot at each of the times."""
-    idx = [data.index_of(t) for t in times]
-    bounds = piece_value_bounds(data.basis, data.coef[idx])
-    return list(zip(bounds[..., 0].min(axis=-1).tolist(), bounds[..., 1].max(axis=-1).tolist()))
+    """Exact range over the torus of the snapshot at each of the times.
+
+    phi is monotone between the cuts of ``_monotone_pieces``, so the range
+    is one min and one max over the values at the cuts of every cell.
+    """
+    vals = _monotone_pieces(cell_polys(data.basis, data.coef[data.indices_of(times)]))[1]
+    return list(zip(vals.min(axis=(-2, -1)).tolist(), vals.max(axis=(-2, -1)).tolist()))
 
 
 def attained_range(data: ObservationData, t: float) -> tuple[float, float]:
@@ -493,8 +506,9 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
     below = eval_field(f, mid) < levels[lev]
-    total = integral(1.0)
-    ia, ib = integral(left), integral(right)
+    # one antiderivative lookup for the whole torus and both ends of every gap
+    ends = integral(np.concatenate([[1.0], left, right]))
+    total, ia, ib = ends[0], ends[1:1 + len(x)], ends[1 + len(x):]
     gap = np.where(wrap, total - ia + ib, ib - ia)
     a_val = np.bincount(lev[below], gap[below], len(levels))
     if not crossed.all():
@@ -676,9 +690,8 @@ def build_observability_report(
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
         times = data.times[idx]
     times = np.asarray(sorted(float(t) for t in times))
-    for t in times:
-        if data.index_of(t) == 0:
-            raise DataError("observability rows need a predecessor time")
+    if np.any(data.indices_of(times) == 0):
+        raise DataError("observability rows need a predecessor time")
     attained = attained_ranges(data, times)
     observable = [
         observable_range(data, gamma, potential, t, threshold_rel=threshold_rel)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
 
 from .data import ObservationData, inject_noise
 from .meshbasis import GramPair, gauss_table, spline_node_values
@@ -118,8 +119,10 @@ class AssembledProblem:
         """Cached standard-form factorization, built on the first solve.
 
         The whitened rows [C' T_i | C' y_i] are folded into a (k+1)-column
-        R-factor ``_FOLD_CHUNK`` time blocks per QR call; only one chunk of
-        them exists at a time, so the whitened operator is never formed.
+        R-factor ``_FOLD_CHUNK`` time blocks per ``dgeqrf`` call, which
+        reads R off the upper triangle of its first k+1 rows (fewer when
+        the stack has fewer rows than columns); only one chunk of whitened
+        rows exists at a time, so the whitened operator is never formed.
         """
         if self._factor is None:
             k, bs = self.n_cols, self.block_size
@@ -127,11 +130,14 @@ class AssembledProblem:
             whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
             t_blocks = self.T.reshape(self.n_blocks, bs, k)
             y_blocks = self._blocks(self.y)[:, :, None]
+            # the optimal work size, so that dgeqrf keeps its blocked path
+            lwork = int(dgeqrf_lwork(k + 1 + _FOLD_CHUNK * bs, k + 1)[0])
 
             def fold(r, sl):
                 """R-factor of r stacked on the whitened rows of blocks sl."""
                 rows = whiten.T @ np.concatenate([t_blocks[sl], y_blocks[sl]], axis=2)
-                return np.linalg.qr(np.vstack([r, rows.reshape(-1, k + 1)]), mode="r")
+                qr = dgeqrf(np.vstack([r, rows.reshape(-1, k + 1)]), lwork, 1)[0]
+                return np.triu(qr[:k + 1])
 
             r = np.zeros((0, k + 1))
             for i in range(0, self.n_blocks, _FOLD_CHUNK):
@@ -172,7 +178,7 @@ def _select_indices(data: ObservationData, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise InverseError("no observation times selected")
-    idx = np.array([data.index_of(t) for t in times])
+    idx = data.indices_of(times)
     if np.any(idx == 0):
         raise InverseError(
             "selected times must have a predecessor on the data grid"
@@ -193,10 +199,11 @@ def _check_phase_values(data: ObservationData, idx: np.ndarray):
 
 
 # observation times per assembly block, halved for the joint problem's two
-# column blocks: the block's (point, 2 width) piece-relative local-weight
-# rows, 0.4 MB on the paper grid, and the (dof, time, 2 n_knots) cell sums
-# set the peak memory of the assembly
-_ASSEMBLY_BLOCK = 4
+# column blocks.  The block's (point, 2 width) piece-relative local-weight
+# rows, 0.77 MB on the paper grid, and the four scaled local weights beside
+# them set the peak memory of the assembly; every other temporary of a block
+# is freed before the rows are allocated
+_ASSEMBLY_BLOCK = 8
 
 
 def _assemble(
@@ -237,38 +244,23 @@ def _assemble(
     n_g = 2 if kind == IDENTIFY_JOINT else 1
     bs = data.basis.dof_count
     step = max(1, _ASSEMBLY_BLOCK // n_g)
-    dtau = (data.coef[idx] - data.coef[idx - 1]) / data.tau_data
-    y = data.grams.mass(dtau)   # before T exists, so its temporaries do not add to it
+    # before T exists, so the difference quotients do not add to it
+    y = data.grams.mass((data.coef[idx] - data.coef[idx - 1]) / data.tau_data)
     T = np.empty((len(idx), bs, n_g * nk))
 
-    def piece_rows(phi_q, wg):
-        """p0 per (cell, time), the block's width and the rows relative to p0.
+    def point_weights(start, stop, dof_time):
+        """Knot piece of every (point, cell, time) of the times idx[start:stop]
+        and its four local weights scaled by w g, as (g, point) arrays.
 
-        The rows come as (point, (cell, time, g, m/v, j)) for the psi' product.
+        For identify-f the mobility term goes into y here.  The Gauss-point
+        values are freed on return.
         """
-        piece, weights = grid.local_weights(phi_q.ravel())
-        piece = piece.reshape(phi_q.shape)
-        p0 = piece.min(axis=0)
-        width = int((piece - p0).max()) + 2
-        p0 = np.minimum(p0, nk - width)
-        rel = (piece - p0).ravel()
-        # the row of (point, g) starts at flat offset (point * n_g + g) * 2 width
-        at = (np.arange(rel.size * n_g) * (2 * width)).reshape(-1, n_g)
-        rows = np.zeros(rel.size * n_g * 2 * width)
-        for col, lw in zip((rel, rel + 1, width + rel, width + rel + 1), weights):
-            rows[at + col[:, None]] = wg * lw[:, None]
-        return p0, width, rows.reshape(N_QUAD, -1)
-
-    def add_block(start, stop):
-        """T rows of the times idx[start:stop], and their mobility term in y."""
         nb = stop - start
         cells = data.coef[idx[start:stop]].T[cell_dofs].transpose(1, 0, 2)
         # phi, d phi / dx and d3 phi / dx3 as (point, cell, time)
         phi_q, dphi_q, d3_q = (table @ cells.reshape(n_local, -1)).reshape(
             3, N_QUAD, n_cells, nb
         )
-        # flat (dof, time) of every (local dof, cell, time)
-        dof_time = cell_dofs.T[:, :, None] * nb + np.arange(nb)
         if kind == IDENTIFY_F:
             gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
@@ -283,14 +275,41 @@ def _assemble(
             gs = [gamma * d3_q - fp_q * dphi_q]
         else:
             gs = [gamma * d3_q, -dphi_q]
-        wg = np.stack([w * g for g in gs], axis=-1).reshape(-1, n_g)
-        p0, width, rows = piece_rows(phi_q, wg)
-        local = psi1.T @ rows
+        wg = np.stack([w * g for g in gs]).reshape(n_g, -1)
+        piece, weights = grid.local_weights(phi_q.ravel())
+        return piece.reshape(phi_q.shape), [wg * lw for lw in weights]
+
+    def add_block(start, stop):
+        """T rows of the times idx[start:stop], and their mobility term in y."""
+        nb = stop - start
+        # flat (dof, time) of every (local dof, cell, time)
+        dof_time = cell_dofs.T[:, :, None] * nb + np.arange(nb)
+        piece, weights = point_weights(start, stop, dof_time)
+        p0 = piece.min(axis=0)
+        width = int((piece - p0).max()) + 2
+        p0 = np.minimum(p0, nk - width)
+        # rows as (point, (cell, time, g, m/v, j)) for the psi' product: the
+        # row of (point, g) starts at flat offset (point n_g + g) 2 width,
+        # and base, laid out (g, point) like the weights, walks its m_left,
+        # m_right, v_left and v_right columns
+        base = np.arange(0, piece.size * n_g * 2 * width, 2 * width).reshape(-1, n_g).T
+        base = base + (piece - p0).ravel()
+        # each array is dropped once consumed, so that none of them shares
+        # the block's peak with the rows
+        del piece
+        rows = np.zeros(base.size * 2 * width)
+        for shift in (0, 1, width - 1, 1):
+            base += shift
+            rows[base] = weights.pop(0)
+        del base
+        local = psi1.T @ rows.reshape(N_QUAD, -1)
+        del rows
         # (local dof, cell, time, g, m/v, j) -> (dof, time, g, m/v nk + p0 + j)
         offsets = (np.arange(2)[:, None] * nk + np.arange(width)).ravel()
         target = ((dof_time[..., None] * n_g + np.arange(n_g)) * (2 * nk)
                   + p0[:, :, None])[..., None] + offsets
         sums = np.bincount(target.ravel(), local.ravel(), bs * nb * n_g * 2 * nk)
+        del target, local
         t_blk = sums.reshape(-1, 2 * nk) @ knot_map
         T[start:stop] = t_blk.reshape(bs, nb, -1).transpose(1, 0, 2)
 
@@ -304,7 +323,7 @@ def _assemble(
         grams=data.grams,
         R=reg,
         grid=grid,
-        times=np.asarray([float(data.times[k]) for k in idx]),
+        times=data.times[idx],
     )
 
 

@@ -120,14 +120,14 @@ class NaturalSplineGrid:
             raise ParameterError(f"derivative order {order} not available")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         sig = self.spacing
-        piece = np.clip(
-            np.floor((s - self.lo) / sig).astype(np.int64), 0, self.n_knots - 2
-        )
+        piece = np.floor((s - self.lo) / sig).astype(np.int64)
+        np.maximum(piece, 0, out=piece)
+        np.minimum(piece, self.n_knots - 2, out=piece)
         u = (s - self.knots[piece]) / sig
         npts = len(s)
         if order == 0:
             v_left, v_right = 1.0 - u, u
-            m_left = sig**2 / 6.0 * ((1.0 - u) ** 3 - (1.0 - u))
+            m_left = sig**2 / 6.0 * (v_left**3 - v_left)
             m_right = sig**2 / 6.0 * (u**3 - u)
         elif order == 1:
             v_left, v_right = np.full(npts, -1.0 / sig), np.full(npts, 1.0 / sig)

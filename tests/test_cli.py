@@ -192,6 +192,17 @@ def test_configuration_errors(tmp_path):
     assert cli.main(["identify", "--config", str(cfg)]) == 1
 
 
+def test_data_mesh_below_four_cells_is_a_configuration_error(tmp_path, capsys):
+    # 8 forward cells at factor 4 leave a 2-cell data mesh
+    body = SMALL_CFG.replace("n_cells = 64", "n_cells = 8").replace("factor = 2", "factor = 4")
+    cfg, out = _write_cfg(tmp_path, body, name="coarse.cfg")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "forward.n_cells" in err and "data.factor" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a mobility that changes sign on [-1, 1] breaks the first step
     cfg, _ = _write_cfg(tmp_path, name="neg.cfg",

@@ -1,6 +1,8 @@
 """Observation grid, difference quotients, level sets, noise."""
 
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +101,43 @@ def test_index_of(reference_data):
         reference_data.index_of(1e-5)  # off the observation grid
     with pytest.raises(DataError):
         reference_data.index_of(0.02 + 4e-5)
+    # off the index range although a stored time matches: with tau_data
+    # halved, t = 0.02 rounds to index 2 (n_times - 1)
+    halved = replace(reference_data, tau_data=0.5 * reference_data.tau_data)
+    for lookup in (halved.index_of, halved.indices_of):
+        with pytest.raises(DataError):
+            lookup(0.02)
+
+
+def _index_of_loop(data, t):
+    """Reference: the scalar lookup, nearest multiple of tau_data on the grid."""
+    k = int(round(t / data.tau_data))
+    if k < 0 or k >= data.n_times or abs(data.times[k] - t) > 1e-9 * max(
+        data.tau_data, abs(t), 1e-300
+    ):
+        raise DataError(f"t = {t} is not on the observation time grid")
+    return k
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+def test_indices_of_matches_the_per_time_rule(reference_data, window_times, seed, size):
+    data, rng = reference_data, np.random.default_rng(seed)
+    times = rng.choice(window_times, size, replace=False)
+    expect = [_index_of_loop(data, t) for t in times]
+    assert data.indices_of(times).tolist() == expect
+    assert [data.index_of(t) for t in times] == expect
+    # an off-grid time anywhere in the batch raises the per-time error
+    i = rng.integers(size)
+    times[i] += 0.25 * data.tau_data
+    off = times[i]
+    with pytest.raises(DataError) as expected:
+        _index_of_loop(data, off)
+    message = f"^{re.escape(str(expected.value))}$"
+    with pytest.raises(DataError, match=message):
+        data.indices_of(times)
+    with pytest.raises(DataError, match=message):
+        data.index_of(off)
 
 
 def test_time_derivative_is_backward_difference(reference_data):
@@ -411,6 +450,11 @@ def test_observability_report_smoke(reference_data, params):
         assert row.cond > 0.0  # inf marks an unusable partner time
     assert any(np.isfinite(r.cond) for r in report.rows)
     assert report.attained and report.observable
+    # a time without predecessor, or off the grid, anywhere in the list
+    for bad in (0.0, float(times[0]) + 1e-5):
+        with pytest.raises(DataError):
+            build_observability_report(reference_data, GAMMA, params.F,
+                                       times=[times[1], bad])
 
 
 # --- monotone-piece root kernel against the per-cell np.roots loop ---------

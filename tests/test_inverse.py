@@ -297,20 +297,27 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
     assert np.max(np.abs(problem.y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
 
 
-# tracemalloc peak minus T.nbytes of the joint paper-window assembly.
-# Dense 2 n_knots-wide local-weight rows, one time per block, measured
-# 1.7000-1.7002 MB over repeated runs (numpy 2, one BLAS thread); the
-# piece-relative rows at two times per block measure 1.391 MB, and three
-# or four times per block would exceed the bound (1.92 and 2.44 MB).
+# tracemalloc peak minus T.nbytes of a paper-window assembly.  Dense
+# 2 n_knots-wide local-weight rows, one time per block, measured
+# 1.7000-1.7002 MB for the joint problem (numpy 2, one BLAS thread).  With
+# piece-relative rows at eight times per block (four for the joint problem)
+# and every other block temporary freed before the rows exist, identify-f
+# measures 1.416 MB, identify-b 1.384 MB and the joint problem 1.349 MB.
 ASSEMBLY_EXTRA_BYTES = 1.70e6
 
 
-def test_joint_assembly_memory_beside_T(window_times, reference_data):
+@pytest.mark.parametrize("kind", inverse.PROBLEM_KINDS)
+def test_assembly_memory_beside_T(kind, window_times, reference_data, params):
     grid = param_grid()
-    assemble_identify_joint(reference_data, GAMMA, window_times, grid)  # warm caches
+
+    def build():
+        return inverse.assemble_problem(kind, reference_data, GAMMA, window_times,
+                                        grid, params.b, params.F)
+
+    build()  # warm caches
     tracemalloc.start()
     try:
-        problem = assemble_identify_joint(reference_data, GAMMA, window_times, grid)
+        problem = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,6 +352,24 @@ def test_chunked_fold_matches_per_block_fold(reference_data, params, window_time
     assert np.max(np.abs(sf.r_k.T @ sf.r_k - gram[:k, :k])) <= 1e-12 * scale
     assert np.max(np.abs(sf.r_k.T @ sf.c - gram[:k, k])) <= 1e-12 * scale
     assert sf.residual == pytest.approx(abs(ref[k, k]), rel=1e-12)
+
+
+def test_fold_with_fewer_rows_than_columns(reference_data, params, window_times):
+    # one time on the 0.02 grid: 100 whitened rows against 102 columns, so
+    # dgeqrf returns a 100-row trapezoid and the last two R rows are padding
+    grid = NaturalSplineGrid(-1.0, 1.0, 0.02)
+    problem = assemble_identify_f(reference_data, GAMMA, params.b,
+                                  window_times[100:101], grid)
+    k = problem.n_cols
+    assert problem.T.shape == (100, k) and k + 1 == 102
+    ref = _fold_per_block(problem)
+    ref = np.vstack([ref, np.zeros((k + 1 - ref.shape[0], k + 1))])
+    gram = ref.T @ ref
+    sf = problem.standard_form()
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(sf.r_k.T @ sf.r_k - gram[:k, :k])) <= 1e-12 * scale
+    assert np.max(np.abs(sf.r_k.T @ sf.c - gram[:k, k])) <= 1e-12 * scale
+    assert sf.residual == 0.0
 
 
 def test_problem_shapes_and_cache(reference_data, params, window_times):
