@@ -180,7 +180,13 @@ def chemical_potential_from_data(
     phi'' and f(phi) are evaluated at the observation nodes (the spline is
     C2, so the nodal second derivative is unambiguous) and re-interpolated.
     """
-    k = data.index_of(t)
+    return _chemical_potential(data, gamma, potential, data.index_of(t))
+
+
+def _chemical_potential(
+    data: ObservationData, gamma: float, potential, k: int
+) -> PeriodicField:
+    """``chemical_potential_from_data`` at the grid index k of a data time."""
     nodes = data.basis.mesh.nodes()
     phi_nodes = eval_field(data.phi_field(k), nodes)
     d2_nodes = eval_field(data.phi_field(k), nodes, 2)
@@ -582,7 +588,7 @@ def observable_range(
     Returns a list of closed level intervals.
     """
     k = data.index_of(t)
-    mu = chemical_potential_from_data(data, gamma, potential, t)
+    mu = _chemical_potential(data, gamma, potential, k)
     p = cell_polys(data.basis, data.coef[k])
     pieces, vals = _monotone_pieces(p)
     lo, hi = float(vals.min()), float(vals.max())   # the attained range

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork
+from scipy.linalg.lapack import dgeqrt
 
 from .data import ObservationData, inject_noise
 from .meshbasis import GramPair, gauss_table, spline_node_values
@@ -70,9 +70,23 @@ class StandardForm:
     beta: np.ndarray
     residual: float
 
+    @property
+    def rho0(self) -> float:
+        """Least-squares residual of the whitened stack, null directions
+        counted: hypot(``residual``, ||beta_i|| over s_i <= tol) with tol =
+        max(s) k eps as in numpy's ``matrix_rank``.  Where s_i is rounding
+        noise, so is beta_i, and the QR route alone decides whether
+        ``residual`` holds it; this value does not depend on that route.
+        """
+        tol = self.s.max() * len(self.s) * np.finfo(float).eps
+        return float(np.hypot(self.residual, np.linalg.norm(self.beta[self.s <= tol])))
+
 
 # time blocks per QR call of the standard-form fold
 _FOLD_CHUNK = 10
+# columns per block of that QR (the nb of LAPACK dgeqrt): fastest of 4-16
+# on the 1043 x 43 joint and 1022 x 22 chunks, one BLAS thread
+_QR_BLOCK = 8
 
 
 @dataclass
@@ -118,32 +132,38 @@ class AssembledProblem:
     def standard_form(self) -> StandardForm:
         """Cached standard-form factorization, built on the first solve.
 
-        The whitened rows [C' T_i | C' y_i] are folded into a (k+1)-column
-        R-factor ``_FOLD_CHUNK`` time blocks per ``dgeqrf`` call, which
-        reads R off the upper triangle of its first k+1 rows (fewer when
-        the stack has fewer rows than columns); only one chunk of whitened
-        rows exists at a time, so the whitened operator is never formed.
+        The whitened rows [C' T_i | C' y_i], with C the ``whitening`` of
+        the grams, are folded into a (k+1)-column R-factor ``_FOLD_CHUNK``
+        time blocks per call of LAPACK ``dgeqrt``, a compact-WY blocked
+        Householder QR with ``_QR_BLOCK`` columns per block; R is the
+        upper triangle of the first k+1 rows (fewer when the stack has
+        fewer rows than columns).  Only one chunk of whitened rows exists
+        at a time, so the whitened operator is never formed.
         """
         if self._factor is None:
             k, bs = self.n_cols, self.block_size
-            minv = self.grams.solve_M(np.eye(bs))
-            whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
+            whiten_t = self.grams.whitening.T
             t_blocks = self.T.reshape(self.n_blocks, bs, k)
-            y_blocks = self._blocks(self.y)[:, :, None]
-            # the optimal work size, so that dgeqrf keeps its blocked path
-            lwork = int(dgeqrf_lwork(k + 1 + _FOLD_CHUNK * bs, k + 1)[0])
-
-            def fold(r, sl):
-                """R-factor of r stacked on the whitened rows of blocks sl."""
-                rows = whiten.T @ np.concatenate([t_blocks[sl], y_blocks[sl]], axis=2)
-                qr = dgeqrf(np.vstack([r, rows.reshape(-1, k + 1)]), lwork, 1)[0]
-                return np.triu(qr[:k + 1])
-
-            r = np.zeros((0, k + 1))
+            y_blocks = self._blocks(self.y)
+            # the R rows so far sit just above the chunk's whitened rows, in
+            # one Fortran-order buffer that a full chunk hands to dgeqrt
+            # without a copy; R has n_r rows, fewer than k + 1 only while the
+            # stack has fewer rows than columns
+            buf = np.empty((k + 1 + _FOLD_CHUNK * bs, k + 1), order="F")
+            n_r = 0
             for i in range(0, self.n_blocks, _FOLD_CHUNK):
-                r = fold(r, slice(i, i + _FOLD_CHUNK))
+                blocks = slice(i, min(i + _FOLD_CHUNK, self.n_blocks))
+                body = buf[k + 1:k + 1 + (blocks.stop - i) * bs]
+                np.matmul(whiten_t, t_blocks[blocks], out=body[:, :k].reshape(-1, bs, k))
+                np.matmul(y_blocks[blocks], whiten_t.T, out=body[:, k].reshape(-1, bs))
+                stack = buf[k + 1 - n_r:k + 1 + len(body)]
+                qr, _, info = dgeqrt(min(_QR_BLOCK, *stack.shape), stack, 1)
+                if info != 0:
+                    raise InverseError(f"dgeqrt rejected argument {-info}")
+                n_r = min(len(stack), k + 1)
+                buf[k + 1 - n_r:k + 1] = np.triu(qr[:n_r])
             # no more rows than columns: pad, the out-of-range residual is 0
-            r = np.vstack([r, np.zeros((k + 1 - r.shape[0], k + 1))])
+            r = np.vstack([buf[k + 1 - n_r:k + 1], np.zeros((k + 1 - n_r, k + 1))])
             pen = self.apply_regularizer(np.eye(k))
             chol = np.linalg.cholesky(0.5 * (pen + pen.T))
             u, sv, vt = np.linalg.svd(
@@ -226,8 +246,8 @@ def _assemble(
     over the block, and p0 <= n_knots - width keeps every column on the
     grid.  One product with the psi' table sums the points of every
     cell, one bincount adds column p0 + j of each cell's rows to its
-    dofs, and [D; I] maps the (dof, 2 n_knots) block to knot columns
-    once per block of times.
+    (time, dof) row, and [D; I] maps those rows to knot columns straight
+    into ``T``, once per block of times.
     """
     idx = _select_indices(data, times)
     _check_phase_values(data, idx)
@@ -238,19 +258,24 @@ def _assemble(
     n_cells, n_local = cell_dofs.shape
     table = np.vstack([t.table for t in tabs])   # rows: (order, point)
     w = tabs[0].weights.T[:, :, None]            # (point, cell, 1)
-    reg = assemble_param_gram(grid)
     nk = grid.n_knots
     knot_map = np.vstack([grid.curvature_map, np.eye(nk)])
     n_g = 2 if kind == IDENTIFY_JOINT else 1
     bs = data.basis.dof_count
     step = max(1, _ASSEMBLY_BLOCK // n_g)
+    # flat (time, dof) row of every (local dof, cell, time) of a block, and
+    # the first column of its (row, g) in the block's bincount; a shorter
+    # last block uses the leading times
+    dof_time = cell_dofs.T[:, :, None] + bs * np.arange(step)
+    row_start = (dof_time[..., None] * n_g + np.arange(n_g)) * (2 * nk)
     # before T exists, so the difference quotients do not add to it
     y = data.grams.mass((data.coef[idx] - data.coef[idx - 1]) / data.tau_data)
     T = np.empty((len(idx), bs, n_g * nk))
 
-    def point_weights(start, stop, dof_time):
+    def point_weights(start, stop):
         """Knot piece of every (point, cell, time) of the times idx[start:stop]
-        and its four local weights scaled by w g, as (g, point) arrays.
+        and its four local weights scaled by w g: the (m, v) pairs of the
+        left and the right knot as complex (g, point) arrays.
 
         For identify-f the mobility term goes into y here.  The Gauss-point
         values are freed on return.
@@ -265,8 +290,8 @@ def _assemble(
             gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
             local = psi1.T @ (w * b_q * d3_q).reshape(N_QUAD, -1)
-            mob = np.bincount(dof_time.ravel(), local.ravel(), bs * nb)
-            y[start:stop] -= gamma * mob.reshape(bs, nb).T
+            mob = np.bincount(dof_time[:, :, :nb].ravel(), local.ravel(), bs * nb)
+            y[start:stop] -= gamma * mob.reshape(nb, bs)
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
             # spline snapshot; differencing a re-interpolated nodal mu field
@@ -276,42 +301,43 @@ def _assemble(
         else:
             gs = [gamma * d3_q, -dphi_q]
         wg = np.stack([w * g for g in gs]).reshape(n_g, -1)
-        piece, weights = grid.local_weights(phi_q.ravel())
-        return piece.reshape(phi_q.shape), [wg * lw for lw in weights]
+        piece, (m_left, m_right, v_left, v_right) = grid.local_weights(phi_q.ravel())
+        pairs = np.empty((2, n_g, piece.size), complex)
+        for pair, m, v in ((pairs[0], m_left, v_left), (pairs[1], m_right, v_right)):
+            np.multiply(wg, m, out=pair.real)
+            np.multiply(wg, v, out=pair.imag)
+        return piece.reshape(phi_q.shape), pairs
 
     def add_block(start, stop):
         """T rows of the times idx[start:stop], and their mobility term in y."""
         nb = stop - start
-        # flat (dof, time) of every (local dof, cell, time)
-        dof_time = cell_dofs.T[:, :, None] * nb + np.arange(nb)
-        piece, weights = point_weights(start, stop, dof_time)
+        piece, pairs = point_weights(start, stop)
         p0 = piece.min(axis=0)
         width = int((piece - p0).max()) + 2
         p0 = np.minimum(p0, nk - width)
-        # rows as (point, (cell, time, g, m/v, j)) for the psi' product: the
-        # row of (point, g) starts at flat offset (point n_g + g) 2 width,
-        # and base, laid out (g, point) like the weights, walks its m_left,
-        # m_right, v_left and v_right columns
-        base = np.arange(0, piece.size * n_g * 2 * width, 2 * width).reshape(-1, n_g).T
-        base = base + (piece - p0).ravel()
+        # rows as (point, (cell, time, g, j, m/v)) for the psi' product, each
+        # (m, v) pair one complex entry, so that two scatters place all four
+        # weights: the row of (point, g) starts at complex offset
+        # (point n_g + g) width, and base, laid out (g, point) like the
+        # pairs, walks its left and right knot
+        base = np.arange(0, piece.size * n_g * width, width).reshape(-1, n_g).T
+        base += (piece - p0).ravel()
         # each array is dropped once consumed, so that none of them shares
         # the block's peak with the rows
         del piece
-        rows = np.zeros(base.size * 2 * width)
-        for shift in (0, 1, width - 1, 1):
-            base += shift
-            rows[base] = weights.pop(0)
-        del base
-        local = psi1.T @ rows.reshape(N_QUAD, -1)
+        rows = np.zeros(base.size * width, complex)
+        rows[base] = pairs[0]
+        base += 1
+        rows[base] = pairs[1]
+        del base, pairs
+        local = psi1.T @ rows.view(float).reshape(N_QUAD, -1)
         del rows
-        # (local dof, cell, time, g, m/v, j) -> (dof, time, g, m/v nk + p0 + j)
-        offsets = (np.arange(2)[:, None] * nk + np.arange(width)).ravel()
-        target = ((dof_time[..., None] * n_g + np.arange(n_g)) * (2 * nk)
-                  + p0[:, :, None])[..., None] + offsets
+        # (local dof, cell, time, g, j, m/v) -> ((time, dof), g, m/v nk + p0 + j)
+        offsets = (np.arange(width)[:, None] + np.arange(2) * nk).ravel()
+        target = (row_start[:, :, :nb] + p0[:, :, None])[..., None] + offsets
         sums = np.bincount(target.ravel(), local.ravel(), bs * nb * n_g * 2 * nk)
         del target, local
-        t_blk = sums.reshape(-1, 2 * nk) @ knot_map
-        T[start:stop] = t_blk.reshape(bs, nb, -1).transpose(1, 0, 2)
+        np.matmul(sums.reshape(-1, 2 * nk), knot_map, out=T[start:stop].reshape(-1, nk))
 
     # one call per block, so a block's temporaries are gone before the next
     for start in range(0, len(idx), step):
@@ -321,7 +347,7 @@ def _assemble(
         T=T.reshape(len(idx) * bs, n_g * nk),
         y=y.ravel(),
         grams=data.grams,
-        R=reg,
+        R=assemble_param_gram(grid),
         grid=grid,
         times=data.times[idx],
     )

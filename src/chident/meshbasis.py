@@ -13,7 +13,6 @@ at the Gauss points (fields there, and the gram matrices), ``cell_polys``
 and ``poly_vals`` at arbitrary points.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -155,6 +154,30 @@ def _cell_dofs(kind: str, n_cells: int) -> np.ndarray:
         local = np.mod(cells + np.arange(-1, 3)[None, :], n_cells)
     local.flags.writeable = False
     return local
+
+
+@lru_cache(maxsize=64)
+def _dof_terms(kind: str, n_cells: int) -> tuple:
+    """Scatter-add plan of ``cell_dofs``: for k = 0, 1, ... the dofs that
+    receive a k-th cell term (``slice(None)`` when all of them do) and the
+    flat (cell, local dof) position of that term.  Each dof's positions
+    increase with k, and every dof has a first term."""
+    flat = _cell_dofs(kind, n_cells).ravel()
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat)
+    # rank of each position among those of its dof
+    rank = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    plan = []
+    for k in range(counts.max()):
+        pos = order[rank == k]
+        dofs = flat[pos]
+        if len(dofs) == len(counts):
+            dofs = slice(None)
+        else:
+            dofs.flags.writeable = False
+        pos.flags.writeable = False
+        plan.append((dofs, pos))
+    return tuple(plan)
 
 
 def _check_order(basis: SpatialBasis, order: int) -> None:
@@ -322,7 +345,7 @@ class GaussTable:
     table: np.ndarray
     points: np.ndarray
     weights: np.ndarray
-    dof_count: int
+    dof_terms: tuple
 
     def gather(self, coef: np.ndarray) -> np.ndarray:
         """Point values E @ coef: (..., dof) -> (..., n_cells, n_quad)."""
@@ -331,17 +354,24 @@ class GaussTable:
     def scatter(self, v: np.ndarray) -> np.ndarray:
         """Adjoint of ``gather``, E^T v: (..., n_cells, n_quad) -> (..., dof)."""
         local = np.moveaxis(v @ self.table, (-2, -1), (0, 1))
-        return np.moveaxis(_cell_sum(self.cell_dofs, local, self.dof_count), 0, -1)
+        return np.moveaxis(_cell_sum(self.dof_terms, local), 0, -1)
 
 
-def _cell_sum(cell_dofs: np.ndarray, local: np.ndarray, dof_count: int) -> np.ndarray:
-    """Scatter-add of cell-local values (n_cells, n_local, ...) onto the dofs: (dof, ...)."""
-    n_cols = math.prod(local.shape[2:])
-    index = cell_dofs.ravel()
-    if n_cols > 1:
-        index = (n_cols * index[:, None] + np.arange(n_cols)).ravel()
-    out = np.bincount(index, weights=local.ravel(), minlength=dof_count * n_cols)
-    return out.reshape(dof_count, *local.shape[2:])
+def _cell_sum(dof_terms: tuple, local: np.ndarray) -> np.ndarray:
+    """Scatter-add of cell-local values (n_cells, n_local, ...) onto the dofs: (dof, ...).
+
+    ``dof_terms`` is the plan of ``_dof_terms``.  Each dof adds its cell
+    terms from 0.0 in increasing (cell, local dof) position, the order of
+    a ``bincount`` over ``cell_dofs``, so the sums are those of that
+    bincount bit for bit.
+    """
+    flat = local.reshape(-1, *local.shape[2:])
+    out = flat[dof_terms[0][1]]
+    # from 0.0, as a bincount: a first term -0.0 sums to +0.0
+    out += 0.0
+    for dofs, pos in dof_terms[1:]:
+        out[dofs] += flat[pos]
+    return out
 
 
 def gauss_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> GaussTable:
@@ -356,7 +386,9 @@ def _gauss_table(kind: str, n_cells: int, n_quad: int, order: int) -> GaussTable
     weights = quadrature_rule(basis.mesh, n_quad)[1].reshape(n_cells, n_quad)
     for arr in (table, weights):
         arr.flags.writeable = False
-    return GaussTable(basis.cell_dofs(), table, _gauss_legendre(n_quad)[0], weights, basis.dof_count)
+    return GaussTable(
+        basis.cell_dofs(), table, _gauss_legendre(n_quad)[0], weights, _dof_terms(kind, n_cells)
+    )
 
 
 def element_grams(rows: np.ndarray, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -496,13 +528,16 @@ class GramPair:
     ``mass`` and ``stiffness`` multiply with the assembled matrices.  The
     H1 gram, their sum, is factored on first use, once, as a symmetric
     band (``factor``); the forward, data and inverse layers all apply its
-    inverse through that factor.
+    inverse through that factor.  ``whitening``, the dense Cholesky
+    factor C of its inverse, is likewise built once, on first use, and
+    shared by every problem assembled on these grams.
     """
 
     basis: SpatialBasis
     m_local: np.ndarray
     k_local: np.ndarray
     _factor: BandCholesky | None = field(default=None, repr=False)
+    _whitening: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def factor(self) -> BandCholesky:
@@ -511,13 +546,23 @@ class GramPair:
             self._factor = BandCholesky(self.basis, self.m_local, self.k_local)
         return self._factor
 
+    @property
+    def whitening(self) -> np.ndarray:
+        """Lower-triangular C with C C' = M^-1 (read-only), built on first use,
+        so that ||C' r||^2 = r' M^-1 r."""
+        if self._whitening is None:
+            minv = self.solve_M(np.eye(self.basis.dof_count))
+            self._whitening = np.linalg.cholesky(0.5 * (minv + minv.T))
+            self._whitening.flags.writeable = False
+        return self._whitening
+
     def _product(self, local: np.ndarray, v) -> np.ndarray:
         """Assembled ``local`` times v: gather, one product per cell, scatter-add."""
         cd = self.basis.cell_dofs()
         v = np.asarray(v, dtype=float)
         # stacked rows become columns: (n_local, n_local) @ (n_local, n_rows) per cell
         columns = np.moveaxis(v, -1, 0)[cd].reshape(*cd.shape, -1)
-        out = _cell_sum(cd, local @ columns, self.basis.dof_count)
+        out = _cell_sum(_dof_terms(self.basis.kind, self.basis.mesh.n_cells), local @ columns)
         return np.moveaxis(out, 0, -1).reshape(v.shape)
 
     def mass(self, v) -> np.ndarray:
@@ -554,7 +599,7 @@ def assemble_grams(basis: SpatialBasis) -> GramPair:
 
     m = gram(0)
     diagonal = np.diagonal(m, axis1=1, axis2=2)
-    if _cell_sum(basis.cell_dofs(), diagonal, basis.dof_count).min() <= 0.0:
+    if _cell_sum(_dof_terms(basis.kind, basis.mesh.n_cells), diagonal).min() <= 0.0:
         raise AssemblyError("L2 gram has a non-positive diagonal entry")
     return GramPair(basis, m, gram(1))
 

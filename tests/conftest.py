@@ -58,6 +58,10 @@ class _ShimGrams:
     def solve_M(self, v):
         return np.asarray(v, dtype=float).copy()
 
+    @property
+    def whitening(self):
+        return np.eye(self.basis.dof_count)
+
 
 class _ShimR:
     """Identity penalty."""

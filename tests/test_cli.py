@@ -123,6 +123,20 @@ def test_identify_report_singular_values(pipeline):
     alpha = report["alpha"]
     assert report["effective_rank"] == pytest.approx(np.sum(s**2 / (s**2 + alpha)), rel=1e-12)
     assert 0.0 < report["effective_rank"] <= len(s)
+    assert 0.0 < report["rho0"] <= report["residual_norm"]
+
+
+def test_rejected_qr_argument_exits_2(pipeline, monkeypatch, capsys):
+    from chident import inverse
+
+    def bad_argument(nb, a, overwrite_a=0):
+        return a, np.zeros((nb, min(a.shape))), -1
+
+    monkeypatch.setattr(inverse, "dgeqrt", bad_argument)
+    cfg, _ = pipeline
+    assert cli.main(["identify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "dgeqrt rejected argument 1" in err and "Traceback" not in err
 
 
 def test_identify_rejects_non_finite_data(pipeline, tmp_path, capsys):

@@ -276,6 +276,19 @@ def test_observable_range_inside_attained(reference_data, params):
     assert measure(harsher) <= measure(ivs) + 1e-12
 
 
+def test_observable_range_looks_its_time_up_once(reference_data, params, monkeypatch):
+    calls = []
+    real = ObservationData.indices_of
+
+    def counted(self, times):
+        calls.append(times)
+        return real(self, times)
+
+    monkeypatch.setattr(ObservationData, "indices_of", counted)
+    assert observable_range(reference_data, GAMMA, params.F, 4e-3)
+    assert len(calls) == 1
+
+
 def test_chemical_potential_nodal_consistency(reference_data, params):
     t = 4e-3
     nodes = reference_data.basis.mesh.nodes()

@@ -339,10 +339,11 @@ def _fold_per_block(problem):
 
 def test_chunked_fold_matches_per_block_fold(reference_data, params, window_times):
     grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
-    # one full QR chunk and a partial one
-    n_times = inverse._FOLD_CHUNK + 3
+    # two full QR chunks and a partial one: the second, with R already
+    # k + 1 rows, fills the whole fold buffer, which dgeqrt overwrites in place
+    n_times = 2 * inverse._FOLD_CHUNK + 3
     problem = assemble_identify_f(reference_data, GAMMA, params.b,
-                                  window_times[::13][:n_times], grid)
+                                  window_times[::8][:n_times], grid)
     assert problem.n_blocks == n_times
     ref = _fold_per_block(problem)
     gram = ref.T @ ref                   # whitened [T | y] Gram
@@ -356,7 +357,7 @@ def test_chunked_fold_matches_per_block_fold(reference_data, params, window_time
 
 def test_fold_with_fewer_rows_than_columns(reference_data, params, window_times):
     # one time on the 0.02 grid: 100 whitened rows against 102 columns, so
-    # dgeqrf returns a 100-row trapezoid and the last two R rows are padding
+    # dgeqrt returns a 100-row trapezoid and the last two R rows are padding
     grid = NaturalSplineGrid(-1.0, 1.0, 0.02)
     problem = assemble_identify_f(reference_data, GAMMA, params.b,
                                   window_times[100:101], grid)
@@ -370,6 +371,41 @@ def test_fold_with_fewer_rows_than_columns(reference_data, params, window_times)
     assert np.max(np.abs(sf.r_k.T @ sf.r_k - gram[:k, :k])) <= 1e-12 * scale
     assert np.max(np.abs(sf.r_k.T @ sf.c - gram[:k, k])) <= 1e-12 * scale
     assert sf.residual == 0.0
+
+
+def test_rejected_qr_argument_raises(reference_data, params, window_times, monkeypatch):
+    problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times[::40],
+                                  NaturalSplineGrid(-1.0, 1.0, 0.25))
+    calls = []
+
+    def bad_argument(nb, a, overwrite_a=0):
+        calls.append(a.shape)
+        return a, np.zeros((nb, min(a.shape))), -1
+
+    monkeypatch.setattr(inverse, "dgeqrt", bad_argument)
+    with pytest.raises(InverseError, match="argument 1"):
+        problem.standard_form()
+    assert len(calls) == 1
+
+
+def test_rho0_is_the_least_squares_residual(reference_data, params, window_times):
+    # on the paper grid R_k has a numerically null direction (the knot at
+    # s = -1, which no data reaches); its beta is rounding noise that the QR
+    # route alone splits between rho and beta, and rho0 counts it
+    problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times,
+                                  param_grid())
+    sf = problem.standard_form()
+    k, bs = problem.n_cols, problem.block_size
+    assert sf.s.min() <= sf.s.max() * k * np.finfo(float).eps
+    whiten_t = problem.grams.whitening.T
+    a = np.vstack([whiten_t @ t for t in problem.T.reshape(-1, bs, k)])
+    b = (problem.y.reshape(-1, bs) @ whiten_t.T).ravel()
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert sf.rho0 == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-10)
+    ref = _fold_per_block(problem)
+    x = np.linalg.lstsq(ref[:k, :k], ref[:k, k], rcond=None)[0]
+    ref_rho0 = np.hypot(ref[k, k], np.linalg.norm(ref[:k, :k] @ x - ref[:k, k]))
+    assert sf.rho0 == pytest.approx(ref_rho0, rel=1e-10)
 
 
 def test_problem_shapes_and_cache(reference_data, params, window_times):

@@ -118,7 +118,12 @@ def test_natural_spline_reproduces_linears():
 
 
 def _eval_matrix_add_at(grid, s, order):
-    """Evaluation matrix accumulated with np.add.at (the former construction)."""
+    """Evaluation matrix accumulated with np.add.at (the former construction).
+
+    Its weights are the same products as ``local_weights``, so the two
+    constructions must agree bit for bit; the arithmetic of the weights is
+    checked against literal powers in ``test_local_weights_match_literal_powers``.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     sig = grid.spacing
     piece = np.clip(np.floor((s - grid.lo) / sig).astype(np.int64), 0, grid.n_knots - 2)
@@ -129,8 +134,8 @@ def _eval_matrix_add_at(grid, s, order):
     m_part = np.zeros((npts, grid.n_knots))
     if order == 0:
         v_left, v_right = 1.0 - u, u
-        m_left = sig**2 / 6.0 * ((1.0 - u) ** 3 - (1.0 - u))
-        m_right = sig**2 / 6.0 * (u**3 - u)
+        m_left = sig**2 / 6.0 * ((1.0 - u) * (1.0 - u) * (1.0 - u) - (1.0 - u))
+        m_right = sig**2 / 6.0 * (u * u * u - u)
     elif order == 1:
         v_left, v_right = np.full(npts, -1.0 / sig), np.full(npts, 1.0 / sig)
         m_left = sig / 6.0 * (1.0 - 3.0 * (1.0 - u) ** 2)
@@ -240,3 +245,26 @@ def test_param_gram_is_spd_h2():
     # integral of (2s + 0.5)^2 over [-1, 1] = 8/3 + 0.5; of 2^2 = 8
     expect = 8.0 / 3.0 + 0.5 + 8.0
     assert line @ (r @ line) == pytest.approx(expect, rel=1e-10)
+
+
+_LITERAL_WEIGHTS = (
+    lambda u, sig: (sig**2 / 6.0 * ((1.0 - u) ** 3 - (1.0 - u)),
+                    sig**2 / 6.0 * (u**3 - u), 1.0 - u, u),
+    lambda u, sig: (sig / 6.0 * (1.0 - 3.0 * (1.0 - u) ** 2),
+                    sig / 6.0 * (3.0 * u**2 - 1.0),
+                    np.full_like(u, -1.0 / sig), np.full_like(u, 1.0 / sig)),
+    lambda u, sig: (1.0 - u, u, np.zeros_like(u), np.zeros_like(u)),
+)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("spacing", [0.02, 0.1, 0.25, 2.0 / 3.0])
+def test_local_weights_match_literal_powers(spacing, order):
+    grid = NaturalSplineGrid(-1.0, 1.0, spacing)
+    # inside the grid and up to 3 beyond either end, where the end pieces
+    # extend with u far outside [0, 1]
+    s = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.linspace(-4.0, 4.0, 2001)])
+    piece, weights = grid.local_weights(s, order)
+    u = (s - grid.knots[piece]) / grid.spacing
+    ref = np.array(_LITERAL_WEIGHTS[order](u, grid.spacing))
+    assert np.max(np.abs(np.array(weights) - ref)) <= 1e-14 * np.max(np.abs(ref))
