@@ -406,9 +406,15 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
     except _NUMERICAL_ERRORS as exc:
         record("dual-norm", False, f"failure: {exc}")
 
+    data = None
     if traj is not None:
         try:
             data = restrict_to_data_grid(traj, cfg.data.factor)
+        except _NUMERICAL_ERRORS as exc:
+            record("coarea-identity", False, f"failure: {exc}")
+            record("perturbation-scaling", False, f"failure: {exc}")
+    if data is not None:
+        try:
             good = total = 0
             worst = 0.0
             for k in range(2, 31, 2):
@@ -431,7 +437,6 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
             record("coarea-identity", False, f"failure: {exc}")
 
         try:
-            data = restrict_to_data_grid(traj, cfg.data.factor)
             times = data.times[1:min(6, data.n_times)]
             grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
             knots = grid.knots

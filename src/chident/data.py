@@ -48,14 +48,14 @@ class DataError(ValueError):
 
 @dataclass
 class ObservationData:
-    """Spline snapshots of the phase field on the observation grid."""
+    """Spline snapshots of the phase field on the observation grid; their
+    noise state is ``delta`` alone, and ``provenance`` follows from it."""
 
     basis: SpatialBasis
     times: np.ndarray
     coef: np.ndarray               # (n_times, dof) spline coefficients
     tau_data: float
     delta: float = 0.0             # injected noise level, 0 = clean
-    provenance: str = "interpolation-only"
     interp_sup: float = 0.0        # sup-in-time H1 restriction discrepancy
     interp_l2: float = 0.0         # L2-in-time H1 restriction discrepancy
     _grams: GramPair | None = field(default=None, repr=False)
@@ -74,6 +74,12 @@ class ObservationData:
     @property
     def n_times(self) -> int:
         return len(self.times)
+
+    @property
+    def provenance(self) -> str:
+        if self.delta > 0.0:
+            return "interpolation+synthetic-noise"
+        return "interpolation-only"
 
     @property
     def grams(self) -> GramPair:
@@ -233,8 +239,8 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     backward difference quotient of eta stays below ``delta`` as well.
     Both attained measures scale linearly in ``delta`` by construction
     and are returned in the accompanying record.  Only clean snapshots
-    take noise: on a container whose provenance already records synthetic
-    noise, ``delta`` would not bound the total perturbation, so any
+    take noise: on a container whose own ``delta`` is already > 0, a
+    second ``delta`` would not bound the total perturbation, so any
     ``delta`` > 0 raises ``DataError`` (``delta`` = 0 returns a copy).
 
     Returns the perturbed container and the noise record.
@@ -244,7 +250,7 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     if delta == 0.0:
         same = replace(data, times=data.times.copy(), coef=data.coef.copy())
         return same, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
-    if "synthetic-noise" in data.provenance:
+    if data.delta > 0.0:
         raise DataError(
             f"snapshots already carry synthetic noise (delta = {data.delta}); "
             "noise is added to clean snapshots only"
@@ -279,13 +285,7 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     sup_h3 = float(np.max(np.abs(q))) * delta
     dq = np.abs(np.diff(q)) / data.tau_data
     sup_rate = float(dq.max(initial=0.0)) * p_dual
-    noisy = replace(
-        data,
-        times=data.times.copy(),
-        coef=coef,
-        delta=float(delta),
-        provenance="interpolation+synthetic-noise",
-    )
+    noisy = replace(data, times=data.times.copy(), coef=coef, delta=float(delta))
     return noisy, NoiseRecord(float(delta), seed, sup_h3, sup_rate, omega, t_peak)
 
 

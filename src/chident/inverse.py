@@ -300,7 +300,9 @@ def _assemble(
             gs = [gamma * d3_q - fp_q * dphi_q]
         else:
             gs = [gamma * d3_q, -dphi_q]
-        wg = np.stack([w * g for g in gs]).reshape(n_g, -1)
+        wg = np.empty((n_g, phi_q.size))
+        for out, g in zip(wg, gs):
+            np.multiply(w, g, out=out.reshape(g.shape))
         piece, (m_left, m_right, v_left, v_right) = grid.local_weights(phi_q.ravel())
         pairs = np.empty((2, n_g, piece.size), complex)
         for pair, m, v in ((pairs[0], m_left, v_left), (pairs[1], m_right, v_right)):

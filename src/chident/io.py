@@ -1,9 +1,12 @@
 """Serialization: binary field containers, CSV plot data, JSON reports.
 
 Containers are self-describing little-endian binary files (magic,
-version, dimensions, 64-bit floats) accompanied by a text manifest.
-CSV floats use the shortest decimal representation that round-trips, so
-identical runs produce byte-identical files.
+version, dimensions, 64-bit floats).  Trajectories and observations go
+through one writer and one reader keyed by the container kind, and the
+reader raises ``IOError_`` on any file it cannot account for.  A text
+manifest beside each container is written for external integrity checks
+and never read back.  CSV floats use the shortest decimal representation
+that round-trips, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import csv
 import hashlib
 import json
 import struct
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .meshbasis import build_mesh, cubic_spline_basis, quadratic_fe
+from .meshbasis import MeshError, build_mesh, cubic_spline_basis, quadratic_fe
 from .forward import Trajectory
 from .data import ObservationData
 
@@ -39,152 +43,114 @@ __all__ = [
 
 
 class IOError_(RuntimeError):
-    """Container or manifest is malformed or inconsistent."""
+    """Container is malformed or inconsistent."""
 
 
 MAGIC = b"CHID"
 CONTAINER_VERSION = 1
-_KIND_TRAJECTORY = 1
-_KIND_OBSERVATION = 2
+# magic, version, kind, n_cells, basis code, n_states, dof, n_scalars
+_HEADER = struct.Struct("<4s7I")
 _BASIS_CODES = {"quadratic-fe": 1, "periodic-cubic-spline": 2}
-_BASIS_NAMES = {v: k for k, v in _BASIS_CODES.items()}
+# a container kind: its code and name, the builder of its basis, and the
+# attributes it stores: scalars in the header, the times and then each
+# (n_states, dof) field in the payload
+_Kind = namedtuple("_Kind", "code name basis scalars fields")
+_TRAJECTORY = _Kind(1, "trajectory", quadratic_fe, ("tau",), ("phi", "mu"))
+_OBSERVATION = _Kind(2, "observation", cubic_spline_basis,
+                     ("tau_data", "delta", "interp_sup", "interp_l2"), ("coef",))
 
 
-def _pack_header(kind, n_cells, basis_code, n_states, dof, scalars):
-    head = struct.pack(
-        "<4sIIIIII", MAGIC, CONTAINER_VERSION, kind, n_cells, basis_code,
-        n_states, dof,
-    )
-    head += struct.pack("<I", len(scalars))
-    head += struct.pack(f"<{len(scalars)}d", *scalars)
-    return head
+def _save(kind: _Kind, box, path, **notes) -> Path:
+    """Write ``box`` as a ``kind`` container plus its text manifest, which
+    lists the shape fields, then ``notes``, then the payload digest."""
+    path = Path(path)
+    basis, n_states = box.basis, len(box.times)
+    scalars = [getattr(box, name) for name in kind.scalars]
+    head = _HEADER.pack(
+        MAGIC, CONTAINER_VERSION, kind.code, basis.mesh.n_cells,
+        _BASIS_CODES[basis.kind], n_states, basis.dof_count, len(scalars),
+    ) + struct.pack(f"<{len(scalars)}d", *scalars)
+    arrays = [box.times] + [getattr(box, name) for name in kind.fields]
+    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    path.write_bytes(head + body)
+    manifest = {
+        "container": kind.name,
+        "version": CONTAINER_VERSION,
+        "n_cells": basis.mesh.n_cells,
+        "basis": basis.kind,
+        "n_states": n_states,
+        "dof": basis.dof_count,
+        **notes,
+        "payload_sha256": hashlib.sha256(body).hexdigest(),
+    }
+    text = "".join(f"{k} = {v}\n" for k, v in manifest.items())
+    path.with_suffix(path.suffix + ".manifest").write_text(text, encoding="utf-8")
+    return path
 
 
-def _read_header(buf):
-    base = struct.calcsize("<4sIIIIII")
-    magic, version, kind, n_cells, basis_code, n_states, dof = struct.unpack(
-        "<4sIIIIII", buf[:base]
-    )
+def _load(kind: _Kind, path) -> dict:
+    """Constructor arguments of the ``kind`` container at ``path``;
+    ``IOError_`` on any defect of the file."""
+    buf = Path(path).read_bytes()
+    if len(buf) < _HEADER.size:
+        raise IOError_(f"{path} has {len(buf)} bytes, fewer than the "
+                       f"{_HEADER.size}-byte container header")
+    magic, version, code, n_cells, basis_code, n_states, dof, n_scalars = (
+        _HEADER.unpack_from(buf))
     if magic != MAGIC:
         raise IOError_(f"bad magic {magic!r}; not a field container")
     if version != CONTAINER_VERSION:
         raise IOError_(f"unsupported container version {version}")
-    (n_scalars,) = struct.unpack("<I", buf[base:base + 4])
-    off = base + 4
-    scalars = struct.unpack(f"<{n_scalars}d", buf[off:off + 8 * n_scalars])
-    off += 8 * n_scalars
-    return kind, n_cells, basis_code, n_states, dof, scalars, off
-
-
-def _payload(arrays):
-    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-
-
-def _write_manifest(path: Path, fields: dict):
-    lines = [f"{k} = {v}" for k, v in fields.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if code != kind.code:
+        article = "an" if kind.name[0] in "aeiou" else "a"
+        raise IOError_(f"{path} holds kind {code}, not {article} {kind.name}")
+    try:
+        basis = kind.basis(build_mesh(n_cells))
+    except MeshError as exc:
+        raise IOError_(f"{kind.name} container: {exc}") from exc
+    if basis_code != _BASIS_CODES[basis.kind]:
+        raise IOError_(f"{kind.name} container has basis code {basis_code}")
+    if dof != basis.dof_count:
+        raise IOError_(f"dof mismatch: header {dof}, basis {basis.dof_count}")
+    if n_states == 0:
+        raise IOError_(f"{kind.name} container holds no states")
+    if n_scalars != len(kind.scalars):
+        raise IOError_(f"{kind.name} container declares {n_scalars} scalars, not "
+                       f"{len(kind.scalars)}")
+    offset = _HEADER.size + 8 * n_scalars
+    if len(buf) < offset:
+        raise IOError_(f"{path} ends inside its scalar block")
+    scalars = struct.unpack_from(f"<{n_scalars}d", buf, _HEADER.size)
+    need = n_states * (1 + len(kind.fields) * dof) * 8
+    if len(buf) - offset != need:
+        raise IOError_(f"payload length {len(buf) - offset}, expected {need}")
+    raw = np.frombuffer(buf, dtype="<f8", offset=offset).copy()
+    fields = raw[n_states:].reshape(len(kind.fields), n_states, dof)
+    return {"basis": basis, "times": raw[:n_states],
+            **dict(zip(kind.scalars, scalars)), **dict(zip(kind.fields, fields))}
 
 
 def save_trajectory(traj: Trajectory, path) -> Path:
     """Write a trajectory container plus its text manifest."""
-    path = Path(path)
-    n_cells = traj.basis.mesh.n_cells
-    code = _BASIS_CODES[traj.basis.kind]
-    body = _payload([traj.times, traj.phi, traj.mu])
-    head = _pack_header(
-        _KIND_TRAJECTORY, n_cells, code, traj.n_states, traj.basis.dof_count,
-        [traj.tau],
-    )
-    path.write_bytes(head + body)
-    _write_manifest(path.with_suffix(path.suffix + ".manifest"), {
-        "container": "trajectory",
-        "version": CONTAINER_VERSION,
-        "n_cells": n_cells,
-        "basis": traj.basis.kind,
-        "n_states": traj.n_states,
-        "dof": traj.basis.dof_count,
-        "tau": fmt_float(traj.tau),
-        "t_end": fmt_float(float(traj.times[-1])),
-        "payload_sha256": hashlib.sha256(body).hexdigest(),
-    })
-    return path
+    return _save(_TRAJECTORY, traj, path, tau=fmt_float(traj.tau),
+                 t_end=fmt_float(traj.times[-1]))
 
 
 def load_trajectory(path) -> Trajectory:
-    buf = Path(path).read_bytes()
-    kind, n_cells, basis_code, n_states, dof, scalars, off = _read_header(buf)
-    if kind != _KIND_TRAJECTORY:
-        raise IOError_(f"container at {path} is not a trajectory (kind {kind})")
-    if _BASIS_NAMES.get(basis_code) != "quadratic-fe":
-        raise IOError_(f"trajectory container has basis code {basis_code}")
-    basis = quadratic_fe(build_mesh(int(n_cells)))
-    if basis.dof_count != dof:
-        raise IOError_(f"dof mismatch: header {dof}, basis {basis.dof_count}")
-    need = n_states * (1 + 2 * dof) * 8
-    if len(buf) - off != need:
-        raise IOError_(f"payload length {len(buf) - off}, expected {need}")
-    data = np.frombuffer(buf, dtype="<f8", offset=off)
-    times = data[:n_states].copy()
-    phi = data[n_states:n_states * (1 + dof)].reshape(n_states, dof).copy()
-    mu = data[n_states * (1 + dof):].reshape(n_states, dof).copy()
-    return Trajectory(basis=basis, tau=float(scalars[0]), times=times,
-                      phi=phi, mu=mu)
+    return Trajectory(**_load(_TRAJECTORY, path))
 
 
 def save_observation(data: ObservationData, path) -> Path:
-    path = Path(path)
-    n_cells = data.basis.mesh.n_cells
-    code = _BASIS_CODES[data.basis.kind]
-    body = _payload([data.times, data.coef])
-    head = _pack_header(
-        _KIND_OBSERVATION, n_cells, code, data.n_times, data.basis.dof_count,
-        [data.tau_data, data.delta, data.interp_sup, data.interp_l2],
-    )
-    path.write_bytes(head + body)
-    _write_manifest(path.with_suffix(path.suffix + ".manifest"), {
-        "container": "observation",
-        "version": CONTAINER_VERSION,
-        "n_cells": n_cells,
-        "basis": data.basis.kind,
-        "n_states": data.n_times,
-        "dof": data.basis.dof_count,
-        "tau_data": fmt_float(data.tau_data),
-        "t_end": fmt_float(float(data.times[-1])),
-        "delta": fmt_float(data.delta),
-        "provenance": data.provenance,
-        "interp_sup": fmt_float(data.interp_sup),
-        "interp_l2": fmt_float(data.interp_l2),
-        "payload_sha256": hashlib.sha256(body).hexdigest(),
-    })
-    return path
+    """Write an observation container plus its text manifest."""
+    return _save(_OBSERVATION, data, path, tau_data=fmt_float(data.tau_data),
+                 t_end=fmt_float(data.times[-1]), delta=fmt_float(data.delta),
+                 provenance=data.provenance, interp_sup=fmt_float(data.interp_sup),
+                 interp_l2=fmt_float(data.interp_l2))
 
 
 def load_observation(path) -> ObservationData:
-    path = Path(path)
-    buf = path.read_bytes()
-    kind, n_cells, basis_code, n_states, dof, scalars, off = _read_header(buf)
-    if kind != _KIND_OBSERVATION:
-        raise IOError_(f"container at {path} is not an observation (kind {kind})")
-    if _BASIS_NAMES.get(basis_code) != "periodic-cubic-spline":
-        raise IOError_(f"observation container has basis code {basis_code}")
-    basis = cubic_spline_basis(build_mesh(int(n_cells)))
-    need = n_states * (1 + dof) * 8
-    if len(buf) - off != need:
-        raise IOError_(f"payload length {len(buf) - off}, expected {need}")
-    raw = np.frombuffer(buf, dtype="<f8", offset=off)
-    times = raw[:n_states].copy()
-    coef = raw[n_states:].reshape(n_states, dof).copy()
-    provenance = "interpolation-only"
-    manifest = path.with_suffix(path.suffix + ".manifest")
-    if manifest.exists():
-        for line in manifest.read_text(encoding="utf-8").splitlines():
-            if line.startswith("provenance = "):
-                provenance = line.partition(" = ")[2].strip()
-    return ObservationData(
-        basis=basis, times=times, coef=coef, tau_data=float(scalars[0]),
-        delta=float(scalars[1]), provenance=provenance,
-        interp_sup=float(scalars[2]), interp_l2=float(scalars[3]),
-    )
+    """Its provenance follows from the stored delta; the manifest is not read."""
+    return ObservationData(**_load(_OBSERVATION, path))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +203,9 @@ def solution_csv(path, s_grid, truth, reconstruction, mask) -> Path:
 
 
 def lcurve_csv(curve, path) -> Path:
-    rows = [
-        (a, r, s, c, f, i == curve.corner_index)
-        for i, (a, r, s, c, f) in enumerate(zip(
-            curve.alphas, curve.residual_norms, curve.solution_norms,
-            curve.curvature, curve.flagged,
-        ))
-    ]
+    corner = np.arange(len(curve.alphas)) == curve.corner_index
+    rows = zip(curve.alphas, curve.residual_norms, curve.solution_norms,
+               curve.curvature, curve.flagged, corner)
     return write_csv(
         path,
         ("alpha", "residual_norm", "solution_norm", "curvature", "flagged", "corner"),

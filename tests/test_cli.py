@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chident import cli
+from chident.data import DataError
 from chident.model import NaturalSplineGrid
 
 SMALL_CFG = """
@@ -102,14 +103,33 @@ def test_retired_key_in_old_echo_is_named_on_stderr(pipeline, tmp_path):
     cfg, _ = pipeline
     old = tmp_path / "old_echo.cfg"
     old.write_text(cfg.read_text() + "output.formats = csv,json\n", encoding="utf-8")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-m", "chident", "identify", "--config", str(old)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    run = _run_program("identify", "--config", str(old))
     assert run.returncode == 0, run.stderr
     assert "output.formats" in run.stderr
+
+
+def _run_program(*argv):
+    """``python -m chident *argv`` in a child process on this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "chident", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_malformed_containers_exit_1_without_traceback(pipeline, tmp_path):
+    """Run as a program, a malformed container is one error line and exit 1."""
+    _, out = pipeline
+    stub = tmp_path / "stub.bin"
+    stub.write_bytes(b"CHID")
+    cut = tmp_path / "cut.bin"
+    # 32-byte fixed header, then 4 scalars: byte 40 is inside the scalars
+    cut.write_bytes((out / "observation.bin").read_bytes()[:40])
+    for argv in (["make-data", "--trajectory", str(stub)],
+                 ["identify", "--observation", str(cut)]):
+        run = _run_program(*argv, "--out", str(tmp_path / "out"))
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
 
 
 def test_identify_report_singular_values(pipeline):
@@ -284,6 +304,35 @@ def test_verify_negative_control(tmp_path, monkeypatch):
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["coarea-identity"] is False
     assert by_name["conservation"] is True
+
+
+def test_verify_restricts_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.restrict_to_data_grid
+
+    def counted(traj, factor):
+        calls.append(factor)
+        return original(traj, factor)
+
+    monkeypatch.setattr(cli, "restrict_to_data_grid", counted)
+    assert cli.main(["verify", "--preset", "paper", "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_records_a_failed_restriction(tmp_path, monkeypatch, capsys):
+    """Both data-grid checks fail, with the reason, and the suite goes on."""
+    def refuse(traj, factor):
+        raise DataError("restriction refused")
+
+    monkeypatch.setattr(cli, "restrict_to_data_grid", refuse)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--preset", "paper", "--out", str(out)]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    checks = {c["name"]: (c["passed"], c["detail"]) for c in report["checks"]}
+    assert checks["conservation"][0] is True
+    for name in ("coarea-identity", "perturbation-scaling"):
+        assert checks[name] == (False, "failure: restriction refused")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_make_data_seed_and_noise(pipeline, tmp_path):

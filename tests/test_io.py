@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from chident.meshbasis import build_mesh, cubic_spline_basis, quadratic_fe, interpolate
 from chident.model import default_params, default_initial_profile
 from chident.forward import simulate
-from chident.data import ObservationData, restrict_to_data_grid, inject_noise
+from chident.data import DataError, ObservationData, restrict_to_data_grid, inject_noise
+from chident import cli
 from chident import io as chio
 
 
@@ -94,7 +95,6 @@ def _observations(draw):
         coef=draw(hnp.arrays(float, (n_times, n_cells), elements=_FINITE)),
         tau_data=draw(_FINITE),
         delta=draw(_FINITE),
-        provenance=draw(st.sampled_from(["interpolation-only", "interpolation+synthetic-noise"])),
         interp_sup=draw(_FINITE),
         interp_l2=draw(_FINITE),
     )
@@ -118,28 +118,102 @@ def test_observation_container_round_trip(data):
         assert manifest(second) == manifest(first)
 
 
-def test_container_kind_and_magic_checks(tiny_traj, tmp_path):
-    traj_path = tmp_path / "traj.bin"
-    chio.save_trajectory(tiny_traj, traj_path)
-    with pytest.raises(chio.IOError_, match="not an observation"):
-        chio.load_observation(traj_path)
+@pytest.fixture(scope="module")
+def containers(tiny_traj, tmp_path_factory):
+    """A valid container of each kind, by kind name."""
+    tmp = tmp_path_factory.mktemp("containers")
+    return {
+        "trajectory": chio.save_trajectory(tiny_traj, tmp / "traj.bin").read_bytes(),
+        "observation": chio.save_observation(
+            restrict_to_data_grid(tiny_traj, 2), tmp / "obs.bin").read_bytes(),
+    }
 
-    bad_magic = tmp_path / "bad.bin"
-    bad_magic.write_bytes(b"NOPE" + traj_path.read_bytes()[4:])
-    with pytest.raises(chio.IOError_, match="magic"):
-        chio.load_trajectory(bad_magic)
 
-    blob = bytearray(traj_path.read_bytes())
-    blob[4:8] = struct.pack("<I", 99)  # unsupported version
-    bad_version = tmp_path / "v99.bin"
-    bad_version.write_bytes(bytes(blob))
-    with pytest.raises(chio.IOError_, match="version"):
-        chio.load_trajectory(bad_version)
+def _field(offset, new):
+    """Edit that replaces the u32 header field at ``offset`` by new(old)."""
+    def edit(blob):
+        (old,) = struct.unpack_from("<I", blob, offset)
+        return blob[:offset] + struct.pack("<I", new(old)) + blob[offset + 4:]
+    return edit
 
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(traj_path.read_bytes()[:-16])
-    with pytest.raises(chio.IOError_, match="payload length"):
-        chio.load_trajectory(truncated)
+
+# header fields: magic 0, version 4, kind 8, n_cells 12, basis code 16,
+# n_states 20, dof 24, n_scalars 28; the scalars follow from byte 32
+_MALFORMED = [
+    ("shorter than the header", lambda b: b[:31], "31 bytes, fewer than the 32-byte container header"),
+    ("empty file", lambda b: b"", "0 bytes, fewer than the 32-byte container header"),
+    ("bad magic", lambda b: b"NOPE" + b[4:], "bad magic"),
+    ("unsupported version", _field(4, lambda v: 99), "container version 99"),
+    ("unknown kind", _field(8, lambda v: 7), "holds kind 7"),
+    ("fewer than 4 cells", _field(12, lambda v: 3), "n_cells must be an integer >= 4"),
+    ("other kind's basis", _field(16, lambda v: 3 - v), "has basis code"),
+    ("no states", _field(20, lambda v: 0), "holds no states"),
+    ("dof not the basis's", _field(24, lambda v: v + 1), "dof mismatch"),
+    ("scalar count past the end", _field(28, lambda v: 2**20), "declares 1048576 scalars"),
+    ("cut inside the scalar block", lambda b: b[:36], "ends inside its scalar block"),
+    ("payload cut short", lambda b: b[:-16], "payload length"),
+    ("trailing bytes", lambda b: b + bytes(8), "payload length"),
+]
+_WRONG_SCALAR_COUNT = {"trajectory": 0, "observation": 1}
+_LOADERS = {"trajectory": chio.load_trajectory, "observation": chio.load_observation}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "edit, match", [case[1:] for case in _MALFORMED] + [(None, "scalars, not")],
+    ids=[case[0] for case in _MALFORMED] + ["wrong scalar count"],
+)
+def test_malformed_container_raises_io_error(containers, kind, edit, match, tmp_path, capsys):
+    """The one reader names the defect of every malformed file, and the
+    command line that reads it exits 1 with the message, no traceback."""
+    if edit is None:
+        edit = _field(28, lambda v: _WRONG_SCALAR_COUNT[kind])
+    path = tmp_path / "bad.bin"
+    path.write_bytes(edit(containers[kind]))
+    with pytest.raises(chio.IOError_, match=match):
+        _LOADERS[kind](path)
+    command = (["make-data", "--trajectory", str(path)] if kind == "trajectory"
+               else ["identify", "--observation", str(path)])
+    assert cli.main(command + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_container_of_the_other_kind_is_refused(containers, tmp_path):
+    for kind, other in (("trajectory", "observation"), ("observation", "trajectory")):
+        path = tmp_path / f"{kind}.bin"
+        path.write_bytes(containers[kind])
+        with pytest.raises(chio.IOError_, match=f"not an? {other}"):
+            _LOADERS[other](path)
+
+
+def test_noisy_container_without_manifest_keeps_its_noise_state(tiny_traj, tmp_path):
+    """Provenance follows the stored delta, so a copied container whose
+    manifest is lost still refuses a second noise draw."""
+    noisy, _ = inject_noise(restrict_to_data_grid(tiny_traj, 2), 1e-3, seed=5)
+    path = chio.save_observation(noisy, tmp_path / "obs.bin")
+    path.with_suffix(".bin.manifest").unlink()
+    back = chio.load_observation(path)
+    assert back.delta == 1e-3
+    assert back.provenance == "interpolation+synthetic-noise"
+    with pytest.raises(DataError, match="already carry synthetic noise"):
+        inject_noise(back, 1e-3)
+
+
+def test_manifest_is_not_read_back(tiny_traj, tmp_path):
+    """A manifest whose provenance line contradicts delta changes nothing."""
+    clean = restrict_to_data_grid(tiny_traj, 2)
+    noisy, _ = inject_noise(clean, 1e-3, seed=5)
+    for data, lie in ((clean, "interpolation+synthetic-noise"),
+                      (noisy, "interpolation-only")):
+        path = chio.save_observation(data, tmp_path / "obs.bin")
+        manifest = path.with_suffix(".bin.manifest")
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace(f"provenance = {data.provenance}",
+                                         f"provenance = {lie}"), encoding="utf-8")
+        assert f"provenance = {lie}" in manifest.read_text(encoding="utf-8")
+        back = chio.load_observation(path)
+        assert (back.delta, back.provenance) == (data.delta, data.provenance)
 
 
 def test_fmt_float_shortest_roundtrip():
