@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (forward run), ``make-data`` (observation
 grid + diagnostics), ``identify`` (assemble/solve/post-process),
 ``lcurve`` (regularization-parameter sweep), ``verify`` (invariant
-suite).  Exit codes: 0 success, 1 configuration/validation error,
-2 numerical failure, 3 invariant-suite failure.
+suite).  Exit codes: 0 success, 1 configuration/validation error or an
+unreadable/unwritable path, 2 numerical failure, 3 invariant-suite
+failure.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ from . import io as chio
 
 __all__ = ["main", "run_invariant_suite"]
 
-_VALIDATION_ERRORS = (ConfigError, chio.IOError_, FileNotFoundError)
+# OSError: an input or output path that cannot be read or written
+_VALIDATION_ERRORS = (ConfigError, chio.IOError_, OSError)
 _NUMERICAL_ERRORS = (
     SolverError, NewtonError, MobilityError, InverseError,
     DataError, ModelError, ParameterError, MeshError, BasisError,

@@ -19,9 +19,12 @@ it was built at (bisection), when the residual contracted by less than
 ``THETA`` over the last iteration, and after a failed attempt.  The
 iterate stays in that band order for the whole step: the residual is a
 BLAS ``dgbmv`` with the constant blocks plus one scatter-add of the
-nonlinear terms, the update is ``dgbtrs`` on it as it is, and only the
-accepted state is put back in dof order.  Every step after the first
-starts from the linear extrapolation of the last two states.
+nonlinear terms, its dual norm one ``dtbtrs`` sweep with the H1 gram's
+band Cholesky factor, the update is ``dgbtrs`` on it as it is, and only
+the accepted state is put back in dof order.  Every step after the
+first starts from a polynomial extrapolation of the last states (cubic
+from the fourth step on), the standard starting value of Hairer-Wanner
+IV.8; it leaves a smaller first residual than a linear start.
 
 Convergence is judged on the true residual, in the dual norm, and the
 iteration is polished by one extra update once it meets the tolerance.
@@ -141,7 +144,7 @@ class _ForwardContext:
     nonlinear terms are tested against the basis by one ``bincount``
     onto those rows.  Read as a (dof, 2) array, a band vector holds phi
     and mu as columns in the folded order of the H1 gram's band Cholesky
-    factor, so the dual norm is one ``dpbtrs`` call with that factor.
+    factor L, so the dual norm ||L^-1 r|| is one ``dtbtrs`` sweep with it.
 
     The context keeps the band LU factor of the last Jacobian it built,
     with the step length it was built at.  ``factorize`` replaces it,
@@ -198,10 +201,7 @@ class _ForwardContext:
 
     def dual_norm(self, r: np.ndarray) -> float:
         """H^-1 norm of the residual pair, through the H1 gram's band factor."""
-        pairs = r.reshape(-1, 2)
-        z = self.grams.factor.solve_folded(pairs)
-        q = pairs[:, 0] @ z[:, 0] + pairs[:, 1] @ z[:, 1]
-        return float(np.sqrt(max(q, 0.0)))
+        return self.grams.factor.dual_norm(r.reshape(-1, 2))
 
     def min_mobility(self, phi: np.ndarray) -> float:
         return float(np.min(self.params.b(self.t0.gather(phi).ravel())))
@@ -339,13 +339,29 @@ def _advance(ctx, phi_n, mu_n, tau, guess=None, depth=0):
     return _advance(ctx, phi_h, mu_h, half, depth=depth + 1)
 
 
+def _extrapolate(x: np.ndarray, k: int) -> np.ndarray:
+    """Polynomial extrapolation of x[k + 1] from x[k], x[k - 1], ... (k >= 1).
+
+    Cubic from k = 3 on, quadratic at k = 2 and linear at k = 1; the
+    weights sum to 1, so the mass of a conserved field is kept.
+    """
+    if k >= 3:
+        return 4.0 * x[k] - 6.0 * x[k - 1] + 4.0 * x[k - 2] - x[k - 3]
+    if k == 2:
+        return 3.0 * x[k] - 3.0 * x[k - 1] + x[k - 2]
+    return 2.0 * x[k] - x[k - 1]
+
+
 def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float) -> Trajectory:
     """Run the stepper from ``phi0`` to ``t_end`` on a uniform time grid.
 
     ``t_end`` must be an integer multiple of ``tau`` up to rounding.  Every
-    step after the first starts its Newton iteration from the linear
-    extrapolation 2 x_n - x_(n-1) of the last two states (x = phi and
-    mu), whose phase mass is that of phi_n.  On a Newton failure (no
+    step after the first starts its Newton iteration from a polynomial
+    extrapolation of the last states (x = phi and mu): the cubic
+    4 x_n - 6 x_(n-1) + 4 x_(n-2) - x_(n-3) from the fourth step on, the
+    quadratic 3 x_n - 3 x_(n-1) + x_(n-2) at the third and the linear
+    2 x_n - x_(n-1) at the second.  The weights sum to 1, so the guess
+    keeps the phase mass of phi_n.  On a Newton failure (no
     convergence, a singular Jacobian, or a non-positive mobility along
     an iterate) the step is bisected (recursively, up to ``MAX_BISECT``
     levels), and the half steps start from their own start state;
@@ -368,7 +384,7 @@ def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float)
     phi[0] = phi0.coef
     mu[0] = ctx.initial_mu(phi0.coef)
     for k in range(n_steps):
-        guess = None if k == 0 else (2.0 * phi[k] - phi[k - 1], 2.0 * mu[k] - mu[k - 1])
+        guess = None if k == 0 else (_extrapolate(phi, k), _extrapolate(mu, k))
         phi[k + 1], mu[k + 1] = _advance(ctx, phi[k], mu[k], tau, guess)
     times = np.arange(n_steps + 1) * tau
     return Trajectory(phi0.basis, tau, times, phi, mu, ctx.telemetry)

@@ -124,10 +124,9 @@ class AssembledProblem:
         return vec.reshape(self.n_blocks, self.block_size)
 
     def weighted_misfit(self, residual: np.ndarray) -> float:
-        """Block H^-1 aggregate of a stacked residual vector."""
-        r = self._blocks(residual).T
-        acc = float(np.sum(r * self.grams.solve_M(r)))
-        return float(np.sqrt(max(acc, 0.0)))
+        """Block H^-1 aggregate sqrt(sum_i r_i' M^-1 r_i) of a stacked residual."""
+        factor = self.grams.factor
+        return factor.dual_norm(self._blocks(residual)[:, factor.order].T)
 
     def standard_form(self) -> StandardForm:
         """Cached standard-form factorization, built on the first solve.

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 QUADRATIC_FE = "quadratic-fe"
 PERIODIC_CUBIC_SPLINE = "periodic-cubic-spline"
@@ -485,7 +485,7 @@ _GRAM_QUAD = {QUADRATIC_FE: 3, PERIODIC_CUBIC_SPLINE: 4}
 
 
 class BandCholesky:
-    """Cholesky factor of a symmetric positive definite gram, as a band.
+    """Cholesky factor A = L L' of a symmetric positive definite gram, as a band.
 
     The gram is the sum of the assembled element grams ``local``.  In
     ``_folded_order`` the dofs that share a cell stay near each other,
@@ -493,9 +493,10 @@ class BandCholesky:
     (i, j), i >= j, at row i - j) of a one-block ``BlockPattern``; their
     sum goes to LAPACK ``dpbtrf`` once.  Summed after assembly, the small
     L2 part is rounded once against the stiffness; near-constant dual
-    norms are sensitive to that rounding.  ``solve_folded`` is one
-    ``dpbtrs`` call on rows already in the folded order; ``solve``
-    permutes into that order and back around it.
+    norms are sensitive to that rounding.  ``dual_norm`` is the one dual
+    norm route: sqrt(r' A^-1 r) = ||L^-1 r|| by one ``dtbtrs`` sweep, half
+    of a solve, on rows already in the folded order ``order``.  ``solve``
+    is one ``dpbtrs`` call, permuting into that order and back around it.
     """
 
     def __init__(self, basis: SpatialBasis, *local: np.ndarray):
@@ -506,16 +507,19 @@ class BandCholesky:
         if info != 0:
             raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")
 
-    def solve_folded(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs, with the rows of rhs and of the result in folded order."""
-        x, info = dpbtrs(self._factor, rhs, lower=1)
+    def dual_norm(self, r: np.ndarray) -> float:
+        """||L^-1 r||, over all columns of r, with the rows of r in folded order."""
+        x, info = dtbtrs(self._factor, r, uplo="L")
         if info != 0:
-            raise AssemblyError(f"dpbtrs rejected argument {-info}")
-        return x
+            raise AssemblyError(f"dtbtrs failed with info {info}")
+        x = x.ravel(order="K")
+        return float(np.sqrt(x @ x))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs for one vector or for stacked columns."""
-        x = self.solve_folded(np.asarray(rhs, dtype=float)[self.order])
+        x, info = dpbtrs(self._factor, np.asarray(rhs, dtype=float)[self.order], lower=1)
+        if info != 0:
+            raise AssemblyError(f"dpbtrs rejected argument {-info}")
         out = np.empty_like(x)
         out[self.order] = x
         return out
@@ -527,10 +531,10 @@ class GramPair:
 
     ``mass`` and ``stiffness`` multiply with the assembled matrices.  The
     H1 gram, their sum, is factored on first use, once, as a symmetric
-    band (``factor``); the forward, data and inverse layers all apply its
-    inverse through that factor.  ``whitening``, the dense Cholesky
-    factor C of its inverse, is likewise built once, on first use, and
-    shared by every problem assembled on these grams.
+    band (``factor``); the forward, data and inverse layers all take
+    their H^-1 norms from that factor's ``dual_norm``.  ``whitening``,
+    the dense Cholesky factor C of its inverse, is likewise built once,
+    on first use, and shared by every problem assembled on these grams.
     """
 
     basis: SpatialBasis
@@ -608,8 +612,8 @@ def dual_norm_Hm1(y: np.ndarray, grams: GramPair) -> float:
     """Discrete H^-1 norm of a functional given by its coefficient vector.
 
     ``y[i]`` is the action of the functional on basis function i.  The
-    norm is sqrt(y^T M^-1 y) with M the H1 gram; the Riesz representer
-    solve reuses the cached factorization.
+    norm is sqrt(y^T M^-1 y) = ||L^-1 y|| with M = L L^T the H1 gram,
+    from the cached band factor's ``dual_norm``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (grams.basis.dof_count,):
@@ -617,9 +621,5 @@ def dual_norm_Hm1(y: np.ndarray, grams: GramPair) -> float:
             f"functional vector has shape {y.shape}, "
             f"expected ({grams.basis.dof_count},)"
         )
-    z = grams.solve_M(y)
-    q = float(y @ z)
-    if q < -1e-10 * max(float(y @ y), 1.0):
-        raise AssemblyError("H1 gram solve produced a negative quadratic form")
-    return float(np.sqrt(max(q, 0.0)))
-
+    factor = grams.factor
+    return factor.dual_norm(y[factor.order])

@@ -49,14 +49,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+class _ShimFactor:
+    """Identity band factor: the dual norm is the Euclidean norm."""
+
+    def __init__(self, n):
+        self.order = np.arange(n)
+
+    def dual_norm(self, r):
+        return float(np.linalg.norm(r))
+
+
 class _ShimGrams:
     """Identity observation gram over ``n`` degrees of freedom."""
 
     def __init__(self, n):
         self.basis = type("_B", (), {"dof_count": n})()
-
-    def solve_M(self, v):
-        return np.asarray(v, dtype=float).copy()
+        self.factor = _ShimFactor(n)
 
     @property
     def whitening(self):

@@ -57,7 +57,7 @@ def test_simulate_outputs(pipeline):
     assert report["energy_monotone"] is True
     assert "config_text" in report
     solver = report["solver"]
-    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 81, 0)
+    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 65, 0)
     assert solver["max_newton_iters"] >= 1
     assert 0.0 < solver["worst_residual"] <= 1e-12
     assert solver["min_mobility"] > 0.0
@@ -127,6 +127,18 @@ def test_malformed_containers_exit_1_without_traceback(pipeline, tmp_path):
     for argv in (["make-data", "--trajectory", str(stub)],
                  ["identify", "--observation", str(cut)]):
         run = _run_program(*argv, "--out", str(tmp_path / "out"))
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
+
+
+def test_unusable_paths_exit_1_without_traceback(tmp_path):
+    """A path that cannot be read or written is one error line and exit 1."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    for argv in (["make-data", "--trajectory", str(tmp_path), "--out", str(tmp_path / "out")],
+                 ["make-data", "--out", str(a_file)]):
+        run = _run_program(*argv)
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr

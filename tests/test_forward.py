@@ -19,7 +19,13 @@ from chident.meshbasis import (
     quadratic_fe,
     quadrature_rule,
 )
-from sparse_oracle import assembled_gram, basis_matrix, gauss_points, gram_solve, weighted_gram
+from sparse_oracle import (
+    assembled_gram,
+    basis_matrix,
+    dual_norm_sq,
+    gauss_points,
+    weighted_gram,
+)
 from chident.model import (
     ModelParams,
     SplineParameter,
@@ -341,8 +347,8 @@ def test_banded_newton_step_matches_splu(n_cells):
 
 @pytest.mark.parametrize("n_cells", [4, 5, 16, 64])
 def test_band_dual_norm_matches_sparse_gram_solve(n_cells):
-    # Newton residuals of the third step, at its two possible starts: the
-    # last state and the extrapolation of the last two
+    # Newton residuals of the third step, at its start state, at the linear
+    # extrapolation of the last two states and at the quadratic one it uses
     params = default_params(0.003)
     phi0 = interpolate(quadratic_fe(build_mesh(n_cells)), default_initial_profile)
     tau = 2e-5
@@ -350,21 +356,12 @@ def test_band_dual_norm_matches_sparse_gram_solve(n_cells):
     ctx = forward._ForwardContext(traj.basis, params)
     m, k = _sparse_grams(ctx)
     h1 = (m + k).tocsr()
-
-    def norm_sq(v):
-        # SuperLU alone is off by up to 7e-13 relative here at 64 cells (against
-        # 40-digit arithmetic); one refinement step leaves up to 3e-13 when its
-        # residual is a double product, 1e-16 when it is a long double one
-        z = gram_solve(h1, v)
-        wide = np.longdouble
-        z += gram_solve(h1, (v.astype(wide) - h1.astype(wide) @ z.astype(wide)).astype(float))
-        return v @ z
-
     phi, mu = traj.phi, traj.mu
-    for start in ((phi[2], mu[2]), (2 * phi[2] - phi[1], 2 * mu[2] - mu[1])):
+    for start in ((phi[2], mu[2]), (2 * phi[2] - phi[1], 2 * mu[2] - mu[1]),
+                  (forward._extrapolate(phi, 2), forward._extrapolate(mu, 2))):
         r = ctx.residual(ctx.to_band(*start), ctx.mass_product(phi[2]), tau)[0]
         r1, r2 = r[ctx.pattern.position]
-        ref = np.sqrt(norm_sq(r1) + norm_sq(r2))
+        ref = np.sqrt(dual_norm_sq(h1, r1) + dual_norm_sq(h1, r2))
         assert ref > 0.0
         assert abs(ctx.dual_norm(r) - ref) <= 1e-13 * ref
 
@@ -397,19 +394,58 @@ def test_warm_start_skips_first_step_and_half_steps(monkeypatch):
 
     def recording(ctx, phi_n, mu, tau_s, guess=None):
         calls.append((tau_s, guess))
-        if len(calls) == 3:
-            raise NewtonError("forced failure of the third step")
+        if len(calls) == 4:
+            raise NewtonError("forced failure of the fourth step")
         return real_step(ctx, phi_n, mu, tau_s, guess)
 
     monkeypatch.setattr(forward, "_newton_step", recording)
-    traj = simulate(phi0, params, t_end=3 * tau, tau=tau)
+    traj = simulate(phi0, params, t_end=5 * tau, tau=tau)
     assert [(t, g is None) for t, g in calls] == [
-        (tau, True), (tau, False), (tau, False), (tau / 2, True), (tau / 2, True)
+        (tau, True), (tau, False), (tau, False), (tau, False),
+        (tau / 2, True), (tau / 2, True), (tau, False),
     ]
-    for k, (_, guess) in ((1, calls[1]), (2, calls[2])):
-        assert np.array_equal(guess[0], 2.0 * traj.phi[k] - traj.phi[k - 1])
-        assert np.array_equal(guess[1], 2.0 * traj.mu[k] - traj.mu[k - 1])
+    # the guess of step k + 1, from the recorded states up to x[k]
+    formulas = {
+        1: lambda x: 2.0 * x[1] - x[0],
+        2: lambda x: 3.0 * x[2] - 3.0 * x[1] + x[0],
+        3: lambda x: 4.0 * x[3] - 6.0 * x[2] + 4.0 * x[1] - x[0],
+        4: lambda x: 4.0 * x[4] - 6.0 * x[3] + 4.0 * x[2] - x[1],
+    }
+    for k, (_, guess) in zip(formulas, (calls[1], calls[2], calls[3], calls[6])):
+        assert np.array_equal(guess[0], formulas[k](traj.phi))
+        assert np.array_equal(guess[1], formulas[k](traj.mu))
     assert traj.telemetry.bisections == 1
+
+
+def test_guess_is_exact_on_cubic_states_and_keeps_mass(monkeypatch):
+    # states cubic in time along directions of zero mass: from the fourth
+    # step on the guess is the next state to rounding, and every guess has
+    # the mass of the step's start state
+    fe = quadratic_fe(build_mesh(32))
+    phi0 = interpolate(fe, default_initial_profile)
+    rng = np.random.default_rng(24)
+    dirs = rng.standard_normal((3, 2, fe.dof_count))
+    dirs -= np.array([[mass(PeriodicField(fe, v)) for v in d] for d in dirs])[..., None]
+    origin, guesses = [], []
+
+    def cubic_states(ctx, phi_n, mu, tau, guess=None):
+        if not origin:
+            origin.extend((phi_n, mu))
+        guesses.append((phi_n, guess))
+        s = len(guesses) / 4.0
+        phi, mu = (x0 + s * d1 + s**2 * d2 + s**3 * d3
+                   for x0, d1, d2, d3 in zip(origin, *dirs))
+        return phi, mu, 1, 0.0
+
+    monkeypatch.setattr(forward, "_newton_step", cubic_states)
+    traj = simulate(phi0, default_params(0.003), t_end=8 * 2e-5, tau=2e-5)
+    assert guesses[0][1] is None and len(guesses) == 8
+    for k, (phi_n, guess) in enumerate(guesses[1:], start=1):
+        m_n = mass(PeriodicField(fe, phi_n))
+        assert abs(mass(PeriodicField(fe, guess[0])) - m_n) <= 1e-14 * abs(m_n)
+        if k >= 3:
+            for got, want in zip(guess, (traj.phi[k + 1], traj.mu[k + 1])):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_paper_preset_first_steps_are_pinned():
@@ -418,14 +454,22 @@ def test_paper_preset_first_steps_are_pinned():
     phi0 = interpolate(quadratic_fe(build_mesh(cfg.forward.n_cells)), cfg.initial_fn())
     tau = cfg.forward.tau
     stats = simulate(phi0, cfg.model_params(), t_end=25 * tau, tau=tau).telemetry
-    assert (stats.factorizations, stats.solves, stats.bisections) == (26, 100, 0)
+    assert (stats.factorizations, stats.solves, stats.bisections) == (26, 80, 0)
+
+
+def test_reference_run_work_is_pinned(reference_run):
+    # the session's 1000-step paper run: factorizations, solves, bisections,
+    # with two OpenBLAS threads; with one, dgbmv and dgbtrs round differently
+    # and the run makes one solve fewer
+    stats = reference_run[0].telemetry
+    assert (stats.factorizations, stats.solves, stats.bisections) == (538, 2853, 0)
 
 
 # Factorizations (= Jacobian builds) and band solves (= Newton updates) of
 # the short 64-cell run under the chord rule, each step after the first
-# started from the extrapolation of the last two states
+# started from the polynomial extrapolation of the last states
 SHORT_RUN_FACTORIZATIONS = 21
-SHORT_RUN_SOLVES = 81
+SHORT_RUN_SOLVES = 65
 
 
 def test_newton_count_is_pinned_and_runs_are_deterministic():

@@ -11,7 +11,7 @@ from chident.meshbasis import (
     interpolate,
     quadrature_rule,
 )
-from sparse_oracle import basis_matrix, gauss_points, weighted_gram
+from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gauss_points, weighted_gram
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
 from chident.data import ObservationData, time_derivative
@@ -386,6 +386,19 @@ def test_rejected_qr_argument_raises(reference_data, params, window_times, monke
     with pytest.raises(InverseError, match="argument 1"):
         problem.standard_form()
     assert len(calls) == 1
+
+
+def test_weighted_misfit_matches_sparse_gram_solve(reference_data, params, window_times):
+    problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times[::40],
+                                  NaturalSplineGrid(-1.0, 1.0, 0.25))
+    grams = problem.grams
+    h1 = (assembled_gram(grams.basis, grams.m_local)
+          + assembled_gram(grams.basis, grams.k_local)).tocsr()
+    x = np.random.default_rng(5).standard_normal(problem.n_cols)
+    for residual in (problem.y, problem.T @ x - problem.y):
+        blocks = residual.reshape(problem.n_blocks, problem.block_size)
+        ref = np.sqrt(sum(dual_norm_sq(h1, b) for b in blocks))
+        assert abs(problem.weighted_misfit(residual) - ref) <= 1e-13 * ref
 
 
 def test_rho0_is_the_least_squares_residual(reference_data, params, window_times):

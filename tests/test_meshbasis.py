@@ -31,7 +31,7 @@ from chident.meshbasis import (
     quadrature_rule,
     spline_node_values,
 )
-from sparse_oracle import assembled_gram, basis_matrix, gram_solve, weighted_gram
+from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gram_solve, weighted_gram
 
 # 1/sqrt(2) divided by sqrt(1 + 4 pi^2): the H^-1 norm of the L2
 # functional of sin(2 pi x) against the zero-mean H1 pairing.
@@ -397,6 +397,35 @@ def test_dual_norm_oracle_and_convergence():
     # fourth-order convergence leaves a factor well above 8 per halving
     assert errs[100] / errs[200] > 8.0
     assert errs[200] / errs[400] > 8.0
+
+
+@pytest.mark.parametrize("kind", [QUADRATIC_FE, PERIODIC_CUBIC_SPLINE])
+@pytest.mark.parametrize("n_cells", [4, 5, 16, 64])
+def test_dual_norm_matches_sparse_gram_solve(kind, n_cells):
+    basis = SpatialBasis(kind, build_mesh(n_cells))
+    grams = assemble_grams(basis)
+    h1_gram = _gram_oracle(basis, 0) + _gram_oracle(basis, 1)
+    rng = np.random.default_rng(n_cells)
+    for y in (rng.standard_normal(basis.dof_count), grams.mass(interpolate(basis, _sin).coef)):
+        ref = np.sqrt(dual_norm_sq(h1_gram, y))
+        assert abs(dual_norm_Hm1(y, grams) - ref) <= 1e-13 * ref
+    with pytest.raises(BasisError, match="shape"):
+        dual_norm_Hm1(np.ones(basis.dof_count + 1), grams)
+
+
+@pytest.mark.parametrize("info", [-2, 3])
+def test_failed_tbtrs_raises(info, monkeypatch):
+    grams = assemble_grams(cubic_spline_basis(build_mesh(16)))
+    calls = []
+
+    def failing(ab, b, uplo="U", **kw):
+        calls.append(uplo)
+        return np.asarray(b, dtype=float), info
+
+    monkeypatch.setattr(meshbasis, "dtbtrs", failing)
+    with pytest.raises(AssemblyError, match=f"dtbtrs failed with info {info}"):
+        dual_norm_Hm1(np.ones(16), grams)
+    assert calls == ["L"]
 
 
 def test_basis_matrix_orders():
