@@ -75,6 +75,7 @@ from .config import (
     config_from_file,
     config_text,
     paper_preset,
+    validate_config,
 )
 from . import io as chio
 
@@ -104,6 +105,8 @@ def _load_config(args) -> RunConfig:
         cfg.output.directory = args.out
     if args.seed is not None:
         cfg.data.seed = args.seed
+    # the overrides bypass build_config, so check the result again
+    validate_config(cfg)
     return cfg
 
 

@@ -327,6 +327,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if db.delta < 0:
         raise ConfigError(f"data.delta: must be >= 0, got {db.delta}")
+    if db.seed < 0:
+        raise ConfigError(f"data.seed: must be >= 0, got {db.seed}")
     if db.times is not None and any(t <= 0 or t > fw.t_end for t in db.times):
         raise ConfigError("data.times: every time must lie in (0, t_end]")
     if db.window is not None and db.window[1] > fw.t_end + 1e-12:
@@ -353,8 +355,12 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def config_from_file(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config(fh.read()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({err.reason})")
+    return build_config(parse_config(text))
 
 
 def paper_preset() -> RunConfig:

@@ -169,15 +169,6 @@ def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
     )
 
 
-def time_derivative(data: ObservationData, t: float) -> PeriodicField:
-    """Backward difference quotient of the snapshots at a data time."""
-    k = data.index_of(t)
-    if k == 0:
-        raise DataError(f"t = {t} has no predecessor on the data grid")
-    dcoef = (data.coef[k] - data.coef[k - 1]) / data.tau_data
-    return PeriodicField(data.basis, dcoef)
-
-
 def chemical_potential_from_data(
     data: ObservationData, gamma: float, potential, t: float
 ) -> PeriodicField:
@@ -303,16 +294,6 @@ def _monotone_pieces(p: np.ndarray):
     lo, hi = np.minimum(r[..., 0], r[..., 1]), np.maximum(r[..., 0], r[..., 1])
     cuts = np.stack([np.zeros_like(lo), lo, hi, np.ones_like(lo)], axis=-1)
     return cuts, poly_vals(p[..., None, :], cuts)
-
-
-def piece_value_bounds(basis: SpatialBasis, coef: np.ndarray) -> np.ndarray:
-    """Exact (min, max) of a spline on each cell.
-
-    ``coef`` is one coefficient vector or a stack (..., dof), as for
-    ``cell_polys``; the result has shape (..., n_cells, 2).
-    """
-    vals = _monotone_pieces(cell_polys(basis, coef))[1]
-    return np.stack([vals.min(axis=-1), vals.max(axis=-1)], axis=-1)
 
 
 def attained_ranges(data: ObservationData, times) -> list[tuple[float, float]]:
@@ -481,7 +462,8 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     falls below ``DEGENERACY_REL`` times the sup of |phi'|.  ``s`` is one
     level, giving Python scalars, or a 1-D array of levels, giving arrays
     from one ``level_crossings`` call and one antiderivative table; entry
-    i of each equals the scalar call's at ``s[i]``.
+    i of each equals the scalar call's at ``s[i]``.  The time is looked up
+    once, and the difference quotient is the backward one at its index.
     """
     k = data.index_of(t)
     if k == 0:
@@ -489,7 +471,9 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     levels = np.array(s, dtype=float, ndmin=1)
     f = data.phi_field(k)
     cr = level_crossings(f, levels)
-    integral = spline_antiderivative(time_derivative(data, t))
+    dq = (data.coef[k] - data.coef[k - 1]) / data.tau_data
+    integral = spline_antiderivative(PeriodicField(data.basis, dq))
+    p0 = cell_polys(f.basis, f.coef)
     # sup |phi'| over the cell midpoints and the knots
     p1 = cell_polys(f.basis, f.coef, 1)
     sup_slope = float(max(np.max(np.abs(poly_vals(p1, 0.5))), np.max(np.abs(p1[:, 0]))))
@@ -511,16 +495,17 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     left, right = x, x[nxt]
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
-    below = eval_field(f, mid) < levels[lev]
+    cells, u = f.basis.mesh.locate(mid)
+    below = poly_vals(p0[cells], u) < levels[lev]
     # one antiderivative lookup for the whole torus and both ends of every gap
     ends = integral(np.concatenate([[1.0], left, right]))
     total, ia, ib = ends[0], ends[1:1 + len(x)], ends[1 + len(x):]
     gap = np.where(wrap, total - ia + ib, ib - ia)
     a_val = np.bincount(lev[below], gap[below], len(levels))
     if not crossed.all():
-        # no crossing: the sublevel set is the torus above the range, else empty
-        hi = attained_range(data, t)[1]
-        a_val = np.where(crossed, a_val, np.where(levels > hi, total, 0.0))
+        # no crossing: phi lies wholly above or below the level, or equals
+        # it, so its value at x = 0 tells whether {phi < s} is the torus
+        a_val = np.where(crossed, a_val, np.where(levels > p0[0, 0], total, 0.0))
         # and A_b = +0 (not -gamma * 0) and smallest slope 0
         a_b[~crossed] = min_slope[~crossed] = 0.0
 

@@ -54,12 +54,12 @@ class InverseError(ValueError):
 class StandardForm:
     """One factorization of a Tikhonov problem that serves every alpha.
 
-    With C C' = M^-1 per block, the whitened system [C' T_i | C' y_i]
-    stacked over the time blocks has the R-factor [[R_k, c], [0, rho]],
-    so the misfit is ||R_k x - c||^2 + rho^2; ``residual`` = |rho| is the
-    part of the data no coefficients can reach.  With L L' = R and
-    z = L' x the penalty is ||z||^2, and R_k L^-T = U diag(s) V' turns
-    each alpha into filter factors on ``beta`` = U' c.
+    With W' W = M^-1, the whitened system [W T_i | W y_i] stacked over
+    the time blocks has the R-factor [[R_k, c], [0, rho]], so the misfit
+    is ||R_k x - c||^2 + rho^2; ``residual`` = |rho| is the part of the
+    data no coefficients can reach.  With L L' = R and z = L' x the
+    penalty is ||z||^2, and R_k L^-T = U diag(s) V' turns each alpha into
+    filter factors on ``beta`` = U' c.
     """
 
     r_k: np.ndarray
@@ -96,7 +96,8 @@ class AssembledProblem:
     ``T`` holds one row block per selected time (identical dof layout),
     ``y`` the matching functionals.  The misfit norm applies the inverse
     observation-space H1 gram per block; ``R`` is the parameter
-    smoothness gram (block-diagonal over (b, c) for the joint problem).
+    smoothness gram, whose factor ``penalty_factor`` carries the penalty
+    (block-diagonal over (b, c) for the joint problem).
     """
 
     kind: str
@@ -131,7 +132,7 @@ class AssembledProblem:
     def standard_form(self) -> StandardForm:
         """Cached standard-form factorization, built on the first solve.
 
-        The whitened rows [C' T_i | C' y_i], with C the ``whitening`` of
+        The whitened rows [W T_i | W y_i], with W the ``whitening`` of
         the grams, are folded into a (k+1)-column R-factor ``_FOLD_CHUNK``
         time blocks per call of LAPACK ``dgeqrt``, a compact-WY blocked
         Householder QR with ``_QR_BLOCK`` columns per block; R is the
@@ -141,7 +142,7 @@ class AssembledProblem:
         """
         if self._factor is None:
             k, bs = self.n_cols, self.block_size
-            whiten_t = self.grams.whitening.T
+            whiten = self.grams.whitening
             t_blocks = self.T.reshape(self.n_blocks, bs, k)
             y_blocks = self._blocks(self.y)
             # the R rows so far sit just above the chunk's whitened rows, in
@@ -153,8 +154,8 @@ class AssembledProblem:
             for i in range(0, self.n_blocks, _FOLD_CHUNK):
                 blocks = slice(i, min(i + _FOLD_CHUNK, self.n_blocks))
                 body = buf[k + 1:k + 1 + (blocks.stop - i) * bs]
-                np.matmul(whiten_t, t_blocks[blocks], out=body[:, :k].reshape(-1, bs, k))
-                np.matmul(y_blocks[blocks], whiten_t.T, out=body[:, k].reshape(-1, bs))
+                np.matmul(whiten, t_blocks[blocks], out=body[:, :k].reshape(-1, bs, k))
+                np.matmul(y_blocks[blocks], whiten.T, out=body[:, k].reshape(-1, bs))
                 stack = buf[k + 1 - n_r:k + 1 + len(body)]
                 qr, _, info = dgeqrt(min(_QR_BLOCK, *stack.shape), stack, 1)
                 if info != 0:
@@ -163,8 +164,7 @@ class AssembledProblem:
                 buf[k + 1 - n_r:k + 1] = np.triu(qr[:n_r])
             # no more rows than columns: pad, the out-of-range residual is 0
             r = np.vstack([buf[k + 1 - n_r:k + 1], np.zeros((k + 1 - n_r, k + 1))])
-            pen = self.apply_regularizer(np.eye(k))
-            chol = np.linalg.cholesky(0.5 * (pen + pen.T))
+            chol = self.penalty_factor
             u, sv, vt = np.linalg.svd(
                 solve_triangular(chol, r[:k, :k].T, lower=True).T
             )
@@ -174,16 +174,16 @@ class AssembledProblem:
             )
         return self._factor
 
-    def apply_regularizer(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def penalty_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of the penalty gram: ``R.L``, or its block
+        diagonal over (b, c) for the joint problem."""
         if self.kind == IDENTIFY_JOINT:
-            n = self.grid.n_knots
-            return np.concatenate(
-                [self.R.apply(x[:n]), self.R.apply(x[n:])]
-            )
-        return self.R.apply(x)
+            return np.kron(np.eye(2), self.R.L)
+        return self.R.L
 
     def penalty_norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(x @ self.apply_regularizer(x), 0.0)))
+        return float(np.linalg.norm(self.penalty_factor.T @ x))
 
     def split(self, x: np.ndarray):
         """Unstack a joint solution into (b values, c values)."""

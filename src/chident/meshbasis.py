@@ -494,8 +494,8 @@ class BandCholesky:
     sum goes to LAPACK ``dpbtrf`` once.  Summed after assembly, the small
     L2 part is rounded once against the stiffness; near-constant dual
     norms are sensitive to that rounding.  ``dual_norm`` is the one dual
-    norm route: sqrt(r' A^-1 r) = ||L^-1 r|| by one ``dtbtrs`` sweep, half
-    of a solve, on rows already in the folded order ``order``.  ``solve``
+    norm route: sqrt(r' A^-1 r) = ||L^-1 r|| by one ``dtbtrs`` sweep,
+    ``whiten``, on rows already in the folded order ``order``.  ``solve``
     is one ``dpbtrs`` call, permuting into that order and back around it.
     """
 
@@ -507,12 +507,16 @@ class BandCholesky:
         if info != 0:
             raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")
 
-    def dual_norm(self, r: np.ndarray) -> float:
-        """||L^-1 r||, over all columns of r, with the rows of r in folded order."""
+    def whiten(self, r: np.ndarray) -> np.ndarray:
+        """L^-1 r, with the rows of r in folded order, by one ``dtbtrs`` sweep."""
         x, info = dtbtrs(self._factor, r, uplo="L")
         if info != 0:
             raise AssemblyError(f"dtbtrs failed with info {info}")
-        x = x.ravel(order="K")
+        return x
+
+    def dual_norm(self, r: np.ndarray) -> float:
+        """||L^-1 r||, over all columns of r, with the rows of r in folded order."""
+        x = self.whiten(r).ravel(order="K")
         return float(np.sqrt(x @ x))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -530,11 +534,12 @@ class GramPair:
     """L2 and stiffness element grams of a basis, one matrix per cell.
 
     ``mass`` and ``stiffness`` multiply with the assembled matrices.  The
-    H1 gram, their sum, is factored on first use, once, as a symmetric
-    band (``factor``); the forward, data and inverse layers all take
-    their H^-1 norms from that factor's ``dual_norm``.  ``whitening``,
-    the dense Cholesky factor C of its inverse, is likewise built once,
-    on first use, and shared by every problem assembled on these grams.
+    H1 gram M, their sum, is factored on first use, once, as a symmetric
+    band (``factor``): with P the permutation to the folded order,
+    P M P' = L L'.  Everything else derived from M comes from that
+    factor: the forward, data and inverse layers take their H^-1 norms
+    from its ``dual_norm``, and ``whitening`` W = L^-1 P, built once on
+    first use, is shared by every problem assembled on these grams.
     """
 
     basis: SpatialBasis
@@ -552,11 +557,11 @@ class GramPair:
 
     @property
     def whitening(self) -> np.ndarray:
-        """Lower-triangular C with C C' = M^-1 (read-only), built on first use,
-        so that ||C' r||^2 = r' M^-1 r."""
+        """W = L^-1 P (read-only), built on first use by one ``whiten`` sweep
+        of the permuted identity, so that W' W = M^-1 and ||W r||^2 = r' M^-1 r."""
         if self._whitening is None:
-            minv = self.solve_M(np.eye(self.basis.dof_count))
-            self._whitening = np.linalg.cholesky(0.5 * (minv + minv.T))
+            factor = self.factor
+            self._whitening = factor.whiten(np.eye(self.basis.dof_count)[factor.order])
             self._whitening.flags.writeable = False
         return self._whitening
 
@@ -576,10 +581,6 @@ class GramPair:
     def stiffness(self, v) -> np.ndarray:
         """Stiffness matrix times one vector, or times each row of a stack (..., dof)."""
         return self._product(self.k_local, v)
-
-    def solve_M(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the inverse H1 gram to one vector or to stacked columns."""
-        return self.factor.solve(rhs)
 
 
 def assemble_grams(basis: SpatialBasis) -> GramPair:

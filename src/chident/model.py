@@ -8,11 +8,11 @@ coded derivatives, and natural cubic splines on a uniform knot grid
 spline grid provides the Tikhonov penalty.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_banded
+from scipy.linalg import solve_banded
 
 from .meshbasis import PeriodicField, gauss_table
 
@@ -250,10 +250,16 @@ def energy(phi: PeriodicField, params: ModelParams) -> float:
 
 @dataclass
 class RegularizerGram:
-    """Dense SPD gram of a spline grid in the squared H2 inner product."""
+    """Dense SPD gram R of a spline grid in the squared H2 inner product.
+
+    R is symmetrized and made read-only.  The Cholesky factorization that
+    checks it is positive definite is kept as the read-only lower factor
+    ``L``, L L' = R, the one route to the penalty norm ||L' x||.
+    """
 
     grid: NaturalSplineGrid
     R: np.ndarray
+    L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dev = np.abs(self.R - self.R.T).max()
@@ -261,12 +267,10 @@ class RegularizerGram:
             raise ParameterError("regularizer gram deviates from symmetry")
         self.R = 0.5 * (self.R + self.R.T)
         try:
-            cho_factor(self.R)
+            self.L = np.linalg.cholesky(self.R)
         except np.linalg.LinAlgError as err:
             raise ParameterError(f"regularizer gram is not positive definite: {err}")
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.R @ v
+        self.R.flags.writeable = self.L.flags.writeable = False
 
 
 def assemble_param_gram(grid: NaturalSplineGrid) -> RegularizerGram:
@@ -292,9 +296,7 @@ def _param_gram(lo: float, hi: float, n_knots: int) -> RegularizerGram:
     for order in range(3):
         e = grid.eval_matrix(pts, order)
         r += e.T @ (w[:, None] * e)
-    reg = RegularizerGram(grid, r)
-    reg.R.flags.writeable = False
-    return reg
+    return RegularizerGram(grid, r)
 
 
 # --- reference problem catalog -------------------------------------------

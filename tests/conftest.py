@@ -72,10 +72,10 @@ class _ShimGrams:
 
 
 class _ShimR:
-    """Identity penalty."""
+    """Identity penalty over ``n`` coefficients: its factor is the identity."""
 
-    def apply(self, x):
-        return np.asarray(x, dtype=float).copy()
+    def __init__(self, n):
+        self.L = np.eye(n)
 
 
 def toy_problem(T, y):
@@ -83,7 +83,7 @@ def toy_problem(T, y):
     T = np.atleast_2d(np.asarray(T, dtype=float))
     return AssembledProblem(
         kind="toy", T=T, y=np.asarray(y, dtype=float), grams=_ShimGrams(T.shape[0]),
-        R=_ShimR(), grid=None, times=np.array([0.0]),
+        R=_ShimR(T.shape[1]), grid=None, times=np.array([0.0]),
     )
 
 

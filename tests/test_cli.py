@@ -144,6 +144,28 @@ def test_unusable_paths_exit_1_without_traceback(tmp_path):
         assert "Traceback" not in run.stderr
 
 
+def test_negative_noise_seed_exits_1_without_traceback(tmp_path):
+    """A negative seed, from the file or from --seed, is a configuration error."""
+    cfg, out = _write_cfg(tmp_path, data_seed="-3", data_delta="0.001")
+    good, _ = _write_cfg(tmp_path, name="good.cfg")
+    for argv in (["make-data", "--config", str(cfg)],
+                 ["verify", "--config", str(good), "--seed", "-20"]):
+        run = _run_program(*argv)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: data.seed")
+        assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"forward.gamma = 0.003\n\xff\xfe\x00\x81\n")
+    run = _run_program("simulate", "--config", str(binary))
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith(f"error: {binary}: not a UTF-8 text file")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
 def test_identify_report_singular_values(pipeline):
     cfg, out = pipeline
     assert cli.main(["identify", "--config", str(cfg)]) == 0

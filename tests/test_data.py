@@ -36,10 +36,8 @@ from chident.data import (
     level_crossings,
     merge_intervals,
     observable_range,
-    piece_value_bounds,
     restrict_to_data_grid,
     spline_antiderivative,
-    time_derivative,
 )
 
 GAMMA = 0.003
@@ -140,14 +138,23 @@ def test_indices_of_matches_the_per_time_rule(reference_data, window_times, seed
         data.index_of(off)
 
 
-def test_time_derivative_is_backward_difference(reference_data):
+def _piece_bounds(basis, coef):
+    """Exact (min, max) of a spline (or a stack, (..., dof)) on each cell:
+    the extremes of its values at the cuts of ``_monotone_pieces``."""
+    vals = chdata._monotone_pieces(cell_polys(basis, coef))[1]
+    return np.stack([vals.min(axis=-1), vals.max(axis=-1)], axis=-1)
+
+
+def test_coarea_difference_quotient_is_backward(reference_data):
     k = 5
     t = float(reference_data.times[k])
-    d = time_derivative(reference_data, t)
     expect = (reference_data.coef[k] - reference_data.coef[k - 1]) / reference_data.tau_data
-    assert np.array_equal(d.coef, expect)
-    with pytest.raises(DataError):
-        time_derivative(reference_data, 0.0)
+    # above the attained range {phi < s} is the torus, so A integrates the
+    # difference quotient over all of it
+    d = PeriodicField(reference_data.basis, expect)
+    assert coarea_coefficients(reference_data, GAMMA, 2.0, t).A == spline_antiderivative(d)(1.0)
+    with pytest.raises(DataError, match="no predecessor"):
+        coarea_coefficients(reference_data, GAMMA, 0.0, 0.0)
 
 
 def test_attained_range_bounds_nodal_values(reference_data):
@@ -157,11 +164,11 @@ def test_attained_range_bounds_nodal_values(reference_data):
                       np.linspace(0, 1, 2001))
     assert lo <= vals.min() + 1e-12 and hi >= vals.max() - 1e-12
     assert hi - lo < 2.0
-    bounds = piece_value_bounds(reference_data.basis, reference_data.coef[100])
+    bounds = _piece_bounds(reference_data.basis, reference_data.coef[100])
     assert bounds.shape == (reference_data.basis.mesh.n_cells, 2)
     assert np.all(bounds[:, 0] <= bounds[:, 1])
     # a stack of snapshots gives each snapshot's own bounds and ranges
-    stacked = piece_value_bounds(reference_data.basis, reference_data.coef[[7, 100]])
+    stacked = _piece_bounds(reference_data.basis, reference_data.coef[[7, 100]])
     assert np.array_equal(stacked[1], bounds)
     times = reference_data.times[[7, 100]]
     assert attained_ranges(reference_data, times) == [attained_range(reference_data, t) for t in times]
@@ -287,6 +294,21 @@ def test_observable_range_looks_its_time_up_once(reference_data, params, monkeyp
     monkeypatch.setattr(ObservationData, "indices_of", counted)
     assert observable_range(reference_data, GAMMA, params.F, 4e-3)
     assert len(calls) == 1
+
+
+def test_coarea_coefficients_look_their_time_up_once(reference_data, monkeypatch):
+    calls = []
+    real = ObservationData.indices_of
+
+    def counted(self, times):
+        calls.append(times)
+        return real(self, times)
+
+    monkeypatch.setattr(ObservationData, "indices_of", counted)
+    # levels below, inside and above the attained range
+    sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), 4e-3)
+    assert len(calls) == 1
+    assert list(sample.n_crossings == 0) == [True, False, True]
 
 
 def test_chemical_potential_nodal_consistency(reference_data, params):
@@ -493,7 +515,7 @@ def _level_roots_loop(f, levels):
     """Reference: per level, cells bracketed by their value bounds, padded
     by 1e-12, and one np.roots call per bracketed cell."""
     p0 = cell_polys(f.basis, f.coef)
-    bounds = piece_value_bounds(f.basis, f.coef)
+    bounds = _piece_bounds(f.basis, f.coef)
     pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
     found = []                                   # (level index, cell, u)
     for k, s in enumerate(levels):
@@ -648,7 +670,7 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
 
     # piece bounds against phi at the cell ends and at the np.roots of phi'
     p = cell_polys(basis, coef)
-    bounds = piece_value_bounds(basis, coef)
+    bounds = _piece_bounds(basis, coef)
     for poly, (lo, hi) in zip(p, bounds):
         u = np.concatenate([[0.0, 1.0], _np_roots_unit(poly[1:] * [1.0, 2.0, 3.0])])
         vals = poly_vals(poly, u)
@@ -761,7 +783,7 @@ def test_transversal_crossings_alternate_around_the_torus(n_cells, seed, shape):
     # sign in a row
     basis = cubic_spline_basis(build_mesh(n_cells))
     coef = _random_periodic_spline(n_cells, seed, shape)
-    bounds = piece_value_bounds(basis, coef)
+    bounds = _piece_bounds(basis, coef)
     lo, hi = bounds[:, 0].min(), bounds[:, 1].max()
     u = np.linspace(0.0, 1.0, 65)[:, None]
     sup_slope = np.max(np.abs(poly_vals(cell_polys(basis, coef, 1), u)))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chident import meshbasis
 from chident.meshbasis import (
     build_mesh,
     cubic_spline_basis,
@@ -14,7 +15,7 @@ from chident.meshbasis import (
 from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gauss_points, weighted_gram
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
-from chident.data import ObservationData, time_derivative
+from chident.data import ObservationData
 from chident.inverse import (
     InverseError,
     assemble_identify_f,
@@ -217,10 +218,11 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n
     nk, bs = grid.n_knots, data.basis.dof_count
     blocks_t, blocks_y = [], []
     for t in times:
-        c = data.coef[data.index_of(t)]
+        k = data.index_of(t)
+        c = data.coef[k]
         phi_q, dphi_q, d3_q = e[0] @ c, e[1] @ c, e[3] @ c
         theta = grid.eval_matrix(phi_q)
-        my = m_l2 @ time_derivative(data, t).coef
+        my = m_l2 @ ((c - data.coef[k - 1]) / data.tau_data)
         if kind == "f":
             blocks_t.append(-(e[1].T @ ((w * dphi_q)[:, None] * theta)))
             blocks_y.append(my - GAMMA * (e[1].T @ (w * mobility(phi_q) * d3_q)))
@@ -327,7 +329,7 @@ def test_assembly_memory_beside_T(kind, window_times, reference_data, params):
 def _fold_per_block(problem):
     """Reference R-factor of the whitened [T | y], one time block per QR call."""
     bs, k = problem.block_size, problem.n_cols
-    minv = problem.grams.solve_M(np.eye(bs))
+    minv = problem.grams.factor.solve(np.eye(bs))
     whiten = np.linalg.cholesky(0.5 * (minv + minv.T))
     r = np.zeros((0, k + 1))
     for i in range(problem.n_blocks):
@@ -373,6 +375,31 @@ def test_fold_with_fewer_rows_than_columns(reference_data, params, window_times)
     assert sf.residual == 0.0
 
 
+def test_standard_form_factors_no_gram_again(reference_data, params, window_times,
+                                            monkeypatch):
+    # a fresh container: its H1 gram has no band factor and no whitening yet
+    data = ObservationData(reference_data.basis, reference_data.times,
+                           reference_data.coef, reference_data.tau_data)
+    problem = assemble_identify_joint(data, GAMMA, window_times[::40],
+                                      NaturalSplineGrid(-1.0, 1.0, 0.25))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the standard form must reuse the stored factors")
+
+    # the band Cholesky of M is the one factorization left to make
+    monkeypatch.setattr(meshbasis, "dpbtrs", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    sf = problem.standard_form()
+    monkeypatch.undo()
+    assert np.array_equal(sf.L, np.kron(np.eye(2), problem.R.L))
+    ref = _fold_per_block(problem)
+    gram = ref.T @ ref
+    k = problem.n_cols
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(sf.r_k.T @ sf.r_k - gram[:k, :k])) <= 1e-12 * scale
+    assert np.max(np.abs(sf.r_k.T @ sf.c - gram[:k, k])) <= 1e-12 * scale
+
+
 def test_rejected_qr_argument_raises(reference_data, params, window_times, monkeypatch):
     problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times[::40],
                                   NaturalSplineGrid(-1.0, 1.0, 0.25))
@@ -410,9 +437,9 @@ def test_rho0_is_the_least_squares_residual(reference_data, params, window_times
     sf = problem.standard_form()
     k, bs = problem.n_cols, problem.block_size
     assert sf.s.min() <= sf.s.max() * k * np.finfo(float).eps
-    whiten_t = problem.grams.whitening.T
-    a = np.vstack([whiten_t @ t for t in problem.T.reshape(-1, bs, k)])
-    b = (problem.y.reshape(-1, bs) @ whiten_t.T).ravel()
+    whiten = problem.grams.whitening
+    a = np.vstack([whiten @ t for t in problem.T.reshape(-1, bs, k)])
+    b = (problem.y.reshape(-1, bs) @ whiten.T).ravel()
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     assert sf.rho0 == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-10)
     ref = _fold_per_block(problem)
@@ -435,7 +462,7 @@ def test_problem_shapes_and_cache(reference_data, params, window_times):
     assert first.r_k.shape == first.L.shape == first.vt.shape == (k, k)
     assert np.array_equal(first.r_k, np.triu(first.r_k))
     # R-factor of the whitened operator: R_k' R_k = sum_i T_i' M^-1 T_i
-    gram = sum(t.T @ problem.grams.solve_M(t)
+    gram = sum(t.T @ problem.grams.factor.solve(t)
                for t in problem.T.reshape(problem.n_blocks, problem.block_size, k))
     assert np.allclose(first.r_k.T @ first.r_k, gram,
                        rtol=0, atol=1e-10 * abs(gram).max())
@@ -467,7 +494,8 @@ def _dense_stacked_lstsq(problem, alpha):
                      for sl in blocks])
     y_w = np.concatenate([solve_triangular(chol_m, problem.y[sl], lower=True)
                           for sl in blocks])
-    chol_r = np.linalg.cholesky(problem.apply_regularizer(np.eye(k)))
+    n_blocks = 2 if problem.kind == "identify-joint" else 1
+    chol_r = np.linalg.cholesky(np.kron(np.eye(n_blocks), problem.R.R))
     a = np.vstack([t_w, np.sqrt(alpha) * chol_r.T])
     return np.linalg.lstsq(a, np.concatenate([y_w, np.zeros(k)]), rcond=None)[0]
 

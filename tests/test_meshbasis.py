@@ -142,7 +142,7 @@ def test_gram_matrices_structure(make):
     assert np.allclose(grams.mass(v[1]), m @ v[1], rtol=0.0, atol=1e-15)
     assert np.allclose(grams.stiffness(v), v @ k, rtol=0.0, atol=1e-12)
     # the factor is that of the H1 gram M_L2 + K
-    assert np.allclose(grams.solve_M(m + k), np.eye(basis.dof_count), atol=1e-12)
+    assert np.allclose(grams.factor.solve(m + k), np.eye(basis.dof_count), atol=1e-12)
 
 
 def _gram_oracle(basis, order):
@@ -174,17 +174,36 @@ def test_gram_symmetry_check_and_sparse_oracle(basis, monkeypatch):
         assemble_grams(basis)
 
 
-def test_solve_M_roundtrip():
+def test_factor_solve_roundtrip():
     basis = cubic_spline_basis(build_mesh(16))
     grams = assemble_grams(basis)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(basis.dof_count)
-    w = grams.solve_M(grams.mass(v) + grams.stiffness(v))
+    w = grams.factor.solve(grams.mass(v) + grams.stiffness(v))
     assert np.allclose(w, v, atol=1e-10)
     # matrix right-hand sides are solved column-consistently
     vm = rng.standard_normal((3, basis.dof_count))
-    wm = grams.solve_M((grams.mass(vm) + grams.stiffness(vm)).T)
+    wm = grams.factor.solve((grams.mass(vm) + grams.stiffness(vm)).T)
     assert np.allclose(wm, vm.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_cells", [4, 5, 16, 100])
+def test_whitening_inverts_the_sparse_h1_gram(n_cells, monkeypatch):
+    # W = L^-1 P comes from the band factor alone: no dense solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("whitening must not solve with the gram")
+
+    monkeypatch.setattr(meshbasis, "dpbtrs", no_solve)
+    basis = cubic_spline_basis(build_mesh(n_cells))
+    grams = assemble_grams(basis)
+    w = grams.whitening
+    assert grams.whitening is w and not w.flags.writeable
+    h1_gram = (_gram_oracle(basis, 0) + _gram_oracle(basis, 1)).toarray()
+    assert np.max(np.abs(w @ h1_gram @ w.T - np.eye(basis.dof_count))) <= 1e-12
+    # rows in folded order are lower triangular, and ||W r|| is the dual norm
+    assert np.array_equal(w[:, grams.factor.order], np.tril(w[:, grams.factor.order]))
+    r = np.random.default_rng(n_cells).standard_normal(basis.dof_count)
+    assert np.linalg.norm(w @ r) == pytest.approx(dual_norm_Hm1(r, grams), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", [QUADRATIC_FE, PERIODIC_CUBIC_SPLINE])
@@ -200,7 +219,7 @@ def test_banded_cholesky_solve_matches_splu(kind, n_cells):
     for v in (rng.standard_normal(basis.dof_count),
               rng.standard_normal((basis.dof_count, 3))):
         rhs = h1_gram @ v
-        got, ref = grams.solve_M(rhs), gram_solve(h1_gram, rhs)
+        got, ref = grams.factor.solve(rhs), gram_solve(h1_gram, rhs)
         assert got.shape == rhs.shape
         err = got - ref
         h1 = lambda u: np.sqrt(np.sum(u * (h1_gram @ u)))

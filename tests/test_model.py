@@ -19,6 +19,7 @@ from chident.model import (
     ModelError,
     NaturalSplineGrid,
     ParameterError,
+    RegularizerGram,
     SplineParameter,
     assemble_param_gram,
     default_initial_profile,
@@ -245,6 +246,15 @@ def test_param_gram_is_spd_h2():
     # integral of (2s + 0.5)^2 over [-1, 1] = 8/3 + 0.5; of 2^2 = 8
     expect = 8.0 / 3.0 + 0.5 + 8.0
     assert line @ (r @ line) == pytest.approx(expect, rel=1e-10)
+
+
+def test_param_gram_keeps_its_cholesky_factor():
+    reg = assemble_param_gram(NaturalSplineGrid(-1.0, 1.0, 0.1))
+    assert not reg.L.flags.writeable and not reg.R.flags.writeable
+    assert np.array_equal(reg.L, np.tril(reg.L))
+    assert np.max(np.abs(reg.L @ reg.L.T - reg.R)) <= 1e-13 * np.max(np.abs(reg.R))
+    with pytest.raises(ParameterError, match="positive definite"):
+        RegularizerGram(reg.grid, -reg.R)
 
 
 _LITERAL_WEIGHTS = (
