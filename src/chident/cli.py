@@ -200,6 +200,13 @@ def cmd_make_data(args) -> int:
 def _selected_times(cfg: RunConfig, data) -> np.ndarray:
     if cfg.data.times is not None:
         times = np.asarray(cfg.data.times, dtype=float)
+        # only here is the observation grid known
+        try:
+            idx = data.indices_of(times)
+        except DataError as exc:
+            raise ConfigError(f"data.times: {exc}") from exc
+        if len(np.unique(idx)) != len(idx):
+            raise ConfigError("data.times: two times select the same observation")
     else:
         lo, hi = cfg.data.window if cfg.data.window else (0.0, float(data.times[-1]))
         times = data.times[(data.times > max(lo, 0.0)) & (data.times <= hi + 1e-12)]

@@ -222,6 +222,9 @@ def _to_grid(raw: str, path: str) -> tuple:
         raise ConfigError(f"{path}: need high > low > 0, got {raw!r}")
     if count < 10:
         raise ConfigError(f"{path}: need at least 10 grid points")
+    # the rule of ``inverse.lcurve_select``, on the same pinned ends
+    if np.log10(hi / lo) < 4.0:
+        raise ConfigError(f"{path}: must span at least four decades, got {raw!r}")
     grid = np.logspace(np.log10(hi), np.log10(lo), count)
     # logspace can miss its endpoints by an ulp; pinned, the echoed
     # high:low re-parses to this same grid
@@ -331,6 +334,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"data.seed: must be >= 0, got {db.seed}")
     if db.times is not None and any(t <= 0 or t > fw.t_end for t in db.times):
         raise ConfigError("data.times: every time must lie in (0, t_end]")
+    if db.times is not None and len(set(db.times)) != len(db.times):
+        raise ConfigError("data.times: a time is given twice")
     if db.window is not None and db.window[1] > fw.t_end + 1e-12:
         raise ConfigError(
             f"data.window: end {db.window[1]} exceeds forward.t_end {fw.t_end}"

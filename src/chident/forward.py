@@ -17,14 +17,16 @@ per run, factored by ``dgbtrf`` and solved by ``dgbtrs``.  The factor is
 rebuilt when there is none, when the step length differs from the one
 it was built at (bisection), when the residual contracted by less than
 ``THETA`` over the last iteration, and after a failed attempt.  The
-iterate stays in that band order for the whole step: the residual is a
-BLAS ``dgbmv`` with the constant blocks plus one scatter-add of the
-nonlinear terms, its dual norm one ``dtbtrs`` sweep with the H1 gram's
+iterate stays in that band order for the whole step: the residual is
+one cell-local product per cell, M (phi - phi_n) and the other linear
+terms together with the nonlinear ones, and one scatter-add onto the
+cells' rows; its dual norm is one ``dtbtrs`` sweep with the H1 gram's
 band Cholesky factor, the update is ``dgbtrs`` on it as it is, and only
-the accepted state is put back in dof order.  Every step after the
-first starts from a polynomial extrapolation of the last states (cubic
-from the fourth step on), the standard starting value of Hairer-Wanner
-IV.8; it leaves a smaller first residual than a linear start.
+the accepted state is put back in dof order.  The results do not
+depend on the BLAS thread count.  Every step after the first starts
+from a polynomial extrapolation of the last states (cubic from the
+fourth step on), the standard starting value of Hairer-Wanner IV.8; it
+leaves a smaller first residual than a linear start.
 
 Convergence is judged on the true residual, in the dual norm, and the
 iteration is polished by one extra update once it meets the tolerance.
@@ -135,16 +137,18 @@ class _ForwardContext:
 
     The Newton iterate, the residual and the update are band vectors:
     arrays of the pattern's ``size`` in its ``position`` order, phi and
-    mu interleaved on the folded dofs.  The linear part of the residual,
-    [[M, 0], [-gamma K, M]] times the iterate, is one BLAS ``dgbmv``
-    with the pattern's constant blocks; M phi_n is formed once per step.
-    Fields are evaluated at the quadrature points from the iterate
-    through the rows ``cell_rows`` of each cell's dofs and the cached
-    cell tables ``t0`` (values) and ``t1`` (gradients), and the two
-    nonlinear terms are tested against the basis by one ``bincount``
-    onto those rows.  Read as a (dof, 2) array, a band vector holds phi
-    and mu as columns in the folded order of the H1 gram's band Cholesky
-    factor L, so the dual norm ||L^-1 r|| is one ``dtbtrs`` sweep with it.
+    mu interleaved on the folded dofs.  The residual is built cell by
+    cell from the iterate's values on the rows ``cell_rows`` of each
+    cell's dofs: fields at the quadrature points come from the cached
+    cell tables ``t0`` (values) and ``t1`` (gradients), and one small
+    matrix, the same on every cell, maps the cell's phi - phi_n, phi and
+    mu coefficients and its point values of tau b mu' and f to the
+    cell's rows of M (phi - phi_n) + tau K_b mu and M mu - gamma K phi -
+    (f, psi).  One ``bincount`` onto ``cell_rows`` sums them; phi_n's
+    cell values are gathered once per step.  Read as a (dof, 2) array, a
+    band vector holds phi and mu as columns in the folded order of the
+    H1 gram's band Cholesky factor L, so the dual norm ||L^-1 r|| is one
+    ``dtbtrs`` sweep with it.
 
     The context keeps the band LU factor of the last Jacobian it built,
     with the step length it was built at.  ``factorize`` replaces it,
@@ -160,28 +164,23 @@ class _ForwardContext:
         self.grams: GramPair = assemble_grams(basis)
         m_local, k_local = self.grams.m_local, self.grams.k_local
         self.pattern = BlockPattern(
-            basis,
-            2,
-            [(0, 0), (0, 1), (1, 0)],
+            basis, 2, [(0, 0), (0, 1), (1, 0)],
             {(0, 0): m_local, (1, 1): m_local, (1, 0): -params.gamma * k_local},
         )
-        # band-vector rows of the phi and mu dofs of every cell, (2, n_cells, n_local)
-        self.cell_rows = self.pattern.position[:, basis.cell_dofs()]
-        # tables that test tau b mu' against psi_i' (phi rows) and -f against
-        # psi_i (mu rows), with the quadrature weights folded in (the same on
-        # every cell of the uniform mesh); ``_local`` takes their cell sums
-        self._tests = (
-            self.t1.weights[0][:, None] * self.t1.table,
-            -self.t0.weights[0][:, None] * self.t0.table,
-        )
-        self._local = np.empty(self.cell_rows.shape)
+        # band-vector rows of the phi and mu dofs of every cell, (n_cells, 2, n_local)
+        self.cell_rows = self.pattern.position[:, basis.cell_dofs()].transpose(1, 0, 2).copy()
+        # a cell's (phi - phi_n, phi, mu, tau b mu', f) -> its (phi, mu) rows
+        # of the residual, quadrature weights folded in
+        m, k, w = m_local[0], k_local[0], self.t0.weights[0][:, None]
+        n_local, n_quad = len(m), len(w)
+        op = np.zeros((3 * n_local + 2 * n_quad, 2, n_local))
+        dphi, phi, mu, flux, f = np.split(op, np.cumsum([n_local] * 3 + [n_quad]))
+        dphi[:, 0], phi[:, 1], mu[:, 1] = m.T, -params.gamma * k.T, m.T
+        flux[:, 0], f[:, 1] = w * self.t1.table, -w * self.t0.table
+        self._cell_op = op.reshape(len(op), -1)
         self.factor_tau = None          # step length of the held factor
         self._lu = None
         self.telemetry = SolverTelemetry()
-
-    def _test(self, tab, v: np.ndarray) -> np.ndarray:
-        """Pairings (v, psi_i) (or with psi_i') of point values, weights included."""
-        return tab.scatter(tab.weights * v.reshape(tab.weights.shape))
 
     def to_band(self, phi: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Band vector of the state (phi, mu)."""
@@ -193,12 +192,6 @@ class _ForwardContext:
         """The (phi, mu) coefficient vectors of a band vector."""
         return x[self.pattern.position]
 
-    def mass_product(self, phi_n: np.ndarray) -> np.ndarray:
-        """Band vector of M phi_n on the phi rows, zero on the mu rows."""
-        out = self.pattern.constant_product(self.to_band(phi_n, np.zeros_like(phi_n)))
-        out[self.pattern.position[1]] = 0.0
-        return out
-
     def dual_norm(self, r: np.ndarray) -> float:
         """H^-1 norm of the residual pair, through the H1 gram's band factor."""
         return self.grams.factor.dual_norm(r.reshape(-1, 2))
@@ -208,35 +201,34 @@ class _ForwardContext:
 
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """L2 projection of -gamma lap(phi) + f(phi) onto the basis."""
-        params = self.params
-        rhs = params.gamma * self.grams.stiffness(phi) + self._test(
-            self.t0, params.f(self.t0.gather(phi).ravel())
-        )
+        params, t0 = self.params, self.t0
+        f_q = params.f(t0.gather(phi).ravel()).reshape(t0.weights.shape)
+        rhs = params.gamma * self.grams.stiffness(phi) + t0.scatter(t0.weights * f_q)
         return BandCholesky(self.basis, self.grams.m_local).solve(rhs)
 
-    def residual(self, x: np.ndarray, m_phi_n: np.ndarray, tau: float):
+    def residual(self, x: np.ndarray, phi_n_cells: np.ndarray, tau: float):
         """Newton residual at the band vector x and the point values it used.
 
-        ``m_phi_n`` is ``mass_product(phi_n)`` of the step's start state.
-        Raises MobilityError if the mobility is non-positive at a
-        quadrature point of phi.
+        ``phi_n_cells`` holds the step's start state on every cell,
+        ``phi_n[basis.cell_dofs()]``.  Raises MobilityError if the
+        mobility is non-positive at a quadrature point of phi.
         """
         params = self.params
-        rows, table0, table1 = self.cell_rows, self.t0.table, self.t1.table
-        phi_q = (x.take(rows[0]) @ table0.T).ravel()
+        rows, shape = self.cell_rows, self.t0.weights.shape
+        cells = x.take(rows)
+        phi_c, mu_c = cells[:, 0], cells[:, 1]
+        phi_q = (phi_c @ self.t0.table.T).ravel()
         b_q = params.b(phi_q)
         b_min = float(b_q.min())
         if b_min <= 0.0:
             raise MobilityError(f"mobility reached {b_min:.3e} at a quadrature point")
         stats = self.telemetry
         stats.min_mobility = min(stats.min_mobility, b_min)
-        mu_grad_q = (x.take(rows[1]) @ table1.T).ravel()
-        local, shape = self._local, self.t0.weights.shape
-        np.matmul((tau * b_q * mu_grad_q).reshape(shape), self._tests[0], out=local[0])
-        np.matmul(params.f(phi_q).reshape(shape), self._tests[1], out=local[1])
-        r = self.pattern.constant_product(x)
-        r -= m_phi_n
-        r += np.bincount(rows.ravel(), weights=local.ravel(), minlength=len(r))
+        mu_grad_q = (mu_c @ self.t1.table.T).ravel()
+        terms = (phi_c - phi_n_cells, cells.reshape(len(cells), -1),
+                 (tau * b_q * mu_grad_q).reshape(shape), params.f(phi_q).reshape(shape))
+        local = np.concatenate(terms, axis=1) @ self._cell_op
+        r = np.bincount(rows.ravel(), weights=local.ravel(), minlength=self.pattern.size)
         return r, (phi_q, b_q, mu_grad_q)
 
     def jacobian(self, tau, point_values) -> np.ndarray:
@@ -293,11 +285,11 @@ def _newton_step(ctx: _ForwardContext, phi_n, mu, tau, guess=None):
     """
     start = (phi_n, mu) if guess is None else guess
     x = ctx.to_band(*start)
-    m_phi_n = ctx.mass_product(phi_n)
+    phi_n_cells = phi_n[ctx.basis.cell_dofs()]
     first_norm = last_norm = None
     polish_left = 1
     for it in range(MAX_NEWTON):
-        r, point_values = ctx.residual(x, m_phi_n, tau)
+        r, point_values = ctx.residual(x, phi_n_cells, tau)
         rnorm = ctx.dual_norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("Newton residual is not finite")

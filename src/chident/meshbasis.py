@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 QUADRATIC_FE = "quadratic-fe"
@@ -429,8 +428,8 @@ class BlockPattern:
     super-diagonals, read off the pattern.  ``assemble`` returns the
     Fortran-ordered (2 kl + ku + 1, size) array that LAPACK ``gbtrf``
     factors in place: entry (i, j) sits at row kl + ku + i - j, column j.
-    ``constant_product`` multiplies the constant blocks alone with a
-    vector in this order.
+    The base array ``_base`` holds the constant blocks alone in that
+    layout, flat in column-major order.
     """
 
     def __init__(self, basis: SpatialBasis, n_blocks: int, cell_blocks, constant):
@@ -459,18 +458,6 @@ class BlockPattern:
             weights=np.concatenate([np.ravel(v) for v in constant.values()] + [np.zeros(0)]),
             minlength=self.n_band_rows * self.size,
         )
-        # the constant blocks in BLAS gbmv storage: entry (i, j) at row ku + i - j
-        self._constant_band = np.asfortranarray(
-            self._base.reshape(self.size, self.n_band_rows).T[self.kl:]
-        )
-
-    def constant_product(self, x: np.ndarray) -> np.ndarray:
-        """The constant blocks times x, by one BLAS ``dgbmv``."""
-        # the wrapper asks for at least kl + ku + 1 rows; the band holds no
-        # entry in rows past ``size``, so the product is 0 there
-        rows = max(self.size, self.kl + self.ku + 1)
-        out = dgbmv(rows, self.size, self.kl, self.ku, 1.0, self._constant_band, x)
-        return out[: self.size]
 
     def assemble(self, *cell_values: np.ndarray) -> np.ndarray:
         """Base plus the per-cell local matrices, one array per cell block."""
@@ -490,8 +477,9 @@ class BandCholesky:
     The gram is the sum of the assembled element grams ``local``.  In
     ``_folded_order`` the dofs that share a cell stay near each other,
     also across the periodic wrap, so each term is the lower band (entry
-    (i, j), i >= j, at row i - j) of a one-block ``BlockPattern``; their
-    sum goes to LAPACK ``dpbtrf`` once.  Summed after assembly, the small
+    (i, j), i >= j, at row i - j) of a one-block ``BlockPattern``, read
+    straight off the rows kl + ku and below of its base array; their sum
+    goes to LAPACK ``dpbtrf`` once.  Summed after assembly, the small
     L2 part is rounded once against the stiffness; near-constant dual
     norms are sensitive to that rounding.  ``dual_norm`` is the one dual
     norm route: sqrt(r' A^-1 r) = ||L^-1 r|| by one ``dtbtrs`` sweep,
@@ -502,7 +490,7 @@ class BandCholesky:
     def __init__(self, basis: SpatialBasis, *local: np.ndarray):
         patterns = [BlockPattern(basis, 1, [], {(0, 0): a}) for a in local]
         self.order = _folded_order(basis.dof_count)
-        band = sum(p._constant_band[p.ku:] for p in patterns)
+        band = sum(p._base.reshape(p.size, p.n_band_rows).T[p.kl + p.ku:] for p in patterns)
         self._factor, info = dpbtrf(band, lower=1)
         if info != 0:
             raise AssemblyError(f"gram is not positive definite (dpbtrf info {info})")

@@ -166,6 +166,33 @@ def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
+def test_bad_data_times_exit_1_without_traceback(pipeline, tmp_path):
+    """Times off the observation grid, or given twice, are configuration errors."""
+    _, out = pipeline
+    body = SMALL_CFG.replace("data.window = 0:4e-4\n", "")
+    for times, message in (
+        ("0.00003,0.00008", "error: data.times: t = 3e-05 is not on the observation time grid"),
+        ("0.00004,0.00004", "error: data.times: a time is given twice"),
+    ):
+        cfg, _ = _write_cfg(tmp_path, body, data_times=times)
+        run = _run_program("identify", "--config", str(cfg),
+                           "--observation", str(out / "observation.bin"))
+        assert run.returncode == 1, run.stderr
+        assert run.stderr == message + "\n"
+
+
+def test_times_on_one_observation_exit_1(pipeline, tmp_path, capsys):
+    # distinct in the file, but within the grid's tolerance of one time
+    _, out = pipeline
+    body = SMALL_CFG.replace("data.window = 0:4e-4\n", "")
+    cfg, _ = _write_cfg(tmp_path, body, data_times="0.00004,0.00004000000000001")
+    argv = ["identify", "--config", str(cfg), "--observation", str(out / "observation.bin")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: data.times: two times select the same observation\n"
+    )
+
+
 def test_identify_report_singular_values(pipeline):
     cfg, out = pipeline
     assert cli.main(["identify", "--config", str(cfg)]) == 0

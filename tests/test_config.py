@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chident.config import (
@@ -114,6 +114,9 @@ def test_times_and_window_are_exclusive():
     with pytest.raises(ConfigError, match="data.times"):
         build_config({"forward.tau": "2e-5", "forward.t_end": "0.02",
                       "data.times": "0.03"})
+    with pytest.raises(ConfigError, match="data.times: a time is given twice"):
+        build_config({"forward.tau": "2e-5", "forward.t_end": "0.02",
+                      "data.times": "4e-5,8e-5,4e-5"})
 
 
 def test_alpha_auto_and_grid():
@@ -129,6 +132,9 @@ def test_alpha_auto_and_grid():
         build_config({"inverse.alpha_grid": "1e-2:1e-9"})
     with pytest.raises(ConfigError, match="at least 10"):
         build_config({"inverse.alpha_grid": "1e-2:1e-9:5"})
+    with pytest.raises(ConfigError, match="inverse.alpha_grid: must span at least four"):
+        build_config({"inverse.alpha_grid": "1e-4:1e-6:12"})
+    assert len(build_config({"inverse.alpha_grid": "1e-2:1e-6:10"}).inverse.alpha_grid) == 10
 
 
 def test_spline_parameter_syntax():
@@ -203,14 +209,16 @@ def _valid_entries(draw):
     if draw(st.booleans()):
         times = st.floats(0.0, t_end, exclude_min=True)
         e["data.times"] = ",".join(map(repr, draw(st.lists(times, min_size=1,
-                                                           max_size=5))))
+                                                           max_size=5, unique=True))))
     else:
         lo = draw(st.floats(-t_end, t_end, exclude_max=True))
         hi = draw(st.floats(lo, t_end, exclude_min=True))
         e["data.window"] = f"{lo!r}:{hi!r}"
     if draw(st.booleans()):
         high = draw(st.floats(1e-12, 10.0))
-        low = high * 10.0 ** -draw(st.floats(0.5, 12.0))
+        low = high * 10.0 ** -draw(st.floats(4.0, 12.0))
+        # at exactly four decades the rounding of low may fall either side
+        assume(np.log10(high / low) >= 4.0)
         e["inverse.alpha_grid"] = f"{high!r}:{low!r}:{draw(st.integers(10, 60))}"
     return e
 
