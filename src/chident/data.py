@@ -14,9 +14,12 @@ steps find it), and the observable range is the image under phi of the
 pieces, cut again where |mu'| = threshold, on which mu' is steep.
 ``level_crossings`` and ``coarea_coefficients`` take one level or an array
 of levels and return one table: crossings carry the index of their level,
-and co-area fields are arrays over the levels.  One call builds the
-snapshot's cell tables once, and level i's rows equal a call with that
-level alone.
+and co-area fields are arrays over the levels.  ``coarea_coefficients`` and
+``observable_range`` also take an array of times (for the co-area, one per
+level), so a caller with several times makes one call.  One call looks its
+times up once and builds each distinct snapshot's cell tables
+(``CellCubics``) once, and entry i equals a call with its time and level
+alone.
 """
 
 from dataclasses import dataclass, field, replace
@@ -33,7 +36,6 @@ from .meshbasis import (
     cell_polys,
     cubic_spline_basis,
     dual_norm_Hm1,
-    eval_field,
     gauss_table,
     interpolate_many,
     poly_vals,
@@ -139,8 +141,11 @@ def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
 
     # interpolation discrepancy in H1, measured on the fine quadrature: the
     # fine Gauss points sit at the same local coordinates in every coarse
-    # cell, so the coarse field there is its cell cubics times their powers
-    fine = [gauss_table(traj.basis, 8, r) for r in (0, 1)]
+    # cell, so the coarse field there is its cell cubics times their powers.
+    # On a fine cell the coarse cubic and the FE quadratic leave integrands
+    # of degree <= 6, which the 4-point rule (exact to degree 7) integrates
+    # exactly
+    fine = [gauss_table(traj.basis, 4, r) for r in (0, 1)]
     u_fine = (np.arange(factor)[:, None] + fine[0].points) / factor
     powers = np.vander(u_fine.ravel(), 4, increasing=True).T
     w_fine = fine[0].weights.reshape(mesh.n_cells, -1)
@@ -177,19 +182,23 @@ def chemical_potential_from_data(
     phi'' and f(phi) are evaluated at the observation nodes (the spline is
     C2, so the nodal second derivative is unambiguous) and re-interpolated.
     """
-    return _chemical_potential(data, gamma, potential, data.index_of(t))
-
-
-def _chemical_potential(
-    data: ObservationData, gamma: float, potential, k: int
-) -> PeriodicField:
-    """``chemical_potential_from_data`` at the grid index k of a data time."""
-    nodes = data.basis.mesh.nodes()
-    phi_nodes = eval_field(data.phi_field(k), nodes)
-    d2_nodes = eval_field(data.phi_field(k), nodes, 2)
-    mu_nodes = -gamma * d2_nodes + potential(phi_nodes, 1)
-    coef = interpolate_many(data.basis, mu_nodes[None, :])[0]
+    coef = _chemical_potentials(data, gamma, potential, data.indices_of(t))[0]
     return PeriodicField(data.basis, coef)
+
+
+def _chemical_potentials(
+    data: ObservationData, gamma: float, potential, ks: np.ndarray
+) -> np.ndarray:
+    """Coefficients (len(ks), dof) of ``chemical_potential_from_data`` at
+    the grid indices ks, each row as its own call gives it."""
+    cells, u = data.basis.mesh.locate(data.basis.mesh.nodes())
+    u = np.tile(u, len(ks))
+    phi_nodes, d2_nodes = (
+        poly_vals(cell_polys(data.basis, data.coef[ks], order)[:, cells].reshape(-1, 4), u)
+        for order in (0, 2)
+    )
+    mu_nodes = -gamma * d2_nodes + potential(phi_nodes, 1)
+    return interpolate_many(data.basis, mu_nodes.reshape(len(ks), -1))
 
 
 # --- noise ----------------------------------------------------------------
@@ -316,8 +325,31 @@ _NEWTON_STEP_TOL = 1e-15
 _NEWTON_MAX_ITERS = 60
 
 
-def _level_roots(f: PeriodicField, levels: np.ndarray):
-    """Crossings of a snapshot with each of the levels.
+@dataclass
+class CellCubics:
+    """Cell cubics of phi, phi' and phi''' (``cell_polys`` orders 0, 1 and
+    3) of a stack of snapshots, and the snapshot that each level of a
+    level-set call cuts.  A call builds one, so each snapshot's tables are
+    built once however many levels cut it."""
+
+    basis: SpatialBasis
+    phi: np.ndarray      # (n_snapshots, n_cells, 4)
+    slope: np.ndarray    # (n_snapshots, n_cells, 4)
+    third: np.ndarray    # (n_snapshots, n_cells): phi''' is constant on a cell
+    rows: np.ndarray     # (n_levels,): the snapshot that level i cuts
+
+
+def cell_cubics(basis: SpatialBasis, coef: np.ndarray, rows) -> CellCubics:
+    """``CellCubics`` of the snapshots ``coef`` (n_snapshots, dof), with
+    level i cutting snapshot ``rows[i]``."""
+    return CellCubics(
+        basis, cell_polys(basis, coef), cell_polys(basis, coef, 1),
+        cell_polys(basis, coef, 3)[..., 0], np.asarray(rows, dtype=np.intp),
+    )
+
+
+def _level_roots(cub: CellCubics, levels: np.ndarray):
+    """Crossings of each level with its snapshot (``cub.rows``).
 
     A monotone piece (``_monotone_pieces``) holds one crossing when its
     half-open value range [start, end) holds s, so a piece constant at the
@@ -326,21 +358,21 @@ def _level_roots(f: PeriodicField, levels: np.ndarray):
     piece) pairs are solved together by Newton steps from the secant
     point, kept inside their brackets by bisection; a level stops in the
     iteration where its own largest step is small enough, so its roots do
-    not depend on the other levels.  Returns (level index, cell, local
-    coordinate), by level and cell.
+    not depend on the other levels or snapshots.  Returns (level index,
+    cell, local coordinate), by level and cell.
     """
-    p = cell_polys(f.basis, f.coef)
-    cuts, vals = _monotone_pieces(p)
-    vals = np.where(cuts == 1.0, np.concatenate([vals[1:, :1], vals[:1, :1]]), vals)
-    start, end = vals[:, :-1], vals[:, 1:]
+    cuts, vals = _monotone_pieces(cub.phi)
+    vals = np.where(cuts == 1.0, np.concatenate([vals[..., 1:, :1], vals[..., :1, :1]], -2), vals)
+    start, end = vals[..., :-1][cub.rows], vals[..., 1:][cub.rows]
     s = levels[:, None, None]
     lev, cells, piece = np.nonzero(((start <= s) & (s < end)) | ((end < s) & (s <= start)))
     s = levels[lev]
-    lo, hi = cuts[cells, piece], cuts[cells, piece + 1]
-    v0, v1 = start[cells, piece], end[cells, piece]
+    snap = cub.rows[lev]
+    lo, hi = cuts[snap, cells, piece], cuts[snap, cells, piece + 1]
+    v0, v1 = start[lev, cells, piece], end[lev, cells, piece]
     rising = v1 > v0
     u = lo + (s - v0) / (v1 - v0) * (hi - lo)
-    p = p[cells]
+    p = cub.phi[snap, cells]
     dp = p[:, 1:] * [1.0, 2.0, 3.0]                 # phi' in u, constant term first
     active = np.ones(len(levels), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,8 +397,8 @@ def _level_roots(f: PeriodicField, levels: np.ndarray):
 
 @dataclass
 class LevelCrossings:
-    """Level-set crossings of one snapshot, one entry per crossing, sorted
-    by level and then by x."""
+    """Level-set crossings, one entry per crossing, sorted by level and
+    then by x."""
 
     s: float | np.ndarray  # the level, or the array of levels, of the call
     level: np.ndarray      # index of each crossing's level in s (0 for one level)
@@ -375,12 +407,14 @@ class LevelCrossings:
     third: np.ndarray      # phi''' there (midpoint-interpolated, second order)
 
 
-def level_crossings(f: PeriodicField, s) -> LevelCrossings:
+def level_crossings(f, s) -> LevelCrossings:
     """All points of {phi = s} with slopes and third derivatives.
 
-    ``s`` is one level or a 1-D array of levels; an array gives one table
-    from one set of cell tables, whose entries with ``level == i`` equal
-    those of a call with ``s[i]`` alone.  Each monotone piece whose
+    ``f`` is one snapshot (a ``PeriodicField``), or the ``CellCubics`` of
+    several, whose ``rows`` name the snapshot of each level.  ``s`` is one
+    level or a 1-D array of levels; an array gives one table from one set
+    of cell tables, whose entries with ``level == i`` equal those of a
+    call with ``s[i]`` alone on its snapshot.  Each monotone piece whose
     half-open value range [start, end) holds s gives one crossing
     (``_level_roots``), so a crossing at a cut or a knot is counted once;
     a piece constant at the level gives none, and the co-area sample
@@ -392,38 +426,54 @@ def level_crossings(f: PeriodicField, s) -> LevelCrossings:
     is the average of the two adjacent cells' values.
     """
     levels = np.array(s, dtype=float, ndmin=1)
-    lev, jk, uk = _level_roots(f, levels)
-    h = f.basis.mesh.h
-    n = f.basis.mesh.n_cells
+    cub = f if isinstance(f, CellCubics) else cell_cubics(
+        f.basis, f.coef[None], np.zeros(len(levels), dtype=np.intp)
+    )
+    lev, jk, uk = _level_roots(cub, levels)
+    h = cub.basis.mesh.h
+    n = cub.basis.mesh.n_cells
     # a root a rounding step below u = 1 in the last cell lands on x = 1
     xk = ((jk + uk) * h) % 1.0
     order = np.lexsort((xk, lev))
     lev, xk, uk, jk = lev[order], xk[order], uk[order], jk[order]
-    slope = poly_vals(cell_polys(f.basis, f.coef, 1)[jk], uk)
-    p3 = cell_polys(f.basis, f.coef, 3)[:, 0]
+    snap = cub.rows[lev]
+    slope = poly_vals(cub.slope[snap, jk], uk)
     # between the midpoints of this cell and its nearer neighbour
     upper = uk >= 0.5
     t = np.where(upper, uk - 0.5, uk + 0.5)
     left = np.where(upper, jk, (jk - 1) % n)
-    third = (1.0 - t) * p3[left] + t * p3[(left + 1) % n]
+    third = (1.0 - t) * cub.third[snap, left] + t * cub.third[snap, (left + 1) % n]
     return LevelCrossings(levels if np.ndim(s) else float(levels[0]), lev, xk, slope, third)
+
+
+def _antiderivatives(basis: SpatialBasis, coef: np.ndarray):
+    """Tables of int_0^x of the splines ``coef`` (n_fields, dof): per-cell
+    antiderivatives in u, scaled by h (n_fields, n_cells, 5), and their
+    running sums at the knots (n_fields, n_cells + 1)."""
+    p = cell_polys(basis, coef)
+    anti = np.zeros((*p.shape[:-1], 5))
+    anti[..., 1:] = basis.mesh.h * p / np.arange(1, 5)
+    steps = np.cumsum(anti[..., 1:].sum(axis=-1), axis=-1)
+    return anti, np.concatenate([np.zeros((len(p), 1)), steps], axis=-1)
+
+
+def _integrate(mesh, tables, rows, x):
+    """int_0^x of field ``rows`` of the ``_antiderivatives`` tables, exactly
+    per piece, at points x in [0, 1]; ``rows`` broadcasts with x."""
+    anti, cum = tables
+    cells, u = mesh.locate(x)
+    a = anti[rows, cells]
+    val = a[..., 1] * u + a[..., 2] * u**2 + a[..., 3] * u**3 + a[..., 4] * u**4
+    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, cum[rows, -1], cum[rows, cells] + val))
 
 
 def spline_antiderivative(f: PeriodicField):
     """Closure evaluating int_0^x f at x in [0, 1] (a point or an array),
     exactly per piece."""
-    p = cell_polys(f.basis, f.coef)
-    h = f.basis.mesh.h
-    # antiderivative in u, scaled by h
-    anti = np.zeros((p.shape[0], 5))
-    anti[:, 1:] = h * p / np.arange(1, 5)
-    cum = np.concatenate([[0.0], np.cumsum(anti[:, 1:].sum(axis=1))])
+    tables = _antiderivatives(f.basis, f.coef[None])
 
     def integral(x):
-        cells, u = f.basis.mesh.locate(x)
-        a = anti[cells]
-        val = a[..., 1] * u + a[..., 2] * u**2 + a[..., 3] * u**3 + a[..., 4] * u**4
-        out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, cum[-1], cum[cells] + val))
+        out = _integrate(f.basis.mesh, tables, 0, x)
         return float(out) if np.ndim(x) == 0 else out
 
     return integral
@@ -431,10 +481,10 @@ def spline_antiderivative(f: PeriodicField):
 
 @dataclass
 class CoareaSample:
-    """Level-set functionals at one time, for one level or an array of
-    levels; for an array, each per-level field is an array over them."""
+    """Level-set functionals at one (time, level) pair or at an array of
+    pairs; for an array, each per-pair field is an array over the pairs."""
 
-    t: float
+    t: float | np.ndarray          # the time, or for an array of times each pair's
     s: float | np.ndarray
     A_b: float | np.ndarray        # -gamma sum phi''' sign(phi')
     A_c: float | np.ndarray        # sum |phi'|
@@ -442,7 +492,7 @@ class CoareaSample:
     n_crossings: int | np.ndarray
     min_slope: float | np.ndarray  # smallest |phi'| among crossings, 0 without any
     degenerate: bool | np.ndarray
-    sup_slope: float               # sup of |phi'| over the cell midpoints and knots
+    sup_slope: float | np.ndarray  # sup of |phi'| over the cell midpoints and knots
 
 
 # a co-area sample is degenerate when some crossing slope falls below this
@@ -450,7 +500,7 @@ class CoareaSample:
 DEGENERACY_REL = 0.05
 
 
-def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> CoareaSample:
+def coarea_coefficients(data: ObservationData, gamma: float, s, t) -> CoareaSample:
     """Evaluate the level-set identity ingredients at (t, s) pairs.
 
     For smooth enough data the triple satisfies A_b b(s) + A_c c(s) = A
@@ -459,31 +509,49 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     the regularized indicator and integrating by parts produces exactly
     this orientation alongside the signs of A_b and A_c.  The sample is
     flagged degenerate when there is no crossing or some crossing slope
-    falls below ``DEGENERACY_REL`` times the sup of |phi'|.  ``s`` is one
-    level, giving Python scalars, or a 1-D array of levels, giving arrays
-    from one ``level_crossings`` call and one antiderivative table; entry
-    i of each equals the scalar call's at ``s[i]``.  The time is looked up
-    once, and the difference quotient is the backward one at its index.
-    """
-    k = data.index_of(t)
-    if k == 0:
-        raise DataError(f"t = {t} has no predecessor for the difference quotient")
-    levels = np.array(s, dtype=float, ndmin=1)
-    f = data.phi_field(k)
-    cr = level_crossings(f, levels)
-    dq = (data.coef[k] - data.coef[k - 1]) / data.tau_data
-    integral = spline_antiderivative(PeriodicField(data.basis, dq))
-    p0 = cell_polys(f.basis, f.coef)
-    # sup |phi'| over the cell midpoints and the knots
-    p1 = cell_polys(f.basis, f.coef, 1)
-    sup_slope = float(max(np.max(np.abs(poly_vals(p1, 0.5))), np.max(np.abs(p1[:, 0]))))
+    falls below ``DEGENERACY_REL`` times the sup of |phi'|.
 
+    ``t`` is one time or a 1-D array of times, and ``s`` one level or a
+    1-D array of levels; an array of times pairs time i with level i of
+    an array of the same length.  One time and one level give Python scalars;
+    anything else gives arrays over the pairs (``sup_slope`` stays one
+    number for one time), from one ``level_crossings`` call on the
+    ``CellCubics`` of the distinct times, and entry i of each equals the
+    scalar call's at pair i.  The times are looked up once, and each
+    difference quotient is the backward one at its index.
+    """
+    times = np.array(t, dtype=float, ndmin=1)
+    levels = np.array(s, dtype=float, ndmin=1)
+    idx = data.indices_of(times)
+    ks = np.unique(idx)                      # the distinct times' indices
+    rows = np.searchsorted(ks, idx)
+    if len(ks) and ks[0] == 0:
+        raise DataError(
+            f"t = {times[np.argmin(idx)]} has no predecessor for the difference quotient"
+        )
+    if np.ndim(t) == 0:
+        rows = np.zeros(len(levels), dtype=np.intp)
+    elif times.shape != levels.shape:
+        raise DataError(f"{len(times)} times do not pair with {len(levels)} levels")
+    cub = cell_cubics(data.basis, data.coef[ks], rows)
+    cr = level_crossings(cub, levels)
+    mesh = data.basis.mesh
+    tables = _antiderivatives(data.basis, (data.coef[ks] - data.coef[ks - 1]) / data.tau_data)
+    total = tables[1][:, -1]
+    # sup |phi'| over the cell midpoints and the knots, per time
+    sup_slope = np.maximum(
+        np.max(np.abs(poly_vals(cub.slope, 0.5)), axis=-1),
+        np.max(np.abs(cub.slope[..., 0]), axis=-1),
+    )
+
+    n = len(levels)
     lev, x, abs_slope = cr.level, cr.x, np.abs(cr.slope)
-    counts = np.bincount(lev, minlength=len(levels))
+    snap = rows[lev]
+    counts = np.bincount(lev, minlength=n)
     crossed = counts > 0
-    a_b = -gamma * np.bincount(lev, cr.third * np.sign(cr.slope), len(levels))
-    a_c = np.bincount(lev, abs_slope, len(levels))
-    min_slope = np.full(len(levels), np.inf)
+    a_b = -gamma * np.bincount(lev, cr.third * np.sign(cr.slope), n)
+    a_c = np.bincount(lev, abs_slope, n)
+    min_slope = np.full(n, np.inf)
     np.minimum.at(min_slope, lev, abs_slope)
 
     # integrate the difference quotient over {phi < s}: the gaps between
@@ -495,25 +563,27 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t: float) -> Coa
     left, right = x, x[nxt]
     wrap = right <= left
     mid = 0.5 * (left + np.where(wrap, right + 1.0, right))
-    cells, u = f.basis.mesh.locate(mid)
-    below = poly_vals(p0[cells], u) < levels[lev]
-    # one antiderivative lookup for the whole torus and both ends of every gap
-    ends = integral(np.concatenate([[1.0], left, right]))
-    total, ia, ib = ends[0], ends[1:1 + len(x)], ends[1 + len(x):]
-    gap = np.where(wrap, total - ia + ib, ib - ia)
-    a_val = np.bincount(lev[below], gap[below], len(levels))
+    cells, u = mesh.locate(mid)
+    below = poly_vals(cub.phi[snap, cells], u) < levels[lev]
+    # one antiderivative lookup for both ends of every gap
+    ends = _integrate(mesh, tables, np.concatenate([snap, snap]), np.concatenate([left, right]))
+    ia, ib = ends[:len(x)], ends[len(x):]
+    gap = np.where(wrap, total[snap] - ia + ib, ib - ia)
+    a_val = np.bincount(lev[below], gap[below], n)
     if not crossed.all():
         # no crossing: phi lies wholly above or below the level, or equals
         # it, so its value at x = 0 tells whether {phi < s} is the torus
-        a_val = np.where(crossed, a_val, np.where(levels > p0[0, 0], total, 0.0))
+        a_val = np.where(crossed, a_val, np.where(levels > cub.phi[rows, 0, 0], total[rows], 0.0))
         # and A_b = +0 (not -gamma * 0) and smallest slope 0
         a_b[~crossed] = min_slope[~crossed] = 0.0
 
     fields = (levels, a_b, a_c, a_val, counts, min_slope,
-              ~crossed | (min_slope < DEGENERACY_REL * sup_slope))
+              ~crossed | (min_slope < DEGENERACY_REL * sup_slope[rows]))
+    if np.ndim(t):
+        return CoareaSample(times, *fields, sup_slope[rows])
     if not np.ndim(s):
         fields = (a[0].item() for a in fields)
-    return CoareaSample(t, *fields, sup_slope)
+    return CoareaSample(t, *fields, sup_slope[0].item())
 
 
 def merge_intervals(intervals):
@@ -553,7 +623,7 @@ def observable_range(
     data: ObservationData,
     gamma: float,
     potential,
-    t: float,
+    t,
     threshold_rel: float = 1e-3,
     n_levels: int = RANGE_LEVELS,
 ):
@@ -570,42 +640,51 @@ def observable_range(
     end values, and a level is observable iff one such interval holds it.
     The tie, a crossing exactly where |mu'| = threshold, counts as
     observable when |mu'| exceeds the threshold on either side of it.
-    Returns a list of closed level intervals.
+    Returns a list of closed level intervals for one time ``t``, or one
+    such list per time for a 1-D array of times; the tables of all times
+    are built together, and list i equals the call with ``t[i]`` alone.
     """
-    k = data.index_of(t)
-    mu = _chemical_potential(data, gamma, potential, k)
-    p = cell_polys(data.basis, data.coef[k])
+    ks = data.indices_of(t)
+    m = len(ks)
+    mu = _chemical_potentials(data, gamma, potential, ks)
+    # the cells of all times in one column, (m * n_cells, 4)
+    p = cell_polys(data.basis, data.coef[ks]).reshape(-1, 4)
     pieces, vals = _monotone_pieces(p)
-    lo, hi = float(vals.min()), float(vals.max())   # the attained range
-    span = hi - lo
-    if span <= 0.0:
-        return []
-    grad = gauss_table(data.basis, 8, 1).gather(mu.coef)
-    threshold = max(threshold_rel * float(np.max(np.abs(grad))), MU_GRAD_FLOOR)
-    levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span
-    d = cell_polys(data.basis, mu.coef, 1)          # mu' = d0 + d1 u + d2 u^2
+    lo, hi = vals.reshape(m, -1).min(axis=1), vals.reshape(m, -1).max(axis=1)
+    span = hi - lo                                  # of the attained ranges
+    grad = gauss_table(data.basis, 8, 1).gather(mu).reshape(m, -1)
+    threshold = np.maximum(threshold_rel * np.max(np.abs(grad), axis=1), MU_GRAD_FLOOR)
+    levels = lo[:, None] + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span[:, None]
+    d = cell_polys(data.basis, mu, 1).reshape(-1, 4)  # mu' = d0 + d1 u + d2 u^2
+    thr = np.repeat(threshold, data.basis.mesh.n_cells)
     cuts = np.sort(np.concatenate([
         pieces,
-        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - threshold),
-        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + threshold),
+        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - thr),
+        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + thr),
     ], axis=1), axis=1)
     mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-    steep = np.abs(poly_vals(d[:, None, :], mid)) > threshold
+    steep = (np.abs(poly_vals(d[:, None, :], mid)) > thr[:, None]).reshape(m, -1)
     ends = poly_vals(p[:, None, :], cuts)
-    left, right = ends[:, :-1][steep], ends[:, 1:][steep]
-    # level s lies in #{lower <= s} - #{upper < s} of the steep images
-    lower = np.sort(np.minimum(left, right))
-    upper = np.sort(np.maximum(left, right))
-    good = np.searchsorted(lower, levels, "right") > np.searchsorted(upper, levels, "left")
-    return _level_runs(levels, good)
+    lower = np.minimum(ends[:, :-1], ends[:, 1:]).reshape(m, -1)
+    upper = np.maximum(ends[:, :-1], ends[:, 1:]).reshape(m, -1)
+    out = []
+    for i in range(m):
+        if span[i] <= 0.0:
+            out.append([])
+            continue
+        # level s lies in #{lower <= s} - #{upper < s} of the steep images
+        below = np.searchsorted(np.sort(lower[i][steep[i]]), levels[i], "right")
+        under = np.searchsorted(np.sort(upper[i][steep[i]]), levels[i], "left")
+        out.append(_level_runs(levels[i], below > under))
+    return out if np.ndim(t) else out[0]
 
 
 def _level_runs(levels: np.ndarray, good: np.ndarray) -> list[tuple[float, float]]:
     """(first, last) level of each run of consecutive ``good`` levels."""
-    # +1 where a run starts, -1 one past its end
-    edges = np.diff(good.astype(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    return list(zip(levels[starts].tolist(), levels[stops - 1].tolist()))
+    flags = np.concatenate(([False], good, [False]))
+    # the flag changes at each run's start and one past its end, in turn
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    return list(zip(levels[edges[::2]].tolist(), levels[edges[1::2] - 1].tolist()))
 
 
 def _column_scaled_cond(mats: np.ndarray) -> np.ndarray:
@@ -674,8 +753,9 @@ def build_observability_report(
     range.  Each row pairs the time with its successor (or predecessor,
     at the boundary) for the two-time independence condition number
     (``_column_scaled_cond``, ``inf`` when either sample is degenerate).
-    Each distinct time is sampled in one ``coarea_coefficients`` call:
-    its own rows' levels, then those of the rows that use it as partner.
+    All (time, level) slots, each row's at its own time and then at its
+    partner time, are sampled in one ``coarea_coefficients`` call, and the
+    observable ranges of all times come from one ``observable_range`` call.
     """
     if times is None:
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
@@ -684,27 +764,19 @@ def build_observability_report(
     if np.any(data.indices_of(times) == 0):
         raise DataError("observability rows need a predecessor time")
     attained = attained_ranges(data, times)
-    observable = [
-        observable_range(data, gamma, potential, t, threshold_rel=threshold_rel)
-        for t in times
-    ]
+    observable = observable_range(data, gamma, potential, times, threshold_rel=threshold_rel)
     fractions = (np.arange(LEVELS_PER_TIME) + 1.0) / (LEVELS_PER_TIME + 1.0)
     lo, hi = np.asarray(attained, dtype=float).reshape(-1, 2).T
     levels = lo[:, None] + fractions * (hi - lo)[:, None]
     n = len(times)
     partner = np.append(np.arange(1, n), max(n - 2, 0))[:n]
     # slot (0, j) is row j at its own time, slot (1, j) the same row at its
-    # partner time; each distinct time takes its slots in order
-    distinct, own = np.unique(times, return_inverse=True)
-    keys = np.repeat(np.stack([own, own[partner]]), LEVELS_PER_TIME, axis=1)
-    slot_levels = np.stack([levels.ravel()] * 2)
-    a_b, a_c, a_val = np.empty((3, *keys.shape))
-    degenerate = np.empty(keys.shape, dtype=bool)
-    for u, t in enumerate(distinct):
-        slots = np.nonzero(keys == u)
-        sample = coarea_coefficients(data, gamma, slot_levels[slots], t)
-        a_b[slots], a_c[slots], a_val[slots] = sample.A_b, sample.A_c, sample.A
-        degenerate[slots] = sample.degenerate
+    # partner time
+    slot_times = np.repeat(np.stack([times, times[partner]]), LEVELS_PER_TIME, axis=1)
+    sample = coarea_coefficients(data, gamma, np.tile(levels.ravel(), 2), slot_times.ravel())
+    a_b, a_c, a_val, degenerate = (
+        a.reshape(slot_times.shape) for a in (sample.A_b, sample.A_c, sample.A, sample.degenerate)
+    )
 
     # row j: its (A_b, A_c) at its own time, then at its partner time
     cond = _column_scaled_cond(np.stack([a_b, a_c], axis=-1).swapaxes(0, 1))

@@ -12,6 +12,7 @@ import inspect
 import numpy as np
 
 from chident import data, inverse, model
+from chident.meshbasis import cell_polys
 
 from conftest import GAMMA
 
@@ -46,13 +47,17 @@ def test_report_reaches_level_crossings_through_the_module(
     report = data.build_observability_report(
         reference_data, GAMMA, params.F, times=window_times[:2], threshold_rel=1e-3
     )
-    # one call per time: its own 7 levels, then those of the row that
-    # partners it (the two rows of a two-time report partner each other)
-    assert len(calls) == len(report.times) == 2
+    # one call for the whole report: each time's own 7 levels, then the
+    # same levels at the partner time (the two rows of a two-time report
+    # partner each other), each level cut from its time's snapshot
+    assert len(calls) == 1 and len(report.times) == 2
     own = [[row.s for row in report.rows if row.t == t] for t in report.times]
-    for k, (f, levels) in enumerate(calls):
-        assert np.array_equal(f.coef, reference_data.coef[reference_data.index_of(report.times[k])])
-        assert np.array_equal(levels, own[k] + own[1 - k]), k
+    (cubics, levels), = calls
+    assert np.array_equal(levels, own[0] + own[1] + own[0] + own[1])
+    coef = reference_data.coef[reference_data.indices_of(report.times)]
+    for i, k in enumerate(np.repeat([0, 1, 1, 0], 7)):
+        own_cubics = cell_polys(reference_data.basis, coef[k])
+        assert np.array_equal(cubics.phi[cubics.rows[i]], own_cubics), i
 
 
 def test_assembly_and_solver_calls(reference_data, params, window_times):

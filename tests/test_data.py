@@ -40,6 +40,8 @@ from chident.data import (
     spline_antiderivative,
 )
 
+from conftest import DATA_FACTOR
+
 GAMMA = 0.003
 
 
@@ -70,6 +72,28 @@ def test_restriction_layout(reference_run, reference_data):
     assert 0.0 < data.interp_l2 <= data.interp_sup * np.sqrt(
         data.tau_data * data.n_times
     )
+
+
+def test_restriction_discrepancy_matches_an_eight_point_rule(reference_run, reference_data):
+    # on a fine cell the coarse cubic and the FE quadratic leave integrands
+    # of degree <= 6, so the restriction's 4-point rule agrees with 8 points
+    traj, _ = reference_run
+    data = reference_data
+    kept = traj.phi[::DATA_FACTOR]
+    fine = [gauss_table(traj.basis, 8, r) for r in (0, 1)]
+    cells = np.arange(traj.basis.mesh.n_cells)
+    coarse_cell = cells // DATA_FACTOR
+    u = ((cells % DATA_FACTOR)[:, None] + fine[0].points) / DATA_FACTOR
+    acc = 0.0
+    for r in (0, 1):
+        coarse = poly_vals(cell_polys(data.basis, data.coef, r)[:, coarse_cell, None, :], u)
+        acc = acc + np.sum(fine[0].weights * (coarse - fine[r].gather(kept)) ** 2, axis=(1, 2))
+    errs = np.sqrt(acc)
+    trapz = np.ones(len(errs))
+    trapz[[0, -1]] = 0.5
+    assert data.interp_sup == pytest.approx(errs.max(), rel=1e-13)
+    l2 = np.sqrt(data.tau_data * np.sum(trapz * errs**2))
+    assert data.interp_l2 == pytest.approx(l2, rel=1e-13)
 
 
 def test_restriction_validation(reference_run):
@@ -294,6 +318,9 @@ def test_observable_range_looks_its_time_up_once(reference_data, params, monkeyp
     monkeypatch.setattr(ObservationData, "indices_of", counted)
     assert observable_range(reference_data, GAMMA, params.F, 4e-3)
     assert len(calls) == 1
+    # an array of times is looked up in one call as well
+    assert len(observable_range(reference_data, GAMMA, params.F, [4e-3, 2e-3, 4e-3])) == 3
+    assert len(calls) == 2
 
 
 def test_coarea_coefficients_look_their_time_up_once(reference_data, monkeypatch):
@@ -308,6 +335,11 @@ def test_coarea_coefficients_look_their_time_up_once(reference_data, monkeypatch
     # levels below, inside and above the attained range
     sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), 4e-3)
     assert len(calls) == 1
+    assert list(sample.n_crossings == 0) == [True, False, True]
+    # an array of times, one per level, is looked up in one call as well
+    times = [4e-3, 2e-3, 4e-3]
+    sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), times)
+    assert len(calls) == 2
     assert list(sample.n_crossings == 0) == [True, False, True]
 
 
@@ -452,18 +484,19 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
     monkeypatch.setattr(chdata, "coarea_coefficients", counting)
     report = build_observability_report(reference_data, GAMMA, params.F)
     monkeypatch.undo()
-    # one call per time, with that time's own levels and then the levels
-    # of each row that uses it as partner (row k partners time k + 1, the
-    # last row time k - 1)
+    # one call for every slot: each row's level at its own time, then each
+    # row's level at its partner time (row k partners time k + 1, the last
+    # row time k - 1)
     n_times = len(report.times)
-    assert len(report.rows) == 35 and len(calls) == n_times
+    assert len(report.rows) == 35 and len(calls) == 1
     own = [[row.s for row in report.rows if row.t == t] for t in report.times]
     partner_of = [k + 1 if k + 1 < n_times else k - 1 for k in range(n_times)]
-    for k, t in enumerate(report.times):
-        assert len(own[k]) == 7
-        expect = own[k] + [s for i, p in enumerate(partner_of) if p == k for s in own[i]]
-        assert calls[k][1] == t
-        assert np.array_equal(calls[k][0], expect), k
+    assert all(len(levels) == 7 for levels in own)
+    levels, times = calls[0]
+    assert np.array_equal(levels, sum(own, []) * 2)
+    assert np.array_equal(times, np.repeat(
+        np.concatenate([report.times, report.times[partner_of]]), 7
+    ))
     # oracle: the row's sample and the two-time check from one call per level
     for i, row in enumerate(report.rows):
         k = list(report.times).index(row.t)
@@ -511,14 +544,15 @@ def _np_roots_unit(poly, tol=1e-10):
     return np.clip(r, 0.0, 1.0)
 
 
-def _level_roots_loop(f, levels):
-    """Reference: per level, cells bracketed by their value bounds, padded
-    by 1e-12, and one np.roots call per bracketed cell."""
-    p0 = cell_polys(f.basis, f.coef)
-    bounds = _piece_bounds(f.basis, f.coef)
-    pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
+def _level_roots_loop(cub, levels):
+    """Reference: per level, the cells of its snapshot bracketed by their
+    value bounds, padded by 1e-12, and one np.roots call per bracketed cell."""
     found = []                                   # (level index, cell, u)
     for k, s in enumerate(levels):
+        p0 = cub.phi[cub.rows[k]]
+        vals = chdata._monotone_pieces(p0)[1]
+        bounds = np.stack([vals.min(axis=-1), vals.max(axis=-1)], axis=-1)
+        pad = 1e-12 * max(1.0, np.max(np.abs(bounds)))
         for cell in np.nonzero((bounds[:, 0] - pad <= s) & (s <= bounds[:, 1] + pad))[0]:
             poly = p0[cell] - [s, 0.0, 0.0, 0.0]
             found += [(k, cell, u) for u in _np_roots_unit(poly)]
@@ -716,6 +750,62 @@ def _assert_level_array_matches_scalar_calls(data, t, levels):
         assert row == coarea_coefficients(data, GAMMA, s, t)
 
 
+def _bits(value) -> bytes:
+    """The bytes of a scalar or array value, so that -0.0 differs from 0.0."""
+    return np.asarray(value).tobytes()
+
+
+def test_time_array_coarea_equals_scalar_calls(reference_data, window_times):
+    # four distinct times, unsorted and repeated, each with levels inside
+    # its range, at its bounds and outside it (which no crossing reaches);
+    # one snapshot has a tenth of the others' slopes, so that the sup |phi'|
+    # of another time would move its degenerate flags
+    coef = reference_data.coef.copy()
+    coef[reference_data.index_of(window_times[60])] *= 0.1
+    data = replace(reference_data, coef=coef)
+    rng = np.random.default_rng(11)
+    times, levels = [], []
+    for t in window_times[[120, 5, 199, 5, 60]]:
+        lo, hi = attained_range(data, t)
+        cut = np.concatenate([rng.uniform(lo, hi, 5), [lo, hi, lo - 0.1, hi + 0.1]])
+        times += [t] * len(cut)
+        levels += cut.tolist()
+    order = rng.permutation(len(times))
+    times, levels = np.array(times)[order], np.array(levels)[order]
+    sample = coarea_coefficients(data, GAMMA, levels, times)
+    assert np.array_equal(sample.t, times) and np.any(sample.n_crossings == 0)
+    for i, (t, s) in enumerate(zip(times, levels)):
+        one = coarea_coefficients(data, GAMMA, s, t)
+        for name in ("t", "sup_slope") + _PER_LEVEL:
+            assert _bits(getattr(sample, name)[i]) == _bits(getattr(one, name)), (i, name)
+    with pytest.raises(DataError, match="do not pair"):
+        coarea_coefficients(data, GAMMA, levels[:3], times[:2])
+
+
+@pytest.mark.parametrize("threshold_rel", [1e-3, 0.5])
+def test_time_array_observable_range_equals_per_time_calls(
+    reference_data, params, window_times, threshold_rel
+):
+    # every window time, with one snapshot replaced by one that is constant
+    # up to rounding (its attained span is about 1e-16, sup |mu'| near 1e-12)
+    c = 0.32177206377279066
+    flat = np.full(reference_data.basis.dof_count, c)
+    flat[::3] = np.nextafter(c, 1.0)
+    coef = reference_data.coef.copy()
+    coef[reference_data.index_of(window_times[100])] = flat
+    # and one with a tenth of the amplitude, whose threshold is its own
+    coef[reference_data.index_of(window_times[50])] *= 0.1
+    data = replace(reference_data, coef=coef)
+    lo, hi = attained_range(data, window_times[100])
+    assert 0.0 < hi - lo < 1e-15
+    batched = observable_range(data, GAMMA, params.F, window_times, threshold_rel=threshold_rel)
+    assert batched == [
+        observable_range(data, GAMMA, params.F, t, threshold_rel=threshold_rel)
+        for t in window_times
+    ]
+    assert batched[100] == [] and all(batched[:100]) and all(batched[101:])
+
+
 @settings(max_examples=40)
 @given(
     n_cells=st.integers(8, 40),
@@ -756,7 +846,8 @@ def test_level_array_keeps_every_root_and_knot_crossings():
     h = basis.mesh.h
     knot_level = cell_polys(basis, coef)[1, 0]      # phi crosses it at the knots h and 2h
     levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0, knot_level])
-    lev, cells, u = chdata._level_roots(f, levels)
+    cubics = chdata.cell_cubics(basis, coef[None], [0] * len(levels))
+    lev, cells, u = chdata._level_roots(cubics, levels)
     cr = level_crossings(f, levels)
     for k in range(len(levels)):
         assert np.array_equal(cr.x[cr.level == k], np.sort(((cells + u)[lev == k] * h) % 1.0))
