@@ -312,19 +312,27 @@ def interpolate_many(basis: SpatialBasis, values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(values, axis=-1) / spectrum, axis=-1).real
 
 
-def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.ndarray:
-    """d^order psi_l / dx^order at the Gauss points of one cell.
+def cell_shape_values(basis: SpatialBasis, u, order: int = 0) -> np.ndarray:
+    """d^order psi_l / dx^order at the local coordinates u (1-D) of a cell.
 
-    The points are those of ``quadrature_rule`` inside a cell; on the
-    uniform mesh the table, of shape (n_quad, n_local), is the same
-    on every cell.
+    On the uniform mesh the table, of shape (len(u), n_local), is the
+    same on every cell.
     """
     _check_order(basis, order)
     polys = _shape_table(basis.kind)
     for _ in range(order):
         polys = polys @ _DIFF_U
-    vals = poly_vals(polys, _gauss_legendre(n_quad)[0][:, None])
+    vals = poly_vals(polys, np.asarray(u, dtype=float)[:, None])
     return vals * float(basis.mesh.n_cells) ** order
+
+
+def cell_shape_table(basis: SpatialBasis, n_quad: int, order: int = 0) -> np.ndarray:
+    """d^order psi_l / dx^order at the Gauss points of one cell.
+
+    The points are those of ``quadrature_rule`` inside a cell; the table
+    has shape (n_quad, n_local).
+    """
+    return cell_shape_values(basis, _gauss_legendre(n_quad)[0], order)
 
 
 @dataclass(frozen=True, eq=False)

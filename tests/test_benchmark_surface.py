@@ -11,10 +11,22 @@ import inspect
 
 import numpy as np
 
-from chident import data, inverse, model
+from chident import config, data, inverse, model
 from chident.meshbasis import cell_polys
 
 from conftest import GAMMA
+
+
+def test_restriction_and_noise_calls(reference_run):
+    # pipeline.py restricts its trajectory and perturbs it in this form,
+    # and checks that a seed gives the same noise in every pass
+    traj, _ = reference_run
+    cfg = config.paper_preset()
+    obs = data.restrict_to_data_grid(traj, cfg.data.factor)
+    assert np.isfinite(obs.interp_sup) and np.isfinite(obs.interp_l2)
+    noisy, _ = data.inject_noise(obs, 1e-3, 41)
+    again, _ = data.inject_noise(obs, 1e-3, 41)
+    assert np.array_equal(noisy.coef, again.coef)
 
 
 def test_observable_range_keywords_and_level_count(reference_data, params, window_times):

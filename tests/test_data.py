@@ -40,8 +40,6 @@ from chident.data import (
     spline_antiderivative,
 )
 
-from conftest import DATA_FACTOR
-
 GAMMA = 0.003
 
 
@@ -74,16 +72,24 @@ def test_restriction_layout(reference_run, reference_data):
     )
 
 
-def test_restriction_discrepancy_matches_an_eight_point_rule(reference_run, reference_data):
+@pytest.mark.parametrize("factor", [1, 2, 4])
+def test_restriction_discrepancy_matches_an_eight_point_rule(reference_run, factor):
     # on a fine cell the coarse cubic and the FE quadratic leave integrands
-    # of degree <= 6, so the restriction's 4-point rule agrees with 8 points
+    # of degree <= 6, so the restriction's 4-point rule agrees with 8
+    # points, evaluated here order by order from the cell cubics
     traj, _ = reference_run
-    data = reference_data
-    kept = traj.phi[::DATA_FACTOR]
+    n = 101                                     # 100 steps: every factor divides them
+    traj = replace(traj, times=traj.times[:n], phi=traj.phi[:n], mu=traj.mu[:n])
+    data = restrict_to_data_grid(traj, factor)
+    kept = traj.phi[::factor]
+    # the states fill more than one block of the discrepancy loop, and
+    # the last block only in part
+    block = chdata._RESTRICT_BLOCK_DOUBLES // (traj.basis.mesh.n_cells * 2 * 4)
+    assert len(kept) > block and len(kept) % block
     fine = [gauss_table(traj.basis, 8, r) for r in (0, 1)]
     cells = np.arange(traj.basis.mesh.n_cells)
-    coarse_cell = cells // DATA_FACTOR
-    u = ((cells % DATA_FACTOR)[:, None] + fine[0].points) / DATA_FACTOR
+    coarse_cell = cells // factor
+    u = ((cells % factor)[:, None] + fine[0].points) / factor
     acc = 0.0
     for r in (0, 1):
         coarse = poly_vals(cell_polys(data.basis, data.coef, r)[:, coarse_cell, None, :], u)
@@ -269,6 +275,17 @@ def test_coarea_degenerate_outside_range(reference_data):
     assert abs(above.A) < 1e-5
     with pytest.raises(DataError):
         coarea_coefficients(reference_data, GAMMA, 0.1, 0.0)
+
+
+def test_coarea_fields_are_float_for_every_batch_size(reference_data):
+    t = 8e-4
+    hi = attained_range(reference_data, t)[1]
+    # no pair, and one pair that no crossing reaches: no bincount entry
+    for levels, times in (([], []), ([hi + 0.1], [t])):
+        sample = coarea_coefficients(reference_data, GAMMA, levels, times)
+        for name in ("A_b", "A_c", "A", "min_slope"):
+            value = getattr(sample, name)
+            assert value.dtype == np.float64 and value.shape == (len(levels),), name
 
 
 def test_merge_intervals():
@@ -506,6 +523,25 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
             sample.A_b, sample.A_c, sample.A, sample.degenerate
         ), i
         assert row.cond == _two_time_cond(reference_data, row.s, row.t, partner), i
+
+
+def test_residual_equals_the_row_formula(reference_data, params):
+    report = build_observability_report(reference_data, GAMMA, params.F)
+    b_fn = params.b
+    c_fn = lambda s: params.b(s) * params.f(s, 1)
+    # mark every third row degenerate, so that some rows are skipped
+    report.rows = [replace(row, degenerate=row.degenerate or i % 3 == 0)
+                   for i, row in enumerate(report.rows)]
+    expected = [
+        abs(r.A_b * b_fn(r.s) + r.A_c * c_fn(r.s) - r.A) / max(abs(r.A), abs(r.A_c))
+        for r in report.rows if not r.degenerate
+    ]
+    assert 0 < len(expected) < len(report.rows)
+    assert _bits(report.residual(b_fn, c_fn)) == _bits(np.array(expected))
+    # no usable row
+    report.rows = [replace(row, degenerate=True) for row in report.rows]
+    empty = report.residual(b_fn, c_fn)
+    assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def test_observability_report_smoke(reference_data, params):
