@@ -135,8 +135,8 @@ def _make_parameter(spec_str: str, path: str, default_factory):
             values = [float(v) for v in spec_str[len("spline:"):].split(",")]
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed spline values ({exc})") from exc
-        if len(values) < 2:
-            raise ConfigError(f"{path}: spline needs at least two values")
+        if len(values) < 3:
+            raise ConfigError(f"{path}: spline needs at least three values")
         grid = NaturalSplineGrid(-1.0, 1.0, 2.0 / (len(values) - 1))
         try:
             return SplineParameter(grid, np.asarray(values))
@@ -299,10 +299,9 @@ def validate_config(cfg: RunConfig) -> None:
     fw, db, iv, ob = cfg.forward, cfg.data, cfg.inverse, cfg.output
     if not (np.isfinite(fw.gamma) and fw.gamma > 0):
         raise ConfigError(f"forward.gamma: must be positive, got {fw.gamma}")
-    if fw.potential != "default" and not fw.potential.startswith("spline:"):
-        raise ConfigError(f"forward.potential: unknown id {fw.potential!r}")
-    if fw.mobility != "default" and not fw.mobility.startswith("spline:"):
-        raise ConfigError(f"forward.mobility: unknown id {fw.mobility!r}")
+    # building the two parameter functions checks their specs
+    cfg.potential_fn()
+    cfg.mobility_fn()
     if fw.initial not in _CATALOG_INITIALS:
         raise ConfigError(f"forward.initial: unknown id {fw.initial!r}")
     if not isinstance(fw.n_cells, int) or fw.n_cells < 4:
@@ -346,8 +345,9 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if iv.alpha is not None and iv.alpha <= 0:
         raise ConfigError(f"inverse.alpha: must be positive, got {iv.alpha}")
-    if iv.sigma <= 0 or iv.sigma > 2.0:
-        raise ConfigError(f"inverse.sigma: need 0 < sigma <= 2, got {iv.sigma}")
+    # the parameter splines need at least two knot spans on [-1, 1]
+    if iv.sigma <= 0 or iv.sigma > 1.0:
+        raise ConfigError(f"inverse.sigma: need 0 < sigma <= 1, got {iv.sigma}")
     n_spans = 2.0 / iv.sigma
     if abs(round(n_spans) - n_spans) > 1e-9:
         raise ConfigError(

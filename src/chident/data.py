@@ -12,14 +12,14 @@ cubic at the closed-form roots of phi' into monotone pieces: their end
 values bound the cell, a level crosses each at most once (bracketed Newton
 steps find it), and the observable range is the image under phi of the
 pieces, cut again where |mu'| = threshold, on which mu' is steep.
-``level_crossings`` and ``coarea_coefficients`` take one level or an array
-of levels and return one table: crossings carry the index of their level,
-and co-area fields are arrays over the levels.  ``coarea_coefficients`` and
-``observable_range`` also take an array of times (for the co-area, one per
-level), so a caller with several times makes one call.  One call looks its
-times up once and builds each distinct snapshot's cell tables
-(``CellCubics``) once, and entry i equals a call with its time and level
-alone.
+``coarea_coefficients`` takes (time, level) pairs as two 1-D arrays of
+equal length, and every field of its result is an array over the pairs.
+It looks the times up once, builds each distinct snapshot's cell tables
+(``CellCubics``) once, and cuts them with one ``level_crossings`` call,
+which takes those tables and a 1-D array of levels and returns one table
+of crossings, each carrying the index of its level.  Entry i equals a
+call with pair i alone.  ``observable_range`` takes one time or a 1-D
+array of times, so a caller with several times makes one call.
 """
 
 from dataclasses import dataclass, field, replace
@@ -107,9 +107,6 @@ class ObservationData:
             )
         return idx
 
-    def index_of(self, t: float) -> int:
-        return int(self.indices_of([t])[0])
-
     def phi_field(self, k: int) -> PeriodicField:
         return PeriodicField(self.basis, self.coef[k])
 
@@ -186,23 +183,12 @@ def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
     )
 
 
-def chemical_potential_from_data(
-    data: ObservationData, gamma: float, potential, t: float
-) -> PeriodicField:
-    """Spline reconstruction of mu = -gamma phi'' + f(phi) at a data time.
-
-    phi'' and f(phi) are evaluated at the observation nodes (the spline is
-    C2, so the nodal second derivative is unambiguous) and re-interpolated.
-    """
-    coef = _chemical_potentials(data, gamma, potential, data.indices_of(t))[0]
-    return PeriodicField(data.basis, coef)
-
-
 def _chemical_potentials(
     data: ObservationData, gamma: float, potential, ks: np.ndarray
 ) -> np.ndarray:
-    """Coefficients (len(ks), dof) of ``chemical_potential_from_data`` at
-    the grid indices ks, each row as its own call gives it."""
+    """Spline coefficients (len(ks), dof) of mu = -gamma phi'' + f(phi) at
+    the grid indices ks: phi'' and f(phi) at the observation nodes (the
+    spline is C2, so the nodal phi'' is unambiguous), re-interpolated."""
     cells, u = data.basis.mesh.locate(data.basis.mesh.nodes())
     u = np.tile(u, len(ks))
     phi_nodes, d2_nodes = (
@@ -419,35 +405,31 @@ class LevelCrossings:
     """Level-set crossings, one entry per crossing, sorted by level and
     then by x."""
 
-    s: float | np.ndarray  # the level, or the array of levels, of the call
-    level: np.ndarray      # index of each crossing's level in s (0 for one level)
+    s: np.ndarray          # the levels of the call
+    level: np.ndarray      # index of each crossing's level in s
     x: np.ndarray          # crossing locations in [0, 1)
     slope: np.ndarray      # phi' there
     third: np.ndarray      # phi''' there (midpoint-interpolated, second order)
 
 
-def level_crossings(f, s) -> LevelCrossings:
-    """All points of {phi = s} with slopes and third derivatives.
+def level_crossings(cub: CellCubics, levels) -> LevelCrossings:
+    """All points of {phi = s} with slopes and third derivatives, for each
+    level s of the 1-D array ``levels``.
 
-    ``f`` is one snapshot (a ``PeriodicField``), or the ``CellCubics`` of
-    several, whose ``rows`` name the snapshot of each level.  ``s`` is one
-    level or a 1-D array of levels; an array gives one table from one set
-    of cell tables, whose entries with ``level == i`` equal those of a
-    call with ``s[i]`` alone on its snapshot.  Each monotone piece whose
-    half-open value range [start, end) holds s gives one crossing
-    (``_level_roots``), so a crossing at a cut or a knot is counted once;
-    a piece constant at the level gives none, and the co-area sample
-    there is degenerate either way.  The spline's third derivative is
-    piecewise constant, which is only first-order accurate at an
-    arbitrary point but second-order accurate at cell midpoints; the
-    reported value therefore interpolates the two nearest midpoint values
-    linearly, restoring second-order pointwise accuracy.  At a knot this
-    is the average of the two adjacent cells' values.
+    ``cub`` holds the cell tables of the snapshots, and ``cub.rows[i]``
+    names the snapshot that level i cuts.  The entries with ``level == i``
+    equal those of a call with level i alone on its snapshot.  Each
+    monotone piece whose half-open value range [start, end) holds s gives
+    one crossing (``_level_roots``), so a crossing at a cut or a knot is
+    counted once; a piece constant at the level gives none, and the
+    co-area sample there is degenerate either way.  The spline's third
+    derivative is piecewise constant, which is only first-order accurate
+    at an arbitrary point but second-order accurate at cell midpoints;
+    the reported value therefore interpolates the two nearest midpoint
+    values linearly, restoring second-order pointwise accuracy.  At a
+    knot this is the average of the two adjacent cells' values.
     """
-    levels = np.array(s, dtype=float, ndmin=1)
-    cub = f if isinstance(f, CellCubics) else cell_cubics(
-        f.basis, f.coef[None], np.zeros(len(levels), dtype=np.intp)
-    )
+    levels = np.asarray(levels, dtype=float)
     lev, jk, uk = _level_roots(cub, levels)
     h = cub.basis.mesh.h
     n = cub.basis.mesh.n_cells
@@ -462,7 +444,7 @@ def level_crossings(f, s) -> LevelCrossings:
     t = np.where(upper, uk - 0.5, uk + 0.5)
     left = np.where(upper, jk, (jk - 1) % n)
     third = (1.0 - t) * cub.third[snap, left] + t * cub.third[snap, (left + 1) % n]
-    return LevelCrossings(levels if np.ndim(s) else float(levels[0]), lev, xk, slope, third)
+    return LevelCrossings(levels, lev, xk, slope, third)
 
 
 def _antiderivatives(basis: SpatialBasis, coef: np.ndarray):
@@ -486,32 +468,20 @@ def _integrate(mesh, tables, rows, x):
     return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, cum[rows, -1], cum[rows, cells] + val))
 
 
-def spline_antiderivative(f: PeriodicField):
-    """Closure evaluating int_0^x f at x in [0, 1] (a point or an array),
-    exactly per piece."""
-    tables = _antiderivatives(f.basis, f.coef[None])
-
-    def integral(x):
-        out = _integrate(f.basis.mesh, tables, 0, x)
-        return float(out) if np.ndim(x) == 0 else out
-
-    return integral
-
-
 @dataclass
 class CoareaSample:
-    """Level-set functionals at one (time, level) pair or at an array of
-    pairs; for an array, each per-pair field is an array over the pairs."""
+    """Level-set functionals at an array of (time, level) pairs; every
+    field is an array over the pairs."""
 
-    t: float | np.ndarray          # the time, or for an array of times each pair's
-    s: float | np.ndarray
-    A_b: float | np.ndarray        # -gamma sum phi''' sign(phi')
-    A_c: float | np.ndarray        # sum |phi'|
-    A: float | np.ndarray          # int over {phi < s} of the difference quotient
-    n_crossings: int | np.ndarray
-    min_slope: float | np.ndarray  # smallest |phi'| among crossings, 0 without any
-    degenerate: bool | np.ndarray
-    sup_slope: float | np.ndarray  # sup of |phi'| over the cell midpoints and knots
+    t: np.ndarray            # the time of each pair
+    s: np.ndarray            # the level of each pair
+    A_b: np.ndarray          # -gamma sum phi''' sign(phi')
+    A_c: np.ndarray          # sum |phi'|
+    A: np.ndarray            # int over {phi < s} of the difference quotient
+    n_crossings: np.ndarray
+    min_slope: np.ndarray    # smallest |phi'| among crossings, 0 without any
+    degenerate: np.ndarray
+    sup_slope: np.ndarray    # sup of |phi'| over the cell midpoints and knots, at t
 
 
 # a co-area sample is degenerate when some crossing slope falls below this
@@ -536,17 +506,17 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t) -> CoareaSamp
     flagged degenerate when there is no crossing or some crossing slope
     falls below ``DEGENERACY_REL`` times the sup of |phi'|.
 
-    ``t`` is one time or a 1-D array of times, and ``s`` one level or a
-    1-D array of levels; an array of times pairs time i with level i of
-    an array of the same length.  One time and one level give Python scalars;
-    anything else gives arrays over the pairs (``sup_slope`` stays one
-    number for one time), from one ``level_crossings`` call on the
-    ``CellCubics`` of the distinct times, and entry i of each equals the
-    scalar call's at pair i.  The times are looked up once, and each
-    difference quotient is the backward one at its index.
+    ``s`` and ``t`` are 1-D arrays of equal length, and pair i is
+    (t[i], s[i]).  Every field of the result is an array over the pairs,
+    from one ``level_crossings`` call on the ``CellCubics`` of the
+    distinct times, and entry i equals that of a call with pair i alone.
+    The times are looked up once, and each difference quotient is the
+    backward one at its index.
     """
-    times = np.array(t, dtype=float, ndmin=1)
-    levels = np.array(s, dtype=float, ndmin=1)
+    times = np.asarray(t, dtype=float)
+    levels = np.asarray(s, dtype=float)
+    if times.ndim != 1 or times.shape != levels.shape:
+        raise DataError(f"times {times.shape} do not pair with levels {levels.shape}")
     idx = data.indices_of(times)
     ks = np.unique(idx)                      # the distinct times' indices
     rows = np.searchsorted(ks, idx)
@@ -554,10 +524,6 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t) -> CoareaSamp
         raise DataError(
             f"t = {times[np.argmin(idx)]} has no predecessor for the difference quotient"
         )
-    if np.ndim(t) == 0:
-        rows = np.zeros(len(levels), dtype=np.intp)
-    elif times.shape != levels.shape:
-        raise DataError(f"{len(times)} times do not pair with {len(levels)} levels")
     cub = cell_cubics(data.basis, data.coef[ks], rows)
     cr = level_crossings(cub, levels)
     mesh = data.basis.mesh
@@ -602,13 +568,9 @@ def coarea_coefficients(data: ObservationData, gamma: float, s, t) -> CoareaSamp
         # and A_b = +0 (not -gamma * 0) and smallest slope 0
         a_b[~crossed] = min_slope[~crossed] = 0.0
 
-    fields = (levels, a_b, a_c, a_val, counts, min_slope,
-              ~crossed | (min_slope < DEGENERACY_REL * sup_slope[rows]))
-    if np.ndim(t):
-        return CoareaSample(times, *fields, sup_slope[rows])
-    if not np.ndim(s):
-        fields = (a[0].item() for a in fields)
-    return CoareaSample(t, *fields, sup_slope[0].item())
+    degenerate = ~crossed | (min_slope < DEGENERACY_REL * sup_slope[rows])
+    return CoareaSample(times, levels, a_b, a_c, a_val, counts, min_slope, degenerate,
+                        sup_slope[rows])
 
 
 def merge_intervals(intervals):

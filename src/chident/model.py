@@ -70,10 +70,12 @@ class NaturalSplineGrid:
             raise ParameterError("empty knot interval")
         n_span = (hi - lo) / spacing
         n_round = round(n_span)
-        if n_round < 2 or abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):
+        if abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):
             raise ParameterError(
                 f"spacing {spacing} does not evenly divide [{lo}, {hi}]"
             )
+        if n_round < 2:
+            raise ParameterError(f"spacing {spacing}: the grid needs at least two knot spans")
         self.lo = float(lo)
         self.hi = float(hi)
         self.n_knots = n_round + 1
@@ -86,8 +88,6 @@ class NaturalSplineGrid:
         n = self.n_knots
         sig = self.spacing
         d = np.zeros((n, n))
-        if n <= 2:
-            return d
         m = n - 2
         # tridiagonal system: m_{j-1} + 4 m_j + m_{j+1} = 6 (d2 v)_j / sig^2
         ab = np.zeros((3, m))

@@ -1,7 +1,8 @@
 """Shared fixtures: one reference forward run feeds most of the suite.
 
 ``toy_problem`` builds a Tikhonov problem straight from an operator and
-data, for the solver tests that need no assembly.
+data, for the solver tests that need no assembly; ``crossings_of`` cuts
+one spline field at an array of levels.
 
 The acceptance tests record a PASS/FAIL line per criterion; the
 terminal-summary hook prints them in order at the end of the run so the
@@ -20,7 +21,7 @@ from hypothesis import settings
 from chident.meshbasis import build_mesh, quadratic_fe, interpolate
 from chident.model import default_params, default_initial_profile
 from chident.forward import simulate
-from chident.data import restrict_to_data_grid
+from chident.data import cell_cubics, level_crossings, restrict_to_data_grid
 from chident.inverse import AssembledProblem
 
 GAMMA = 0.003
@@ -85,6 +86,12 @@ def toy_problem(T, y):
         kind="toy", T=T, y=np.asarray(y, dtype=float), grams=_ShimGrams(T.shape[0]),
         R=_ShimR(T.shape[1]), grid=None, times=np.array([0.0]),
     )
+
+
+def crossings_of(f, levels):
+    """``level_crossings`` of the one spline field f at the 1-D array levels."""
+    rows = np.zeros(len(levels), dtype=np.intp)
+    return level_crossings(cell_cubics(f.basis, f.coef[None], rows), levels)
 
 
 @pytest.fixture(scope="session")

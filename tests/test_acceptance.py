@@ -29,7 +29,6 @@ from chident.data import (
     attained_range,
     coarea_coefficients,
     inject_noise,
-    level_crossings,
     merge_intervals,
     observable_range,
 )
@@ -45,7 +44,7 @@ from chident.inverse import (
     tikhonov_solve_direct,
 )
 
-from conftest import GAMMA, record_criterion, toy_problem
+from conftest import GAMMA, crossings_of, record_criterion, toy_problem
 
 
 # --------------------------------------------------------------------------
@@ -127,22 +126,22 @@ def _coarea_residuals(data, anchor, params):
     Times are the first fifteen even multiples of the observation step;
     levels are seven interior fractions of the range attained on the
     ``anchor`` container, so both resolutions are probed at identical
-    (t, s) pairs.
+    (t, s) pairs.  Degenerate samples are left out.
     """
-    out = {}
+    keys, levels, times = [], [], []
     for k in range(2, 31, 2):
         t = 4e-5 * k
         lo, hi = attained_range(anchor, t)
         for i, frac in enumerate(np.linspace(0.12, 0.88, 7)):
-            s = lo + frac * (hi - lo)
-            sample = coarea_coefficients(data, GAMMA, s, t)
-            if sample.degenerate:
-                continue
-            pred = params.b(s) * sample.A_b + (
-                params.b(s) * params.f(s, 1) * sample.A_c
-            )
-            out[(k, i)] = abs(sample.A - pred) / max(abs(sample.A), abs(pred))
-    return out
+            keys.append((k, i))
+            levels.append(lo + frac * (hi - lo))
+            times.append(t)
+    sample = coarea_coefficients(data, GAMMA, levels, times)
+    ok = ~sample.degenerate
+    s, a_b, a_c, a = sample.s[ok], sample.A_b[ok], sample.A_c[ok], sample.A[ok]
+    pred = params.b(s) * a_b + params.b(s) * params.f(s, 1) * a_c
+    rel = np.abs(a - pred) / np.maximum(np.abs(a), np.abs(pred))
+    return dict(zip([key for key, keep in zip(keys, ok) if keep], rel.tolist()))
 
 
 def test_criterion_05_coarea_identity(reference_data, refined_data, params):
@@ -161,7 +160,7 @@ def test_criterion_05_coarea_identity(reference_data, refined_data, params):
     # interpolated sine profile: closed-form crossing functionals
     basis = cubic_spline_basis(build_mesh(4096))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-    cr = level_crossings(f, 0.0)
+    cr = crossings_of(f, [0.0])
     a_c = float(np.sum(np.abs(cr.slope)))
     a_b = -GAMMA * float(np.sum(cr.third * np.sign(cr.slope)))
     sine_c = abs(a_c - 4.0 * np.pi)

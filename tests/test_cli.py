@@ -301,7 +301,7 @@ def test_data_mesh_below_four_cells_is_a_configuration_error(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path):
     # a mobility that changes sign on [-1, 1] breaks the first step
     cfg, _ = _write_cfg(tmp_path, name="neg.cfg",
-                        forward_mobility="spline:-1.0,1.0")
+                        forward_mobility="spline:-1.0,0.0,1.0")
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
 
 
@@ -352,19 +352,59 @@ def test_verify_negative_control(tmp_path, monkeypatch):
     the identity check and surface as the dedicated exit code."""
     import dataclasses
 
-    original = cli.coarea_coefficients
+    from chident import data as chdata
+
+    original = chdata.coarea_coefficients
 
     def flipped(data, gamma, s, t):
         sample = original(data, gamma, s, t)
         return dataclasses.replace(sample, A_b=-sample.A_b)
 
-    monkeypatch.setattr(cli, "coarea_coefficients", flipped)
+    monkeypatch.setattr(chdata, "coarea_coefficients", flipped)
     out = tmp_path / "vneg"
     assert cli.main(["verify", "--preset", "paper", "--out", str(out)]) == 3
     report = json.loads((out / "verify_report.json").read_text())
     by_name = {c["name"]: c["passed"] for c in report["checks"]}
     assert by_name["coarea-identity"] is False
     assert by_name["conservation"] is True
+
+
+def test_verify_coarea_count_is_the_report_residual(params):
+    """The co-area line counts the residuals of the observability report
+    at the first 15 data times of the suite's 100-step run."""
+    from chident.config import paper_preset
+    from chident.data import build_observability_report, restrict_to_data_grid
+    from chident.forward import simulate
+    from chident.meshbasis import build_mesh, interpolate, quadratic_fe
+
+    cfg = paper_preset()
+    results = cli.run_invariant_suite(cfg, printer=lambda line: None)
+    detail = {name: detail for name, _, detail in results}["coarea-identity"]
+    fw = cfg.forward
+    phi0 = interpolate(quadratic_fe(build_mesh(fw.n_cells)), cfg.initial_fn())
+    traj = simulate(phi0, params, t_end=100 * fw.tau, tau=fw.tau)
+    data = restrict_to_data_grid(traj, cfg.data.factor)
+    report = build_observability_report(
+        data, fw.gamma, params.F, data.times[1:16], cfg.inverse.threshold
+    )
+    rel = report.residual(params.b, lambda s: params.b(s) * params.f(s, 1))
+    assert len(report.rows) == 105
+    assert detail == f"{np.sum(rel <= 5e-2)}/{len(rel)} samples below 5e-2 (worst {rel.max():.3f})"
+
+
+def test_verify_with_a_data_factor_that_does_not_divide_100(tmp_path, capsys):
+    # the suite runs 99 steps, which factor 3 divides, not 100
+    body = """
+forward.n_cells = 300
+forward.tau = 2e-5
+forward.t_end = 0.0024
+data.factor = 3
+data.window = 0:0.0024
+output.directory = {out}
+"""
+    cfg, _ = _write_cfg(tmp_path, body, name="factor3.cfg")
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    assert "5/5 checks passed" in capsys.readouterr().out
 
 
 def test_verify_restricts_once(tmp_path, monkeypatch):
@@ -394,6 +434,22 @@ def test_verify_records_a_failed_restriction(tmp_path, monkeypatch, capsys):
     for name in ("coarea-identity", "perturbation-scaling"):
         assert checks[name] == (False, "failure: restriction refused")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path):
+    """A trajectory on disk that data.factor does not divide is an input
+    mismatch: one error line naming the key, exit 1."""
+    # 16 cells and 10 steps on disk; 12 cells and 12 steps in the configuration
+    body = "forward.n_cells = {n}\nforward.tau = 2e-5\nforward.t_end = {t}\n" \
+        "data.factor = {f}\ndata.window = 0:{t}\noutput.directory = {{out}}\n"
+    cfg, out = _write_cfg(tmp_path, body.format(n=16, t="2e-4", f=2))
+    cfg3, _ = _write_cfg(tmp_path, body.format(n=12, t="2.4e-4", f=3), name="factor3.cfg")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    run = _run_program("make-data", "--config", str(cfg3), "--trajectory",
+                       str(out / "trajectory.bin"), "--out", str(tmp_path / "d3"))
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: data.factor: factor 3 does not divide")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 def test_make_data_seed_and_noise(pipeline, tmp_path):

@@ -84,6 +84,9 @@ def test_build_config_overrides_and_unknown_keys():
     ({"output.directory": ""}, "output.directory"),
     ({"data.times": "4e-5,nan"}, "finite"),
     ({"data.seed": "-3"}, "data.seed"),
+    ({"inverse.sigma": "2"}, "inverse.sigma: need 0 < sigma <= 1"),
+    ({"forward.mobility": "spline:1,1"}, "forward.mobility: spline needs at least three"),
+    ({"forward.potential": "spline:1,1"}, "forward.potential: spline needs at least three"),
 ])
 def test_validation_errors(overrides, fragment):
     base = {"forward.n_cells": "200", "forward.tau": "2e-5",
@@ -143,10 +146,11 @@ def test_spline_parameter_syntax():
     assert b(-1.0) == pytest.approx(1.0)
     assert b(1.0) == pytest.approx(1.0)
     assert b(0.0) == pytest.approx(2.0)
-    with pytest.raises(ConfigError, match="at least two"):
-        build_config(parse_config("forward.mobility = spline:1.0")).mobility_fn()
+    # validation builds the functions, so a bad spec fails there
+    with pytest.raises(ConfigError, match="at least three"):
+        build_config(parse_config("forward.mobility = spline:1.0"))
     with pytest.raises(ConfigError, match="malformed"):
-        build_config(parse_config("forward.mobility = spline:1.0,zz")).mobility_fn()
+        build_config(parse_config("forward.mobility = spline:1.0,zz"))
     with pytest.raises(ConfigError, match="forward.potential"):
         build_config(parse_config("forward.potential = quartic"))
 
@@ -173,7 +177,7 @@ def test_config_text_roundtrip(tmp_path):
 
 
 def _spline_or_default():
-    values = st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6)
+    values = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=6)
     return st.one_of(
         st.just("default"),
         values.map(lambda vs: "spline:" + ",".join(map(repr, vs))),
@@ -202,7 +206,7 @@ def _valid_entries(draw):
         "inverse.kind": draw(st.sampled_from(PROBLEM_KINDS)),
         "inverse.alpha": draw(st.one_of(
             st.just("auto"), st.floats(1e-14, 1.0).map(repr))),
-        "inverse.sigma": repr(2.0 / draw(st.integers(1, 40))),
+        "inverse.sigma": repr(2.0 / draw(st.integers(2, 40))),
         "inverse.threshold": repr(draw(st.floats(0.0, 1.0))),
         "output.directory": draw(st.from_regex(r"[\w./-]{1,12}", fullmatch=True)),
     }

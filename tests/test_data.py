@@ -30,17 +30,15 @@ from chident.data import (
     attained_range,
     attained_ranges,
     build_observability_report,
-    chemical_potential_from_data,
     coarea_coefficients,
     inject_noise,
     level_crossings,
     merge_intervals,
     observable_range,
     restrict_to_data_grid,
-    spline_antiderivative,
 )
 
-GAMMA = 0.003
+from conftest import GAMMA, crossings_of
 
 
 def _constant_data(c=0.25, n=16, n_times=3, tau=1e-4):
@@ -121,20 +119,18 @@ def test_observation_container_validation():
                         coef=np.zeros((1, fe.dof_count)), tau_data=1e-4)
 
 
-def test_index_of(reference_data):
-    assert reference_data.index_of(0.0) == 0
-    assert reference_data.index_of(4e-5) == 1
-    assert reference_data.index_of(0.02) == reference_data.n_times - 1
-    with pytest.raises(DataError):
-        reference_data.index_of(1e-5)  # off the observation grid
-    with pytest.raises(DataError):
-        reference_data.index_of(0.02 + 4e-5)
+def test_indices_of_on_and_off_the_grid(reference_data):
+    last = reference_data.n_times - 1
+    assert reference_data.indices_of([0.0, 4e-5, 0.02]).tolist() == [0, 1, last]
+    # off the observation grid, and past its end
+    for off in (1e-5, 0.02 + 4e-5):
+        with pytest.raises(DataError):
+            reference_data.indices_of([4e-5, off])
     # off the index range although a stored time matches: with tau_data
     # halved, t = 0.02 rounds to index 2 (n_times - 1)
     halved = replace(reference_data, tau_data=0.5 * reference_data.tau_data)
-    for lookup in (halved.index_of, halved.indices_of):
-        with pytest.raises(DataError):
-            lookup(0.02)
+    with pytest.raises(DataError):
+        halved.indices_of([0.02])
 
 
 def _index_of_loop(data, t):
@@ -154,7 +150,7 @@ def test_indices_of_matches_the_per_time_rule(reference_data, window_times, seed
     times = rng.choice(window_times, size, replace=False)
     expect = [_index_of_loop(data, t) for t in times]
     assert data.indices_of(times).tolist() == expect
-    assert [data.index_of(t) for t in times] == expect
+    assert [data.indices_of([t])[0] for t in times] == expect
     # an off-grid time anywhere in the batch raises the per-time error
     i = rng.integers(size)
     times[i] += 0.25 * data.tau_data
@@ -165,7 +161,18 @@ def test_indices_of_matches_the_per_time_rule(reference_data, window_times, seed
     with pytest.raises(DataError, match=message):
         data.indices_of(times)
     with pytest.raises(DataError, match=message):
-        data.index_of(off)
+        data.indices_of([off])
+
+
+def _one_pair(data, s, t):
+    """``coarea_coefficients`` at the one pair (t, s): arrays of length 1."""
+    return coarea_coefficients(data, GAMMA, [s], [t])
+
+
+def _integral(f, x):
+    """int_0^x of the spline field f at the points x, from the co-area's
+    antiderivative tables."""
+    return chdata._integrate(f.basis.mesh, chdata._antiderivatives(f.basis, f.coef[None]), 0, x)
 
 
 def _piece_bounds(basis, coef):
@@ -182,9 +189,9 @@ def test_coarea_difference_quotient_is_backward(reference_data):
     # above the attained range {phi < s} is the torus, so A integrates the
     # difference quotient over all of it
     d = PeriodicField(reference_data.basis, expect)
-    assert coarea_coefficients(reference_data, GAMMA, 2.0, t).A == spline_antiderivative(d)(1.0)
+    assert _one_pair(reference_data, 2.0, t).A[0] == _integral(d, 1.0)
     with pytest.raises(DataError, match="no predecessor"):
-        coarea_coefficients(reference_data, GAMMA, 0.0, 0.0)
+        _one_pair(reference_data, 0.0, 0.0)
 
 
 def test_attained_range_bounds_nodal_values(reference_data):
@@ -207,7 +214,7 @@ def test_attained_range_bounds_nodal_values(reference_data):
 def test_level_crossings_on_sine():
     basis = cubic_spline_basis(build_mesh(200))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-    cr = level_crossings(f, 0.0)
+    cr = crossings_of(f, [0.0])
     assert len(cr.x) == 2
     assert np.allclose(np.sort(cr.x), [0.0, 0.5], atol=1e-10)
     assert np.allclose(np.abs(cr.slope), 2 * np.pi, rtol=1e-7)
@@ -221,8 +228,8 @@ def test_level_crossings_on_sine():
 def test_level_crossings_off_level():
     basis = cubic_spline_basis(build_mesh(64))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-    assert len(level_crossings(f, 1.5).x) == 0
-    cr = level_crossings(f, 0.5)
+    assert len(crossings_of(f, [1.5]).x) == 0
+    cr = crossings_of(f, [0.5])
     assert len(cr.x) == 2
     assert np.max(np.abs(eval_field(f, cr.x) - 0.5)) < 1e-9
 
@@ -232,7 +239,7 @@ def test_sine_level_functionals_high_resolution():
     # interpolated sine hit their closed forms to better than 1e-6
     basis = cubic_spline_basis(build_mesh(4096))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-    cr = level_crossings(f, 0.0)
+    cr = crossings_of(f, [0.0])
     a_c = float(np.sum(np.abs(cr.slope)))
     a_b = -GAMMA * float(np.sum(cr.third * np.sign(cr.slope)))
     assert abs(a_c - 4 * np.pi) < 1e-6
@@ -240,41 +247,40 @@ def test_sine_level_functionals_high_resolution():
 
 
 def test_coarea_sample_fields(reference_data, params):
-    rels = []
+    times, levels = [], []
     for t in (8e-4, 1.6e-3):
         lo, hi = attained_range(reference_data, t)
-        for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
-            s = lo + frac * (hi - lo)
-            sm = coarea_coefficients(reference_data, GAMMA, s, t)
-            assert sm.t == t and sm.s == s
-            assert sm.n_crossings >= 2 and sm.n_crossings % 2 == 0
-            assert sm.min_slope > 0.0
-            if not sm.degenerate:
-                pred = params.b(s) * sm.A_b + params.b(s) * params.f(s, 1) * sm.A_c
-                rels.append(abs(sm.A - pred) / max(abs(sm.A), abs(pred)))
+        times += [t] * 5
+        levels += [lo + frac * (hi - lo) for frac in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    sm = coarea_coefficients(reference_data, GAMMA, levels, times)
+    assert np.array_equal(sm.t, times) and np.array_equal(sm.s, levels)
+    assert np.all(sm.n_crossings >= 2) and np.all(sm.n_crossings % 2 == 0)
+    assert np.all(sm.min_slope > 0.0)
+    ok = ~sm.degenerate
+    s, a = sm.s[ok], sm.A[ok]
+    pred = params.b(s) * sm.A_b[ok] + params.b(s) * params.f(s, 1) * sm.A_c[ok]
+    rels = np.abs(a - pred) / np.maximum(np.abs(a), np.abs(pred))
     # the identity is resolved at several of these levels on this grid
-    assert sum(r < 5e-2 for r in rels) >= 3
+    assert np.sum(rels < 5e-2) >= 3
 
 
 def test_coarea_degenerate_outside_range(reference_data):
     t = 8e-4
     lo, hi = attained_range(reference_data, t)
-    above = coarea_coefficients(reference_data, GAMMA, hi + 0.1, t)
-    assert above.degenerate and above.n_crossings == 0
-    below = coarea_coefficients(reference_data, GAMMA, lo - 0.1, t)
-    assert below.degenerate and below.n_crossings == 0
-    for sample in (above, below):
-        # no crossing: the two sums and the smallest slope are +0.0
-        vals = [sample.A_b, sample.A_c, sample.min_slope]
-        assert vals == [0.0] * 3 and not np.signbit(vals).any()
+    sample = coarea_coefficients(reference_data, GAMMA, [hi + 0.1, lo - 0.1], [t, t])
+    assert np.all(sample.degenerate) and not np.any(sample.n_crossings)
+    # no crossing: the two sums and the smallest slope are +0.0
+    vals = np.concatenate([sample.A_b, sample.A_c, sample.min_slope])
+    assert np.all(vals == 0.0) and not np.signbit(vals).any()
     # sublevel set orientation: below the range the set is empty, above
     # it is the whole torus, whose difference-quotient integral is the
     # mass rate of the interpolated snapshots -- zero up to the
     # interpolation transfer between grids
-    assert below.A == 0.0
-    assert abs(above.A) < 1e-5
+    above, below = sample.A
+    assert below == 0.0
+    assert abs(above) < 1e-5
     with pytest.raises(DataError):
-        coarea_coefficients(reference_data, GAMMA, 0.1, 0.0)
+        _one_pair(reference_data, 0.1, 0.0)
 
 
 def test_coarea_fields_are_float_for_every_batch_size(reference_data):
@@ -349,11 +355,11 @@ def test_coarea_coefficients_look_their_time_up_once(reference_data, monkeypatch
         return real(self, times)
 
     monkeypatch.setattr(ObservationData, "indices_of", counted)
-    # levels below, inside and above the attained range
-    sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), 4e-3)
+    # levels below, inside and above the attained range, at one time
+    sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), [4e-3] * 3)
     assert len(calls) == 1
     assert list(sample.n_crossings == 0) == [True, False, True]
-    # an array of times, one per level, is looked up in one call as well
+    # and at two times
     times = [4e-3, 2e-3, 4e-3]
     sample = coarea_coefficients(reference_data, GAMMA, np.array([-2.0, 0.0, 2.0]), times)
     assert len(calls) == 2
@@ -363,19 +369,21 @@ def test_coarea_coefficients_look_their_time_up_once(reference_data, monkeypatch
 def test_chemical_potential_nodal_consistency(reference_data, params):
     t = 4e-3
     nodes = reference_data.basis.mesh.nodes()
-    mu = chemical_potential_from_data(reference_data, GAMMA, params.F, t)
-    f = reference_data.phi_field(reference_data.index_of(t))
+    ks = reference_data.indices_of([t])
+    mu = PeriodicField(reference_data.basis,
+                       chdata._chemical_potentials(reference_data, GAMMA, params.F, ks)[0])
+    f = reference_data.phi_field(ks[0])
     direct = -GAMMA * eval_field(f, nodes, 2) + params.f(eval_field(f, nodes), 0)
     assert np.max(np.abs(eval_field(mu, nodes) - direct)) < 1e-12
 
 
 def _two_time_cond(data, s, t1, t2):
-    """The report's two-time condition number of level s from one scalar
-    co-area call per time: ``inf`` when either sample is degenerate."""
-    samples = [coarea_coefficients(data, GAMMA, s, t) for t in (t1, t2)]
-    if any(sample.degenerate for sample in samples):
+    """The report's two-time condition number of level s from one
+    one-pair co-area call per time: ``inf`` when either sample is degenerate."""
+    samples = [_one_pair(data, s, t) for t in (t1, t2)]
+    if any(sample.degenerate[0] for sample in samples):
         return np.inf
-    mat = np.array([[sample.A_b, sample.A_c] for sample in samples])
+    mat = np.array([[sample.A_b[0], sample.A_c[0]] for sample in samples])
     return float(chdata._column_scaled_cond(mat[None])[0])
 
 
@@ -431,23 +439,21 @@ def test_level_runs_match_loop():
     assert chdata._level_runs(levels[:0], np.zeros(0, bool)) == []
 
 
-def test_spline_antiderivative_matches_closed_form():
+def test_antiderivative_matches_closed_form():
     basis = cubic_spline_basis(build_mesh(200))
     f = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-    integral = spline_antiderivative(f)
-    for x in (0.1, 0.25, 0.5, 0.77):
-        expect = (1.0 - np.cos(2 * np.pi * x)) / (2 * np.pi)
-        assert integral(x) == pytest.approx(expect, abs=1e-8)
-    assert integral(0.0) == 0.0
-    assert integral(1.0) == pytest.approx(0.0, abs=1e-12)  # zero-mean field
+    x = np.array([0.1, 0.25, 0.5, 0.77])
+    expect = (1.0 - np.cos(2 * np.pi * x)) / (2 * np.pi)
+    assert _integral(f, x) == pytest.approx(expect, abs=1e-8)
+    assert _integral(f, 0.0) == 0.0
+    assert _integral(f, 1.0) == pytest.approx(0.0, abs=1e-12)  # zero-mean field
 
 
 def test_antiderivative_total_equals_mass(reference_data):
     from chident.model import mass
 
     f = reference_data.phi_field(10)
-    integral = spline_antiderivative(f)
-    assert integral(1.0) == pytest.approx(mass(f), abs=1e-13)
+    assert _integral(f, 1.0) == pytest.approx(mass(f), abs=1e-13)
 
 
 def test_inject_noise_calibration_and_reproducibility(reference_data):
@@ -518,9 +524,9 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
     for i, row in enumerate(report.rows):
         k = list(report.times).index(row.t)
         partner = report.times[k + 1] if k + 1 < len(report.times) else report.times[k - 1]
-        sample = coarea_coefficients(reference_data, GAMMA, row.s, row.t)
+        sample = _one_pair(reference_data, row.s, row.t)
         assert (row.A_b, row.A_c, row.A, row.degenerate) == (
-            sample.A_b, sample.A_c, sample.A, sample.degenerate
+            sample.A_b[0], sample.A_c[0], sample.A[0], sample.degenerate[0]
         ), i
         assert row.cond == _two_time_cond(reference_data, row.s, row.t, partner), i
 
@@ -626,10 +632,10 @@ def test_level_roots_match_per_cell_np_roots(n_cells, seed, flat_degree):
     h = 1.0 / n_cells
     real = chdata._level_roots
     for s in levels:
-        got = level_crossings(f, s)
+        got = crossings_of(f, [s])
         chdata._level_roots = _level_roots_loop
         try:
-            ref = level_crossings(f, s)
+            ref = crossings_of(f, [s])
         finally:
             chdata._level_roots = real
         assert np.all((got.x >= 0.0) & (got.x < 1.0))
@@ -662,8 +668,9 @@ def _periodic_dist(x, ref):
 
 def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_levels=201):
     """Reference: one level_crossings and one eval_field call per level."""
-    f = data.phi_field(data.index_of(t))
-    mu = chemical_potential_from_data(data, gamma, potential, t)
+    ks = data.indices_of([t])
+    f = data.phi_field(ks[0])
+    mu = PeriodicField(data.basis, chdata._chemical_potentials(data, gamma, potential, ks)[0])
     lo, hi = attained_range(data, t)
     xq, _ = quadrature_rule(data.basis.mesh, 8)
     threshold = max(threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1)))),
@@ -671,7 +678,7 @@ def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_leve
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * (hi - lo)
     good = []
     for s in levels:
-        cr = level_crossings(f, s)
+        cr = crossings_of(f, [s])
         good.append(len(cr.x) > 0 and np.max(np.abs(eval_field(mu, cr.x, 1))) > threshold)
     intervals, i = [], 0
     for flag, run in itertools.groupby(good):
@@ -685,16 +692,16 @@ def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_leve
 def test_batched_level_sets_match_loop_oracle(reference_data, params, window_times, monkeypatch):
     times = window_times[[0, 49, 99, 149, 199]]
     batched = [observable_range(reference_data, GAMMA, params.F, t) for t in times]
-    f = reference_data.phi_field(reference_data.index_of(times[2]))
+    f = reference_data.phi_field(reference_data.indices_of([times[2]])[0])
     lo, hi = attained_range(reference_data, times[2])
     levels = lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo)
-    crossings = [level_crossings(f, s) for s in levels]
+    crossings = [crossings_of(f, [s]) for s in levels]
 
     monkeypatch.setattr(chdata, "_level_roots", _level_roots_loop)
     for t, ivs in zip(times, batched):
         assert ivs == _observable_range_loop(reference_data, GAMMA, params.F, t)
     for s, cr in zip(levels, crossings):
-        ref = level_crossings(f, s)
+        ref = crossings_of(f, [s])
         for name in ("x", "slope", "third"):
             got, want = getattr(cr, name), getattr(ref, name)
             assert got.shape == want.shape
@@ -748,42 +755,42 @@ def test_observable_range_matches_loop_on_random_splines(n_cells, seed, shape, t
 
     # sup |mu'| exactly: mu' is a quadratic on each cell, so the sup sits at
     # an end or at the vertex of some piece
-    mu = chemical_potential_from_data(data, GAMMA, potential, 0.0)
-    d = cell_polys(basis, mu.coef, 1)
+    mu = chdata._chemical_potentials(data, GAMMA, potential, [0])[0]
+    d = cell_polys(basis, mu, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.clip(np.nan_to_num(-d[:, 1] / (2.0 * d[:, 2])), 0.0, 1.0)
     sup = max(np.max(np.abs(poly_vals(d, u))) for u in (0.0, 1.0, vertex))
     # the threshold is relative to the largest |mu'| at the Gauss points
     # (at most sup), and never below MU_GRAD_FLOOR
-    gauss_sup = float(np.max(np.abs(gauss_table(basis, 8, 1).gather(mu.coef))))
+    gauss_sup = float(np.max(np.abs(gauss_table(basis, 8, 1).gather(mu))))
     just_above = sup * (1.0 + 1e-9) / gauss_sup if gauss_sup > 0.0 else 1.0
     assert observable_range(data, GAMMA, potential, 0.0, threshold_rel=just_above) == []
 
 
-# --- a level array against one call per level -----------------------------
+# --- an array of levels or pairs against one call per level or pair ------
 
 
 _PER_LEVEL = ("s", "A_b", "A_c", "A", "n_crossings", "min_slope", "degenerate")
 
 
 def _assert_level_array_matches_scalar_calls(data, t, levels):
-    """Every field of an array call equals the scalar call's, level by level:
-    the crossings with ``level == i`` and entry i of each sample field."""
-    f = data.phi_field(data.index_of(t))
-    cr = level_crossings(f, levels)
-    sample = coarea_coefficients(data, GAMMA, levels, t)
+    """Every field of an array call at one time equals the one-level and
+    one-pair calls', level by level and bit by bit: the crossings with
+    ``level == i`` and entry i of each sample field."""
+    f = data.phi_field(data.indices_of([t])[0])
+    cr = crossings_of(f, levels)
+    sample = coarea_coefficients(data, GAMMA, levels, np.full(len(levels), t))
     assert np.array_equal(cr.s, levels) and np.all(np.diff(cr.level) >= 0)
     for name in _PER_LEVEL:
         assert getattr(sample, name).shape == (len(levels),), name
     for i, s in enumerate(levels):
-        one = level_crossings(f, s)
-        assert one.s == s and type(one.s) is float and not np.any(one.level)
+        one = crossings_of(f, [s])
+        assert np.array_equal(one.s, [s]) and not np.any(one.level)
         for name in ("x", "slope", "third"):
             assert np.array_equal(getattr(cr, name)[cr.level == i], getattr(one, name)), name
-        row = chdata.CoareaSample(
-            sample.t, *(getattr(sample, name)[i].item() for name in _PER_LEVEL), sample.sup_slope
-        )
-        assert row == coarea_coefficients(data, GAMMA, s, t)
+        pair = _one_pair(data, s, t)
+        for name in ("t", "sup_slope") + _PER_LEVEL:
+            assert _bits(getattr(sample, name)[i]) == _bits(getattr(pair, name)), (i, name)
 
 
 def _bits(value) -> bytes:
@@ -797,7 +804,7 @@ def test_time_array_coarea_equals_scalar_calls(reference_data, window_times):
     # one snapshot has a tenth of the others' slopes, so that the sup |phi'|
     # of another time would move its degenerate flags
     coef = reference_data.coef.copy()
-    coef[reference_data.index_of(window_times[60])] *= 0.1
+    coef[reference_data.indices_of([window_times[60]])] *= 0.1
     data = replace(reference_data, coef=coef)
     rng = np.random.default_rng(11)
     times, levels = [], []
@@ -811,11 +818,13 @@ def test_time_array_coarea_equals_scalar_calls(reference_data, window_times):
     sample = coarea_coefficients(data, GAMMA, levels, times)
     assert np.array_equal(sample.t, times) and np.any(sample.n_crossings == 0)
     for i, (t, s) in enumerate(zip(times, levels)):
-        one = coarea_coefficients(data, GAMMA, s, t)
+        one = _one_pair(data, s, t)
         for name in ("t", "sup_slope") + _PER_LEVEL:
             assert _bits(getattr(sample, name)[i]) == _bits(getattr(one, name)), (i, name)
-    with pytest.raises(DataError, match="do not pair"):
-        coarea_coefficients(data, GAMMA, levels[:3], times[:2])
+    # pairs are two 1-D arrays of equal length
+    for bad_levels, bad_times in ((levels[:3], times[:2]), (levels[0], times[0])):
+        with pytest.raises(DataError, match="do not pair"):
+            coarea_coefficients(data, GAMMA, bad_levels, bad_times)
 
 
 @pytest.mark.parametrize("threshold_rel", [1e-3, 0.5])
@@ -828,9 +837,9 @@ def test_time_array_observable_range_equals_per_time_calls(
     flat = np.full(reference_data.basis.dof_count, c)
     flat[::3] = np.nextafter(c, 1.0)
     coef = reference_data.coef.copy()
-    coef[reference_data.index_of(window_times[100])] = flat
+    coef[reference_data.indices_of([window_times[100]])] = flat
     # and one with a tenth of the amplitude, whose threshold is its own
-    coef[reference_data.index_of(window_times[50])] *= 0.1
+    coef[reference_data.indices_of([window_times[50]])] *= 0.1
     data = replace(reference_data, coef=coef)
     lo, hi = attained_range(data, window_times[100])
     assert 0.0 < hi - lo < 1e-15
@@ -863,10 +872,10 @@ def test_level_array_calls_equal_scalar_calls(n_cells, seed, shape):
     ]))
     _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
     # no levels: empty tables
-    empty = level_crossings(data.phi_field(1), [])
+    empty = crossings_of(data.phi_field(1), [])
     for a in (empty.s, empty.level, empty.x, empty.slope, empty.third):
         assert a.shape == (0,)
-    sample = coarea_coefficients(data, GAMMA, [], 1e-4)
+    sample = coarea_coefficients(data, GAMMA, [], [])
     for name in _PER_LEVEL:
         assert getattr(sample, name).shape == (0,), name
 
@@ -878,13 +887,12 @@ def test_level_array_keeps_every_root_and_knot_crossings():
     basis = cubic_spline_basis(build_mesh(12))
     coef = np.full(12, 0.5)
     coef[[11, 0, 1]] = coef[[2, 3, 4]] = [0.2, -0.1, 0.2]
-    f = PeriodicField(basis, coef)
     h = basis.mesh.h
     knot_level = cell_polys(basis, coef)[1, 0]      # phi crosses it at the knots h and 2h
     levels = np.array([1e-18, 0.3, 1e-17, 1e-16, -0.05, 2.0, knot_level])
     cubics = chdata.cell_cubics(basis, coef[None], [0] * len(levels))
     lev, cells, u = chdata._level_roots(cubics, levels)
-    cr = level_crossings(f, levels)
+    cr = level_crossings(cubics, levels)
     for k in range(len(levels)):
         assert np.array_equal(cr.x[cr.level == k], np.sort(((cells + u)[lev == k] * h) % 1.0))
     assert np.min(np.diff(cr.x[cr.level == 0])) < 1e-9
@@ -915,7 +923,7 @@ def test_transversal_crossings_alternate_around_the_torus(n_cells, seed, shape):
     u = np.linspace(0.0, 1.0, 65)[:, None]
     sup_slope = np.max(np.abs(poly_vals(cell_polys(basis, coef, 1), u)))
     levels = lo + np.random.default_rng(seed).uniform(0.01, 0.99, 6) * (hi - lo)
-    cr = level_crossings(PeriodicField(basis, coef), levels)
+    cr = crossings_of(PeriodicField(basis, coef), levels)
     for k in range(len(levels)):
         slope = cr.slope[cr.level == k]
         if np.min(np.abs(slope), initial=np.inf) < 1e-6 * sup_slope:

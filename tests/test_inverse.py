@@ -217,8 +217,7 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n
     m_l2 = weighted_gram(e[0], e[0], w)
     nk, bs = grid.n_knots, data.basis.dof_count
     blocks_t, blocks_y = [], []
-    for t in times:
-        k = data.index_of(t)
+    for k in data.indices_of(times):
         c = data.coef[k]
         phi_q, dphi_q, d3_q = e[0] @ c, e[1] @ c, e[3] @ c
         theta = grid.eval_matrix(phi_q)

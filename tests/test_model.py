@@ -188,6 +188,11 @@ def test_spline_parameter_validation():
     grid = param_grid()
     with pytest.raises(ParameterError):
         SplineParameter(grid, np.ones(5))
+    # one knot span divides [-1, 1] evenly but leaves no interior knot
+    with pytest.raises(ParameterError, match="at least two knot spans"):
+        NaturalSplineGrid(-1.0, 1.0, 2.0)
+    with pytest.raises(ParameterError, match="evenly divide"):
+        NaturalSplineGrid(-1.0, 1.0, 0.3)
 
 
 def test_mass_and_energy_of_constant():
