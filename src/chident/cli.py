@@ -365,106 +365,100 @@ def cmd_lcurve(args) -> int:
 def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
     """Run the five structural checks on a short reference problem.
 
-    Returns a list of (name, passed, detail) triples; the CLI maps any
-    failure to exit code 3.  Each check is independent; a failure does
-    not stop the suite.
+    Returns one (name, passed, detail) triple per check, in a fixed order;
+    the CLI maps any failure to exit code 3.  A check that raises, or whose
+    shared input failed, fails with that reason, and the suite goes on.
     """
     params = cfg.model_params()
-    n = cfg.forward.n_cells
     tau = cfg.forward.tau
+    c_fn = lambda s: params.b(s) * params.f(s, 1)
     # about 100 steps, in whole data steps: the restriction needs
     # data.factor to divide the step count
     t_end = min(cfg.forward.t_end, max(100 // cfg.data.factor, 1) * cfg.data.factor * tau)
-    results = []
+    phi0 = interpolate(quadratic_fe(build_mesh(cfg.forward.n_cells)), cfg.initial_fn())
 
-    def record(name, passed, detail):
-        results.append((name, bool(passed), detail))
-        printer(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+    held = {}  # shared input -> its value, or the failure that stopped it
 
-    fe = quadratic_fe(build_mesh(n))
-    phi0 = interpolate(fe, cfg.initial_fn())
-    try:
-        traj = simulate(phi0, params, t_end=t_end, tau=tau)
+    def shared(name, build):
+        if name not in held:
+            held[name] = None  # until built; the suite's loop stores a failure
+            held[name] = build()
+        if isinstance(held[name], Exception):
+            raise held[name]
+        return held[name]
+
+    # the ~100-step forward run and its restriction to the data grid
+    run = lambda: shared("run", lambda: simulate(phi0, params, t_end=t_end, tau=tau))
+    restricted = lambda: shared(
+        "data", lambda: restrict_to_data_grid(run(), cfg.data.factor))
+
+    def conservation():
+        traj = run()
         masses = mass_series(traj)
         drift = float(np.max(np.abs(masses - masses[0])))
-        energies = energy_series(traj, params)
-        rise = float(np.max(np.diff(energies)))
-        record("conservation", drift <= 1e-10 and rise <= 1e-10,
-               f"mass drift {drift:.2e}, max energy increase {rise:.2e}")
-    except _NUMERICAL_ERRORS as exc:
-        record("conservation", False, f"solver failure: {exc}")
-        traj = None
+        rise = float(np.max(np.diff(energy_series(traj, params))))
+        return (drift <= 1e-10 and rise <= 1e-10,
+                f"mass drift {drift:.2e}, max energy increase {rise:.2e}")
 
-    try:
+    def scaling_invariance():
         check = verify_scaling_invariance(
             phi0, params, d=2.0, c=1.0, t_end=min(t_end, 20 * tau), tau=tau
         )
-        record(
-            "scaling-invariance",
-            check.max_rel_phi_dev <= 1e-8 and check.max_rel_mu_dev <= 1e-6,
-            f"phi dev {check.max_rel_phi_dev:.2e}, mu dev {check.max_rel_mu_dev:.2e}",
-        )
-    except _NUMERICAL_ERRORS as exc:
-        record("scaling-invariance", False, f"failure: {exc}")
+        return (check.max_rel_phi_dev <= 1e-8 and check.max_rel_mu_dev <= 1e-6,
+                f"phi dev {check.max_rel_phi_dev:.2e}, mu dev {check.max_rel_mu_dev:.2e}")
 
-    try:
+    def dual_norm():
         basis = cubic_spline_basis(build_mesh(400))
         grams = assemble_grams(basis)
         f1 = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-        y = grams.mass(f1.coef)
         target = (1.0 / np.sqrt(2.0)) / np.sqrt(1.0 + 4.0 * np.pi**2)
-        got = dual_norm_Hm1(y, grams)
-        record("dual-norm", abs(got - target) <= 1e-4,
-               f"|{got:.6f} - {target:.6f}| = {abs(got - target):.2e}")
-    except _NUMERICAL_ERRORS as exc:
-        record("dual-norm", False, f"failure: {exc}")
+        got = dual_norm_Hm1(grams.mass(f1.coef), grams)
+        return (abs(got - target) <= 1e-4,
+                f"|{got:.6f} - {target:.6f}| = {abs(got - target):.2e}")
 
-    data = None
-    if traj is not None:
-        try:
-            data = restrict_to_data_grid(traj, cfg.data.factor)
-        except _NUMERICAL_ERRORS as exc:
-            record("coarea-identity", False, f"failure: {exc}")
-            record("perturbation-scaling", False, f"failure: {exc}")
-    if data is not None:
-        try:
-            # the observability report's rows at the first 15 data times
-            report = build_observability_report(
-                data, cfg.forward.gamma, params.F, data.times[1:16], cfg.inverse.threshold
-            )
-            rel = report.residual(params.b, lambda s: params.b(s) * params.f(s, 1))
-            good = int(np.sum(rel <= 5e-2))
-            worst = float(rel.max(initial=0.0))
-            record("coarea-identity", good >= 20,
-                   f"{good}/{len(rel)} samples below 5e-2 (worst {worst:.3f})")
-        except _NUMERICAL_ERRORS as exc:
-            record("coarea-identity", False, f"failure: {exc}")
+    def coarea_identity():
+        data = restricted()
+        # the observability report's rows at the first 15 data times
+        report = build_observability_report(
+            data, cfg.forward.gamma, params.F, data.times[1:16], cfg.inverse.threshold
+        )
+        rel = report.residual(params.b, c_fn)
+        good = int(np.sum(rel <= 5e-2))
+        return (good >= 20,
+                f"{good}/{len(rel)} samples below 5e-2 (worst {rel.max(initial=0.0):.3f})")
 
-        try:
-            times = data.times[1:min(6, data.n_times)]
-            grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
-            knots = grid.knots
-            deltas = (1e-2, 1e-3, 1e-4)
-            slopes = {}
-            x_c = params.b(knots) * params.f(knots, 1)
-            x_b = params.b(knots)
-            probes = (
-                (IDENTIFY_F, x_c, {"mobility": params.b}),
-                (IDENTIFY_B, x_b, {"potential": params.F}),
-                (IDENTIFY_JOINT, np.concatenate([x_b, x_c]), {}),
-            )
-            for kind, x_truth, extra in probes:
-                probe = perturbation_scaling_probe(
-                    kind, data, cfg.forward.gamma, deltas, x_truth, times,
-                    grid=grid, seed=cfg.data.seed + 17, **extra,
-                )
-                slopes[kind] = probe.slope
-            ok = all(abs(v - 1.0) <= 0.2 for v in slopes.values())
-            record("perturbation-scaling", ok,
-                   ", ".join(f"{k} slope {v:.3f}" for k, v in slopes.items()))
-        except _NUMERICAL_ERRORS as exc:
-            record("perturbation-scaling", False, f"failure: {exc}")
+    def perturbation_scaling():
+        data = restricted()
+        grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
+        x_b, x_c = params.b(grid.knots), c_fn(grid.knots)
+        probes = (
+            (IDENTIFY_F, x_c, {"mobility": params.b}),
+            (IDENTIFY_B, x_b, {"potential": params.F}),
+            (IDENTIFY_JOINT, np.concatenate([x_b, x_c]), {}),
+        )
+        slopes = {
+            kind: perturbation_scaling_probe(
+                kind, data, cfg.forward.gamma, (1e-2, 1e-3, 1e-4), x_truth,
+                data.times[1:min(6, data.n_times)],
+                grid=grid, seed=cfg.data.seed + 17, **extra,
+            ).slope
+            for kind, x_truth, extra in probes
+        }
+        return (all(abs(v - 1.0) <= 0.2 for v in slopes.values()),
+                ", ".join(f"{k} slope {v:.3f}" for k, v in slopes.items()))
 
+    results = []
+    for check in (conservation, scaling_invariance, dual_norm, coarea_identity,
+                  perturbation_scaling):
+        name = check.__name__.replace("_", "-")
+        try:
+            passed, detail = check()
+        except _NUMERICAL_ERRORS as exc:
+            passed, detail = False, f"failure: {exc}"
+            # an input whose build this stopped keeps the failure for later checks
+            held.update({k: exc for k, v in held.items() if v is None})
+        results.append((name, bool(passed), detail))
+        printer(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return results
 
 

@@ -131,10 +131,8 @@ def _make_parameter(spec_str: str, path: str, default_factory):
     if spec_str == "default":
         return default_factory()
     if spec_str.startswith("spline:"):
-        try:
-            values = [float(v) for v in spec_str[len("spline:"):].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed spline values ({exc})") from exc
+        values = [_to_float(v, f"{path}: malformed spline value")
+                  for v in spec_str[len("spline:"):].split(",")]
         if len(values) < 3:
             raise ConfigError(f"{path}: spline needs at least three values")
         grid = NaturalSplineGrid(-1.0, 1.0, 2.0 / (len(values) - 1))

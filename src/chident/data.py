@@ -29,7 +29,6 @@ import numpy as np
 from .meshbasis import (
     PERIODIC_CUBIC_SPLINE,
     GramPair,
-    PeriodicField,
     SpatialBasis,
     assemble_grams,
     build_mesh,
@@ -106,9 +105,6 @@ class ObservationData:
                 f"t = {t[np.argmin(on_grid)]} is not on the observation time grid"
             )
         return idx
-
-    def phi_field(self, k: int) -> PeriodicField:
-        return PeriodicField(self.basis, self.coef[k])
 
 
 # doubles in each temporary array of the restriction's discrepancy loop:

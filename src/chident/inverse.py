@@ -443,26 +443,33 @@ class RegularizedSolution:
     cg_iterations: int = 0  # always 0; perfbench/tracing.py still reads it
 
 
+def _filtered(sf: StandardForm, alpha: float):
+    """Standard-form solution z = s beta / (s^2 + alpha) at one alpha, with
+    the residual norm sqrt(sum (alpha beta / (s^2 + alpha))^2 + rho^2) and
+    the penalty norm ||z|| in closed form."""
+    denom = sf.s**2 + alpha
+    z = sf.s * sf.beta / denom
+    residual_norm = float(np.hypot(np.linalg.norm(alpha * sf.beta / denom), sf.residual))
+    return z, residual_norm, float(np.linalg.norm(z))
+
+
 def tikhonov_solve(problem: AssembledProblem, alpha: float) -> RegularizedSolution:
     """Minimize the weighted misfit plus alpha times the penalty.
 
     Applies the filter factors s / (s^2 + alpha) of the cached standard
-    form; the residual norm sqrt(sum (alpha beta / (s^2 + alpha))^2 +
-    rho^2) and the penalty norm ||z|| come in closed form.
+    form; both norms come in closed form (``_filtered``).
     """
     if not alpha > 0.0:
         raise InverseError(f"alpha must be positive, got {alpha}")
     sf = problem.standard_form()
-    denom = sf.s**2 + alpha
-    z = sf.s * sf.beta / denom
+    z, residual_norm, solution_norm = _filtered(sf, alpha)
     x = solve_triangular(sf.L, sf.vt.T @ z, lower=True, trans="T")
     return RegularizedSolution(
         kind=problem.kind,
         coefficients=x,
         alpha=float(alpha),
-        residual_norm=float(np.hypot(np.linalg.norm(alpha * sf.beta / denom),
-                                     sf.residual)),
-        solution_norm=float(np.linalg.norm(z)),
+        residual_norm=residual_norm,
+        solution_norm=solution_norm,
     )
 
 
@@ -503,7 +510,6 @@ class LCurve:
     curvature: np.ndarray        # discrete Menger curvature, nan at the ends
     flagged: np.ndarray          # noise-floor points (non-monotone segments)
     corner_index: int
-    solutions: list
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -531,9 +537,8 @@ def lcurve_select(
         raise InverseError("alpha grid must be positive and strictly decreasing")
     if np.log10(alphas[0] / alphas[-1]) < 4.0:
         raise InverseError("alpha grid must span at least four decades")
-    sols = [tikhonov_solve(problem, a) for a in alphas]
-    rho = np.array([s.residual_norm for s in sols])
-    eta = np.array([s.solution_norm for s in sols])
+    sf = problem.standard_form()
+    rho, eta = np.array([_filtered(sf, a)[1:] for a in alphas]).T
     if np.any(rho <= 0.0) or np.any(eta <= 0.0):
         raise InverseError("degenerate L-curve (zero residual or penalty)")
     x = np.log(rho)
@@ -564,7 +569,6 @@ def lcurve_select(
         curvature=curv,
         flagged=flagged,
         corner_index=corner,
-        solutions=sols,
     )
     return float(alphas[corner]), curve
 

@@ -88,7 +88,10 @@ def test_assembly_and_solver_calls(reference_data, params, window_times):
         direct = inverse.tikhonov_solve_direct(problem, 1e-9)
         assert np.all(np.isfinite(direct.coefficients)), kind
         alpha, curve = inverse.lcurve_select(problem, alphas, threads=1)
-        assert alpha in alphas and len(curve.solutions) == len(alphas)
+        assert alpha in alphas
+        sols = [inverse.tikhonov_solve(problem, a) for a in alphas]
+        assert curve.residual_norms.tolist() == [s.residual_norm for s in sols], kind
+        assert curve.solution_norms.tolist() == [s.solution_norm for s in sols], kind
     attained = data.merge_intervals([data.attained_range(reference_data, t) for t in times])
     c_vals = inverse.tikhonov_solve(problems["f"], 1e-10).coefficients
     c_sol = model.SplineParameter(grid, c_vals, name="c")

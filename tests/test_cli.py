@@ -157,6 +157,19 @@ def test_negative_noise_seed_exits_1_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_spline_values_exit_1_without_traceback(tmp_path):
+    """A nan or inf spline value is one error line naming the key, not a
+    numerical failure of the first Newton step."""
+    for key, spec in (("forward.mobility", "spline:nan,1,1"),
+                      ("forward.potential", "spline:1,inf,1")):
+        cfg, out = _write_cfg(tmp_path, name="nonfinite.cfg", **{key.replace(".", "_"): spec})
+        run = _run_program("simulate", "--config", str(cfg))
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith(f"error: {key}: ")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+        assert not out.exists()
+
+
 def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"forward.gamma = 0.003\n\xff\xfe\x00\x81\n")
@@ -434,6 +447,36 @@ def test_verify_records_a_failed_restriction(tmp_path, monkeypatch, capsys):
     for name in ("coarea-identity", "perturbation-scaling"):
         assert checks[name] == (False, "failure: restriction refused")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeypatch, capsys):
+    """A mobility that changes sign stops the forward run: every check
+    that needs a solve fails with that reason, the run is tried once, and
+    all five checks are still written."""
+    calls = []
+    original = cli.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    cfg, out = _write_cfg(tmp_path, name="neg.cfg", forward_mobility="spline:-1.0,0.0,1.0")
+    assert cli.main(["verify", "--config", str(cfg)]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "conservation", "scaling-invariance", "dual-norm",
+        "coarea-identity", "perturbation-scaling"]
+    for c in report["checks"]:
+        if c["name"] == "dual-norm":
+            assert c["passed"] is True
+        else:
+            assert c["passed"] is False
+            assert c["detail"].startswith("failure: mobility reached"), c
+    assert len(calls) == 1
+    captured = capsys.readouterr()
+    assert "verify: 1/5 checks passed" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path):

@@ -87,6 +87,8 @@ def test_build_config_overrides_and_unknown_keys():
     ({"inverse.sigma": "2"}, "inverse.sigma: need 0 < sigma <= 1"),
     ({"forward.mobility": "spline:1,1"}, "forward.mobility: spline needs at least three"),
     ({"forward.potential": "spline:1,1"}, "forward.potential: spline needs at least three"),
+    ({"forward.mobility": "spline:nan,1,1"}, "forward.mobility: .*must be finite"),
+    ({"forward.potential": "spline:1,inf,1"}, "forward.potential: .*must be finite"),
 ])
 def test_validation_errors(overrides, fragment):
     base = {"forward.n_cells": "200", "forward.tau": "2e-5",

@@ -60,7 +60,7 @@ def test_restriction_layout(reference_run, reference_data):
     # the restriction interpolates the FE vertex values exactly
     nodes = data.basis.mesh.nodes()
     k = data.n_times // 2
-    ours = eval_field(data.phi_field(k), nodes)
+    ours = eval_field(PeriodicField(data.basis, data.coef[k]), nodes)
     fine = eval_field(traj.phi_field(2 * k), nodes)
     assert np.max(np.abs(ours - fine)) < 1e-13
     # recorded interpolation discrepancies are small but nonzero
@@ -197,7 +197,7 @@ def test_coarea_difference_quotient_is_backward(reference_data):
 def test_attained_range_bounds_nodal_values(reference_data):
     t = float(reference_data.times[100])
     lo, hi = attained_range(reference_data, t)
-    vals = eval_field(reference_data.phi_field(100),
+    vals = eval_field(PeriodicField(reference_data.basis, reference_data.coef[100]),
                       np.linspace(0, 1, 2001))
     assert lo <= vals.min() + 1e-12 and hi >= vals.max() - 1e-12
     assert hi - lo < 2.0
@@ -372,7 +372,7 @@ def test_chemical_potential_nodal_consistency(reference_data, params):
     ks = reference_data.indices_of([t])
     mu = PeriodicField(reference_data.basis,
                        chdata._chemical_potentials(reference_data, GAMMA, params.F, ks)[0])
-    f = reference_data.phi_field(ks[0])
+    f = PeriodicField(reference_data.basis, reference_data.coef[ks[0]])
     direct = -GAMMA * eval_field(f, nodes, 2) + params.f(eval_field(f, nodes), 0)
     assert np.max(np.abs(eval_field(mu, nodes) - direct)) < 1e-12
 
@@ -452,7 +452,7 @@ def test_antiderivative_matches_closed_form():
 def test_antiderivative_total_equals_mass(reference_data):
     from chident.model import mass
 
-    f = reference_data.phi_field(10)
+    f = PeriodicField(reference_data.basis, reference_data.coef[10])
     assert _integral(f, 1.0) == pytest.approx(mass(f), abs=1e-13)
 
 
@@ -669,7 +669,7 @@ def _periodic_dist(x, ref):
 def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_levels=201):
     """Reference: one level_crossings and one eval_field call per level."""
     ks = data.indices_of([t])
-    f = data.phi_field(ks[0])
+    f = PeriodicField(data.basis, data.coef[ks[0]])
     mu = PeriodicField(data.basis, chdata._chemical_potentials(data, gamma, potential, ks)[0])
     lo, hi = attained_range(data, t)
     xq, _ = quadrature_rule(data.basis.mesh, 8)
@@ -692,7 +692,8 @@ def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_leve
 def test_batched_level_sets_match_loop_oracle(reference_data, params, window_times, monkeypatch):
     times = window_times[[0, 49, 99, 149, 199]]
     batched = [observable_range(reference_data, GAMMA, params.F, t) for t in times]
-    f = reference_data.phi_field(reference_data.indices_of([times[2]])[0])
+    k = reference_data.indices_of([times[2]])[0]
+    f = PeriodicField(reference_data.basis, reference_data.coef[k])
     lo, hi = attained_range(reference_data, times[2])
     levels = lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo)
     crossings = [crossings_of(f, [s]) for s in levels]
@@ -777,7 +778,7 @@ def _assert_level_array_matches_scalar_calls(data, t, levels):
     """Every field of an array call at one time equals the one-level and
     one-pair calls', level by level and bit by bit: the crossings with
     ``level == i`` and entry i of each sample field."""
-    f = data.phi_field(data.indices_of([t])[0])
+    f = PeriodicField(data.basis, data.coef[data.indices_of([t])[0]])
     cr = crossings_of(f, levels)
     sample = coarea_coefficients(data, GAMMA, levels, np.full(len(levels), t))
     assert np.array_equal(cr.s, levels) and np.all(np.diff(cr.level) >= 0)
@@ -872,7 +873,7 @@ def test_level_array_calls_equal_scalar_calls(n_cells, seed, shape):
     ]))
     _assert_level_array_matches_scalar_calls(data, 1e-4, levels)
     # no levels: empty tables
-    empty = crossings_of(data.phi_field(1), [])
+    empty = crossings_of(PeriodicField(data.basis, data.coef[1]), [])
     for a in (empty.s, empty.level, empty.x, empty.slope, empty.third):
         assert a.shape == (0,)
     sample = coarea_coefficients(data, GAMMA, [], [])

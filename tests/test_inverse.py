@@ -1,6 +1,7 @@
 """Tikhonov solves, the L-curve, and the assembly validations."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,12 +132,11 @@ def test_lcurve_flags_and_curvature_match_loop(monkeypatch):
     alphas = np.logspace(-1, -11, 16)
     norms = dict(zip(alphas.tolist(), zip(rho, eta)))
 
-    def fake_solve(problem, alpha):
-        r, e = norms[float(alpha)]
-        return inverse.RegularizedSolution("toy", np.zeros(1), alpha, r, e)
+    def fake_filtered(sf, alpha):
+        return (None, *norms[float(alpha)])
 
-    monkeypatch.setattr(inverse, "tikhonov_solve", fake_solve)
-    _, curve = lcurve_select(None, alphas)
+    monkeypatch.setattr(inverse, "_filtered", fake_filtered)
+    _, curve = lcurve_select(SimpleNamespace(standard_form=lambda: None), alphas)
     flagged, curv = _lcurve_loop(rho, eta)
     assert flagged[5] and not flagged[11] and np.isnan(curv[11])
     assert np.array_equal(curve.flagged, flagged)
