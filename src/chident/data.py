@@ -294,8 +294,11 @@ def _monotone_pieces(p: np.ndarray):
     missing root, and 1; and the values of phi at the cuts (..., 4).
     """
     r = _unit_interval_roots(3.0 * p[..., 3], 2.0 * p[..., 2], p[..., 1])
-    lo, hi = np.minimum(r[..., 0], r[..., 1]), np.maximum(r[..., 0], r[..., 1])
-    cuts = np.stack([np.zeros_like(lo), lo, hi, np.ones_like(lo)], axis=-1)
+    cuts = np.empty(r.shape[:-1] + (4,))
+    cuts[..., 0] = 0.0
+    np.minimum(r[..., 0], r[..., 1], out=cuts[..., 1])
+    np.maximum(r[..., 0], r[..., 1], out=cuts[..., 2])
+    cuts[..., 3] = 1.0
     return cuts, poly_vals(p[..., None, :], cuts)
 
 
@@ -582,15 +585,19 @@ def merge_intervals(intervals):
 
 
 def _unit_interval_roots(a, b, c):
-    """Roots in (0, 1) of a u^2 + b u + c, two per row; 1.0 marks none.
+    """Roots in (0, 1) of a u^2 + b u + c, two per entry of the broadcast
+    shape of a, b and c, in a trailing axis of 2; 1.0 marks none.
 
     The pair q / a, c / q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2
     avoids cancellation, and c / q is the root when a = 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        roots = np.stack([q / a, c / q], axis=-1)
-    return np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
+        roots = np.empty(q.shape + (2,))
+        np.divide(q, a, out=roots[..., 0])
+        np.divide(c, q, out=roots[..., 1])
+    roots[~((roots > 0.0) & (roots < 1.0))] = 1.0
+    return roots
 
 
 # Absolute floor under the relative threshold of ``observable_range``.  On a
@@ -640,10 +647,13 @@ def observable_range(
     levels = lo[:, None] + (np.arange(1, n_levels + 1) / (n_levels + 1)) * span[:, None]
     d = cell_polys(data.basis, mu, 1).reshape(-1, 4)  # mu' = d0 + d1 u + d2 u^2
     thr = np.repeat(threshold, data.basis.mesh.n_cells)
+    # cut also where mu' = thr and where mu' = -thr: one root call on both
+    # constant terms, two roots each
     cuts = np.sort(np.concatenate([
         pieces,
-        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] - thr),
-        _unit_interval_roots(d[:, 2], d[:, 1], d[:, 0] + thr),
+        _unit_interval_roots(
+            d[:, 2:3], d[:, 1:2], d[:, :1] - thr[:, None] * [1.0, -1.0]
+        ).reshape(-1, 4),
     ], axis=1), axis=1)
     mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
     steep = (np.abs(poly_vals(d[:, None, :], mid)) > thr[:, None]).reshape(m, -1)

@@ -246,18 +246,6 @@ def cell_polys(basis: SpatialBasis, coef: np.ndarray, order: int = 0) -> np.ndar
     return polys
 
 
-def eval_field(f: PeriodicField, x, order: int = 0):
-    """Evaluate a field (or one of its derivatives) at arbitrary points.
-
-    Points are wrapped periodically and located in their cells, where the
-    cell's cubic from ``cell_polys`` is evaluated.
-    """
-    polys = cell_polys(f.basis, f.coef, order)
-    cells, u = f.basis.mesh.locate(x)
-    out = poly_vals(polys[cells], u)
-    return float(out) if np.ndim(x) == 0 else out
-
-
 @lru_cache(maxsize=64)
 def _collocation_spectrum(n: int) -> np.ndarray:
     """FFT of the first column of the circulant spline collocation matrix.

@@ -2,7 +2,8 @@
 
 ``toy_problem`` builds a Tikhonov problem straight from an operator and
 data, for the solver tests that need no assembly; ``crossings_of`` cuts
-one spline field at an array of levels.
+one spline field at an array of levels, and ``eval_field`` evaluates a
+field or one of its derivatives at arbitrary points.
 
 The acceptance tests record a PASS/FAIL line per criterion; the
 terminal-summary hook prints them in order at the end of the run so the
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chident.meshbasis import build_mesh, quadratic_fe, interpolate
+from chident.meshbasis import build_mesh, cell_polys, interpolate, poly_vals, quadratic_fe
 from chident.model import default_params, default_initial_profile
 from chident.forward import simulate
 from chident.data import cell_cubics, level_crossings, restrict_to_data_grid
@@ -92,6 +93,17 @@ def crossings_of(f, levels):
     """``level_crossings`` of the one spline field f at the 1-D array levels."""
     rows = np.zeros(len(levels), dtype=np.intp)
     return level_crossings(cell_cubics(f.basis, f.coef[None], rows), levels)
+
+
+def eval_field(f, x, order=0):
+    """Value of the field f (a ``PeriodicField``), or of its derivative of
+    that order, at the points x: each point is wrapped periodically and
+    located in its cell, where the cell's cubic from ``cell_polys`` is
+    evaluated.  A scalar x gives a float."""
+    polys = cell_polys(f.basis, f.coef, order)
+    cells, u = f.basis.mesh.locate(x)
+    out = poly_vals(polys[cells], u)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 @pytest.fixture(scope="session")

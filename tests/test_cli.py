@@ -108,6 +108,15 @@ def test_retired_key_in_old_echo_is_named_on_stderr(pipeline, tmp_path):
     assert "output.formats" in run.stderr
 
 
+def _run_main(capsys, *argv):
+    """``cli.main(argv)`` in this process, with its exit code and captured
+    output; an exception that escapes ``main`` fails the calling test."""
+    capsys.readouterr()
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+
 def _run_program(*argv):
     """``python -m chident *argv`` in a child process on this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -116,8 +125,8 @@ def _run_program(*argv):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-def test_malformed_containers_exit_1_without_traceback(pipeline, tmp_path):
-    """Run as a program, a malformed container is one error line and exit 1."""
+def test_malformed_containers_exit_1_without_traceback(pipeline, tmp_path, capsys):
+    """A malformed container is one error line and exit 1."""
     _, out = pipeline
     stub = tmp_path / "stub.bin"
     stub.write_bytes(b"CHID")
@@ -126,44 +135,44 @@ def test_malformed_containers_exit_1_without_traceback(pipeline, tmp_path):
     cut.write_bytes((out / "observation.bin").read_bytes()[:40])
     for argv in (["make-data", "--trajectory", str(stub)],
                  ["identify", "--observation", str(cut)]):
-        run = _run_program(*argv, "--out", str(tmp_path / "out"))
+        run = _run_main(capsys, *argv, "--out", str(tmp_path / "out"))
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
 
 
-def test_unusable_paths_exit_1_without_traceback(tmp_path):
+def test_unusable_paths_exit_1_without_traceback(tmp_path, capsys):
     """A path that cannot be read or written is one error line and exit 1."""
     a_file = tmp_path / "a_file"
     a_file.write_text("not a directory\n", encoding="utf-8")
     for argv in (["make-data", "--trajectory", str(tmp_path), "--out", str(tmp_path / "out")],
                  ["make-data", "--out", str(a_file)]):
-        run = _run_program(*argv)
+        run = _run_main(capsys, *argv)
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
 
 
-def test_negative_noise_seed_exits_1_without_traceback(tmp_path):
+def test_negative_noise_seed_exits_1_without_traceback(tmp_path, capsys):
     """A negative seed, from the file or from --seed, is a configuration error."""
     cfg, out = _write_cfg(tmp_path, data_seed="-3", data_delta="0.001")
     good, _ = _write_cfg(tmp_path, name="good.cfg")
     for argv in (["make-data", "--config", str(cfg)],
                  ["verify", "--config", str(good), "--seed", "-20"]):
-        run = _run_program(*argv)
+        run = _run_main(capsys, *argv)
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: data.seed")
         assert "Traceback" not in run.stderr
     assert not out.exists()
 
 
-def test_non_finite_spline_values_exit_1_without_traceback(tmp_path):
+def test_non_finite_spline_values_exit_1_without_traceback(tmp_path, capsys):
     """A nan or inf spline value is one error line naming the key, not a
     numerical failure of the first Newton step."""
     for key, spec in (("forward.mobility", "spline:nan,1,1"),
                       ("forward.potential", "spline:1,inf,1")):
         cfg, out = _write_cfg(tmp_path, name="nonfinite.cfg", **{key.replace(".", "_"): spec})
-        run = _run_program("simulate", "--config", str(cfg))
+        run = _run_main(capsys, "simulate", "--config", str(cfg))
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith(f"error: {key}: ")
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
@@ -171,6 +180,9 @@ def test_non_finite_spline_values_exit_1_without_traceback(tmp_path):
 
 
 def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):
+    """Run as a program: the interpreter turns the error that ``main``
+    reports into exit 1 and one ``error:`` line, with no traceback.  The
+    other error paths run ``main`` in this process."""
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"forward.gamma = 0.003\n\xff\xfe\x00\x81\n")
     run = _run_program("simulate", "--config", str(binary))
@@ -179,7 +191,7 @@ def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
-def test_bad_data_times_exit_1_without_traceback(pipeline, tmp_path):
+def test_bad_data_times_exit_1_without_traceback(pipeline, tmp_path, capsys):
     """Times off the observation grid, or given twice, are configuration errors."""
     _, out = pipeline
     body = SMALL_CFG.replace("data.window = 0:4e-4\n", "")
@@ -188,8 +200,8 @@ def test_bad_data_times_exit_1_without_traceback(pipeline, tmp_path):
         ("0.00004,0.00004", "error: data.times: a time is given twice"),
     ):
         cfg, _ = _write_cfg(tmp_path, body, data_times=times)
-        run = _run_program("identify", "--config", str(cfg),
-                           "--observation", str(out / "observation.bin"))
+        run = _run_main(capsys, "identify", "--config", str(cfg),
+                        "--observation", str(out / "observation.bin"))
         assert run.returncode == 1, run.stderr
         assert run.stderr == message + "\n"
 
@@ -479,7 +491,7 @@ def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeyp
     assert "Traceback" not in captured.err
 
 
-def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path):
+def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path, capsys):
     """A trajectory on disk that data.factor does not divide is an input
     mismatch: one error line naming the key, exit 1."""
     # 16 cells and 10 steps on disk; 12 cells and 12 steps in the configuration
@@ -488,8 +500,8 @@ def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path)
     cfg, out = _write_cfg(tmp_path, body.format(n=16, t="2e-4", f=2))
     cfg3, _ = _write_cfg(tmp_path, body.format(n=12, t="2.4e-4", f=3), name="factor3.cfg")
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
-    run = _run_program("make-data", "--config", str(cfg3), "--trajectory",
-                       str(out / "trajectory.bin"), "--out", str(tmp_path / "d3"))
+    run = _run_main(capsys, "make-data", "--config", str(cfg3), "--trajectory",
+                    str(out / "trajectory.bin"), "--out", str(tmp_path / "d3"))
     assert run.returncode == 1, run.stderr
     assert run.stderr.startswith("error: data.factor: factor 3 does not divide")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr

@@ -16,7 +16,6 @@ from chident.meshbasis import (
     build_mesh,
     cell_polys,
     cubic_spline_basis,
-    eval_field,
     gauss_table,
     interpolate,
     poly_vals,
@@ -38,7 +37,7 @@ from chident.data import (
     restrict_to_data_grid,
 )
 
-from conftest import GAMMA, crossings_of
+from conftest import GAMMA, crossings_of, eval_field
 
 
 def _constant_data(c=0.25, n=16, n_times=3, tau=1e-4):
@@ -586,6 +585,68 @@ def _np_roots_unit(poly, tol=1e-10):
     return np.clip(r, 0.0, 1.0)
 
 
+def _stacked_unit_interval_roots(a, b, c):
+    """Reference: the quadratic roots of ``_unit_interval_roots`` by the same
+    formulas, stacked into a new array and masked by ``np.where``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        roots = np.stack([q / a, c / q], axis=-1)
+    return np.where((roots > 0.0) & (roots < 1.0), roots, 1.0)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def test_unit_interval_roots_match_stacked_formula_bit_for_bit():
+    # a = 0 (c / q is the root), a = b = 0 with c nonzero and zero, a
+    # negative discriminant, a double root, roots exactly at 0 and at 1,
+    # and signed zeros
+    a, b, c = np.array([
+        [0.0, 2.0, -1.0], [0.0, -2.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+        [1.0, 0.0, 1.0], [1.0, -1.0, 0.25], [1.0, -0.5, 0.0], [1.0, -1.5, 0.5],
+        [-1.0, 1.5, -0.5], [1.0, -2.0, 1.0], [-0.0, -0.0, -0.0], [2.0, -0.0, -0.5],
+    ]).T
+    got = chdata._unit_interval_roots(a, b, c)
+    assert _same_bits(got, _stacked_unit_interval_roots(a, b, c))
+    np.testing.assert_array_equal(got[[0, 5, 6, 7]], [[1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
+                                                      [1.0, 0.5]])
+    assert np.all(got[[2, 3, 4, 9, 10]] == 1.0)
+    rng = np.random.default_rng(11)
+    a, b, c = rng.standard_normal((3, 500))
+    a[::7] = 0.0
+    assert _same_bits(chdata._unit_interval_roots(a, b, c),
+                      _stacked_unit_interval_roots(a, b, c))
+    # broadcast as ``observable_range`` solves two constant terms per row
+    c2 = c[:, None] + [-0.3, 0.3]
+    assert _same_bits(chdata._unit_interval_roots(a[:, None], b[:, None], c2),
+                      _stacked_unit_interval_roots(a[:, None], b[:, None], c2))
+
+
+def test_monotone_pieces_on_random_cubics():
+    rng = np.random.default_rng(12)
+    p = rng.standard_normal((40, 3, 4))
+    p[::5, :, 3] = 0.0                             # quadratics: one cut at most
+    p[1::5, :, 2:] = 0.0                           # lines: no cut
+    cuts, vals = chdata._monotone_pieces(p)
+    r = _stacked_unit_interval_roots(3.0 * p[..., 3], 2.0 * p[..., 2], p[..., 1])
+    lo, hi = np.minimum(r[..., 0], r[..., 1]), np.maximum(r[..., 0], r[..., 1])
+    stacked = np.stack([np.zeros_like(lo), lo, hi, np.ones_like(lo)], axis=-1)
+    assert _same_bits(cuts, stacked)
+    assert _same_bits(vals, poly_vals(p[..., None, :], stacked))
+    for poly, cut in zip(p.reshape(-1, 4), cuts.reshape(-1, 4)):
+        dpoly = np.append(poly[1:] * [1.0, 2.0, 3.0], 0.0)   # phi'
+        # the cuts inside (0, 1) are the roots of phi' there
+        inside = _np_roots_unit(dpoly[:3])
+        inside = np.sort(inside[inside > 0.0])
+        np.testing.assert_allclose(cut[1:1 + len(inside)], inside, rtol=1e-9, atol=1e-12)
+        assert np.all(cut[1 + len(inside):] == 1.0) and cut[0] == 0.0
+        # phi' keeps one sign on each piece
+        for u0, u1 in zip(cut[:-1], cut[1:]):
+            slope = poly_vals(dpoly, np.linspace(u0, u1, 9)[1:-1])
+            assert np.all(slope >= -1e-12) or np.all(slope <= 1e-12)
+
+
 def _level_roots_loop(cub, levels):
     """Reference: per level, the cells of its snapshot bracketed by their
     value bounds, padded by 1e-12, and one np.roots call per bracketed cell."""
@@ -667,7 +728,9 @@ def _periodic_dist(x, ref):
 
 
 def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_levels=201):
-    """Reference: one level_crossings and one eval_field call per level."""
+    """Reference: the crossings of every level from one level_crossings
+    call and |mu'| at all of them from one eval_field call; a level is good
+    when |mu'| exceeds the threshold at one of its own crossings."""
     ks = data.indices_of([t])
     f = PeriodicField(data.basis, data.coef[ks[0]])
     mu = PeriodicField(data.basis, chdata._chemical_potentials(data, gamma, potential, ks)[0])
@@ -676,10 +739,10 @@ def _observable_range_loop(data, gamma, potential, t, threshold_rel=1e-3, n_leve
     threshold = max(threshold_rel * float(np.max(np.abs(eval_field(mu, xq, 1)))),
                     chdata.MU_GRAD_FLOOR)
     levels = lo + (np.arange(1, n_levels + 1) / (n_levels + 1)) * (hi - lo)
-    good = []
-    for s in levels:
-        cr = crossings_of(f, [s])
-        good.append(len(cr.x) > 0 and np.max(np.abs(eval_field(mu, cr.x, 1))) > threshold)
+    cr = crossings_of(f, levels)
+    steep = np.abs(eval_field(mu, cr.x, 1)) > threshold
+    good = np.zeros(n_levels, dtype=bool)
+    good[cr.level[steep]] = True
     intervals, i = [], 0
     for flag, run in itertools.groupby(good):
         n = len(list(run))

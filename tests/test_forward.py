@@ -14,7 +14,6 @@ from chident import config
 from chident.meshbasis import (
     PeriodicField,
     build_mesh,
-    eval_field,
     interpolate,
     quadratic_fe,
     quadrature_rule,
@@ -44,6 +43,8 @@ from chident.forward import (
     simulate,
     verify_scaling_invariance,
 )
+
+from conftest import eval_field
 
 
 @pytest.fixture(scope="module")

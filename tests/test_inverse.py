@@ -16,7 +16,7 @@ from chident.meshbasis import (
 from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gauss_points, weighted_gram
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
-from chident.data import ObservationData
+from chident.data import ObservationData, attained_ranges
 from chident.inverse import (
     InverseError,
     assemble_identify_f,
@@ -209,7 +209,8 @@ def test_assembly_rejects_out_of_range_data():
         assemble_identify_f(data, GAMMA, params.b, [1e-4])
 
 
-def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None, n_quad=12):
+def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
+                       n_quad=inverse.N_QUAD):
     """Reference (T, y): one time at a time, from sparse evaluation matrices."""
     w = quadrature_rule(data.basis.mesh, n_quad)[1]
     points = gauss_points(data.basis, n_quad)
@@ -275,6 +276,34 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
         assert np.max(np.abs(problem.y - y_ref)) <= tol * np.max(np.abs(y_ref))
 
 
+def test_assembly_is_exact_where_every_cell_stays_in_one_knot_piece(params, monkeypatch):
+    # phi = 0.05 + a cos(2 pi x) on 8 cells keeps every (cell, time) in the
+    # paper grid's knot piece [0, 0.1], where theta_j(phi) phi' psi_i' has
+    # degree 13 and theta_j(phi) phi''' psi_i' degree 11: N_QUAD points
+    # integrate both exactly, as 48 do, and 6 points (exact to degree 11)
+    # miss the first by 2.7e-11
+    basis = cubic_spline_basis(build_mesh(8))
+    amps = (0.045, 0.044, 0.043)
+    coef = np.vstack([
+        interpolate(basis, lambda x, a=a: 0.05 + a * np.cos(2 * np.pi * x)).coef
+        for a in amps
+    ])
+    data = ObservationData(basis=basis, times=1e-4 * np.arange(len(amps)),
+                           coef=coef, tau_data=1e-4)
+    assert all(0.0 < lo and hi < 0.1 for lo, hi in attained_ranges(data, data.times))
+    grid, times = param_grid(), data.times[1:]
+
+    def assemble(n_quad):
+        monkeypatch.setattr(inverse, "N_QUAD", n_quad)
+        return {kind: _assemble_kind(data, kind, times, grid, params) for kind in ("f", "joint")}
+
+    got, few, ref = assemble(inverse.N_QUAD), assemble(6), assemble(48)
+    for kind, want in ref.items():
+        assert np.max(np.abs(got[kind].T - want.T)) <= 1e-14 * np.max(np.abs(want.T))
+        assert np.max(np.abs(got[kind].y - want.y)) <= 1e-14 * np.max(np.abs(want.y))
+        assert np.max(np.abs(few[kind].T - want.T)) > 1e-12 * np.max(np.abs(want.T))
+
+
 @pytest.mark.parametrize("kind", ["f", "b", "joint"])
 def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
     # phi = a cos(2 pi x) reaches the first and the last knot piece of the
@@ -303,7 +332,8 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
 # 1.7000-1.7002 MB for the joint problem (numpy 2, one BLAS thread).  With
 # piece-relative rows at eight times per block (four for the joint problem)
 # and every other block temporary freed before the rows exist, identify-f
-# measures 1.416 MB, identify-b 1.384 MB and the joint problem 1.349 MB.
+# measures 1.268 MB, identify-b 1.268 MB and the joint problem 1.252 MB at
+# 8 Gauss points per cell (1.437, 1.405 and 1.370 MB at 12).
 ASSEMBLY_EXTRA_BYTES = 1.70e6
 
 

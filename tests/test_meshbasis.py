@@ -23,7 +23,6 @@ from chident.meshbasis import (
     cubic_spline_basis,
     dual_norm_Hm1,
     element_grams,
-    eval_field,
     gauss_table,
     interpolate,
     interpolate_many,
@@ -32,6 +31,8 @@ from chident.meshbasis import (
     spline_node_values,
 )
 from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gram_solve, weighted_gram
+
+from conftest import eval_field
 
 # 1/sqrt(2) divided by sqrt(1 + 4 pi^2): the H^-1 norm of the L2
 # functional of sin(2 pi x) against the zero-mean H1 pairing.

@@ -9,7 +9,6 @@ from scipy.interpolate import CubicSpline
 from chident.meshbasis import (
     build_mesh,
     cubic_spline_basis,
-    eval_field,
     interpolate,
     quadratic_fe,
     quadrature_rule,
