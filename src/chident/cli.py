@@ -19,9 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .meshbasis import (
-    BasisError,
-    MeshError,
-    AssemblyError,
     assemble_grams,
     build_mesh,
     cubic_spline_basis,
@@ -29,22 +26,14 @@ from .meshbasis import (
     interpolate,
     quadratic_fe,
 )
-from .model import (
-    ModelError,
-    ModelParams,
-    NaturalSplineGrid,
-    ParameterError,
-    SplineParameter,
-)
+from .model import NaturalSplineGrid, SplineParameter
 from .forward import (
-    SolverError,
     energy_series,
     mass_series,
     simulate,
     verify_scaling_invariance,
 )
 from .data import (
-    DataError,
     attained_ranges,
     build_observability_report,
     inject_noise,
@@ -56,20 +45,22 @@ from .inverse import (
     IDENTIFY_B,
     IDENTIFY_F,
     IDENTIFY_JOINT,
-    InverseError,
     assemble_problem,
     default_alpha_grid,
     lcurve_select,
     perturbation_scaling_probe,
     range_restricted_error,
     recover_fprime,
+    select_indices,
     tikhonov_solve,
 )
 from .config import (
+    LAYER_ERRORS,
     ConfigError,
     RunConfig,
     config_from_file,
     config_text,
+    layer_rule,
     paper_preset,
     validate_config,
 )
@@ -79,10 +70,6 @@ __all__ = ["main", "run_invariant_suite"]
 
 # OSError: an input or output path that cannot be read or written
 _VALIDATION_ERRORS = (ConfigError, chio.IOError_, OSError)
-_NUMERICAL_ERRORS = (
-    SolverError, InverseError, DataError, ModelError, ParameterError,
-    MeshError, BasisError, AssemblyError,
-)
 
 _SOLUTION_GRID = np.linspace(-1.0, 1.0, 401)
 
@@ -159,11 +146,9 @@ def cmd_make_data(args) -> int:
     out = _outdir(cfg)
     traj_path = Path(args.trajectory) if args.trajectory else out / "trajectory.bin"
     traj = chio.load_trajectory(traj_path)
-    try:
+    # the trajectory on disk need not come from this configuration
+    with layer_rule("data.factor"):
         data = restrict_to_data_grid(traj, cfg.data.factor)
-    except DataError as exc:
-        # the trajectory on disk need not come from this configuration
-        raise ConfigError(f"data.factor: {exc}") from exc
     noise = None
     if cfg.data.delta > 0.0:
         data, record = inject_noise(data, cfg.data.delta, cfg.data.seed)
@@ -198,19 +183,14 @@ def cmd_make_data(args) -> int:
 
 def _selected_times(cfg: RunConfig, data) -> np.ndarray:
     if cfg.data.times is not None:
-        times = np.asarray(cfg.data.times, dtype=float)
-        # only here is the observation grid known
-        try:
-            idx = data.indices_of(times)
-        except DataError as exc:
-            raise ConfigError(f"data.times: {exc}") from exc
-        if len(np.unique(idx)) != len(idx):
-            raise ConfigError("data.times: two times select the same observation")
+        key, times = "data.times", np.asarray(cfg.data.times, dtype=float)
     else:
         lo, hi = cfg.data.window if cfg.data.window else (0.0, float(data.times[-1]))
+        key = "data.window"
         times = data.times[(data.times > max(lo, 0.0)) & (data.times <= hi + 1e-12)]
-    if len(times) == 0:
-        raise ConfigError("data.window: no usable observation times selected")
+    # only here is the observation grid known
+    with layer_rule(key):
+        select_indices(data, times)
     return times
 
 
@@ -453,7 +433,7 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
         name = check.__name__.replace("_", "-")
         try:
             passed, detail = check()
-        except _NUMERICAL_ERRORS as exc:
+        except LAYER_ERRORS as exc:
             passed, detail = False, f"failure: {exc}"
             # an input whose build this stopped keeps the failure for later checks
             held.update({k: exc for k, v in held.items() if v is None})
@@ -533,7 +513,7 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_ERRORS as exc:
+    except LAYER_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

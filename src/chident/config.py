@@ -14,12 +14,17 @@ with the reference experiment's observation window.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .inverse import PROBLEM_KINDS
+from .data import DataError, data_mesh_cells
+from .forward import SolverError, step_count
+from .inverse import PROBLEM_KINDS, InverseError, checked_alpha_grid
+from .meshbasis import AssemblyError, BasisError, MeshError, build_mesh
 from .model import (
+    ModelError,
     ModelParams,
     NaturalSplineGrid,
     ParameterError,
@@ -31,6 +36,8 @@ from .model import (
 
 __all__ = [
     "ConfigError",
+    "LAYER_ERRORS",
+    "layer_rule",
     "ForwardBlock",
     "DataBlock",
     "InverseBlock",
@@ -47,6 +54,24 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
+
+
+# every error type the numerical layers raise
+LAYER_ERRORS = (
+    SolverError, InverseError, DataError, ModelError, ParameterError,
+    MeshError, BasisError, AssemblyError,
+)
+
+
+@contextmanager
+def layer_rule(path: str):
+    """Re-raise a numerical layer's rejection of an input as a ConfigError
+    naming the configuration key ``path``: each input rule is written once,
+    in the layer that relies on it."""
+    try:
+        yield
+    except LAYER_ERRORS as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 _CATALOG_INITIALS = ("default", "constant")
@@ -136,10 +161,8 @@ def _make_parameter(spec_str: str, path: str, default_factory):
         if len(values) < 3:
             raise ConfigError(f"{path}: spline needs at least three values")
         grid = NaturalSplineGrid(-1.0, 1.0, 2.0 / (len(values) - 1))
-        try:
+        with layer_rule(path):
             return SplineParameter(grid, np.asarray(values))
-        except ParameterError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(
         f"{path}: unknown id {spec_str!r} (catalog: default, or spline:v0,v1,...)"
     )
@@ -196,13 +219,7 @@ def _to_range(raw: str, path: str) -> tuple:
 
 
 def _to_times(raw: str, path: str) -> tuple:
-    try:
-        times = tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: expected comma-separated numbers") from exc
-    if not np.all(np.isfinite(times)):
-        raise ConfigError(f"{path}: must be finite, got {raw!r}")
-    return times
+    return tuple(_to_float(v, path) for v in raw.split(","))
 
 
 def _to_alpha(raw: str, path: str) -> float | None:
@@ -216,18 +233,11 @@ def _to_grid(raw: str, path: str) -> tuple:
     hi = _to_float(parts[0], path)
     lo = _to_float(parts[1], path)
     count = _to_int(parts[2], path)
-    if hi <= 0 or lo <= 0 or hi <= lo:
-        raise ConfigError(f"{path}: need high > low > 0, got {raw!r}")
-    if count < 10:
-        raise ConfigError(f"{path}: need at least 10 grid points")
-    # the rule of ``inverse.lcurve_select``, on the same pinned ends
-    if np.log10(hi / lo) < 4.0:
-        raise ConfigError(f"{path}: must span at least four decades, got {raw!r}")
-    grid = np.logspace(np.log10(hi), np.log10(lo), count)
-    # logspace can miss its endpoints by an ulp; pinned, the echoed
-    # high:low re-parses to this same grid
-    grid[0], grid[-1] = hi, lo
-    return tuple(float(v) for v in grid)
+    # geomspace returns high and low exactly, so the echo re-parses to this
+    # grid; without positive ends and count, (high, low) fails the check
+    grid = np.geomspace(hi, lo, count) if min(hi, lo, count) > 0 else (hi, lo)
+    with layer_rule(path):
+        return tuple(float(v) for v in checked_alpha_grid(grid))
 
 
 def _optional(echo):
@@ -294,45 +304,26 @@ def build_config(entries: dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check every value; a rule that a numerical layer enforces is that
+    layer's own check, called here through ``layer_rule``."""
     fw, db, iv, ob = cfg.forward, cfg.data, cfg.inverse, cfg.output
-    if not (np.isfinite(fw.gamma) and fw.gamma > 0):
-        raise ConfigError(f"forward.gamma: must be positive, got {fw.gamma}")
-    # building the two parameter functions checks their specs
-    cfg.potential_fn()
-    cfg.mobility_fn()
+    # building the model checks gamma and the two parameter specs
+    with layer_rule("forward.gamma"):
+        cfg.model_params()
     if fw.initial not in _CATALOG_INITIALS:
         raise ConfigError(f"forward.initial: unknown id {fw.initial!r}")
-    if not isinstance(fw.n_cells, int) or fw.n_cells < 4:
-        raise ConfigError(f"forward.n_cells: need an integer >= 4, got {fw.n_cells}")
-    if fw.tau <= 0:
-        raise ConfigError(f"forward.tau: must be positive, got {fw.tau}")
-    if fw.t_end <= 0:
-        raise ConfigError(f"forward.t_end: must be positive, got {fw.t_end}")
-    n_steps = fw.t_end / fw.tau
-    if abs(round(n_steps) * fw.tau - fw.t_end) > 1e-8 * max(fw.t_end, 1.0):
-        raise ConfigError(
-            f"forward.t_end: {fw.t_end} is not an integer multiple of tau = {fw.tau}"
-        )
-    if db.factor < 1:
-        raise ConfigError(f"data.factor: must be >= 1, got {db.factor}")
-    if fw.n_cells % db.factor or round(n_steps) % db.factor:
-        raise ConfigError(
-            f"data.factor: {db.factor} must divide forward.n_cells "
-            f"({fw.n_cells}) and the step count ({round(n_steps)})"
-        )
-    if fw.n_cells // db.factor < 4:
-        raise ConfigError(
-            f"data.factor: forward.n_cells / data.factor = {fw.n_cells} / "
-            f"{db.factor} = {fw.n_cells // db.factor} data cells, need >= 4"
-        )
+    with layer_rule("forward.n_cells"):
+        build_mesh(fw.n_cells)
+    with layer_rule("forward.t_end"):
+        n_steps = step_count(fw.t_end, fw.tau)
+    with layer_rule("data.factor"):
+        data_mesh_cells(fw.n_cells, n_steps, db.factor)
     if db.delta < 0:
         raise ConfigError(f"data.delta: must be >= 0, got {db.delta}")
     if db.seed < 0:
         raise ConfigError(f"data.seed: must be >= 0, got {db.seed}")
     if db.times is not None and any(t <= 0 or t > fw.t_end for t in db.times):
         raise ConfigError("data.times: every time must lie in (0, t_end]")
-    if db.times is not None and len(set(db.times)) != len(db.times):
-        raise ConfigError("data.times: a time is given twice")
     if db.window is not None and db.window[1] > fw.t_end + 1e-12:
         raise ConfigError(
             f"data.window: end {db.window[1]} exceeds forward.t_end {fw.t_end}"
@@ -343,14 +334,8 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if iv.alpha is not None and iv.alpha <= 0:
         raise ConfigError(f"inverse.alpha: must be positive, got {iv.alpha}")
-    # the parameter splines need at least two knot spans on [-1, 1]
-    if iv.sigma <= 0 or iv.sigma > 1.0:
-        raise ConfigError(f"inverse.sigma: need 0 < sigma <= 1, got {iv.sigma}")
-    n_spans = 2.0 / iv.sigma
-    if abs(round(n_spans) - n_spans) > 1e-9:
-        raise ConfigError(
-            f"inverse.sigma: {iv.sigma} must evenly divide the interval [-1, 1]"
-        )
+    with layer_rule("inverse.sigma"):
+        NaturalSplineGrid(-1.0, 1.0, iv.sigma)
     if iv.threshold < 0:
         raise ConfigError(f"inverse.threshold: must be >= 0, got {iv.threshold}")
     if not ob.directory:

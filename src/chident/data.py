@@ -113,25 +113,36 @@ class ObservationData:
 _RESTRICT_BLOCK_DOUBLES = 2**15
 
 
+def data_mesh_cells(n_cells: int, n_steps: int, factor: int) -> int:
+    """Cells of the data mesh that ``factor`` makes of a run of ``n_cells``
+    cells and ``n_steps`` steps: the factor must be a positive integer that
+    divides both and leaves at least four data cells."""
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise DataError(f"coarsening factor must be a positive integer, got {factor}")
+    if n_cells % factor or n_steps % factor:
+        raise DataError(
+            f"factor {factor} does not divide mesh ({n_cells} cells) "
+            f"and step count ({n_steps})"
+        )
+    if n_cells // factor < 4:
+        raise DataError(
+            f"factor {factor} leaves {n_cells} / {factor} = {n_cells // factor} "
+            "data cells, need >= 4"
+        )
+    return n_cells // factor
+
+
 def restrict_to_data_grid(traj: Trajectory, factor: int = 2) -> ObservationData:
     """Subsample a trajectory in space and time and re-expand in splines.
 
     Every ``factor``-th state is kept and interpolated through the FE
-    vertex values on the coarsened mesh.  The returned container records
-    the H1 discrepancy between the spline snapshots and the originating
-    FE states (sup over kept times, and an L2-in-time aggregate), which
-    quantifies the data error of a clean restriction.
+    vertex values on the coarsened mesh (``data_mesh_cells``).  The
+    returned container records the H1 discrepancy between the spline
+    snapshots and the originating FE states (sup over kept times, and an
+    L2-in-time aggregate), which quantifies the data error of a clean
+    restriction.
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise DataError(f"coarsening factor must be a positive integer, got {factor}")
-    n_fine = traj.basis.mesh.n_cells
-    n_steps = traj.n_states - 1
-    if n_fine % factor or n_steps % factor:
-        raise DataError(
-            f"factor {factor} does not divide mesh ({n_fine} cells) "
-            f"and step count ({n_steps})"
-        )
-    mesh = build_mesh(n_fine // factor)
+    mesh = build_mesh(data_mesh_cells(traj.basis.mesh.n_cells, traj.n_states - 1, factor))
     basis = cubic_spline_basis(mesh)
     # FE vertex v sits at dof 2v; coarse node j is fine vertex j * factor
     vert_dofs = 2 * factor * np.arange(mesh.n_cells)

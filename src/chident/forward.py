@@ -344,11 +344,24 @@ def _extrapolate(x: np.ndarray, k: int) -> np.ndarray:
     return 2.0 * x[k] - x[k - 1]
 
 
+def step_count(t_end: float, tau: float) -> int:
+    """Number of steps of length ``tau`` to ``t_end``: t_end / tau, which
+    must be a positive integer up to a rounding of 1e-8 max(tau, t_end)."""
+    if not tau > 0.0 or not t_end > 0.0:
+        raise SolverError(f"tau = {tau} and t_end = {t_end} must be positive")
+    n_steps = round(t_end / tau)
+    if n_steps < 1 or abs(n_steps * tau - t_end) > 1e-8 * max(tau, t_end):
+        raise SolverError(
+            f"t_end = {t_end} is not a positive integer multiple of tau = {tau}"
+        )
+    return n_steps
+
+
 def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float) -> Trajectory:
     """Run the stepper from ``phi0`` to ``t_end`` on a uniform time grid.
 
-    ``t_end`` must be an integer multiple of ``tau`` up to rounding.  Every
-    step after the first starts its Newton iteration from a polynomial
+    ``t_end`` must pass ``step_count``.  Every step after the first
+    starts its Newton iteration from a polynomial
     extrapolation of the last states (x = phi and mu): the cubic
     4 x_n - 6 x_(n-1) + 4 x_(n-2) - x_(n-3) from the fourth step on, the
     quadratic 3 x_n - 3 x_(n-1) + x_(n-2) at the third and the linear
@@ -362,13 +375,7 @@ def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float)
     ``MobilityError``.  The returned trajectory carries the run's
     ``SolverTelemetry``.
     """
-    if not tau > 0.0 or not t_end > 0.0:
-        raise SolverError("tau and t_end must be positive")
-    n_steps = round(t_end / tau)
-    if n_steps < 1 or abs(n_steps * tau - t_end) > 1e-8 * max(tau, t_end):
-        raise SolverError(
-            f"t_end = {t_end} is not an integer multiple of tau = {tau}"
-        )
+    n_steps = step_count(t_end, tau)
     ctx = _ForwardContext(phi0.basis, params)
     dof = phi0.basis.dof_count
     phi = np.empty((n_steps + 1, dof))

@@ -204,7 +204,9 @@ class AssembledProblem:
         return x[:n].copy(), x[n:].copy()
 
 
-def _select_indices(data: ObservationData, times) -> np.ndarray:
+def select_indices(data: ObservationData, times) -> np.ndarray:
+    """Grid index of each of the times, which must be at least one, lie on
+    the observation grid after its first time and select distinct states."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise InverseError("no observation times selected")
@@ -214,7 +216,7 @@ def _select_indices(data: ObservationData, times) -> np.ndarray:
             "selected times must have a predecessor on the data grid"
         )
     if len(np.unique(idx)) != len(idx):
-        raise InverseError("duplicate observation times selected")
+        raise InverseError("two times select the same observation")
     return idx
 
 
@@ -259,7 +261,7 @@ def _assemble(
     (time, dof) row, and [D; I] maps those rows to knot columns straight
     into ``T``, once per block of times.
     """
-    idx = _select_indices(data, times)
+    idx = select_indices(data, times)
     _check_phase_values(data, idx)
     if grid is None:
         grid = param_grid()
@@ -527,6 +529,19 @@ def default_alpha_grid() -> np.ndarray:
     return np.logspace(-4, -12, 16)
 
 
+def checked_alpha_grid(alphas) -> np.ndarray:
+    """``alphas`` as a float array, if it is an L-curve grid: positive,
+    strictly decreasing, at least 10 points and at least four decades."""
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas <= 0.0) or np.any(np.diff(alphas) >= 0.0):
+        raise InverseError("the alpha grid must be positive and strictly decreasing")
+    if len(alphas) < 10:
+        raise InverseError("the alpha grid needs at least 10 points")
+    if np.log10(alphas[0] / alphas[-1]) < 4.0:
+        raise InverseError("the alpha grid must span at least four decades")
+    return alphas
+
+
 def lcurve_select(
     problem: AssembledProblem,
     alphas=None,
@@ -541,13 +556,7 @@ def lcurve_select(
     excluded.  Returns (alpha_star, curve).  Every alpha reuses the one
     cached standard-form factorization.
     """
-    alphas = default_alpha_grid() if alphas is None else np.asarray(alphas, float)
-    if len(alphas) < 10:
-        raise InverseError("alpha grid needs at least 10 points")
-    if np.any(alphas <= 0.0) or np.any(np.diff(alphas) >= 0.0):
-        raise InverseError("alpha grid must be positive and strictly decreasing")
-    if np.log10(alphas[0] / alphas[-1]) < 4.0:
-        raise InverseError("alpha grid must span at least four decades")
+    alphas = default_alpha_grid() if alphas is None else checked_alpha_grid(alphas)
     sf = problem.standard_form()
     rho, eta = np.array([_filtered(sf, a)[1:] for a in alphas]).T
     if np.any(rho <= 0.0) or np.any(eta <= 0.0):
@@ -663,12 +672,11 @@ def perturbation_scaling_probe(
         pert = build(noisy)
         op_dev[i] = clean.weighted_misfit((pert.T - clean.T) @ x_truth)
         y_dev[i] = clean.weighted_misfit(pert.y - clean.y)
-    pos = (op_dev > 0.0) & (deltas > 0.0)
-    slope = float(
-        np.polyfit(np.log(deltas[pos]), np.log(op_dev[pos]), 1)[0]
-    ) if np.count_nonzero(pos) >= 2 else np.nan
-    posy = (y_dev > 0.0) & (deltas > 0.0)
-    slope_y = float(
-        np.polyfit(np.log(deltas[posy]), np.log(y_dev[posy]), 1)[0]
-    ) if np.count_nonzero(posy) >= 2 else np.nan
-    return PerturbationProbe(kind, deltas, op_dev, y_dev, slope, slope_y)
+
+    def slope(dev):
+        pos = (dev > 0.0) & (deltas > 0.0)
+        if np.count_nonzero(pos) < 2:
+            return np.nan
+        return float(np.polyfit(np.log(deltas[pos]), np.log(dev[pos]), 1)[0])
+
+    return PerturbationProbe(kind, deltas, op_dev, y_dev, slope(op_dev), slope(y_dev))

@@ -68,6 +68,8 @@ class NaturalSplineGrid:
     def __init__(self, lo: float = -1.0, hi: float = 1.0, spacing: float = 0.1):
         if not hi > lo:
             raise ParameterError("empty knot interval")
+        if not spacing > 0.0:
+            raise ParameterError(f"spacing must be positive, got {spacing}")
         n_span = (hi - lo) / spacing
         n_round = round(n_span)
         if abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):
@@ -75,7 +77,10 @@ class NaturalSplineGrid:
                 f"spacing {spacing} does not evenly divide [{lo}, {hi}]"
             )
         if n_round < 2:
-            raise ParameterError(f"spacing {spacing}: the grid needs at least two knot spans")
+            raise ParameterError(
+                f"need 0 < sigma <= {(hi - lo) / 2:g}, got {spacing}: "
+                "the grid needs at least two knot spans"
+            )
         self.lo = float(lo)
         self.hi = float(hi)
         self.n_knots = n_round + 1
@@ -191,8 +196,8 @@ class ModelParams:
     F: object
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ModelError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ModelError(f"gamma must be positive and finite, got {self.gamma}")
 
     def f(self, s, order: int = 0):
         """Derivative of the potential, f = F'."""

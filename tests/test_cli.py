@@ -197,7 +197,7 @@ def test_bad_data_times_exit_1_without_traceback(pipeline, tmp_path, capsys):
     body = SMALL_CFG.replace("data.window = 0:4e-4\n", "")
     for times, message in (
         ("0.00003,0.00008", "error: data.times: t = 3e-05 is not on the observation time grid"),
-        ("0.00004,0.00004", "error: data.times: a time is given twice"),
+        ("0.00004,0.00004", "error: data.times: two times select the same observation"),
     ):
         cfg, _ = _write_cfg(tmp_path, body, data_times=times)
         run = _run_main(capsys, "identify", "--config", str(cfg),
@@ -318,9 +318,54 @@ def test_data_mesh_below_four_cells_is_a_configuration_error(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path, body, name="coarse.cfg")
     assert cli.main(["simulate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "forward.n_cells" in err and "data.factor" in err
+    assert "data.factor: factor 4 leaves 8 / 4 = 2 data cells, need >= 4" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end, tau", [
+    ("0.001000005", "1e-5"),   # 5e-9 off a multiple, above 1e-8 max(tau, t_end)
+    ("1e-12", "1e-3"),         # zero steps
+])
+def test_t_end_off_the_step_grid_exits_1_at_load(tmp_path, capsys, t_end, tau):
+    """The step-count rule is the forward solver's own, so a t_end that
+    ``simulate`` rejects is rejected when the configuration is loaded."""
+    body = "forward.tau = {tau}\nforward.t_end = {t_end}\ndata.window = 0:{t_end}\n" \
+        "output.directory = {{out}}\n"
+    cfg, out = _write_cfg(tmp_path, body.format(tau=tau, t_end=t_end), name="drift.cfg")
+    run = _run_main(capsys, "simulate", "--config", str(cfg))
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: forward.t_end: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+def _chident_exception_types():
+    """Every Exception subclass that a chident module defines."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import chident
+
+    for info in pkgutil.iter_modules(chident.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"chident.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__:
+                yield cls
+
+
+@pytest.mark.parametrize("exc_type", sorted(_chident_exception_types(), key=lambda c: c.__name__))
+def test_every_chident_error_exits_1_or_2(monkeypatch, capsys, exc_type):
+    def fail(args):
+        raise exc_type("injected")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    run = _run_main(capsys, "simulate")
+    assert run.returncode in (1, 2)
+    assert run.stderr.endswith("injected\n") and "Traceback" not in run.stderr
 
 
 def test_numerical_failure_exit_code(tmp_path):

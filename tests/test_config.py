@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chident.cli import _selected_times
 from chident.config import (
     PROBLEM_KINDS,
     ConfigError,
@@ -14,6 +15,10 @@ from chident.config import (
     paper_preset,
     parse_config,
 )
+from chident.data import ObservationData, data_mesh_cells
+from chident.forward import step_count
+from chident.meshbasis import build_mesh, cubic_spline_basis
+from chident.model import NaturalSplineGrid
 
 
 def test_builtin_preset_values():
@@ -119,9 +124,14 @@ def test_times_and_window_are_exclusive():
     with pytest.raises(ConfigError, match="data.times"):
         build_config({"forward.tau": "2e-5", "forward.t_end": "0.02",
                       "data.times": "0.03"})
-    with pytest.raises(ConfigError, match="data.times: a time is given twice"):
-        build_config({"forward.tau": "2e-5", "forward.t_end": "0.02",
-                      "data.times": "4e-5,8e-5,4e-5"})
+    # a time given twice breaks the time selection's rule, checked against
+    # the observation grid once it is known
+    twice = build_config({"forward.tau": "2e-5", "forward.t_end": "0.02",
+                          "data.times": "4e-5,8e-5,4e-5"})
+    grid = ObservationData(cubic_spline_basis(build_mesh(4)), np.arange(3) * 4e-5,
+                           np.zeros((3, 4)), tau_data=4e-5)
+    with pytest.raises(ConfigError, match="data.times: two times select the same observation"):
+        _selected_times(twice, grid)
 
 
 def test_alpha_auto_and_grid():
@@ -137,7 +147,7 @@ def test_alpha_auto_and_grid():
         build_config({"inverse.alpha_grid": "1e-2:1e-9"})
     with pytest.raises(ConfigError, match="at least 10"):
         build_config({"inverse.alpha_grid": "1e-2:1e-9:5"})
-    with pytest.raises(ConfigError, match="inverse.alpha_grid: must span at least four"):
+    with pytest.raises(ConfigError, match="inverse.alpha_grid: the alpha grid must span at least four"):
         build_config({"inverse.alpha_grid": "1e-4:1e-6:12"})
     assert len(build_config({"inverse.alpha_grid": "1e-2:1e-6:10"}).inverse.alpha_grid) == 10
 
@@ -241,6 +251,32 @@ def test_config_echo_is_a_fixed_point(entries):
     again = build_config(parse_config(text))
     assert again.as_dict() == cfg.as_dict()
     assert config_text(again) == text
+
+
+@settings(max_examples=200)
+@given(
+    steps=st.integers(0, 50),
+    offset=st.floats(-2e-8, 2e-8),
+    tau=st.floats(1e-7, 1e-2),
+    n_cells=st.integers(1, 64),
+    factor=st.integers(0, 8),
+    sigma=st.one_of(st.floats(-0.5, 2.5).filter(lambda v: abs(v) >= 0.04),
+                    st.just(0.0), st.integers(1, 40).map(lambda k: 2.0 / k)),
+)
+def test_accepted_configs_pass_the_layer_rules(steps, offset, tau, n_cells, factor, sigma):
+    """A t_end within 2e-8 of a multiple of tau: whatever the configuration
+    accepts, the layers that rely on its rules accept too."""
+    t_end = steps * tau + offset
+    entries = {"forward.tau": repr(tau), "forward.t_end": repr(t_end),
+               "forward.n_cells": str(n_cells), "data.factor": str(factor),
+               "data.window": f"0:{t_end!r}", "inverse.sigma": repr(sigma)}
+    try:
+        build_config(entries)
+    except ConfigError:
+        return
+    build_mesh(n_cells)
+    data_mesh_cells(n_cells, step_count(t_end, tau), factor)
+    NaturalSplineGrid(-1.0, 1.0, sigma)
 
 
 def test_initial_profile_options():

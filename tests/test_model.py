@@ -16,6 +16,7 @@ from chident.meshbasis import (
 from sparse_oracle import basis_matrix
 from chident.model import (
     ModelError,
+    ModelParams,
     NaturalSplineGrid,
     ParameterError,
     RegularizerGram,
@@ -192,6 +193,15 @@ def test_spline_parameter_validation():
         NaturalSplineGrid(-1.0, 1.0, 2.0)
     with pytest.raises(ParameterError, match="evenly divide"):
         NaturalSplineGrid(-1.0, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="spacing must be positive"):
+        NaturalSplineGrid(-1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_model_params_need_a_positive_finite_gamma(gamma):
+    params = default_params(0.003)
+    with pytest.raises(ModelError, match="gamma must be positive and finite"):
+        ModelParams(gamma, params.b, params.F)
 
 
 def test_mass_and_energy_of_constant():
@@ -229,8 +239,6 @@ def test_scale_params_spline_branch():
     grid = param_grid()
     params = default_params(0.003)
     b_spline = SplineParameter(grid, params.b(grid.knots), name="b")
-    from chident.model import ModelParams
-
     p2 = ModelParams(gamma=0.003, b=b_spline, F=params.F)
     scaled = scale_params(p2, 2.0, 1.0)
     s = np.linspace(-1.0, 1.0, 41)
