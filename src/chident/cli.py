@@ -26,7 +26,7 @@ from .meshbasis import (
     interpolate,
     quadratic_fe,
 )
-from .model import NaturalSplineGrid, SplineParameter
+from .model import PHASE_INTERVAL, NaturalSplineGrid, SplineParameter
 from .forward import (
     energy_series,
     mass_series,
@@ -71,7 +71,7 @@ __all__ = ["main", "run_invariant_suite"]
 # OSError: an input or output path that cannot be read or written
 _VALIDATION_ERRORS = (ConfigError, chio.IOError_, OSError)
 
-_SOLUTION_GRID = np.linspace(-1.0, 1.0, 401)
+_SOLUTION_GRID = np.linspace(*PHASE_INTERVAL, 401)
 
 
 def _load_config(args) -> RunConfig:
@@ -200,7 +200,7 @@ def _load_problem(cfg: RunConfig, args):
     obs_path = Path(args.observation) if args.observation else out / "observation.bin"
     data = chio.load_observation(obs_path)
     params = cfg.model_params()
-    grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
+    grid = NaturalSplineGrid(cfg.inverse.sigma)
     times = _selected_times(cfg, data)
     problem = assemble_problem(
         cfg.inverse.kind, data, cfg.forward.gamma, times, grid,
@@ -409,7 +409,7 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
 
     def perturbation_scaling():
         data = restricted()
-        grid = NaturalSplineGrid(-1.0, 1.0, cfg.inverse.sigma)
+        grid = NaturalSplineGrid(cfg.inverse.sigma)
         x_b, x_c = params.b(grid.knots), c_fn(grid.knots)
         probes = (
             (IDENTIFY_F, x_c, {"mobility": params.b}),

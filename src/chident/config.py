@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .data import DataError, data_mesh_cells
+from .data import DataError, checked_noise_level, data_mesh_cells
 from .forward import SolverError, step_count
-from .inverse import PROBLEM_KINDS, InverseError, checked_alpha_grid
+from .inverse import PROBLEM_KINDS, InverseError, checked_alpha, checked_alpha_grid
 from .meshbasis import AssemblyError, BasisError, MeshError, build_mesh
 from .model import (
     ModelError,
@@ -72,9 +72,6 @@ def layer_rule(path: str):
         yield
     except LAYER_ERRORS as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-_CATALOG_INITIALS = ("default", "constant")
 
 
 @dataclass
@@ -160,7 +157,7 @@ def _make_parameter(spec_str: str, path: str, default_factory):
                   for v in spec_str[len("spline:"):].split(",")]
         if len(values) < 3:
             raise ConfigError(f"{path}: spline needs at least three values")
-        grid = NaturalSplineGrid(-1.0, 1.0, 2.0 / (len(values) - 1))
+        grid = NaturalSplineGrid.with_knots(len(values))
         with layer_rule(path):
             return SplineParameter(grid, np.asarray(values))
     raise ConfigError(
@@ -310,16 +307,15 @@ def validate_config(cfg: RunConfig) -> None:
     # building the model checks gamma and the two parameter specs
     with layer_rule("forward.gamma"):
         cfg.model_params()
-    if fw.initial not in _CATALOG_INITIALS:
-        raise ConfigError(f"forward.initial: unknown id {fw.initial!r}")
+    cfg.initial_fn()  # checks the profile id
     with layer_rule("forward.n_cells"):
         build_mesh(fw.n_cells)
     with layer_rule("forward.t_end"):
         n_steps = step_count(fw.t_end, fw.tau)
     with layer_rule("data.factor"):
         data_mesh_cells(fw.n_cells, n_steps, db.factor)
-    if db.delta < 0:
-        raise ConfigError(f"data.delta: must be >= 0, got {db.delta}")
+    with layer_rule("data.delta"):
+        checked_noise_level(db.delta)
     if db.seed < 0:
         raise ConfigError(f"data.seed: must be >= 0, got {db.seed}")
     if db.times is not None and any(t <= 0 or t > fw.t_end for t in db.times):
@@ -332,10 +328,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"inverse.kind: {iv.kind!r} is not one of {', '.join(PROBLEM_KINDS)}"
         )
-    if iv.alpha is not None and iv.alpha <= 0:
-        raise ConfigError(f"inverse.alpha: must be positive, got {iv.alpha}")
+    if iv.alpha is not None:
+        with layer_rule("inverse.alpha"):
+            checked_alpha(iv.alpha)
     with layer_rule("inverse.sigma"):
-        NaturalSplineGrid(-1.0, 1.0, iv.sigma)
+        NaturalSplineGrid(iv.sigma)
     if iv.threshold < 0:
         raise ConfigError(f"inverse.threshold: must be >= 0, got {iv.threshold}")
     if not ob.directory:

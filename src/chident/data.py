@@ -42,6 +42,7 @@ from .meshbasis import (
     spline_node_values,
 )
 from .forward import Trajectory
+from .model import leaves_phase_interval
 
 
 class DataError(ValueError):
@@ -233,6 +234,13 @@ def _spline_h3_norm(basis: SpatialBasis, coef: np.ndarray) -> float:
 NOISE_MODES = 8
 
 
+def checked_noise_level(delta) -> float:
+    """``delta`` as a float, if it is a noise level: finite and nonnegative."""
+    if not 0.0 <= delta < np.inf:
+        raise DataError(f"noise level must be finite and nonnegative, got {delta}")
+    return float(delta)
+
+
 def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     """Add a separable perturbation eta(x, t) = p(x) q(t) to the snapshots.
 
@@ -250,8 +258,7 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
 
     Returns the perturbed container and the noise record.
     """
-    if not 0.0 <= delta < np.inf:
-        raise DataError(f"noise level must be finite and nonnegative, got {delta}")
+    checked_noise_level(delta)
     if delta == 0.0:
         same = replace(data, times=data.times.copy(), coef=data.coef.copy())
         return same, NoiseRecord(0.0, seed, 0.0, 0.0, 0.0, float(data.times[0]))
@@ -281,11 +288,8 @@ def inject_noise(data: ObservationData, delta: float, seed: int = 0):
     q = np.cos(omega * (data.times - t_peak))
 
     coef = data.coef + q[:, None] * p_coef[None, :]
-    vals = spline_node_values(coef)
-    if np.max(np.abs(vals)) >= 1.0:
-        raise DataError(
-            "perturbed snapshots leave the admissible phase range (-1, 1)"
-        )
+    if leaves_phase_interval(spline_node_values(coef)):
+        raise DataError("perturbed snapshots leave the phase interval [-1, 1]")
 
     sup_h3 = float(np.max(np.abs(q))) * delta
     dq = np.abs(np.diff(q)) / data.tau_data
@@ -765,8 +769,6 @@ def build_observability_report(
         idx = np.unique(np.linspace(1, data.n_times - 1, 5).astype(int))
         times = data.times[idx]
     times = np.asarray(sorted(float(t) for t in times))
-    if np.any(data.indices_of(times) == 0):
-        raise DataError("observability rows need a predecessor time")
     attained = attained_ranges(data, times)
     observable = observable_range(data, gamma, potential, times, threshold_rel=threshold_rel)
     fractions = (np.arange(LEVELS_PER_TIME) + 1.0) / (LEVELS_PER_TIME + 1.0)

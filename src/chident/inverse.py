@@ -25,6 +25,7 @@ from .model import (
     RegularizerGram,
     SplineParameter,
     assemble_param_gram,
+    leaves_phase_interval,
     mobility_floor,
     param_grid,
 )
@@ -39,14 +40,12 @@ PROBLEM_KINDS = (IDENTIFY_F, IDENTIFY_B, IDENTIFY_JOINT)
 # whose points stay in one knot piece, theta_j(phi) is a cubic of the cubic
 # phi, degree 9 in x, so theta_j(phi) phi' psi_i' (identify-f and the joint
 # c-block) has degree 13 and theta_j(phi) phi''' psi_i' (the joint b-block)
-# degree 11: 7 points integrate both exactly, and 8 keep every exactness
-# that 12 have.  Only cells whose phi crosses a knot value are integrated
-# inexactly, by any fixed rule: on the seed-0 noisy paper observation T
-# lies 5.0e-4 (f), 5.8e-4 (b) and 6.0e-4 (joint) from a 48-point assembly,
-# relative in the Frobenius norm, against 1.2e-4, 9.7e-5 and 1.4e-4 at 12
-# points.  The known parameter in identify-b's operator and identify-f's
-# mobility term raises their degree past what either rule integrates
-# exactly.
+# degree 11: 7 points integrate both exactly.  Only cells whose phi crosses
+# a knot value are integrated inexactly, by any fixed rule: on the seed-0
+# noisy paper observation T lies 5.0e-4 (f), 5.8e-4 (b) and 6.0e-4 (joint)
+# from a 48-point assembly, relative in the Frobenius norm.  The known
+# parameter in identify-b's operator and identify-f's mobility term raises
+# their degree past what the rule integrates exactly.
 N_QUAD = 8
 # Gauss-Legendre points per interval of ``range_restricted_error``, and
 # the rule on [-1, 1], built once
@@ -220,16 +219,6 @@ def select_indices(data: ObservationData, times) -> np.ndarray:
     return idx
 
 
-def _check_phase_values(data: ObservationData, idx: np.ndarray):
-    vals = spline_node_values(data.coef[idx])
-    if not np.all(np.isfinite(vals)):
-        raise InverseError("data values are not finite")
-    if np.max(np.abs(vals)) > 1.0:
-        raise InverseError(
-            f"data values leave [-1, 1] (max |phi| = {np.max(np.abs(vals)):.6f})"
-        )
-
-
 # observation times per assembly block, halved for the joint problem's two
 # column blocks.  The block's (point, 2 width) piece-relative local-weight
 # rows, 0.51 MB on the paper grid, and the four scaled local weights beside
@@ -262,9 +251,15 @@ def _assemble(
     into ``T``, once per block of times.
     """
     idx = select_indices(data, times)
-    _check_phase_values(data, idx)
-    if grid is None:
-        grid = param_grid()
+    vals = spline_node_values(data.coef[idx])
+    if not np.all(np.isfinite(vals)):
+        raise InverseError("data values are not finite")
+    if leaves_phase_interval(vals):
+        raise InverseError(
+            "data values leave the phase interval [-1, 1] "
+            f"(max |phi| = {np.max(np.abs(vals)):.6f})"
+        )
+    grid = param_grid() if grid is None else grid
     tabs = [gauss_table(data.basis, N_QUAD, r) for r in (0, 1, 3)]
     cell_dofs, psi1 = tabs[1].cell_dofs, tabs[1].table
     n_cells, n_local = cell_dofs.shape
@@ -472,8 +467,7 @@ def tikhonov_solve(problem: AssembledProblem, alpha: float) -> RegularizedSoluti
     Applies the filter factors s / (s^2 + alpha) of the cached standard
     form; both norms come in closed form (``_filtered``).
     """
-    if not alpha > 0.0:
-        raise InverseError(f"alpha must be positive, got {alpha}")
+    checked_alpha(alpha)
     sf = problem.standard_form()
     z, residual_norm, solution_norm = _filtered(sf, alpha)
     x = solve_triangular(sf.L, sf.vt.T @ z, lower=True, trans="T")
@@ -527,6 +521,13 @@ class LCurve:
 
 def default_alpha_grid() -> np.ndarray:
     return np.logspace(-4, -12, 16)
+
+
+def checked_alpha(alpha) -> float:
+    """``alpha`` as a float, if it is a Tikhonov weight: positive."""
+    if not alpha > 0.0:
+        raise InverseError(f"alpha must be positive, got {alpha}")
+    return float(alpha)
 
 
 def checked_alpha_grid(alphas) -> np.ndarray:

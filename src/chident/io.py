@@ -158,12 +158,7 @@ def load_observation(path) -> ObservationData:
 
 def fmt_float(v) -> str:
     """Shortest decimal string that round-trips to the same float."""
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    return repr(float(v))
 
 
 def _cell(v) -> str:

@@ -9,7 +9,7 @@ spline grid provides the Tikhonov penalty.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -23,8 +23,10 @@ N_QUAD = 8
 # Gauss points per knot span of the parameter gram: exact for its
 # piecewise-cubic products
 PARAM_GRAM_QUAD = 4
-# points sampled evenly over the phase range [-1, 1] by ``mobility_floor``
+# points sampled evenly over the phase interval by ``mobility_floor``
 MOBILITY_SAMPLES = 2001
+# every knot grid spans the phase interval, and observed snapshots stay in it
+PHASE_INTERVAL = (-1.0, 1.0)
 
 
 class ParameterError(ValueError):
@@ -56,61 +58,54 @@ class ClosedFormParameter:
 
 
 class NaturalSplineGrid:
-    """Uniform knot grid for natural cubic spline parameter functions.
+    """Uniform knot grid on the phase interval for natural cubic splines.
 
-    A function in this space is stored by its knot values; the linear map
-    to second derivatives at the knots (zero at both ends) is cached as a
-    dense matrix, so point evaluation of values and derivatives reduces
-    to matrix-vector products.  Outside the knot interval the boundary
-    cubic is extended.
+    The grid spans ``PHASE_INTERVAL``, so its spacing alone sets it, and
+    building one only checks the spacing.  A function in this space is
+    stored by its knot values; the knots and the dense map to second
+    derivatives at the knots (zero at both ends) are built on first read.
+    Outside the knot interval the boundary cubic is extended.
     """
 
-    def __init__(self, lo: float = -1.0, hi: float = 1.0, spacing: float = 0.1):
-        if not hi > lo:
-            raise ParameterError("empty knot interval")
+    lo, hi = PHASE_INTERVAL
+
+    def __init__(self, spacing: float):
         if not spacing > 0.0:
             raise ParameterError(f"spacing must be positive, got {spacing}")
-        n_span = (hi - lo) / spacing
+        n_span = (self.hi - self.lo) / spacing
         n_round = round(n_span)
         if abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):
             raise ParameterError(
-                f"spacing {spacing} does not evenly divide [{lo}, {hi}]"
+                f"spacing {spacing} does not evenly divide [{self.lo}, {self.hi}]"
             )
         if n_round < 2:
             raise ParameterError(
-                f"need 0 < sigma <= {(hi - lo) / 2:g}, got {spacing}: "
+                f"need 0 < sigma <= {(self.hi - self.lo) / 2:g}, got {spacing}: "
                 "the grid needs at least two knot spans"
             )
-        self.lo = float(lo)
-        self.hi = float(hi)
         self.n_knots = n_round + 1
-        self.knots = np.linspace(lo, hi, self.n_knots)
-        self.spacing = (hi - lo) / n_round
-        self._curvature_map = self._build_curvature_map()
+        self.spacing = (self.hi - self.lo) / n_round
 
-    def _build_curvature_map(self) -> np.ndarray:
-        """Map knot values to knot second derivatives (natural closure)."""
-        n = self.n_knots
-        sig = self.spacing
-        d = np.zeros((n, n))
-        m = n - 2
-        # tridiagonal system: m_{j-1} + 4 m_j + m_{j+1} = 6 (d2 v)_j / sig^2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = 1.0
-        ab[1, :] = 4.0
-        ab[2, :-1] = 1.0
-        rhs = np.zeros((m, n))
-        for j in range(m):
-            rhs[j, j] += 6.0 / sig**2
-            rhs[j, j + 1] -= 12.0 / sig**2
-            rhs[j, j + 2] += 6.0 / sig**2
-        d[1:-1, :] = solve_banded((1, 1), ab, rhs)
-        return d
+    @classmethod
+    def with_knots(cls, n_knots: int) -> "NaturalSplineGrid":
+        """The grid of ``n_knots`` evenly spaced knots."""
+        return cls((cls.hi - cls.lo) / (n_knots - 1))
 
-    @property
+    @cached_property
+    def knots(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.n_knots)
+
+    @cached_property
     def curvature_map(self) -> np.ndarray:
-        """(n_knots, n_knots) map from knot values to knot second derivatives."""
-        return self._curvature_map
+        """(n_knots, n_knots) map from knot values to knot second derivatives
+        (natural closure): one banded solve of the tridiagonal system
+        m_{j-1} + 4 m_j + m_{j+1} = (6 / sig^2) (v_{j-1} - 2 v_j + v_{j+1})
+        for the interior knots, all knot-value columns at once."""
+        n, m = self.n_knots, self.n_knots - 2
+        ab = np.repeat([[1.0], [4.0], [1.0]], m, axis=1)  # two corners unread
+        rhs = 6.0 / self.spacing**2 * (np.eye(m, n) - 2.0 * np.eye(m, n, 1) + np.eye(m, n, 2))
+        zero = np.zeros(n)
+        return np.vstack([zero, solve_banded((1, 1), ab, rhs), zero])
 
     def local_weights(self, s, order: int = 0):
         """Knot piece of each point and its four local spline weights.
@@ -159,14 +154,15 @@ class NaturalSplineGrid:
         # in-place addition need no np.add.at
         m_part[rows, piece] = m_left
         m_part[rows, piece + 1] = m_right
-        out = m_part @ self._curvature_map
+        out = m_part @ self.curvature_map
         out[rows, piece] += v_left
         out[rows, piece + 1] += v_right
         return out
 
 
-def param_grid(lo: float = -1.0, hi: float = 1.0, spacing: float = 0.1) -> NaturalSplineGrid:
-    return NaturalSplineGrid(lo, hi, spacing)
+def param_grid(spacing: float = 0.1) -> NaturalSplineGrid:
+    """The knot grid at ``spacing``, by default the paper's 21 knots."""
+    return NaturalSplineGrid(spacing)
 
 
 class SplineParameter:
@@ -205,8 +201,13 @@ class ModelParams:
 
 
 def mobility_floor(b) -> float:
-    """Minimum of the mobility over a dense sample of [-1, 1]."""
-    return float(np.min(b(np.linspace(-1.0, 1.0, MOBILITY_SAMPLES))))
+    """Minimum of the mobility over a dense sample of the phase interval."""
+    return float(np.min(b(np.linspace(*PHASE_INTERVAL, MOBILITY_SAMPLES))))
+
+
+def leaves_phase_interval(values) -> bool:
+    """Whether any value, or a NaN, lies outside the closed interval [-1, 1]."""
+    return not np.all((values >= PHASE_INTERVAL[0]) & (values <= PHASE_INTERVAL[1]))
 
 
 def scale_params(params: ModelParams, d: float, c: float = 0.0) -> ModelParams:
@@ -282,16 +283,15 @@ def assemble_param_gram(grid: NaturalSplineGrid) -> RegularizerGram:
     """H2 gram over the knot interval: orders 0, 1, 2 of the spline basis.
 
     ``PARAM_GRAM_QUAD`` Gauss points per knot span integrate the
-    piecewise-cubic products exactly.  The gram is built once per (lo,
-    hi, knot count) and shared, read-only, by every caller with an equal
-    grid.
+    piecewise-cubic products exactly.  The gram is built once per knot
+    count and shared, read-only, by every caller with an equal grid.
     """
-    return _param_gram(grid.lo, grid.hi, grid.n_knots)
+    return _param_gram(grid.n_knots)
 
 
 @lru_cache(maxsize=16)
-def _param_gram(lo: float, hi: float, n_knots: int) -> RegularizerGram:
-    grid = NaturalSplineGrid(lo, hi, (hi - lo) / (n_knots - 1))
+def _param_gram(n_knots: int) -> RegularizerGram:
+    grid = NaturalSplineGrid.with_knots(n_knots)
     g, wref = np.polynomial.legendre.leggauss(PARAM_GRAM_QUAD)
     u = 0.5 * (g + 1.0)
     sig = grid.spacing

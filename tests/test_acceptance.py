@@ -303,7 +303,7 @@ def test_criterion_11_dual_route_agreement(reference_data, params, window_times)
         dev_toy = max(dev_toy, np.linalg.norm(xc - xd) / np.linalg.norm(xd))
 
     # assembled nine-column problem from the reference data
-    grid9 = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid9 = NaturalSplineGrid(0.25)
     real = assemble_identify_f(reference_data, GAMMA, params.b,
                                window_times[::10], grid9)
     dev_real = 0.0

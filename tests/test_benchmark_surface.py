@@ -72,6 +72,13 @@ def test_report_reaches_level_crossings_through_the_module(
         assert np.array_equal(cubics.phi[cubics.rows[i]], own_cubics), i
 
 
+def test_default_param_grid():
+    # pipeline.py builds its grid and sizes its joint columns by calling
+    # param_grid() with no arguments: the paper grid of 21 knots
+    grid = model.param_grid()
+    assert grid.n_knots == 21 and grid.spacing == 0.1
+
+
 def test_assembly_and_solver_calls(reference_data, params, window_times):
     times = window_times[:3]
     grid = model.param_grid()

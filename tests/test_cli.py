@@ -224,7 +224,7 @@ def test_identify_report_singular_values(pipeline):
     report = json.loads((out / "identify_report.json").read_text())
     assert "cg_iterations" not in report
     s = np.array(report["singular_values"])
-    assert len(s) == NaturalSplineGrid(-1.0, 1.0, 0.25).n_knots
+    assert len(s) == NaturalSplineGrid(0.25).n_knots
     assert np.all(s > 0) and np.all(np.diff(s) <= 0)
     alpha = report["alpha"]
     assert report["effective_rank"] == pytest.approx(np.sum(s**2 / (s**2 + alpha)), rel=1e-12)

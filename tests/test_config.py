@@ -1,5 +1,7 @@
 """Key=value configuration parsing, validation, and round-tripping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -94,6 +96,7 @@ def test_build_config_overrides_and_unknown_keys():
     ({"forward.potential": "spline:1,1"}, "forward.potential: spline needs at least three"),
     ({"forward.mobility": "spline:nan,1,1"}, "forward.mobility: .*must be finite"),
     ({"forward.potential": "spline:1,inf,1"}, "forward.potential: .*must be finite"),
+    ({"forward.initial": "bogus"}, "forward.initial: unknown profile id 'bogus'"),
 ])
 def test_validation_errors(overrides, fragment):
     base = {"forward.n_cells": "200", "forward.tau": "2e-5",
@@ -101,6 +104,18 @@ def test_validation_errors(overrides, fragment):
     base.update(overrides)
     with pytest.raises(ConfigError, match=fragment):
         build_config(base)
+
+
+def test_fine_sigma_loads_without_building_the_grid_maps():
+    # the knot grid checks its spacing at load; its dense (1001, 1001)
+    # curvature map, 8 MB, is built only when an assembly reads it
+    tracemalloc.start()
+    try:
+        build_config({"inverse.sigma": "0.002"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_retired_output_formats_key_warns_and_is_dropped():
@@ -276,7 +291,7 @@ def test_accepted_configs_pass_the_layer_rules(steps, offset, tau, n_cells, fact
         return
     build_mesh(n_cells)
     data_mesh_cells(n_cells, step_count(t_end, tau), factor)
-    NaturalSplineGrid(-1.0, 1.0, sigma)
+    NaturalSplineGrid(sigma)
 
 
 def test_initial_profile_options():

@@ -16,7 +16,7 @@ from chident.meshbasis import (
 from sparse_oracle import assembled_gram, basis_matrix, dual_norm_sq, gauss_points, weighted_gram
 from chident.model import NaturalSplineGrid, SplineParameter, default_params, param_grid
 from chident import inverse
-from chident.data import ObservationData, attained_ranges
+from chident.data import DataError, ObservationData, attained_ranges, inject_noise
 from chident.inverse import (
     InverseError,
     assemble_identify_f,
@@ -209,6 +209,23 @@ def test_assembly_rejects_out_of_range_data():
         assemble_identify_f(data, GAMMA, params.b, [1e-4])
 
 
+def test_noise_and_assembly_share_the_closed_phase_interval():
+    # equal spline coefficients v give node values of exactly v
+    basis = cubic_spline_basis(build_mesh(8))
+
+    def constant(v):
+        return ObservationData(basis=basis, times=np.array([0.0, 1e-4]),
+                               coef=np.full((2, basis.dof_count), v), tau_data=1e-4)
+
+    params = default_params(GAMMA)
+    for v in (1.0, -1.0):
+        assemble_identify_f(constant(v), GAMMA, params.b, [1e-4])
+    with pytest.raises(InverseError, match=r"phase interval \[-1, 1\]"):
+        assemble_identify_f(constant(np.nextafter(1.0, 2.0)), GAMMA, params.b, [1e-4])
+    with pytest.raises(DataError, match=r"phase interval \[-1, 1\]"):
+        inject_noise(constant(0.9), 1e3, seed=0)
+
+
 def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
                        n_quad=inverse.N_QUAD):
     """Reference (T, y): one time at a time, from sparse evaluation matrices."""
@@ -255,14 +272,10 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
     pick = np.random.default_rng(5).permutation(len(window_times))[:n_times]
     times = window_times[pick]
     assert np.any(np.diff(times) < 0)
-    # the narrow grid puts Gauss-point values beyond its end knots, where
-    # the boundary pieces are extended; on the fine grid an interface cell
-    # spans up to 16 pieces, so the row width is far above its paper-grid
-    # value, and cells where phi nears 1 sit in the last piece, where p0 is
-    # clamped
-    grids = (param_grid(), NaturalSplineGrid(-0.5, 0.5, 0.25),
-             NaturalSplineGrid(-1.0, 1.0, 0.02))
-    for grid in grids:
+    # on the fine grid an interface cell spans up to 16 pieces, so the row
+    # width is far above its paper-grid value, and cells where phi nears 1
+    # sit in the last piece, where p0 is clamped
+    for grid in (param_grid(), NaturalSplineGrid(0.02)):
         # the b weight mu' = gamma phi''' - F''(phi) phi' nearly cancels where
         # phi is near a well, so the two routes' rounding of phi' (summed in
         # different orders) shows there, most on the fine grid (1.3e-13)
@@ -317,7 +330,7 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
     ])
     data = ObservationData(basis=basis, times=1e-4 * np.arange(len(amps)),
                            coef=coef, tau_data=1e-4)
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.02)
+    grid = NaturalSplineGrid(0.02)
     times = data.times[1:]
     problem = _assemble_kind(data, kind, times, grid, params)
     t_ref, y_ref = _assemble_per_time(
@@ -369,7 +382,7 @@ def _fold_per_block(problem):
 
 
 def test_chunked_fold_matches_per_block_fold(reference_data, params, window_times):
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     # two full QR chunks and a partial one: the second, with R already
     # k + 1 rows, fills the whole fold buffer, which dgeqrt overwrites in place
     n_times = 2 * inverse._FOLD_CHUNK + 3
@@ -389,7 +402,7 @@ def test_chunked_fold_matches_per_block_fold(reference_data, params, window_time
 def test_fold_with_fewer_rows_than_columns(reference_data, params, window_times):
     # one time on the 0.02 grid: 100 whitened rows against 102 columns, so
     # dgeqrt returns a 100-row trapezoid and the last two R rows are padding
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.02)
+    grid = NaturalSplineGrid(0.02)
     problem = assemble_identify_f(reference_data, GAMMA, params.b,
                                   window_times[100:101], grid)
     k = problem.n_cols
@@ -410,7 +423,7 @@ def test_standard_form_factors_no_gram_again(reference_data, params, window_time
     data = ObservationData(reference_data.basis, reference_data.times,
                            reference_data.coef, reference_data.tau_data)
     problem = assemble_identify_joint(data, GAMMA, window_times[::40],
-                                      NaturalSplineGrid(-1.0, 1.0, 0.25))
+                                      NaturalSplineGrid(0.25))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the standard form must reuse the stored factors")
@@ -431,7 +444,7 @@ def test_standard_form_factors_no_gram_again(reference_data, params, window_time
 
 def test_rejected_qr_argument_raises(reference_data, params, window_times, monkeypatch):
     problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times[::40],
-                                  NaturalSplineGrid(-1.0, 1.0, 0.25))
+                                  NaturalSplineGrid(0.25))
     calls = []
 
     def bad_argument(nb, a, overwrite_a=0):
@@ -446,7 +459,7 @@ def test_rejected_qr_argument_raises(reference_data, params, window_times, monke
 
 def test_weighted_misfit_matches_sparse_gram_solve(reference_data, params, window_times):
     problem = assemble_identify_f(reference_data, GAMMA, params.b, window_times[::40],
-                                  NaturalSplineGrid(-1.0, 1.0, 0.25))
+                                  NaturalSplineGrid(0.25))
     grams = problem.grams
     h1 = (assembled_gram(grams.basis, grams.m_local)
           + assembled_gram(grams.basis, grams.k_local)).tocsr()
@@ -478,7 +491,7 @@ def test_rho0_is_the_least_squares_residual(reference_data, params, window_times
 
 
 def test_problem_shapes_and_cache(reference_data, params, window_times):
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     times = window_times[::40]
     problem = assemble_identify_f(reference_data, GAMMA, params.b, times, grid)
     assert problem.kind == "identify-f"
@@ -502,7 +515,7 @@ def test_problem_shapes_and_cache(reference_data, params, window_times):
 
 
 def test_real_problem_routes_agree(reference_data, params, window_times):
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     problem = assemble_identify_f(reference_data, GAMMA, params.b,
                                   window_times[::40], grid)
     for alpha in (1e-2, 1e-4):
@@ -548,7 +561,7 @@ def test_paper_alpha_matches_dense_stacked_lstsq(reference_data, params, window_
 
 
 def test_joint_split_and_guard(reference_data, window_times):
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     problem = assemble_identify_joint(reference_data, GAMMA, window_times[::40], grid)
     assert problem.n_cols == 2 * grid.n_knots
     sol = tikhonov_solve(problem, 1e-6)

@@ -223,9 +223,14 @@ def test_fmt_float_shortest_roundtrip():
         assert float(s) == v
     assert chio.fmt_float(0.1) == "0.1"
     assert chio.fmt_float(2e-5) == "2e-05"
-    assert chio.fmt_float(float("nan")) == "nan"
-    assert chio.fmt_float(float("inf")) == "inf"
-    assert chio.fmt_float(float("-inf")) == "-inf"
+
+
+@pytest.mark.parametrize("v, text", [
+    (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (-0.0, "-0.0"), (1e-300, "1e-300"), (np.float64("nan"), "nan"),
+])
+def test_fmt_float_special_values(v, text):
+    assert chio.fmt_float(v) == text
 
 
 def test_write_csv_bytes(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from chident.meshbasis import (
     build_mesh,
@@ -18,6 +19,7 @@ from chident.model import (
     ModelError,
     ModelParams,
     NaturalSplineGrid,
+    PHASE_INTERVAL,
     ParameterError,
     RegularizerGram,
     SplineParameter,
@@ -25,6 +27,7 @@ from chident.model import (
     default_initial_profile,
     default_params,
     energy,
+    leaves_phase_interval,
     mass,
     mobility_floor,
     param_grid,
@@ -94,8 +97,35 @@ def test_closed_forms_match_literal_powers(which):
         assert np.max(np.abs(p(s, order) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _curvature_map_per_row(grid):
+    """Reference: the knot second-derivative map with its right-hand side
+    filled one row at a time (the former construction)."""
+    n, sig = grid.n_knots, grid.spacing
+    m = n - 2
+    ab = np.zeros((3, m))
+    ab[0, 1:] = 1.0
+    ab[1, :] = 4.0
+    ab[2, :-1] = 1.0
+    rhs = np.zeros((m, n))
+    for j in range(m):
+        rhs[j, j] += 6.0 / sig**2
+        rhs[j, j + 1] -= 12.0 / sig**2
+        rhs[j, j + 2] += 6.0 / sig**2
+    d = np.zeros((n, n))
+    d[1:-1, :] = solve_banded((1, 1), ab, rhs)
+    return d
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.25, 2.0 / 3.0, 0.02, 0.025])
+def test_curvature_map_matches_per_row_construction(spacing):
+    # 12 / sig^2 is 2 (6 / sig^2) exactly, so the two agree bit for bit
+    grid = NaturalSplineGrid(spacing)
+    assert np.array_equal(grid.curvature_map, _curvature_map_per_row(grid))
+    assert grid.knots[0] == -1.0 and grid.knots[-1] == 1.0
+
+
 def test_natural_spline_grid_matches_reference():
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     assert grid.n_knots == 9
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(grid.n_knots)
@@ -148,7 +178,7 @@ def _eval_matrix_add_at(grid, s, order):
     np.add.at(v_part, (rows, piece + 1), v_right)
     np.add.at(m_part, (rows, piece), m_left)
     np.add.at(m_part, (rows, piece + 1), m_right)
-    return v_part + m_part @ grid._curvature_map
+    return v_part + m_part @ grid.curvature_map
 
 
 @settings(max_examples=50)
@@ -158,7 +188,7 @@ def _eval_matrix_add_at(grid, s, order):
     data=st.data(),
 )
 def test_eval_matrix_matches_add_at_construction(spacing, order, data):
-    grid = NaturalSplineGrid(-1.0, 1.0, spacing)
+    grid = NaturalSplineGrid(spacing)
     inside = st.floats(-1.0, 1.0, allow_nan=False)
     beyond = st.floats(-3.0, 3.0, allow_nan=False)
     knots = st.sampled_from(list(grid.knots))
@@ -184,17 +214,24 @@ def test_mass_and_energy_match_basis_matrix_quadrature(make_basis, n_cells):
         assert abs(energy(phi, params) - e_ref) <= 1e-14 * abs(e_ref)
 
 
+def test_phase_interval_is_closed():
+    lo, hi = PHASE_INTERVAL
+    assert not leaves_phase_interval(np.array([lo, 0.0, hi]))
+    for bad in (np.nextafter(hi, 2.0), np.nextafter(lo, -2.0), np.nan):
+        assert leaves_phase_interval(np.array([0.0, bad]))
+
+
 def test_spline_parameter_validation():
     grid = param_grid()
     with pytest.raises(ParameterError):
         SplineParameter(grid, np.ones(5))
     # one knot span divides [-1, 1] evenly but leaves no interior knot
     with pytest.raises(ParameterError, match="at least two knot spans"):
-        NaturalSplineGrid(-1.0, 1.0, 2.0)
+        NaturalSplineGrid(2.0)
     with pytest.raises(ParameterError, match="evenly divide"):
-        NaturalSplineGrid(-1.0, 1.0, 0.3)
+        NaturalSplineGrid(0.3)
     with pytest.raises(ParameterError, match="spacing must be positive"):
-        NaturalSplineGrid(-1.0, 1.0, 0.0)
+        NaturalSplineGrid(0.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
@@ -246,7 +283,7 @@ def test_scale_params_spline_branch():
 
 
 def test_param_gram_is_spd_h2():
-    grid = NaturalSplineGrid(-1.0, 1.0, 0.25)
+    grid = NaturalSplineGrid(0.25)
     reg = assemble_param_gram(grid)
     r = reg.R
     assert np.allclose(r, r.T, atol=1e-12)
@@ -261,7 +298,7 @@ def test_param_gram_is_spd_h2():
 
 
 def test_param_gram_keeps_its_cholesky_factor():
-    reg = assemble_param_gram(NaturalSplineGrid(-1.0, 1.0, 0.1))
+    reg = assemble_param_gram(NaturalSplineGrid(0.1))
     assert not reg.L.flags.writeable and not reg.R.flags.writeable
     assert np.array_equal(reg.L, np.tril(reg.L))
     assert np.max(np.abs(reg.L @ reg.L.T - reg.R)) <= 1e-13 * np.max(np.abs(reg.R))
@@ -282,7 +319,7 @@ _LITERAL_WEIGHTS = (
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("spacing", [0.02, 0.1, 0.25, 2.0 / 3.0])
 def test_local_weights_match_literal_powers(spacing, order):
-    grid = NaturalSplineGrid(-1.0, 1.0, spacing)
+    grid = NaturalSplineGrid(spacing)
     # inside the grid and up to 3 beyond either end, where the end pieces
     # extend with u far outside [0, 1]
     s = np.concatenate([np.linspace(-1.0, 1.0, 2001), np.linspace(-4.0, 4.0, 2001)])
