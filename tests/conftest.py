@@ -32,6 +32,18 @@ T_END = 0.02
 DATA_FACTOR = 2
 WINDOW_END = 0.008
 
+# (factorizations, band solves, bisections) of the three pinned forward
+# runs: the 64-cell short run (default profile, 20 steps of 2e-5, the run
+# of the CLI tests' small config), the first 25 paper steps (the
+# benchmark's forward workload) and the 1000-step ``reference_run``.  The
+# forward bits do not depend on the OpenBLAS thread count, so neither do
+# the counts.
+WORK_PINS = {
+    "short": (21, 45, 0),
+    "paper_25": (26, 55, 0),
+    "reference": (519, 1861, 0),
+}
+
 ACCEPTANCE_LINES = []
 
 settings.register_profile("chident", deadline=None, print_blob=True)

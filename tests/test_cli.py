@@ -14,6 +14,8 @@ from chident import cli
 from chident.data import DataError
 from chident.model import NaturalSplineGrid
 
+from conftest import WORK_PINS
+
 SMALL_CFG = """
 forward.n_cells = 64
 forward.tau = 2e-5
@@ -57,7 +59,7 @@ def test_simulate_outputs(pipeline):
     assert report["energy_monotone"] is True
     assert "config_text" in report
     solver = report["solver"]
-    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == (21, 65, 0)
+    assert (solver["factorizations"], solver["solves"], solver["bisections"]) == WORK_PINS["short"]
     assert solver["max_newton_iters"] >= 1
     assert 0.0 < solver["worst_residual"] <= 1e-12
     assert solver["min_mobility"] > 0.0
@@ -177,6 +179,20 @@ def test_non_finite_spline_values_exit_1_without_traceback(tmp_path, capsys):
         assert run.stderr.startswith(f"error: {key}: ")
         assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
         assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["5e-324", "1e-300"])
+def test_tiny_sigma_exits_1_without_traceback(pipeline, tmp_path, capsys, sigma):
+    """A knot spacing whose span count overflows a float (5e-324) or an
+    index (1e-300) is one error line naming the key, at load."""
+    _, out = pipeline
+    body = SMALL_CFG.replace("inverse.sigma = 0.25", f"inverse.sigma = {sigma}")
+    cfg, _ = _write_cfg(tmp_path, body, name="tiny_sigma.cfg")
+    run = _run_main(capsys, "identify", "--config", str(cfg),
+                    "--observation", str(out / "observation.bin"))
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: inverse.sigma: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 def test_config_file_not_utf8_exits_1_without_traceback(tmp_path):

@@ -44,7 +44,7 @@ from chident.forward import (
     verify_scaling_invariance,
 )
 
-from conftest import eval_field
+from conftest import WORK_PINS, eval_field
 
 
 @pytest.fixture(scope="module")
@@ -485,28 +485,22 @@ def test_guess_is_exact_on_cubic_states_and_keeps_mass(monkeypatch):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _work(traj):
+    stats = traj.telemetry
+    return stats.factorizations, stats.solves, stats.bisections
+
+
 def test_paper_preset_first_steps_are_pinned():
     # the forward workload of the benchmark: the first 25 paper steps
     cfg = config.paper_preset()
     phi0 = interpolate(quadratic_fe(build_mesh(cfg.forward.n_cells)), cfg.initial_fn())
     tau = cfg.forward.tau
-    stats = simulate(phi0, cfg.model_params(), t_end=25 * tau, tau=tau).telemetry
-    assert (stats.factorizations, stats.solves, stats.bisections) == (26, 80, 0)
+    assert _work(simulate(phi0, cfg.model_params(), t_end=25 * tau, tau=tau)) \
+        == WORK_PINS["paper_25"]
 
 
 def test_reference_run_work_is_pinned(reference_run):
-    # the shared 1000-step paper run: factorizations, solves, bisections;
-    # the forward bits do not depend on the OpenBLAS thread count (see
-    # test_forward_bits_ignore_blas_thread_count), so neither do the counts
-    stats = reference_run[0].telemetry
-    assert (stats.factorizations, stats.solves, stats.bisections) == (538, 2852, 0)
-
-
-# Factorizations (= Jacobian builds) and band solves (= Newton updates) of
-# the short 64-cell run under the chord rule, each step after the first
-# started from the polynomial extrapolation of the last states
-SHORT_RUN_FACTORIZATIONS = 21
-SHORT_RUN_SOLVES = 65
+    assert _work(reference_run[0]) == WORK_PINS["reference"]
 
 
 def test_newton_count_is_pinned_and_runs_are_deterministic():
@@ -514,10 +508,29 @@ def test_newton_count_is_pinned_and_runs_are_deterministic():
     phi0 = interpolate(quadratic_fe(build_mesh(64)), default_initial_profile)
     runs = [simulate(phi0, params, t_end=4e-4, tau=2e-5) for _ in range(2)]
     for run in runs:
-        assert run.telemetry.factorizations == SHORT_RUN_FACTORIZATIONS
-        assert run.telemetry.solves == SHORT_RUN_SOLVES
-        assert run.telemetry.bisections == 0
+        assert _work(run) == WORK_PINS["short"]
     assert runs[0].n_states == 21
     assert runs[0].telemetry == runs[1].telemetry
     assert np.array_equal(runs[0].phi, runs[1].phi)
     assert np.array_equal(runs[0].mu, runs[1].mu)
+
+
+def test_step_ends_after_its_first_update_from_a_converged_start():
+    # the uniform state is a steady state: every step starts with a residual
+    # under the tolerance and still makes the one update that ties its mass
+    # to phi_n, from the one factor built at the first step
+    phi0 = interpolate(quadratic_fe(build_mesh(64)), lambda x: np.full_like(x, 0.1))
+    traj = simulate(phi0, default_params(0.003), t_end=20 * 2e-5, tau=2e-5)
+    assert _work(traj) == (1, 20, 0)
+    assert traj.telemetry.max_newton_iters == 1
+    masses = mass_series(traj)
+    assert np.max(np.abs(masses - masses[0])) <= 1e-15
+
+
+def test_reference_run_ends_steps_converged_with_exact_mass(reference_run):
+    # a step ends at its first residual under the tolerance after an update,
+    # and that update leaves the mass of phi_n to rounding
+    traj = reference_run[0]
+    assert 0.0 < traj.telemetry.worst_residual <= forward.NEWTON_TOL
+    masses = mass_series(traj)
+    assert np.max(np.abs(masses - masses[0])) <= 1e-14 * abs(masses[0])
