@@ -3,9 +3,12 @@
 Subcommands: ``simulate`` (forward run), ``make-data`` (observation
 grid + diagnostics), ``identify`` (assemble/solve/post-process),
 ``lcurve`` (regularization-parameter sweep), ``verify`` (invariant
-suite).  Exit codes: 0 success, 1 configuration/validation error or an
-unreadable/unwritable path, 2 numerical failure, 3 invariant-suite
-failure.
+suite).  ``main`` loads the configuration, makes the output directory,
+runs the command, writes ``<command>_report.json`` with the configuration
+echo, and prints the command's summary line with the wall time.  Exit
+codes: 0 success, 1 configuration/validation error, a malformed command
+line or an unreadable/unwritable path, 2 numerical failure, 3
+invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .data import (
     restrict_to_data_grid,
 )
 from .inverse import (
+    B_FLOOR,
     IDENTIFY_B,
     IDENTIFY_F,
     IDENTIFY_JOINT,
@@ -92,23 +96,12 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    d = Path(cfg.output.directory)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _echo(cfg: RunConfig) -> dict:
-    return {"config": cfg.as_dict(), "config_text": config_text(cfg)}
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the loaded configuration, the parsed arguments
+# and the output directory, and returns its report fields, its summary
+# line and its exit code
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_simulate(cfg: RunConfig, args, out: Path):
     params = cfg.model_params()
     fe = quadratic_fe(build_mesh(cfg.forward.n_cells))
     phi0 = interpolate(fe, cfg.initial_fn())
@@ -118,7 +111,6 @@ def cmd_simulate(args) -> int:
     energies = energy_series(traj, params)
     increases = np.diff(energies)
     report = {
-        **_echo(cfg),
         "n_steps": traj.n_states - 1,
         "mass_initial": masses[0],
         "mass_drift_max": float(np.max(np.abs(masses - masses[0]))),
@@ -130,20 +122,14 @@ def cmd_simulate(args) -> int:
         "trajectory_file": "trajectory.bin",
     }
     chio.save_trajectory(traj, out / "trajectory.bin")
-    chio.write_json_report(out / "simulate_report.json", report)
-    wall = time.perf_counter() - t0
-    print(
+    return report, (
         f"simulate: {report['n_steps']} steps, mass drift "
         f"{report['mass_drift_max']:.3e}, max energy increase "
-        f"{report['max_energy_increase']:.3e}  [{wall:.1f}s]"
-    )
-    return 0
+        f"{report['max_energy_increase']:.3e}"
+    ), 0
 
 
-def cmd_make_data(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_make_data(cfg: RunConfig, args, out: Path):
     traj_path = Path(args.trajectory) if args.trajectory else out / "trajectory.bin"
     traj = chio.load_trajectory(traj_path)
     # the trajectory on disk need not come from this configuration
@@ -161,7 +147,6 @@ def cmd_make_data(args) -> int:
     chio.save_observation(data, out / "observation.bin")
     chio.diagnostics_csv(report_obj, out / "diagnostics.csv")
     report = {
-        **_echo(cfg),
         "provenance": data.provenance,
         "delta": data.delta,
         "interp_sup": data.interp_sup,
@@ -172,13 +157,10 @@ def cmd_make_data(args) -> int:
         "observation_file": "observation.bin",
         "diagnostics_file": "diagnostics.csv",
     }
-    chio.write_json_report(out / "make_data_report.json", report)
-    wall = time.perf_counter() - t0
-    print(
+    return report, (
         f"make-data: {data.n_times} snapshots on {data.basis.mesh.n_cells} cells, "
-        f"provenance {data.provenance}  [{wall:.1f}s]"
-    )
-    return 0
+        f"provenance {data.provenance}"
+    ), 0
 
 
 def _selected_times(cfg: RunConfig, data) -> np.ndarray:
@@ -194,9 +176,8 @@ def _selected_times(cfg: RunConfig, data) -> np.ndarray:
     return times
 
 
-def _load_problem(cfg: RunConfig, args):
+def _load_problem(cfg: RunConfig, args, out: Path):
     """Observation, selected times, assembled problem and alpha sweep grid."""
-    out = _outdir(cfg)
     obs_path = Path(args.observation) if args.observation else out / "observation.bin"
     data = chio.load_observation(obs_path)
     params = cfg.model_params()
@@ -208,7 +189,7 @@ def _load_problem(cfg: RunConfig, args):
     )
     alphas = (np.asarray(cfg.inverse.alpha_grid)
               if cfg.inverse.alpha_grid else default_alpha_grid())
-    return out, data, times, problem, alphas
+    return data, times, problem, alphas
 
 
 def _range_masks(cfg: RunConfig, data, times):
@@ -232,10 +213,8 @@ def _mask_of(intervals, s_grid):
     return mask
 
 
-def cmd_identify(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out, data, times, problem, alphas = _load_problem(cfg, args)
+def cmd_identify(cfg: RunConfig, args, out: Path):
+    data, times, problem, alphas = _load_problem(cfg, args, out)
     params = cfg.model_params()
     grid = problem.grid
 
@@ -287,13 +266,12 @@ def cmd_identify(args) -> int:
         # identified range carry no data, so dividing spline values there
         # can hit non-positive mobility; the guarded quotient agrees with
         # c/b wherever the range mask is set
-        quotient = lambda s: c_sol(s) / np.clip(b_sol(s), 1e-8, None)
+        quotient = lambda s: c_sol(s) / np.clip(b_sol(s), B_FLOOR, None)
         emit("fprime", quotient, truth_fprime, attained, knots_of=c_sol)
 
     sf = problem.standard_form()
     sv = sf.s
     report = {
-        **_echo(cfg),
         "kind": kind,
         "alpha": alpha,
         "alpha_selection": "fixed" if cfg.inverse.alpha is not None else "lcurve",
@@ -312,31 +290,22 @@ def cmd_identify(args) -> int:
         "files": files,
         **results,
     }
-    chio.write_json_report(out / "identify_report.json", report)
-    wall = time.perf_counter() - t0
     err_bits = ", ".join(f"{k} = {v:.4f}" for k, v in results.items())
-    print(f"identify ({kind}): alpha {alpha:.3e}, {err_bits}  [{wall:.1f}s]")
-    return 0
+    return report, f"identify ({kind}): alpha {alpha:.3e}, {err_bits}", 0
 
 
-def cmd_lcurve(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out, _, _, problem, alphas = _load_problem(cfg, args)
+def cmd_lcurve(cfg: RunConfig, args, out: Path):
+    _, _, problem, alphas = _load_problem(cfg, args, out)
     alpha, curve = lcurve_select(problem, alphas)
     chio.lcurve_csv(curve, out / "lcurve.csv")
     report = {
-        **_echo(cfg),
         "kind": cfg.inverse.kind,
         "alpha_star": alpha,
         "corner_index": curve.corner_index,
         "n_flagged": int(np.sum(curve.flagged)),
         "lcurve_file": "lcurve.csv",
     }
-    chio.write_json_report(out / "lcurve_report.json", report)
-    wall = time.perf_counter() - t0
-    print(f"lcurve ({cfg.inverse.kind}): corner alpha {alpha:.3e}  [{wall:.1f}s]")
-    return 0
+    return report, f"lcurve ({cfg.inverse.kind}): corner alpha {alpha:.3e}", 0
 
 
 # ---------------------------------------------------------------------------
@@ -442,74 +411,73 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
     return results
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.perf_counter()
-    out = _outdir(cfg)
+def cmd_verify(cfg: RunConfig, args, out: Path):
     results = run_invariant_suite(cfg)
+    passed = sum(p for _, p, _ in results)
     report = {
-        **_echo(cfg),
         "checks": [
-            {"name": name, "passed": passed, "detail": detail}
-            for name, passed, detail in results
+            {"name": name, "passed": p, "detail": detail}
+            for name, p, detail in results
         ],
-        "all_passed": all(p for _, p, _ in results),
+        "all_passed": passed == len(results),
     }
-    chio.write_json_report(out / "verify_report.json", report)
-    wall = time.perf_counter() - t0
-    print(f"verify: {sum(p for _, p, _ in results)}/{len(results)} checks passed "
-          f"[{wall:.1f}s]")
-    return 0 if report["all_passed"] else 3
+    return (report, f"verify: {passed}/{len(results)} checks passed",
+            0 if report["all_passed"] else 3)
 
 
 # ---------------------------------------------------------------------------
 # entrypoint
 
-def _add_common(p):
-    p.add_argument("--config", help="path to a key=value configuration file")
-    p.add_argument("--preset", help="built-in preset name (paper)")
-    p.add_argument("--out", help="output directory (overrides output.directory)")
-    p.add_argument("--seed", type=int, help="noise seed (overrides data.seed)")
+# name -> (help, command, the input path flag it adds to the common four)
+COMMANDS = {
+    "simulate": ("run the forward solver", cmd_simulate, None),
+    "make-data": ("restrict a trajectory to the data grid", cmd_make_data, "--trajectory"),
+    "identify": ("assemble and solve an identification run", cmd_identify, "--observation"),
+    "lcurve": ("regularization-parameter sweep", cmd_lcurve, "--observation"),
+    "verify": ("run the invariant suite", cmd_verify, None),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError, exit 1, like a malformed
+    configuration; the subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="chident",
-        description="Phase-field parameter identification toolkit",
-    )
+    ap = _Parser(prog="chident", description="Phase-field parameter identification toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run the forward solver")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("make-data", help="restrict a trajectory to the data grid")
-    _add_common(p)
-    p.add_argument("--trajectory", help="trajectory container path")
-    p.set_defaults(func=cmd_make_data)
-
-    p = sub.add_parser("identify", help="assemble and solve an identification run")
-    _add_common(p)
-    p.add_argument("--observation", help="observation container path")
-    p.set_defaults(func=cmd_identify)
-
-    p = sub.add_parser("lcurve", help="regularization-parameter sweep")
-    _add_common(p)
-    p.add_argument("--observation", help="observation container path")
-    p.set_defaults(func=cmd_lcurve)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, _, path_flag) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key=value configuration file")
+        p.add_argument("--preset", help="built-in preset name (paper)")
+        p.add_argument("--out", help="output directory (overrides output.directory)")
+        p.add_argument("--seed", type=int, help="noise seed (overrides data.seed)")
+        if path_flag:
+            p.add_argument(path_flag, help=f"{path_flag[2:]} container path")
     return ap
 
 
+def _drive(args) -> int:
+    """Load, time and run one command, then write its report and summary."""
+    cfg = _load_config(args)
+    t0 = time.perf_counter()
+    out = Path(cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    report, summary, code = COMMANDS[args.command][1](cfg, args, out)
+    chio.write_json_report(
+        out / f"{args.command.replace('-', '_')}_report.json",
+        {"config": cfg.as_dict(), "config_text": config_text(cfg), **report},
+    )
+    print(f"{summary}  [{time.perf_counter() - t0:.1f}s]")
+    return code
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return _drive(build_parser().parse_args(argv))
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -157,9 +157,9 @@ def _make_parameter(spec_str: str, path: str, default_factory):
                   for v in spec_str[len("spline:"):].split(",")]
         if len(values) < 3:
             raise ConfigError(f"{path}: spline needs at least three values")
-        grid = NaturalSplineGrid.with_knots(len(values))
         with layer_rule(path):
-            return SplineParameter(grid, np.asarray(values))
+            return SplineParameter(NaturalSplineGrid.with_knots(len(values)),
+                                   np.asarray(values))
     raise ConfigError(
         f"{path}: unknown id {spec_str!r} (catalog: default, or spline:v0,v1,...)"
     )

@@ -62,7 +62,7 @@ class NaturalSplineGrid:
 
     The grid spans ``PHASE_INTERVAL``, so its spacing alone sets it, and
     building one only checks the spacing: it must divide the interval
-    into at least two spans, and their count must fit an index.  A
+    into at least two spans and give at most ``max_knots`` knots.  A
     function in this space is stored by its knot values; the knots and
     the dense map to second derivatives at the knots (zero at both ends)
     are built on first read.  Outside the knot interval the boundary
@@ -70,14 +70,20 @@ class NaturalSplineGrid:
     """
 
     lo, hi = PHASE_INTERVAL
+    # spacing 1e-3: the dense curvature map takes 32 MB, an assembly's
+    # [D; I] stack 64 MB
+    max_knots = 2001
 
     def __init__(self, spacing: float):
         if not spacing > 0.0:
             raise ParameterError(f"spacing must be positive, got {spacing}")
         n_span = (self.hi - self.lo) / spacing
-        if not n_span < np.iinfo(np.intp).max:
+        # also keeps the span count finite for round(); the half-knot
+        # margin passes a count that rounds to max_knots
+        if not n_span + 1 < self.max_knots + 0.5:
             raise ParameterError(
-                f"spacing {spacing} is too small: {n_span:g} knot spans do not fit an index"
+                f"spacing {spacing} is too small: {n_span + 1:g} knots, "
+                f"more than {self.max_knots}"
             )
         n_round = round(n_span)
         if abs(n_span - n_round) > 1e-9 * max(1.0, abs(n_span)):

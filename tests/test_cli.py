@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from chident import cli
+from chident.config import ConfigError, build_config, config_from_file, parse_config
 from chident.data import DataError
 from chident.model import NaturalSplineGrid
 
@@ -181,10 +183,11 @@ def test_non_finite_spline_values_exit_1_without_traceback(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", ["5e-324", "1e-300"])
+@pytest.mark.parametrize("sigma", ["5e-324", "1e-300", "1e-4", "1e-9"])
 def test_tiny_sigma_exits_1_without_traceback(pipeline, tmp_path, capsys, sigma):
     """A knot spacing whose span count overflows a float (5e-324) or an
-    index (1e-300) is one error line naming the key, at load."""
+    index (1e-300), or that gives more than 2001 knots (1e-4, 1e-9), is
+    one error line naming the key, at load."""
     _, out = pipeline
     body = SMALL_CFG.replace("inverse.sigma = 0.25", f"inverse.sigma = {sigma}")
     cfg, _ = _write_cfg(tmp_path, body, name="tiny_sigma.cfg")
@@ -374,14 +377,85 @@ def _chident_exception_types():
 
 
 @pytest.mark.parametrize("exc_type", sorted(_chident_exception_types(), key=lambda c: c.__name__))
-def test_every_chident_error_exits_1_or_2(monkeypatch, capsys, exc_type):
-    def fail(args):
+def test_every_chident_error_exits_1_or_2(monkeypatch, capsys, tmp_path, exc_type):
+    def fail(cfg, args, out):
         raise exc_type("injected")
 
-    monkeypatch.setattr(cli, "cmd_simulate", fail)
-    run = _run_main(capsys, "simulate")
+    help_text, _, path_flag = cli.COMMANDS["simulate"]
+    monkeypatch.setitem(cli.COMMANDS, "simulate", (help_text, fail, path_flag))
+    run = _run_main(capsys, "simulate", "--out", str(tmp_path))
     assert run.returncode in (1, 2)
     assert run.stderr.endswith("injected\n") and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                 # no command
+    ["simulat"],                        # a misspelt command
+    ["simulate", "--bogus"],            # an unknown flag
+    ["simulate", "--seed", "abc"],      # a flag value of the wrong type
+])
+def test_command_line_usage_errors_exit_1(capsys, argv):
+    """A malformed command line is one error line and exit 1, like a
+    malformed configuration; exit 2 stays a numerical failure."""
+    run = _run_main(capsys, *argv)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert run.stdout == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["identify", "--help"])
+    assert stop.value.code == 0
+    assert "--observation" in capsys.readouterr().out
+
+
+# each command and the input path flag it takes beside the common four
+PATH_FLAGS = [
+    ("simulate", None),
+    ("make-data", "--trajectory"),
+    ("identify", "--observation"),
+    ("lcurve", "--observation"),
+    ("verify", None),
+]
+
+
+@pytest.mark.parametrize("command, path_flag", PATH_FLAGS)
+def test_each_subcommand_takes_the_common_flags_and_only_its_path_flag(command, path_flag):
+    parser = cli.build_parser()
+    args = parser.parse_args([command, "--config", "c", "--preset", "p",
+                              "--out", "o", "--seed", "7"])
+    assert (args.command, args.config, args.preset, args.out, args.seed) == (
+        command, "c", "p", "o", 7)
+    for flag in ("--trajectory", "--observation"):
+        if flag == path_flag:
+            assert getattr(parser.parse_args([command, flag, "x"]), flag[2:]) == "x"
+        else:
+            with pytest.raises(ConfigError, match=f"unrecognized arguments: {flag}"):
+                parser.parse_args([command, flag, "x"])
+
+
+@pytest.mark.parametrize("command, path_flag", PATH_FLAGS)
+def test_every_command_writes_its_report_and_one_summary_line(
+        pipeline, tmp_path, capsys, command, path_flag):
+    """The report echoes the loaded configuration, and the echo rebuilds
+    it; stdout ends in one summary line with the wall time."""
+    _, inputs = pipeline
+    cfg, out = _write_cfg(tmp_path)
+    argv = [command, "--config", str(cfg)]
+    if path_flag:
+        argv += [path_flag, str(inputs / f"{path_flag[2:]}.bin")]
+    run = _run_main(capsys, *argv)
+    # the 20-step run has too few level samples for the co-area check
+    assert run.returncode == (3 if command == "verify" else 0), run.stderr
+    report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
+    loaded = config_from_file(cfg)
+    assert report["config"] == json.loads(json.dumps(loaded.as_dict()))
+    assert build_config(parse_config(report["config_text"])).as_dict() == loaded.as_dict()
+    timed = [line for line in run.stdout.splitlines() if re.search(r"  \[\d+\.\ds\]$", line)]
+    assert len(timed) == 1 and run.stdout.splitlines()[-1] == timed[0]
+    assert timed[0].startswith(command)
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -97,6 +97,8 @@ def test_build_config_overrides_and_unknown_keys():
     ({"forward.mobility": "spline:nan,1,1"}, "forward.mobility: .*must be finite"),
     ({"forward.potential": "spline:1,inf,1"}, "forward.potential: .*must be finite"),
     ({"forward.initial": "bogus"}, "forward.initial: unknown profile id 'bogus'"),
+    ({"forward.mobility": "spline:" + ",".join(["1"] * 2002)},
+     "forward.mobility: .* 2002 knots, more than 2001"),
 ])
 def test_validation_errors(overrides, fragment):
     base = {"forward.n_cells": "200", "forward.tau": "2e-5",

@@ -232,6 +232,10 @@ def test_spline_parameter_validation():
         NaturalSplineGrid(0.3)
     with pytest.raises(ParameterError, match="spacing must be positive"):
         NaturalSplineGrid(0.0)
+    # at most 2001 knots, so the dense curvature map takes at most 32 MB
+    assert NaturalSplineGrid(1e-3).n_knots == 2001
+    with pytest.raises(ParameterError, match="too small: 2002 knots, more than 2001"):
+        NaturalSplineGrid(2.0 / 2001)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
