@@ -21,56 +21,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshbasis import (
-    assemble_grams,
-    build_mesh,
-    cubic_spline_basis,
-    dual_norm_Hm1,
-    interpolate,
-    quadratic_fe,
-)
+from .meshbasis import build_mesh, interpolate, quadratic_fe
 from .model import PHASE_INTERVAL, NaturalSplineGrid, SplineParameter
-from .forward import (
-    energy_series,
-    mass_series,
-    simulate,
-    verify_scaling_invariance,
-)
+from .forward import simulate
 from .data import (
-    attained_ranges,
-    build_observability_report,
-    inject_noise,
-    merge_intervals,
-    observable_range,
-    restrict_to_data_grid,
+    attained_ranges, build_observability_report, inject_noise, merge_intervals,
+    observable_range, restrict_to_data_grid,
 )
 from .inverse import (
-    B_FLOOR,
-    IDENTIFY_B,
-    IDENTIFY_F,
-    IDENTIFY_JOINT,
-    assemble_problem,
-    default_alpha_grid,
-    lcurve_select,
-    perturbation_scaling_probe,
-    range_restricted_error,
-    recover_fprime,
-    select_indices,
-    tikhonov_solve,
+    B_FLOOR, IDENTIFY_B, IDENTIFY_F, assemble_problem, default_alpha_grid, lcurve_select,
+    range_restricted_error, recover_fprime, select_indices, tikhonov_solve,
 )
+from .checks import conservation, run_invariant_suite
 from .config import (
-    LAYER_ERRORS,
-    ConfigError,
-    RunConfig,
-    config_from_file,
-    config_text,
-    layer_rule,
-    paper_preset,
-    validate_config,
+    LAYER_ERRORS, ConfigError, RunConfig, config_from_file, config_text, layer_rule,
+    paper_preset, validate_config,
 )
 from . import io as chio
 
-__all__ = ["main", "run_invariant_suite"]
+__all__ = ["main"]
 
 # OSError: an input or output path that cannot be read or written
 _VALIDATION_ERRORS = (ConfigError, chio.IOError_, OSError)
@@ -107,17 +76,15 @@ def cmd_simulate(cfg: RunConfig, args, out: Path):
     phi0 = interpolate(fe, cfg.initial_fn())
     traj = simulate(phi0, params, t_end=cfg.forward.t_end, tau=cfg.forward.tau)
 
-    masses = mass_series(traj)
-    energies = energy_series(traj, params)
-    increases = np.diff(energies)
+    check = conservation(traj, params).values
     report = {
         "n_steps": traj.n_states - 1,
-        "mass_initial": masses[0],
-        "mass_drift_max": float(np.max(np.abs(masses - masses[0]))),
-        "energy_initial": energies[0],
-        "energy_final": energies[-1],
-        "max_energy_increase": float(np.max(increases)) if len(increases) else 0.0,
-        "energy_monotone": bool(np.all(increases <= 1e-10)),
+        "mass_initial": check["masses"][0],
+        "mass_drift_max": check["mass_drift"],
+        "energy_initial": check["energies"][0],
+        "energy_final": check["energies"][-1],
+        "max_energy_increase": check["energy_rise"],
+        "energy_monotone": check["energy_monotone"],
         "solver": asdict(traj.telemetry),
         "trajectory_file": "trajectory.bin",
     }
@@ -308,116 +275,12 @@ def cmd_lcurve(cfg: RunConfig, args, out: Path):
     return report, f"lcurve ({cfg.inverse.kind}): corner alpha {alpha:.3e}", 0
 
 
-# ---------------------------------------------------------------------------
-# invariant suite
-
-def run_invariant_suite(cfg: RunConfig, printer=print) -> list:
-    """Run the five structural checks on a short reference problem.
-
-    Returns one (name, passed, detail) triple per check, in a fixed order;
-    the CLI maps any failure to exit code 3.  A check that raises, or whose
-    shared input failed, fails with that reason, and the suite goes on.
-    """
-    params = cfg.model_params()
-    tau = cfg.forward.tau
-    c_fn = lambda s: params.b(s) * params.f(s, 1)
-    # about 100 steps, in whole data steps: the restriction needs
-    # data.factor to divide the step count
-    t_end = min(cfg.forward.t_end, max(100 // cfg.data.factor, 1) * cfg.data.factor * tau)
-    phi0 = interpolate(quadratic_fe(build_mesh(cfg.forward.n_cells)), cfg.initial_fn())
-
-    held = {}  # shared input -> its value, or the failure that stopped it
-
-    def shared(name, build):
-        if name not in held:
-            held[name] = None  # until built; the suite's loop stores a failure
-            held[name] = build()
-        if isinstance(held[name], Exception):
-            raise held[name]
-        return held[name]
-
-    # the ~100-step forward run and its restriction to the data grid
-    run = lambda: shared("run", lambda: simulate(phi0, params, t_end=t_end, tau=tau))
-    restricted = lambda: shared(
-        "data", lambda: restrict_to_data_grid(run(), cfg.data.factor))
-
-    def conservation():
-        traj = run()
-        masses = mass_series(traj)
-        drift = float(np.max(np.abs(masses - masses[0])))
-        rise = float(np.max(np.diff(energy_series(traj, params))))
-        return (drift <= 1e-10 and rise <= 1e-10,
-                f"mass drift {drift:.2e}, max energy increase {rise:.2e}")
-
-    def scaling_invariance():
-        check = verify_scaling_invariance(
-            phi0, params, d=2.0, c=1.0, t_end=min(t_end, 20 * tau), tau=tau
-        )
-        return (check.max_rel_phi_dev <= 1e-8 and check.max_rel_mu_dev <= 1e-6,
-                f"phi dev {check.max_rel_phi_dev:.2e}, mu dev {check.max_rel_mu_dev:.2e}")
-
-    def dual_norm():
-        basis = cubic_spline_basis(build_mesh(400))
-        grams = assemble_grams(basis)
-        f1 = interpolate(basis, lambda x: np.sin(2 * np.pi * x))
-        target = (1.0 / np.sqrt(2.0)) / np.sqrt(1.0 + 4.0 * np.pi**2)
-        got = dual_norm_Hm1(grams.mass(f1.coef), grams)
-        return (abs(got - target) <= 1e-4,
-                f"|{got:.6f} - {target:.6f}| = {abs(got - target):.2e}")
-
-    def coarea_identity():
-        data = restricted()
-        # the observability report's rows at the first 15 data times
-        report = build_observability_report(
-            data, cfg.forward.gamma, params.F, data.times[1:16], cfg.inverse.threshold
-        )
-        rel = report.residual(params.b, c_fn)
-        good = int(np.sum(rel <= 5e-2))
-        return (good >= 20,
-                f"{good}/{len(rel)} samples below 5e-2 (worst {rel.max(initial=0.0):.3f})")
-
-    def perturbation_scaling():
-        data = restricted()
-        grid = NaturalSplineGrid(cfg.inverse.sigma)
-        x_b, x_c = params.b(grid.knots), c_fn(grid.knots)
-        probes = (
-            (IDENTIFY_F, x_c, {"mobility": params.b}),
-            (IDENTIFY_B, x_b, {"potential": params.F}),
-            (IDENTIFY_JOINT, np.concatenate([x_b, x_c]), {}),
-        )
-        slopes = {
-            kind: perturbation_scaling_probe(
-                kind, data, cfg.forward.gamma, (1e-2, 1e-3, 1e-4), x_truth,
-                data.times[1:min(6, data.n_times)],
-                grid=grid, seed=cfg.data.seed + 17, **extra,
-            ).slope
-            for kind, x_truth, extra in probes
-        }
-        return (all(abs(v - 1.0) <= 0.2 for v in slopes.values()),
-                ", ".join(f"{k} slope {v:.3f}" for k, v in slopes.items()))
-
-    results = []
-    for check in (conservation, scaling_invariance, dual_norm, coarea_identity,
-                  perturbation_scaling):
-        name = check.__name__.replace("_", "-")
-        try:
-            passed, detail = check()
-        except LAYER_ERRORS as exc:
-            passed, detail = False, f"failure: {exc}"
-            # an input whose build this stopped keeps the failure for later checks
-            held.update({k: exc for k, v in held.items() if v is None})
-        results.append((name, bool(passed), detail))
-        printer(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    return results
-
-
 def cmd_verify(cfg: RunConfig, args, out: Path):
     results = run_invariant_suite(cfg)
-    passed = sum(p for _, p, _ in results)
+    passed = sum(r.passed for r in results)
     report = {
         "checks": [
-            {"name": name, "passed": p, "detail": detail}
-            for name, p, detail in results
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
         "all_passed": passed == len(results),
     }

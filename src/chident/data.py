@@ -738,14 +738,19 @@ class ObservabilityReport:
     rows: list
 
     def residual(self, b_fn, c_fn) -> np.ndarray:
-        """Relative defect |A_b b(s) + A_c c(s) - A| / max(|A|, |A_c|) on
-        the non-degenerate rows, from one call each of ``b_fn`` and
-        ``c_fn`` on their levels."""
+        """``coarea_residual`` on the non-degenerate rows."""
         s, a_b, a_c, a = np.array(
             [(r.s, r.A_b, r.A_c, r.A) for r in self.rows if not r.degenerate], dtype=float
         ).reshape(-1, 4).T
-        pred = a_b * b_fn(s) + a_c * c_fn(s)
-        return np.abs(pred - a) / np.maximum(np.abs(a), np.abs(a_c))
+        return coarea_residual(s, a_b, a_c, a, b_fn, c_fn)
+
+
+def coarea_residual(s, a_b, a_c, a, b_fn, c_fn) -> np.ndarray:
+    """Relative defect |A_b b(s) + A_c c(s) - A| / max(|A|, |A_c|) of the
+    level-set identity at the levels s, from one call each of ``b_fn`` and
+    ``c_fn``."""
+    pred = a_b * b_fn(s) + a_c * c_fn(s)
+    return np.abs(pred - a) / np.maximum(np.abs(a), np.abs(a_c))
 
 
 def build_observability_report(

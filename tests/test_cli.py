@@ -10,8 +10,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chident import cli
+from chident import checks, cli
 from chident.config import ConfigError, build_config, config_from_file, parse_config
 from chident.data import DataError
 from chident.model import NaturalSplineGrid
@@ -538,8 +540,8 @@ def test_verify_coarea_count_is_the_report_residual(params):
     from chident.meshbasis import build_mesh, interpolate, quadratic_fe
 
     cfg = paper_preset()
-    results = cli.run_invariant_suite(cfg, printer=lambda line: None)
-    detail = {name: detail for name, _, detail in results}["coarea-identity"]
+    results = checks.run_invariant_suite(cfg, printer=lambda line: None)
+    detail = {r.name: r.detail for r in results}["coarea-identity"]
     fw = cfg.forward
     phi0 = interpolate(quadratic_fe(build_mesh(fw.n_cells)), cfg.initial_fn())
     traj = simulate(phi0, params, t_end=100 * fw.tau, tau=fw.tau)
@@ -569,13 +571,13 @@ output.directory = {out}
 
 def test_verify_restricts_once(tmp_path, monkeypatch):
     calls = []
-    original = cli.restrict_to_data_grid
+    original = checks.restrict_to_data_grid
 
     def counted(traj, factor):
         calls.append(factor)
         return original(traj, factor)
 
-    monkeypatch.setattr(cli, "restrict_to_data_grid", counted)
+    monkeypatch.setattr(checks, "restrict_to_data_grid", counted)
     assert cli.main(["verify", "--preset", "paper", "--out", str(tmp_path / "v")]) == 0
     assert len(calls) == 1
 
@@ -585,7 +587,7 @@ def test_verify_records_a_failed_restriction(tmp_path, monkeypatch, capsys):
     def refuse(traj, factor):
         raise DataError("restriction refused")
 
-    monkeypatch.setattr(cli, "restrict_to_data_grid", refuse)
+    monkeypatch.setattr("chident.checks.restrict_to_data_grid", refuse)
     out = tmp_path / "v"
     assert cli.main(["verify", "--preset", "paper", "--out", str(out)]) == 3
     report = json.loads((out / "verify_report.json").read_text())
@@ -601,13 +603,13 @@ def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeyp
     that needs a solve fails with that reason, the run is tried once, and
     all five checks are still written."""
     calls = []
-    original = cli.simulate
+    original = checks.simulate
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(checks, "simulate", counted)
     cfg, out = _write_cfg(tmp_path, name="neg.cfg", forward_mobility="spline:-1.0,0.0,1.0")
     assert cli.main(["verify", "--config", str(cfg)]) == 3
     report = json.loads((out / "verify_report.json").read_text())
@@ -624,6 +626,26 @@ def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeyp
     captured = capsys.readouterr()
     assert "verify: 1/5 checks passed" in captured.out
     assert "Traceback" not in captured.err
+
+
+@settings(max_examples=30)
+@given(
+    n_cells=st.integers(16, 64),
+    factor=st.integers(1, 3),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+    mobility=st.lists(st.floats(-0.5, 3.0), min_size=3, max_size=8),
+)
+def test_verify_exits_with_a_documented_code(tmp_path_factory, n_cells, factor, steps, seed,
+                                             mobility):
+    """Small random configurations, spline mobilities of either sign
+    included: verify exits 0, 1, 2 or 3 and never raises."""
+    t_end = steps * factor * 2e-5
+    body = (f"forward.n_cells = {n_cells}\nforward.tau = 2e-5\nforward.t_end = {t_end!r}\n"
+            f"forward.mobility = spline:{','.join(map(repr, mobility))}\n"
+            f"data.factor = {factor}\ndata.window = 0:{t_end!r}\noutput.directory = {{out}}\n")
+    cfg, _ = _write_cfg(tmp_path_factory.mktemp("verify"), body)
+    assert cli.main(["verify", "--config", str(cfg), "--seed", str(seed)]) in (0, 1, 2, 3)
 
 
 def test_make_data_factor_off_the_trajectory_exits_1_without_traceback(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The README's Python API example imports only names that exist."""
+"""The README's Python API example imports only names that exist, and its
+table of checks states the bounds of `chident.checks`."""
 
 import importlib
 import re
@@ -19,3 +20,18 @@ def test_readme_api_imports_resolve():
         mod = importlib.import_module(module)
         for name in names.split(","):
             assert hasattr(mod, name.strip()), f"{module} has no {name.strip()}"
+
+
+def test_readme_check_bounds_are_the_checks_constants():
+    """Every ``NAME = value`` in the README's table of checks is the
+    constant of ``chident.checks``, and the table names all eight bounds."""
+    from chident import checks
+
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| check | bound |", 1)[1].split("\n\n", 1)[0]
+    stated = dict(re.findall(r"`([A-Z_]+) = ([-+.e\d]+)`", table))
+    assert {"MASS_DRIFT_MAX", "ENERGY_RISE_MAX", "PHI_DEV_MAX", "MU_DEV_MAX",
+            "DUAL_NORM_ERR_MAX", "COAREA_RESIDUAL_MAX", "COAREA_MIN_SAMPLES",
+            "SLOPE_TOL"} <= set(stated)
+    for name, value in stated.items():
+        assert getattr(checks, name) == float(value), name
