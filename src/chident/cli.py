@@ -269,6 +269,7 @@ def cmd_lcurve(cfg: RunConfig, args, out: Path):
         "kind": cfg.inverse.kind,
         "alpha_star": alpha,
         "corner_index": curve.corner_index,
+        "corner_at_grid_end": curve.corner_at_grid_end,
         "n_flagged": int(np.sum(curve.flagged)),
         "lcurve_file": "lcurve.csv",
     }

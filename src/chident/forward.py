@@ -58,7 +58,7 @@ from .meshbasis import (
     element_grams,
     gauss_table,
 )
-from .model import N_QUAD, ModelParams, energy, mass
+from .model import N_QUAD, ModelParams
 
 
 class SolverError(RuntimeError):
@@ -390,58 +390,3 @@ def simulate(phi0: PeriodicField, params: ModelParams, t_end: float, tau: float)
         phi[k + 1], mu[k + 1] = _advance(ctx, phi[k], mu[k], tau, guess)
     times = np.arange(n_steps + 1) * tau
     return Trajectory(phi0.basis, tau, times, phi, mu, ctx.telemetry)
-
-
-@dataclass
-class ScalingCheck:
-    """Deviations between a rescaled run and the transformed reference."""
-
-    d: float
-    c: float
-    max_rel_phi_dev: float
-    max_rel_mu_dev: float
-
-
-def verify_scaling_invariance(
-    phi0: PeriodicField,
-    params: ModelParams,
-    d: float,
-    c: float,
-    t_end: float,
-    tau: float,
-) -> ScalingCheck:
-    """Run the model and its (d, c) rescaling from the same initial state.
-
-    The phase trajectories should agree and the rescaled chemical
-    potential should equal mu / d + c; the report carries the largest
-    L2 deviations over the time grid, relative to the reference's norms.
-    """
-    from .model import scale_params
-
-    base = simulate(phi0, params, t_end, tau)
-    scaled = simulate(phi0, scale_params(params, d, c), t_end, tau)
-    grams = assemble_grams(phi0.basis)
-
-    def l2(v):
-        return float(np.sqrt(max(v @ grams.mass(v), 0.0)))
-
-    ones = np.ones(phi0.basis.dof_count)
-    rel_phi = rel_mu = 0.0
-    for k in range(base.n_states):
-        dphi = l2(scaled.phi[k] - base.phi[k])
-        mu_ref = base.mu[k] / d + c * ones
-        dmu = l2(scaled.mu[k] - mu_ref)
-        rel_phi = max(rel_phi, dphi / max(l2(base.phi[k]), 1e-300))
-        rel_mu = max(rel_mu, dmu / max(l2(mu_ref), 1e-300))
-    return ScalingCheck(d, c, rel_phi, rel_mu)
-
-
-def mass_series(traj: Trajectory) -> np.ndarray:
-    """Mass integral at every recorded state."""
-    return np.array([mass(traj.phi_field(k)) for k in range(traj.n_states)])
-
-
-def energy_series(traj: Trajectory, params: ModelParams) -> np.ndarray:
-    """Free energy at every recorded state."""
-    return np.array([energy(traj.phi_field(k), params) for k in range(traj.n_states)])
-

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrt
 
-from .data import ObservationData, inject_noise
+from .data import ObservationData
 from .meshbasis import GramPair, gauss_table, spline_node_values
 from .model import (
     NaturalSplineGrid,
@@ -518,6 +518,12 @@ class LCurve:
     flagged: np.ndarray          # noise-floor points (non-monotone segments)
     corner_index: int
 
+    @property
+    def corner_at_grid_end(self) -> bool:
+        """Whether the corner is the first or the last interior point, where
+        the curvature may still be rising toward the end of the grid."""
+        return self.corner_index in (1, len(self.alphas) - 2)
+
 
 def default_alpha_grid() -> np.ndarray:
     return np.logspace(-4, -12, 16)
@@ -621,63 +627,3 @@ def range_restricted_error(reconstruction, truth, intervals) -> float:
     if den <= 0.0:
         raise InverseError("truth vanishes identically on the range")
     return float(np.sqrt(num / den))
-
-
-@dataclass
-class PerturbationProbe:
-    """Measured operator and data perturbations against the noise level."""
-
-    kind: str
-    deltas: np.ndarray
-    operator_dev: np.ndarray    # ||(T^delta - T) x_truth|| in the block norm
-    data_dev: np.ndarray        # ||y^delta - y|| in the block norm
-    slope: float                # log-log fit of operator_dev vs delta
-    slope_data: float
-
-
-def perturbation_scaling_probe(
-    kind: str,
-    data: ObservationData,
-    gamma: float,
-    deltas,
-    x_truth: np.ndarray,
-    times,
-    mobility=None,
-    potential=None,
-    grid: NaturalSplineGrid | None = None,
-    seed: int = 1234,
-) -> PerturbationProbe:
-    """Measure how assembly perturbations scale with the noise level.
-
-    For each delta a noise realization is injected into clean data, the
-    chosen problem kind is reassembled, and ||(T^delta - T) x_truth|| and
-    ||y^delta - y|| are evaluated in the block-weighted dual norm.  The
-    report carries the fitted log-log slopes (the stability bounds
-    predict slope one).
-    """
-
-    def build(d: ObservationData) -> AssembledProblem:
-        return assemble_problem(kind, d, gamma, times, grid, mobility, potential)
-
-    deltas = np.asarray(list(deltas), dtype=float)
-    clean = build(data)
-    x_truth = np.asarray(x_truth, dtype=float)
-    if x_truth.shape != (clean.n_cols,):
-        raise InverseError(
-            f"x_truth has shape {x_truth.shape}, expected ({clean.n_cols},)"
-        )
-    op_dev = np.empty(len(deltas))
-    y_dev = np.empty(len(deltas))
-    for i, delta in enumerate(deltas):
-        noisy, _ = inject_noise(data, float(delta), seed=seed)
-        pert = build(noisy)
-        op_dev[i] = clean.weighted_misfit((pert.T - clean.T) @ x_truth)
-        y_dev[i] = clean.weighted_misfit(pert.y - clean.y)
-
-    def slope(dev):
-        pos = (dev > 0.0) & (deltas > 0.0)
-        if np.count_nonzero(pos) < 2:
-            return np.nan
-        return float(np.polyfit(np.log(deltas[pos]), np.log(dev[pos]), 1)[0])
-
-    return PerturbationProbe(kind, deltas, op_dev, y_dev, slope(op_dev), slope(y_dev))

@@ -1,5 +1,7 @@
 """Batch front end: pipelines, exit codes, determinism, invariant suite."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chident import checks, cli
+from chident import io as chio
 from chident.config import ConfigError, build_config, config_from_file, parse_config
 from chident.data import DataError
 from chident.model import NaturalSplineGrid
@@ -31,6 +34,11 @@ inverse.alpha = 1e-8
 inverse.sigma = 0.25
 output.directory = {out}
 """
+
+
+# the one stderr line of make-data when the noise of data.delta takes a
+# snapshot out of the phase interval
+NOISE_CAP_FAILURE = "numerical failure: perturbed snapshots leave the phase interval [-1, 1]\n"
 
 
 def _write_cfg(tmp_path, body=SMALL_CFG, name="run.cfg", **extra):
@@ -322,6 +330,18 @@ def test_lcurve_subcommand(pipeline, tmp_path):
     assert report["corner_index"] >= 0
 
 
+def test_paper_lcurve_corner_sits_next_to_the_grid_end(reference_run, tmp_path):
+    """On the clean paper observation the curvature still rises toward the
+    small-alpha end of the default grid, so the corner is its first
+    interior point and the report says so."""
+    chio.save_trajectory(reference_run[0], tmp_path / "trajectory.bin")
+    for command in ("make-data", "lcurve"):
+        assert cli.main([command, "--preset", "paper", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "lcurve_report.json").read_text())
+    assert report["corner_index"] == 1
+    assert report["corner_at_grid_end"] is True
+
+
 def test_configuration_errors(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
     bad, _ = _write_cfg(tmp_path, name="bad.cfg", forward_gamma="-1")
@@ -606,7 +626,9 @@ def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeyp
     original = checks.simulate
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        # the scaling check's base and rescaled runs are its own, not the shared run
+        if sys._getframe(1).f_code is not checks.scaling_deviations.__code__:
+            calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(checks, "simulate", counted)
@@ -687,3 +709,47 @@ def test_make_data_seed_and_noise(pipeline, tmp_path):
     ])
     assert code == 0
     assert (tmp_path / "n3" / "observation.bin").read_bytes() != b1
+
+
+def test_make_data_noise_past_the_cap_exits_2_without_traceback(pipeline, tmp_path, capsys):
+    """A data.delta whose noise leaves the phase interval is a numerical
+    failure of the run: exit 2 and one line on stderr."""
+    _, out = pipeline
+    cfg, _ = _write_cfg(tmp_path, name="cap.cfg", data_delta="1e6")
+    run = _run_main(capsys, "make-data", "--config", str(cfg), "--trajectory",
+                    str(out / "trajectory.bin"), "--out", str(tmp_path / "cap"))
+    assert run.returncode == 2
+    assert run.stderr == NOISE_CAP_FAILURE
+
+
+@pytest.fixture(scope="module")
+def small_trajectories(tmp_path_factory):
+    """The small configuration's trajectory on 16, 24 and 32 cells."""
+    paths = {}
+    for n in (16, 24, 32):
+        cfg, out = _write_cfg(tmp_path_factory.mktemp(f"cells{n}"),
+                              SMALL_CFG.replace("n_cells = 64", f"n_cells = {n}"))
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        paths[n] = out / "trajectory.bin"
+    return paths
+
+
+@settings(max_examples=30)
+@given(
+    n_cells=st.sampled_from((16, 24, 32)),
+    delta=st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_make_data_noise_levels_exit_0_or_2(small_trajectories, tmp_path_factory, n_cells,
+                                            delta, seed):
+    """Noise levels from 0 to far past the phase-interval cap (a few
+    hundred to about 1e4 on these runs, by the seed): make-data succeeds,
+    or exits 2 with the one failure line, and never raises."""
+    cfg, _ = _write_cfg(tmp_path_factory.mktemp("noise"),
+                        SMALL_CFG.replace("n_cells = 64", f"n_cells = {n_cells}"),
+                        data_delta=repr(delta), data_seed=seed)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["make-data", "--config", str(cfg),
+                         "--trajectory", str(small_trajectories[n_cells])])
+    assert (code, err.getvalue()) in ((0, ""), (2, NOISE_CAP_FAILURE))

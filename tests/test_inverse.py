@@ -1,12 +1,13 @@
 """Tikhonov solves, the L-curve, and the assembly validations."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chident import meshbasis
+from chident import checks, meshbasis
 from chident.meshbasis import (
     build_mesh,
     cubic_spline_basis,
@@ -23,7 +24,6 @@ from chident.inverse import (
     assemble_identify_joint,
     default_alpha_grid,
     lcurve_select,
-    perturbation_scaling_probe,
     range_restricted_error,
     recover_fprime,
     tikhonov_solve,
@@ -76,6 +76,8 @@ def test_lcurve_corner_matches_brute_force():
     alphas = np.logspace(-1, -11, 21)
     alpha_star, curve = lcurve_select(problem, alphas)
     assert curve.corner_index == 12
+    assert not curve.corner_at_grid_end
+    assert [i for i in range(1, 20) if replace(curve, corner_index=i).corner_at_grid_end] == [1, 19]
     assert alpha_star == pytest.approx(1e-7, rel=1e-12)
     assert not curve.flagged.any()
     errs = [
@@ -574,14 +576,13 @@ def test_joint_split_and_guard(reference_data, window_times):
 
 
 def test_probe_slope_band(reference_data, params, window_times):
+    # a slope is nan unless both of its deviations are positive, so the
+    # band also asserts that both noise levels move the operator and the data
     grid = param_grid()
     x_c = params.b(grid.knots) * params.f(grid.knots, 1)
-    probe = perturbation_scaling_probe(
+    slope, slope_data = checks.perturbation_slopes(
         "identify-f", reference_data, GAMMA, (1e-2, 1e-3), x_c,
-        window_times[::100], mobility=params.b, grid=grid,
+        window_times[::100], grid, seed=1234, mobility=params.b,
     )
-    assert probe.kind == "identify-f"
-    assert probe.operator_dev.shape == (2,)
-    assert np.all(probe.operator_dev > 0) and np.all(probe.data_dev > 0)
-    assert 0.8 <= probe.slope <= 1.2
-    assert 0.8 <= probe.slope_data <= 1.2
+    assert 0.8 <= slope <= 1.2
+    assert 0.8 <= slope_data <= 1.2

@@ -1,4 +1,4 @@
-"""The README's Python API example imports only names that exist, and its
+"""The README's Python API section names only names that exist, and its
 table of checks states the bounds of `chident.checks`."""
 
 import importlib
@@ -8,9 +8,12 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _api_section() -> str:
+    return README.read_text(encoding="utf-8").split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
 def _api_block() -> str:
-    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
-    return section.split("```python", 1)[1].split("```", 1)[0]
+    return _api_section().split("```python", 1)[1].split("```", 1)[0]
 
 
 def test_readme_api_imports_resolve():
@@ -20,6 +23,16 @@ def test_readme_api_imports_resolve():
         mod = importlib.import_module(module)
         for name in names.split(","):
             assert hasattr(mod, name.strip()), f"{module} has no {name.strip()}"
+
+
+def test_readme_api_module_names_resolve():
+    """Every backticked ``module.NAME`` of the section is an attribute of
+    ``chident.<module>``."""
+    names = re.findall(r"`([a-z]\w*)\.(\w+)`", _api_section())
+    assert names
+    for module, name in names:
+        mod = importlib.import_module(f"chident.{module}")
+        assert hasattr(mod, name), f"chident.{module} has no {name}"
 
 
 def test_readme_check_bounds_are_the_checks_constants():
