@@ -13,7 +13,7 @@ suite's reference fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,35 +75,32 @@ def conservation(traj, params) -> CheckResult:
     )
 
 
-def scaling_deviations(phi0, params, d, c, t_end, tau) -> tuple[float, float]:
-    """Run the model and its (d, c) rescaling from the same initial state.
+def scaling_deviations(base, params, d, c) -> tuple[float, float]:
+    """Run the (d, c)-rescaled model from the first state of ``base`` on its time grid.
 
     The phase trajectories should agree and the rescaled chemical
     potential should equal mu / d + c; returns the largest L2 deviations
     of phi and of mu over the time grid, relative to the reference's norms.
     """
-    base = simulate(phi0, params, t_end, tau)
-    scaled = simulate(phi0, scale_params(params, d, c), t_end, tau)
-    grams = assemble_grams(phi0.basis)
+    scaled = simulate(base.phi_field(0), scale_params(params, d, c), base.times[-1], base.tau)
+    grams = assemble_grams(base.basis)
 
     def l2(v):
         return float(np.sqrt(max(v @ grams.mass(v), 0.0)))
 
-    ones = np.ones(phi0.basis.dof_count)
     rel_phi = rel_mu = 0.0
     for k in range(base.n_states):
         dphi = l2(scaled.phi[k] - base.phi[k])
-        mu_ref = base.mu[k] / d + c * ones
+        mu_ref = base.mu[k] / d + c
         dmu = l2(scaled.mu[k] - mu_ref)
         rel_phi = max(rel_phi, dphi / max(l2(base.phi[k]), 1e-300))
         rel_mu = max(rel_mu, dmu / max(l2(mu_ref), 1e-300))
     return rel_phi, rel_mu
 
 
-def scaling_invariance(phi0, params, t_end, tau) -> CheckResult:
-    """Deviations of the (``SCALING_D``, ``SCALING_C``)-rescaled run from
-    the transformed reference."""
-    phi_dev, mu_dev = scaling_deviations(phi0, params, SCALING_D, SCALING_C, t_end, tau)
+def scaling_invariance(base, params) -> CheckResult:
+    """Deviations of the (``SCALING_D``, ``SCALING_C``)-rescaled run from ``base``."""
+    phi_dev, mu_dev = scaling_deviations(base, params, SCALING_D, SCALING_C)
     return CheckResult(
         "scaling-invariance", bool(phi_dev <= PHI_DEV_MAX and mu_dev <= MU_DEV_MAX),
         f"phi dev {phi_dev:.2e}, mu dev {mu_dev:.2e}", {"phi_dev": phi_dev, "mu_dev": mu_dev},
@@ -143,30 +140,27 @@ def coarea_identity(residuals) -> CheckResult:
     )
 
 
-def perturbation_slopes(kind, data, gamma, deltas, x_truth, times, grid, seed,
+def perturbation_slopes(kind, data, noisy, gamma, x_truth, times, grid,
                         mobility=None, potential=None) -> tuple[float, float]:
     """Log-log slopes of the assembly perturbations against the noise level.
 
-    For each delta a noise realization is injected into clean data, the
-    problem ``kind`` is reassembled, and ||(T^delta - T) x_truth|| and
-    ||y^delta - y|| are evaluated in the block-weighted dual norm; returns
-    the fitted slopes of the two (the stability bounds predict one), nan
-    where fewer than two deviations are positive.
+    The problem ``kind`` is reassembled on each container of ``noisy`` (a
+    noise realization of the clean ``data`` at its own ``delta``), and
+    ||(T^delta - T) x_truth|| and ||y^delta - y|| are evaluated in the
+    block-weighted dual norm; returns the fitted slopes of the two (one by
+    the stability bounds), nan where fewer than two deviations are positive.
     """
 
     def build(d):
         return assemble_problem(kind, d, gamma, times, grid, mobility, potential)
 
-    deltas = np.asarray(list(deltas), dtype=float)
+    deltas = np.array([d.delta for d in noisy], dtype=float)
     clean = build(data)
     x_truth = np.asarray(x_truth, dtype=float)
     if x_truth.shape != (clean.n_cols,):
         raise InverseError(f"x_truth has shape {x_truth.shape}, expected ({clean.n_cols},)")
-    op_dev = np.empty(len(deltas))
-    y_dev = np.empty(len(deltas))
-    for i, delta in enumerate(deltas):
-        noisy, _ = inject_noise(data, float(delta), seed=seed)
-        pert = build(noisy)
+    op_dev, y_dev = np.empty((2, len(noisy)))
+    for i, pert in enumerate(map(build, noisy)):
         op_dev[i] = clean.weighted_misfit((pert.T - clean.T) @ x_truth)
         y_dev[i] = clean.weighted_misfit(pert.y - clean.y)
 
@@ -181,15 +175,16 @@ def perturbation_slopes(kind, data, gamma, deltas, x_truth, times, grid, seed,
 
 def perturbation_scaling(data, gamma, params, grid, times, seed) -> CheckResult:
     """Log-log slopes of the operator and of the data perturbation of the
-    three assemblies over ``PERTURBATION_DELTAS``; each should be one."""
+    three assemblies, one noise draw per ``PERTURBATION_DELTAS`` level; each should be one."""
+    noisy = [inject_noise(data, delta, seed=seed)[0] for delta in PERTURBATION_DELTAS]
     x_b = params.b(grid.knots)
     x_c = x_b * params.f(grid.knots, 1)
     slopes = {}
     for kind, x_truth, extra in ((IDENTIFY_F, x_c, {"mobility": params.b}),
                                  (IDENTIFY_B, x_b, {"potential": params.F}),
                                  (IDENTIFY_JOINT, np.concatenate([x_b, x_c]), {})):
-        slopes[kind] = perturbation_slopes(kind, data, gamma, PERTURBATION_DELTAS, x_truth,
-                                           times, grid, seed, **extra)
+        slopes[kind] = perturbation_slopes(kind, data, noisy, gamma, x_truth, times, grid,
+                                           **extra)
     return CheckResult(
         "perturbation-scaling",
         all(abs(s - 1.0) <= SLOPE_TOL for pair in slopes.values() for s in pair),
@@ -238,9 +233,14 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list[CheckResult]:
         return (held(data), gamma, params, NaturalSplineGrid(cfg.inverse.sigma),
                 data.times[1:min(6, data.n_times)], cfg.data.seed + 17)
 
+    def scaling_inputs():
+        # the first 20 steps of the shared run
+        base = held(run)
+        return replace(base, times=base.times[:21], phi=base.phi[:21], mu=base.mu[:21]), params
+
     results = []
     for check, inputs in ((conservation, lambda: (held(run), params)),
-                          (scaling_invariance, lambda: (phi0, params, min(t_end, 20 * tau), tau)),
+                          (scaling_invariance, scaling_inputs),
                           (dual_norm, tuple),
                           (coarea_identity, coarea_inputs),
                           (perturbation_scaling, perturbation_inputs)):

@@ -488,8 +488,8 @@ def tikhonov_solve_direct(
     Uses the same R-factor but no SVD; the norms are recomputed from the
     returned coefficients.
     """
-    if alpha < 0.0:
-        raise InverseError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise InverseError(f"alpha must be finite and nonnegative, got {alpha}")
     sf = problem.standard_form()
     k = problem.n_cols
     x = np.linalg.lstsq(
@@ -537,11 +537,12 @@ def checked_alpha(alpha) -> float:
 
 
 def checked_alpha_grid(alphas) -> np.ndarray:
-    """``alphas`` as a float array, if it is an L-curve grid: positive,
-    strictly decreasing, at least 10 points and at least four decades."""
+    """``alphas`` as a float array, if it is an L-curve grid: finite,
+    positive, strictly decreasing, at least 10 points and at least four
+    decades."""
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0.0) or np.any(np.diff(alphas) >= 0.0):
-        raise InverseError("the alpha grid must be positive and strictly decreasing")
+    if not (np.all((alphas > 0.0) & (alphas < np.inf)) and np.all(np.diff(alphas) < 0.0)):
+        raise InverseError("the alpha grid must be finite, positive and strictly decreasing")
     if len(alphas) < 10:
         raise InverseError("the alpha grid needs at least 10 points")
     if np.log10(alphas[0] / alphas[-1]) < 4.0:

@@ -12,8 +12,8 @@ oracle values carry their derivations in comments.
 import numpy as np
 import pytest
 
-from chident.meshbasis import build_mesh, cubic_spline_basis, interpolate, quadratic_fe
-from chident.model import NaturalSplineGrid, SplineParameter, default_initial_profile, param_grid
+from chident.meshbasis import build_mesh, cubic_spline_basis, interpolate
+from chident.model import NaturalSplineGrid, SplineParameter, param_grid
 from chident.checks import (
     coarea_identity, conservation, dual_norm, dual_norm_at, perturbation_scaling,
     scaling_invariance,
@@ -27,7 +27,7 @@ from chident.inverse import (
     range_restricted_error, recover_fprime, tikhonov_solve, tikhonov_solve_direct,
 )
 
-from conftest import GAMMA, N_CELLS, T_END, TAU, crossings_of, record_criterion, toy_problem
+from conftest import GAMMA, crossings_of, record_criterion, toy_problem
 
 
 # --------------------------------------------------------------------------
@@ -69,9 +69,8 @@ def test_criterion_02_energy_dissipation(reference_run, conserved):
     assert ok
 
 
-def test_criterion_03_scaling_invariance(params):
-    phi0 = interpolate(quadratic_fe(build_mesh(N_CELLS)), default_initial_profile)
-    chk = scaling_invariance(phi0, params, t_end=T_END, tau=TAU)
+def test_criterion_03_scaling_invariance(reference_run, params):
+    chk = scaling_invariance(reference_run[0], params)
     record_criterion(3, "scaling-invariance", chk.passed, chk.detail)
     assert chk.passed
 
@@ -143,7 +142,7 @@ def test_criterion_05_coarea_identity(reference_data, refined_data, params):
 
 def test_criterion_06_perturbation_scaling(reference_data, params, window_times):
     chk = perturbation_scaling(reference_data, GAMMA, params, param_grid(),
-                               window_times[::40], seed=1234)  # the probe's default seed
+                               window_times[::40], seed=1234)
     record_criterion(6, "perturbation-scaling", chk.passed, chk.detail)
     assert chk.passed
 

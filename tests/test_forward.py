@@ -93,22 +93,14 @@ def test_initial_chemical_potential_constant_state():
     assert np.max(np.abs(eval_field(mu0, xi) - params.f(c, 0))) < 1e-9
 
 
-def test_scaling_invariance_identity():
-    params = default_params(0.003)
-    fe = quadratic_fe(build_mesh(64))
-    phi0 = interpolate(fe, default_initial_profile)
-    phi_dev, mu_dev = checks.scaling_deviations(phi0, params, d=1.0, c=0.0,
-                                                t_end=2e-4, tau=2e-5)
+def test_scaling_invariance_identity(short_traj):
+    phi_dev, mu_dev = checks.scaling_deviations(*short_traj, d=1.0, c=0.0)
     assert phi_dev < 1e-13
     assert mu_dev < 1e-13
 
 
-def test_scaling_invariance_affine_quick():
-    params = default_params(0.003)
-    fe = quadratic_fe(build_mesh(64))
-    phi0 = interpolate(fe, default_initial_profile)
-    phi_dev, mu_dev = checks.scaling_deviations(phi0, params, d=2.0, c=1.0,
-                                                t_end=2e-4, tau=2e-5)
+def test_scaling_invariance_affine_quick(short_traj):
+    phi_dev, mu_dev = checks.scaling_deviations(*short_traj, d=2.0, c=1.0)
     assert phi_dev < 1e-10
     assert mu_dev < 1e-8
 

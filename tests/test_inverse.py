@@ -158,6 +158,31 @@ def test_lcurve_grid_validation():
     assert len(g) >= 10 and np.log10(g[0] / g[-1]) >= 4.0
 
 
+@pytest.mark.parametrize("bad, at", [(np.nan, 10), (np.inf, 0), (-1.0, 20)])
+def test_lcurve_grid_rejects_a_non_finite_or_negative_entry(bad, at):
+    # NaN fails every comparison and an infinite first entry still decreases,
+    # so neither trips a test for non-positive or non-decreasing entries alone
+    problem, _ = _diag_toy()
+    alphas = np.logspace(-1, -11, 21)
+    alphas[at] = bad
+    with pytest.raises(InverseError, match="finite, positive and strictly decreasing"):
+        lcurve_select(problem, alphas)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+def test_direct_route_rejects_a_non_finite_or_negative_alpha(alpha):
+    problem, _ = _diag_toy()
+    with pytest.raises(InverseError, match="finite and nonnegative"):
+        tikhonov_solve_direct(problem, alpha)
+
+
+def test_direct_route_at_alpha_zero_solves_a_full_rank_toy():
+    problem, _ = _diag_toy()
+    sol = tikhonov_solve_direct(problem, 0.0)
+    assert sol.alpha == 0.0
+    np.testing.assert_allclose(sol.coefficients, problem.y / np.diag(problem.T), rtol=1e-10)
+
+
 def test_recover_fprime_quotient():
     grid = param_grid()
     c_sol = SplineParameter(grid, np.full(grid.n_knots, 2.4), name="c")
@@ -580,9 +605,10 @@ def test_probe_slope_band(reference_data, params, window_times):
     # band also asserts that both noise levels move the operator and the data
     grid = param_grid()
     x_c = params.b(grid.knots) * params.f(grid.knots, 1)
+    noisy = [inject_noise(reference_data, delta, seed=1234)[0] for delta in (1e-2, 1e-3)]
     slope, slope_data = checks.perturbation_slopes(
-        "identify-f", reference_data, GAMMA, (1e-2, 1e-3), x_c,
-        window_times[::100], grid, seed=1234, mobility=params.b,
+        "identify-f", reference_data, noisy, GAMMA, x_c, window_times[::100], grid,
+        mobility=params.b,
     )
     assert 0.8 <= slope <= 1.2
     assert 0.8 <= slope_data <= 1.2
