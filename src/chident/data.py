@@ -196,14 +196,13 @@ def _chemical_potentials(
 ) -> np.ndarray:
     """Spline coefficients (len(ks), dof) of mu = -gamma phi'' + f(phi) at
     the grid indices ks: phi'' and f(phi) at the observation nodes (the
-    spline is C2, so the nodal phi'' is unambiguous), re-interpolated."""
-    cells, u = data.basis.mesh.locate(data.basis.mesh.nodes())
-    u = np.tile(u, len(ks))
-    phi_nodes, d2_nodes = (
-        poly_vals(cell_polys(data.basis, data.coef[ks], order)[:, cells].reshape(-1, 4), u)
-        for order in (0, 2)
-    )
-    mu_nodes = -gamma * d2_nodes + potential(phi_nodes, 1)
+    spline is C2, so the nodal phi'' is unambiguous), re-interpolated.
+    The nodal values are the B-spline node rows (1, 4, 1) / 6 and
+    (1, -2, 1) n^2 of the coefficients."""
+    c = data.coef[ks]
+    n = data.basis.mesh.n_cells
+    d2_nodes = (np.roll(c, 1, axis=-1) - 2.0 * c + np.roll(c, -1, axis=-1)) * n**2
+    mu_nodes = -gamma * d2_nodes.ravel() + potential(spline_node_values(c).ravel(), 1)
     return interpolate_many(data.basis, mu_nodes.reshape(len(ks), -1))
 
 

@@ -40,12 +40,13 @@ PROBLEM_KINDS = (IDENTIFY_F, IDENTIFY_B, IDENTIFY_JOINT)
 # whose points stay in one knot piece, theta_j(phi) is a cubic of the cubic
 # phi, degree 9 in x, so theta_j(phi) phi' psi_i' (identify-f and the joint
 # c-block) has degree 13 and theta_j(phi) phi''' psi_i' (the joint b-block)
-# degree 11: 7 points integrate both exactly.  Only cells whose phi crosses
-# a knot value are integrated inexactly, by any fixed rule: on the seed-0
-# noisy paper observation T lies 5.0e-4 (f), 5.8e-4 (b) and 6.0e-4 (joint)
-# from a 48-point assembly, relative in the Frobenius norm.  The known
-# parameter in identify-b's operator and identify-f's mobility term raises
-# their degree past what the rule integrates exactly.
+# degree 11: 7 points integrate both exactly.  The eighth point serves the
+# cells whose phi crosses a knot value, exact under no fixed rule: on the
+# seed-0 noisy paper observation T lies 5.0e-4 (f), 5.8e-4 (b), 6.0e-4
+# (joint) from a 48-point assembly (relative, Frobenius), 1.1e-3, 1.2e-3,
+# 1.5e-3 at 7 points, which save 5-9 % of the assembly time but raise each
+# reference-alpha error of the benchmark (f by 7.6e-4 relative).  The known
+# parameter of identify-b and identify-f lifts their degree past the rule.
 N_QUAD = 8
 # Gauss-Legendre points per interval of ``range_restricted_error``, and
 # the rule on [-1, 1], built once
@@ -227,39 +228,25 @@ def select_indices(data: ObservationData, times) -> np.ndarray:
 _ASSEMBLY_BLOCK = 8
 
 
-def _assemble(
+def _snapshot_rows(
     data: ObservationData,
     gamma: float,
     kind: str,
-    times,
-    grid: NaturalSplineGrid | None,
+    idx: np.ndarray,
+    grid: NaturalSplineGrid,
     mobility=None,
     potential=None,
-) -> AssembledProblem:
-    """Row blocks (theta_j(phi) g, psi_i') and functionals of every time.
+):
+    """Rows G[i] = (theta_j(phi) g, psi_i') of the snapshots phi =
+    data.coef[idx[i]], any indices, and for identify-f their mobility
+    functionals (b(phi) phi''', psi_i') (else None).
 
-    theta_j(s) is the natural spline of knot j; at a point in knot piece
-    k it is m_left D[k, j] + m_right D[k + 1, j] + v_left [k == j] +
-    v_right [k + 1 == j] with D the grid's curvature map.  Each Gauss
-    point therefore carries only its four local weights, scaled by w g.
-    They go into a row 2 width wide, relative to p0, the first piece
-    reached by the points of its (cell, time): width = max(piece - p0) + 2
-    over the block, and p0 <= n_knots - width keeps every column on the
-    grid.  One product with the psi' table sums the points of every
-    cell, one bincount adds column p0 + j of each cell's rows to its
-    (time, dof) row, and [D; I] maps those rows to knot columns straight
-    into ``T``, once per block of times.
+    At a point in knot piece k, theta_j is m_left D[k, j] + m_right
+    D[k + 1, j] + v_left [k == j] + v_right [k + 1 == j], D the grid's
+    curvature map, so each Gauss point carries four local weights, scaled
+    by w g, into a row relative to p0, the first piece of its (cell,
+    snapshot).  One psi' product, one bincount and [D; I] give the rows.
     """
-    idx = select_indices(data, times)
-    vals = spline_node_values(data.coef[idx])
-    if not np.all(np.isfinite(vals)):
-        raise InverseError("data values are not finite")
-    if leaves_phase_interval(vals):
-        raise InverseError(
-            "data values leave the phase interval [-1, 1] "
-            f"(max |phi| = {np.max(np.abs(vals)):.6f})"
-        )
-    grid = param_grid() if grid is None else grid
     tabs = [gauss_table(data.basis, N_QUAD, r) for r in (0, 1, 3)]
     cell_dofs, psi1 = tabs[1].cell_dofs, tabs[1].table
     n_cells, n_local = cell_dofs.shape
@@ -270,26 +257,23 @@ def _assemble(
     n_g = 2 if kind == IDENTIFY_JOINT else 1
     bs = data.basis.dof_count
     step = max(1, _ASSEMBLY_BLOCK // n_g)
-    # flat (time, dof) row of every (local dof, cell, time) of a block, and
-    # the first column of its (row, g) in the block's bincount; a shorter
-    # last block uses the leading times
+    # flat (snapshot, dof) row of every (local dof, cell, snapshot) of a
+    # block, and the first column of its (row, g) in the block's bincount;
+    # a shorter last block uses the leading snapshots
     dof_time = cell_dofs.T[:, :, None] + bs * np.arange(step)
     row_start = (dof_time[..., None] * n_g + np.arange(n_g)) * (2 * nk)
-    # before T exists, so the difference quotients do not add to it
-    y = data.grams.mass((data.coef[idx] - data.coef[idx - 1]) / data.tau_data)
-    T = np.empty((len(idx), bs, n_g * nk))
+    G = np.empty((len(idx), bs, n_g * nk))
+    mob = np.empty((len(idx), bs)) if kind == IDENTIFY_F else None
 
     def point_weights(start, stop):
-        """Knot piece of every (point, cell, time) of the times idx[start:stop]
+        """Knot piece of every (point, cell, snapshot) of idx[start:stop]
         and its four local weights scaled by w g: the (m, v) pairs of the
-        left and the right knot as complex (g, point) arrays.
-
-        For identify-f the mobility term goes into y here.  The Gauss-point
-        values are freed on return.
+        left and the right knot as complex (g, point) arrays.  For
+        identify-f the mobility functionals go into ``mob`` here.
         """
         nb = stop - start
         cells = data.coef[idx[start:stop]].T[cell_dofs].transpose(1, 0, 2)
-        # phi, d phi / dx and d3 phi / dx3 as (point, cell, time)
+        # phi, d phi / dx and d3 phi / dx3 as (point, cell, snapshot)
         phi_q, dphi_q, d3_q = (table @ cells.reshape(n_local, -1)).reshape(
             3, N_QUAD, n_cells, nb
         )
@@ -297,8 +281,9 @@ def _assemble(
             gs = [-dphi_q]
             b_q = mobility(phi_q.ravel()).reshape(phi_q.shape)
             local = psi1.T @ (w * b_q * d3_q).reshape(N_QUAD, -1)
-            mob = np.bincount(dof_time[:, :, :nb].ravel(), local.ravel(), bs * nb)
-            y[start:stop] -= gamma * mob.reshape(nb, bs)
+            mob[start:stop] = np.bincount(
+                dof_time[:, :, :nb].ravel(), local.ravel(), bs * nb
+            ).reshape(nb, bs)
         elif kind == IDENTIFY_B:
             # gradient of mu = -gamma lap(phi) + f(phi) taken exactly on the
             # spline snapshot; differencing a re-interpolated nodal mu field
@@ -318,15 +303,15 @@ def _assemble(
         return piece.reshape(phi_q.shape), pairs
 
     def add_block(start, stop):
-        """T rows of the times idx[start:stop], and their mobility term in y."""
+        """G rows of the snapshots idx[start:stop]."""
         nb = stop - start
         piece, pairs = point_weights(start, stop)
         p0 = piece.min(axis=0)
         width = int((piece - p0).max()) + 2
         p0 = np.minimum(p0, nk - width)
-        # rows as (point, (cell, time, g, j, m/v)) for the psi' product, each
-        # (m, v) pair one complex entry, so that two scatters place all four
-        # weights: the row of (point, g) starts at complex offset
+        # rows as (point, (cell, snapshot, g, j, m/v)) for the psi' product,
+        # each (m, v) pair one complex entry, so that two scatters place all
+        # four weights: the row of (point, g) starts at complex offset
         # (point n_g + g) width, and base, laid out (g, point) like the
         # pairs, walks its left and right knot
         base = np.arange(0, piece.size * n_g * width, width).reshape(-1, n_g).T
@@ -341,24 +326,49 @@ def _assemble(
         del base, pairs
         local = psi1.T @ rows.view(float).reshape(N_QUAD, -1)
         del rows
-        # (local dof, cell, time, g, j, m/v) -> ((time, dof), g, m/v nk + p0 + j)
+        # (local dof, cell, snapshot, g, j, m/v) -> ((snapshot, dof), g, m/v nk + p0 + j)
         offsets = (np.arange(width)[:, None] + np.arange(2) * nk).ravel()
         target = (row_start[:, :, :nb] + p0[:, :, None])[..., None] + offsets
         sums = np.bincount(target.ravel(), local.ravel(), bs * nb * n_g * 2 * nk)
         del target, local
-        np.matmul(sums.reshape(-1, 2 * nk), knot_map, out=T[start:stop].reshape(-1, nk))
+        np.matmul(sums.reshape(-1, 2 * nk), knot_map, out=G[start:stop].reshape(-1, nk))
 
     # one call per block, so a block's temporaries are gone before the next
     for start in range(0, len(idx), step):
         add_block(start, min(start + step, len(idx)))
+    return G, mob
+
+
+def _assemble(
+    data: ObservationData,
+    gamma: float,
+    kind: str,
+    times,
+    grid: NaturalSplineGrid | None,
+    mobility=None,
+    potential=None,
+) -> AssembledProblem:
+    """Backward equation error of every time t_k: T = G(phi_k) and
+    y = M (phi_k - phi_{k-1}) / tau_data, less gamma times the mobility
+    functional of phi_k for identify-f (``_snapshot_rows``)."""
+    idx = select_indices(data, times)
+    vals = spline_node_values(data.coef[idx])
+    if not np.all(np.isfinite(vals)):
+        raise InverseError("data values are not finite")
+    if leaves_phase_interval(vals):
+        raise InverseError(
+            "data values leave the phase interval [-1, 1] "
+            f"(max |phi| = {np.max(np.abs(vals)):.6f})"
+        )
+    grid = param_grid() if grid is None else grid
+    # before T exists, so the difference quotients do not add to its peak
+    y = data.grams.mass((data.coef[idx] - data.coef[idx - 1]) / data.tau_data)
+    T, mob = _snapshot_rows(data, gamma, kind, idx, grid, mobility, potential)
+    if mob is not None:
+        y -= gamma * mob
     return AssembledProblem(
-        kind=kind,
-        T=T.reshape(len(idx) * bs, n_g * nk),
-        y=y.ravel(),
-        grams=data.grams,
-        R=assemble_param_gram(grid),
-        grid=grid,
-        times=data.times[idx],
+        kind=kind, T=T.reshape(-1, T.shape[2]), y=y.ravel(), grams=data.grams,
+        R=assemble_param_gram(grid), grid=grid, times=data.times[idx],
     )
 
 
@@ -530,9 +540,9 @@ def default_alpha_grid() -> np.ndarray:
 
 
 def checked_alpha(alpha) -> float:
-    """``alpha`` as a float, if it is a Tikhonov weight: positive."""
-    if not alpha > 0.0:
-        raise InverseError(f"alpha must be positive, got {alpha}")
+    """``alpha`` as a float, if it is a Tikhonov weight: finite and positive."""
+    if not 0.0 < alpha < np.inf:
+        raise InverseError(f"alpha must be finite and positive, got {alpha}")
     return float(alpha)
 
 

@@ -666,6 +666,9 @@ def test_verify_records_every_check_after_a_failed_forward_run(tmp_path, monkeyp
     assert "Traceback" not in captured.err
 
 
+# a one-time run leaves the perturbation check one data time, on which the
+# joint assembly warns that it is rank deficient
+@pytest.mark.filterwarnings("ignore:joint identification from fewer than two times")
 @settings(max_examples=30)
 @given(
     n_cells=st.integers(16, 64),

@@ -56,10 +56,9 @@ def test_zero_data_gives_zero_solution():
 
 def test_alpha_validation():
     problem = toy_problem([[1.0]], [1.0])
-    with pytest.raises(InverseError):
-        tikhonov_solve(problem, 0.0)
-    with pytest.raises(InverseError):
-        tikhonov_solve(problem, -1e-3)
+    for alpha in (0.0, -1e-3, np.inf):
+        with pytest.raises(InverseError):
+            tikhonov_solve(problem, alpha)
 
 
 def _diag_toy():
@@ -255,13 +254,14 @@ def test_noise_and_assembly_share_the_closed_phase_interval():
 
 def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
                        n_quad=inverse.N_QUAD):
-    """Reference (T, y): one time at a time, from sparse evaluation matrices."""
+    """Reference (T, y, m): one time at a time, from sparse evaluation
+    matrices; m stacks identify-f's mobility functionals (b(phi) phi''', psi_i')."""
     w = quadrature_rule(data.basis.mesh, n_quad)[1]
     points = gauss_points(data.basis, n_quad)
     e = [basis_matrix(data.basis, points, r) for r in range(4)]
     m_l2 = weighted_gram(e[0], e[0], w)
     nk, bs = grid.n_knots, data.basis.dof_count
-    blocks_t, blocks_y = [], []
+    blocks_t, blocks_y, blocks_m = [], [], []
     for k in data.indices_of(times):
         c = data.coef[k]
         phi_q, dphi_q, d3_q = e[0] @ c, e[1] @ c, e[3] @ c
@@ -269,7 +269,8 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
         my = m_l2 @ ((c - data.coef[k - 1]) / data.tau_data)
         if kind == "f":
             blocks_t.append(-(e[1].T @ ((w * dphi_q)[:, None] * theta)))
-            blocks_y.append(my - GAMMA * (e[1].T @ (w * mobility(phi_q) * d3_q)))
+            blocks_m.append(e[1].T @ (w * mobility(phi_q) * d3_q))
+            blocks_y.append(my - GAMMA * blocks_m[-1])
         elif kind == "b":
             dmu_q = -GAMMA * d3_q + potential(phi_q, 2) * dphi_q
             blocks_t.append(-(e[1].T @ ((w * dmu_q)[:, None] * theta)))
@@ -281,7 +282,8 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
             ]))
             blocks_y.append(my)
     assert blocks_t[0].shape == (bs, 2 * nk if kind == "joint" else nk)
-    return np.vstack(blocks_t), np.concatenate(blocks_y)
+    m = np.concatenate(blocks_m) if blocks_m else None
+    return np.vstack(blocks_t), np.concatenate(blocks_y), m
 
 
 def _assemble_kind(data, kind, times, grid, params):
@@ -299,6 +301,9 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
     pick = np.random.default_rng(5).permutation(len(window_times))[:n_times]
     times = window_times[pick]
     assert np.any(np.diff(times) < 0)
+    # the snapshot rows hold at snapshot 0 too, which no time selects
+    idx = np.concatenate([[0], reference_data.indices_of(times)])
+    bs = reference_data.basis.dof_count
     # on the fine grid an interface cell spans up to 16 pieces, so the row
     # width is far above its paper-grid value, and cells where phi nears 1
     # sit in the last piece, where p0 is clamped
@@ -308,12 +313,20 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
         # different orders) shows there, most on the fine grid (1.3e-13)
         tol = 2e-13 if kind == "b" and grid.spacing < 0.1 else 1e-13
         problem = _assemble_kind(reference_data, kind, times, grid, params)
-        t_ref, y_ref = _assemble_per_time(
-            reference_data, kind, times, grid, mobility=params.b, potential=params.F
+        g_ref, y_ref, m_ref = _assemble_per_time(
+            reference_data, kind, reference_data.times[idx], grid,
+            mobility=params.b, potential=params.F,
         )
+        t_ref, y_ref = g_ref[bs:], y_ref[bs:]
         assert problem.T.shape == t_ref.shape and problem.y.shape == y_ref.shape
         assert np.max(np.abs(problem.T - t_ref)) <= tol * np.max(np.abs(t_ref))
         assert np.max(np.abs(problem.y - y_ref)) <= tol * np.max(np.abs(y_ref))
+        g, m = inverse._snapshot_rows(reference_data, GAMMA, f"identify-{kind}", idx,
+                                      grid, mobility=params.b, potential=params.F)
+        assert np.max(np.abs(g.reshape(g_ref.shape) - g_ref)) <= tol * np.max(np.abs(g_ref))
+        assert (m is None) == (m_ref is None)
+        if m is not None:
+            assert np.max(np.abs(m.ravel() - m_ref)) <= tol * np.max(np.abs(m_ref))
 
 
 def test_assembly_is_exact_where_every_cell_stays_in_one_knot_piece(params, monkeypatch):
@@ -360,7 +373,7 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
     grid = NaturalSplineGrid(0.02)
     times = data.times[1:]
     problem = _assemble_kind(data, kind, times, grid, params)
-    t_ref, y_ref = _assemble_per_time(
+    t_ref, y_ref, _ = _assemble_per_time(
         data, kind, times, grid, mobility=params.b, potential=params.F
     )
     assert np.max(np.abs(problem.T - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
@@ -371,9 +384,10 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
 # 2 n_knots-wide local-weight rows, one time per block, measured
 # 1.7000-1.7002 MB for the joint problem (numpy 2, one BLAS thread).  With
 # piece-relative rows at eight times per block (four for the joint problem)
-# and every other block temporary freed before the rows exist, identify-f
-# measures 1.268 MB, identify-b 1.268 MB and the joint problem 1.252 MB at
-# 8 Gauss points per cell (1.437, 1.405 and 1.370 MB at 12).
+# and every other block temporary freed before the rows exist, identify-b
+# measures 1.432 MB and the joint problem 1.416 MB at 8 Gauss points per
+# cell (numpy 2.4, one BLAS thread).  identify-f measures 1.593 MB: its
+# mobility functionals, 0.16 MB, are an array of their own beside T.
 ASSEMBLY_EXTRA_BYTES = 1.70e6
 
 

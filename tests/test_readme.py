@@ -48,3 +48,19 @@ def test_readme_check_bounds_are_the_checks_constants():
             "SLOPE_TOL"} <= set(stated)
     for name, value in stated.items():
         assert getattr(checks, name) == float(value), name
+
+
+def test_readme_assembly_rule_is_the_inverse_constants():
+    """The README's Gauss points per cell and snapshots per assembly block
+    (halved for the joint problem) are ``inverse.N_QUAD`` and
+    ``inverse._ASSEMBLY_BLOCK``."""
+    from chident import inverse
+
+    words = {"two": 2, "three": 3, "four": 4, "five": 5, "six": 6, "seven": 7,
+             "eight": 8, "nine": 9, "ten": 10, "twelve": 12, "sixteen": 16}
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert int(re.search(r"`inverse\.N_QUAD` = (\d+)", text).group(1)) == inverse.N_QUAD
+    block, joint = re.search(
+        r"built (\w+) snapshots at a time \((\w+) for the joint problem", text
+    ).groups()
+    assert (words[block], words[joint]) == (inverse._ASSEMBLY_BLOCK, inverse._ASSEMBLY_BLOCK // 2)
