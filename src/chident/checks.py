@@ -20,7 +20,7 @@ import numpy as np
 from .config import LAYER_ERRORS, RunConfig
 from .data import build_observability_report, inject_noise, restrict_to_data_grid
 from .forward import simulate
-from .inverse import IDENTIFY_B, IDENTIFY_F, IDENTIFY_JOINT, InverseError, assemble_problem
+from .inverse import PROBLEM_KINDS, assemble_problem, true_coefficients
 from .meshbasis import (
     assemble_grams, build_mesh, cubic_spline_basis, dual_norm_Hm1, interpolate, quadratic_fe,
 )
@@ -140,25 +140,23 @@ def coarea_identity(residuals) -> CheckResult:
     )
 
 
-def perturbation_slopes(kind, data, noisy, gamma, x_truth, times, grid,
-                        mobility=None, potential=None) -> tuple[float, float]:
+def perturbation_slopes(kind, data, noisy, params, times, grid) -> tuple[float, float]:
     """Log-log slopes of the assembly perturbations against the noise level.
 
-    The problem ``kind`` is reassembled on each container of ``noisy`` (a
-    noise realization of the clean ``data`` at its own ``delta``), and
-    ||(T^delta - T) x_truth|| and ||y^delta - y|| are evaluated in the
-    block-weighted dual norm; returns the fitted slopes of the two (one by
-    the stability bounds), nan where fewer than two deviations are positive.
+    The problem ``kind`` of the model ``params`` is reassembled on each
+    container of ``noisy`` (a noise realization of the clean ``data`` at its
+    own ``delta``), and ||(T^delta - T) x|| and ||y^delta - y||, x the
+    model's ``true_coefficients``, are evaluated in the block-weighted dual
+    norm; returns the fitted slopes of the two (one by the stability
+    bounds), nan where fewer than two deviations are positive.
     """
 
     def build(d):
-        return assemble_problem(kind, d, gamma, times, grid, mobility, potential)
+        return assemble_problem(kind, d, params, times, grid)
 
     deltas = np.array([d.delta for d in noisy], dtype=float)
     clean = build(data)
-    x_truth = np.asarray(x_truth, dtype=float)
-    if x_truth.shape != (clean.n_cols,):
-        raise InverseError(f"x_truth has shape {x_truth.shape}, expected ({clean.n_cols},)")
+    x_truth = true_coefficients(kind, params, grid)
     op_dev, y_dev = np.empty((2, len(noisy)))
     for i, pert in enumerate(map(build, noisy)):
         op_dev[i] = clean.weighted_misfit((pert.T - clean.T) @ x_truth)
@@ -173,18 +171,12 @@ def perturbation_slopes(kind, data, noisy, gamma, x_truth, times, grid,
     return slope(op_dev), slope(y_dev)
 
 
-def perturbation_scaling(data, gamma, params, grid, times, seed) -> CheckResult:
+def perturbation_scaling(data, params, grid, times, seed) -> CheckResult:
     """Log-log slopes of the operator and of the data perturbation of the
     three assemblies, one noise draw per ``PERTURBATION_DELTAS`` level; each should be one."""
     noisy = [inject_noise(data, delta, seed=seed)[0] for delta in PERTURBATION_DELTAS]
-    x_b = params.b(grid.knots)
-    x_c = x_b * params.f(grid.knots, 1)
-    slopes = {}
-    for kind, x_truth, extra in ((IDENTIFY_F, x_c, {"mobility": params.b}),
-                                 (IDENTIFY_B, x_b, {"potential": params.F}),
-                                 (IDENTIFY_JOINT, np.concatenate([x_b, x_c]), {})):
-        slopes[kind] = perturbation_slopes(kind, data, noisy, gamma, x_truth, times, grid,
-                                           **extra)
+    slopes = {kind: perturbation_slopes(kind, data, noisy, params, times, grid)
+              for kind in PROBLEM_KINDS}
     return CheckResult(
         "perturbation-scaling",
         all(abs(s - 1.0) <= SLOPE_TOL for pair in slopes.values() for s in pair),
@@ -193,16 +185,17 @@ def perturbation_scaling(data, gamma, params, grid, times, seed) -> CheckResult:
     )
 
 
-def run_invariant_suite(cfg: RunConfig, printer=print) -> list[CheckResult]:
+def run_invariant_suite(cfg: RunConfig) -> list[CheckResult]:
     """Run the five checks on a short reference problem.
 
-    Returns one result per check, in a fixed order; the CLI maps any
-    failure to exit code 3.  The ~100-step forward run and its restriction
-    to the data grid are built once, first.  A check that raises, or whose
-    shared input failed, fails with that reason, and the suite goes on.
+    Prints a PASS/FAIL line per check and returns one result per check,
+    in a fixed order; the CLI maps any failure to exit code 3.  The
+    ~100-step forward run and its restriction to the data grid are built
+    once, first.  A check that raises, or whose shared input failed, fails
+    with that reason, and the suite goes on.
     """
     params = cfg.model_params()
-    tau, gamma = cfg.forward.tau, cfg.forward.gamma
+    tau = cfg.forward.tau
     # about 100 steps, in whole data steps: the restriction needs
     # data.factor to divide the step count
     t_end = min(cfg.forward.t_end, max(100 // cfg.data.factor, 1) * cfg.data.factor * tau)
@@ -226,11 +219,11 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list[CheckResult]:
     def coarea_inputs():
         # the observability report's rows at the first 15 data times
         report = build_observability_report(
-            held(data), gamma, params.F, data.times[1:16], cfg.inverse.threshold)
-        return (report.residual(params.b, lambda s: params.b(s) * params.f(s, 1)),)
+            held(data), params.gamma, params.F, data.times[1:16], cfg.inverse.threshold)
+        return (report.residual(params.b, params.c),)
 
     def perturbation_inputs():
-        return (held(data), gamma, params, NaturalSplineGrid(cfg.inverse.sigma),
+        return (held(data), params, NaturalSplineGrid(cfg.inverse.sigma),
                 data.times[1:min(6, data.n_times)], cfg.data.seed + 17)
 
     def scaling_inputs():
@@ -249,5 +242,5 @@ def run_invariant_suite(cfg: RunConfig, printer=print) -> list[CheckResult]:
         except LAYER_ERRORS as exc:
             result = CheckResult(check.__name__.replace("_", "-"), False, f"failure: {exc}")
         results.append(result)
-        printer(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
+        print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
     return results

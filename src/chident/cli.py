@@ -29,7 +29,7 @@ from .data import (
     observable_range, restrict_to_data_grid,
 )
 from .inverse import (
-    B_FLOOR, IDENTIFY_B, IDENTIFY_F, assemble_problem, default_alpha_grid, lcurve_select,
+    B_FLOOR, IDENTIFY_B, IDENTIFY_F, assemble_problem, lcurve_select,
     range_restricted_error, recover_fprime, select_indices, tikhonov_solve,
 )
 from .checks import conservation, run_invariant_suite
@@ -108,8 +108,7 @@ def cmd_make_data(cfg: RunConfig, args, out: Path):
         noise = asdict(record)
     params = cfg.model_params()
     report_obj = build_observability_report(
-        data, cfg.forward.gamma, params.F,
-        threshold_rel=cfg.inverse.threshold,
+        data, params.gamma, params.F, threshold_rel=cfg.inverse.threshold,
     )
     chio.save_observation(data, out / "observation.bin")
     chio.diagnostics_csv(report_obj, out / "diagnostics.csv")
@@ -144,30 +143,23 @@ def _selected_times(cfg: RunConfig, data) -> np.ndarray:
 
 
 def _load_problem(cfg: RunConfig, args, out: Path):
-    """Observation, selected times, assembled problem and alpha sweep grid."""
+    """Observation, selected times, model and assembled problem."""
     obs_path = Path(args.observation) if args.observation else out / "observation.bin"
     data = chio.load_observation(obs_path)
     params = cfg.model_params()
-    grid = NaturalSplineGrid(cfg.inverse.sigma)
     times = _selected_times(cfg, data)
     problem = assemble_problem(
-        cfg.inverse.kind, data, cfg.forward.gamma, times, grid,
-        mobility=params.b, potential=params.F,
+        cfg.inverse.kind, data, params, times, NaturalSplineGrid(cfg.inverse.sigma)
     )
-    alphas = (np.asarray(cfg.inverse.alpha_grid)
-              if cfg.inverse.alpha_grid else default_alpha_grid())
-    return data, times, problem, alphas
+    return data, times, params, problem
 
 
-def _range_masks(cfg: RunConfig, data, times):
+def _range_masks(data, times, params, threshold):
     """Union of attained and observable ranges over the selected times."""
-    params = cfg.model_params()
     attained = merge_intervals(attained_ranges(data, times))
     observable = merge_intervals(
         iv
-        for ivs in observable_range(
-            data, cfg.forward.gamma, params.F, times, threshold_rel=cfg.inverse.threshold
-        )
+        for ivs in observable_range(data, params.gamma, params.F, times, threshold_rel=threshold)
         for iv in ivs
     )
     return attained, observable
@@ -181,21 +173,18 @@ def _mask_of(intervals, s_grid):
 
 
 def cmd_identify(cfg: RunConfig, args, out: Path):
-    data, times, problem, alphas = _load_problem(cfg, args, out)
-    params = cfg.model_params()
+    data, times, params, problem = _load_problem(cfg, args, out)
     grid = problem.grid
 
     if cfg.inverse.alpha is None:
-        alpha, lcurve = lcurve_select(problem, alphas)
+        alpha, lcurve = lcurve_select(problem, cfg.inverse.alpha_grid)
         chio.lcurve_csv(lcurve, out / "lcurve.csv")
     else:
         alpha = cfg.inverse.alpha
     sol = tikhonov_solve(problem, alpha)
 
-    attained, observable = _range_masks(cfg, data, times)
+    attained, observable = _range_masks(data, times, params, cfg.inverse.threshold)
     kind = cfg.inverse.kind
-    truth_b = params.b
-    truth_c = lambda s: params.b(s) * params.f(s, 1)
     truth_fprime = lambda s: params.f(s, 1)
 
     results = {}
@@ -220,15 +209,15 @@ def cmd_identify(cfg: RunConfig, args, out: Path):
         c_sol = SplineParameter(grid, sol.coefficients, name="c")
         fprime = recover_fprime(c_sol, params.b)
         emit("fprime", fprime, truth_fprime, attained)
-        results["error_c"] = range_restricted_error(c_sol, truth_c, attained)
+        results["error_c"] = range_restricted_error(c_sol, params.c, attained)
     elif kind == IDENTIFY_B:
         b_sol = SplineParameter(grid, sol.coefficients, name="b")
-        emit("b", b_sol, truth_b, observable or attained)
+        emit("b", b_sol, params.b, observable or attained)
     else:
         b_vals, c_vals = problem.split(sol.coefficients)
         b_sol = SplineParameter(grid, b_vals, name="b")
         c_sol = SplineParameter(grid, c_vals, name="c")
-        emit("b", b_sol, truth_b, attained)
+        emit("b", b_sol, params.b, attained)
         # plot/score f' as the pointwise quotient: knots outside the
         # identified range carry no data, so dividing spline values there
         # can hit non-positive mobility; the guarded quotient agrees with
@@ -262,8 +251,8 @@ def cmd_identify(cfg: RunConfig, args, out: Path):
 
 
 def cmd_lcurve(cfg: RunConfig, args, out: Path):
-    _, _, problem, alphas = _load_problem(cfg, args, out)
-    alpha, curve = lcurve_select(problem, alphas)
+    *_, problem = _load_problem(cfg, args, out)
+    alpha, curve = lcurve_select(problem, cfg.inverse.alpha_grid)
     chio.lcurve_csv(curve, out / "lcurve.csv")
     report = {
         "kind": cfg.inverse.kind,

@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dgeqrt
 from .data import ObservationData
 from .meshbasis import GramPair, gauss_table, spline_node_values
 from .model import (
+    ModelParams,
     NaturalSplineGrid,
     RegularizerGram,
     SplineParameter,
@@ -429,23 +430,32 @@ def assemble_identify_joint(
 def assemble_problem(
     kind: str,
     data: ObservationData,
-    gamma: float,
+    params: ModelParams,
     times,
     grid: NaturalSplineGrid | None = None,
-    mobility=None,
-    potential=None,
 ) -> AssembledProblem:
-    """Equation-error system of one problem kind.
-
-    identify-f reads the known ``mobility``, identify-b the known
-    ``potential``; the other is ignored.
-    """
+    """Equation-error system of one problem kind under the model ``params``:
+    gamma throughout, the known mobility for identify-f and the known
+    potential for identify-b."""
     if kind == IDENTIFY_F:
-        return assemble_identify_f(data, gamma, mobility, times, grid)
+        return assemble_identify_f(data, params.gamma, params.b, times, grid)
     if kind == IDENTIFY_B:
-        return assemble_identify_b(data, gamma, potential, times, grid)
+        return assemble_identify_b(data, params.gamma, params.F, times, grid)
     if kind == IDENTIFY_JOINT:
-        return assemble_identify_joint(data, gamma, times, grid)
+        return assemble_identify_joint(data, params.gamma, times, grid)
+    raise InverseError(f"unknown problem kind {kind!r}")
+
+
+def true_coefficients(kind: str, params: ModelParams, grid: NaturalSplineGrid) -> np.ndarray:
+    """Knot values that problem ``kind`` solves for under the model
+    ``params``: c = b f' (identify-f), b (identify-b), or [b; c] in the
+    order of ``AssembledProblem.split`` (identify-joint)."""
+    if kind == IDENTIFY_F:
+        return params.c(grid.knots)
+    if kind == IDENTIFY_B:
+        return params.b(grid.knots)
+    if kind == IDENTIFY_JOINT:
+        return np.concatenate([params.b(grid.knots), params.c(grid.knots)])
     raise InverseError(f"unknown problem kind {kind!r}")
 
 

@@ -211,6 +211,10 @@ class ModelParams:
         """Derivative of the potential, f = F'."""
         return self.F(s, order + 1)
 
+    def c(self, s):
+        """The product c = b f' that identify-f and the joint problem solve for."""
+        return self.b(s) * self.f(s, 1)
+
 
 def mobility_floor(b) -> float:
     """Minimum of the mobility over a dense sample of the phase interval."""

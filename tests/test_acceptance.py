@@ -102,7 +102,7 @@ def _coarea_residuals(data, anchor, params):
     ok = ~sample.degenerate
     rel = np.full(len(ok), np.nan)
     rel[ok] = coarea_residual(sample.s[ok], sample.A_b[ok], sample.A_c[ok], sample.A[ok],
-                              params.b, lambda s: params.b(s) * params.f(s, 1))
+                              params.b, params.c)
     return rel
 
 
@@ -141,8 +141,8 @@ def test_criterion_05_coarea_identity(reference_data, refined_data, params):
 
 
 def test_criterion_06_perturbation_scaling(reference_data, params, window_times):
-    chk = perturbation_scaling(reference_data, GAMMA, params, param_grid(),
-                               window_times[::40], seed=1234)
+    chk = perturbation_scaling(reference_data, params, param_grid(), window_times[::40],
+                               seed=1234)
     record_criterion(6, "perturbation-scaling", chk.passed, chk.detail)
     assert chk.passed
 

@@ -10,6 +10,7 @@ removing or renaming any of them fails here first.
 import inspect
 
 import numpy as np
+import pytest
 
 from chident import config, data, inverse, model
 from chident.meshbasis import cell_polys
@@ -70,6 +71,25 @@ def test_report_reaches_level_crossings_through_the_module(
     for i, k in enumerate(np.repeat([0, 1, 1, 0], 7)):
         own_cubics = cell_polys(reference_data.basis, coef[k])
         assert np.array_equal(cubics.phi[cubics.rows[i]], own_cubics), i
+
+
+@pytest.mark.parametrize("kind", ["f", "b", "joint"])
+def test_assemble_problem_reaches_each_kind_through_the_module(
+    reference_data, params, window_times, monkeypatch, kind
+):
+    # tracing.py times the assemblies by wrapping these attributes, so a
+    # call of assemble_problem keeps the inverse.assemble.* spans
+    name = f"assemble_identify_{kind}"
+    real, calls = getattr(inverse, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, name, counting)
+    problem = inverse.assemble_problem(f"identify-{kind}", reference_data, params,
+                                       window_times[:2], model.param_grid())
+    assert len(calls) == 1 and problem.kind == f"identify-{kind}"
 
 
 def test_default_param_grid():

@@ -551,7 +551,7 @@ def test_verify_negative_control(tmp_path, monkeypatch):
     assert by_name["conservation"] is True
 
 
-def test_verify_coarea_count_is_the_report_residual(params):
+def test_verify_coarea_count_is_the_report_residual(params, capsys):
     """The co-area line counts the residuals of the observability report
     at the first 15 data times of the suite's 100-step run."""
     from chident.config import paper_preset
@@ -560,8 +560,9 @@ def test_verify_coarea_count_is_the_report_residual(params):
     from chident.meshbasis import build_mesh, interpolate, quadratic_fe
 
     cfg = paper_preset()
-    results = checks.run_invariant_suite(cfg, printer=lambda line: None)
+    results = checks.run_invariant_suite(cfg)
     detail = {r.name: r.detail for r in results}["coarea-identity"]
+    assert f"coarea-identity: {detail}\n" in capsys.readouterr().out
     fw = cfg.forward
     phi0 = interpolate(quadratic_fe(build_mesh(fw.n_cells)), cfg.initial_fn())
     traj = simulate(phi0, params, t_end=100 * fw.tau, tau=fw.tau)
@@ -569,7 +570,7 @@ def test_verify_coarea_count_is_the_report_residual(params):
     report = build_observability_report(
         data, fw.gamma, params.F, data.times[1:16], cfg.inverse.threshold
     )
-    rel = report.residual(params.b, lambda s: params.b(s) * params.f(s, 1))
+    rel = report.residual(params.b, params.c)
     assert len(report.rows) == 105
     assert detail == f"{np.sum(rel <= 5e-2)}/{len(rel)} samples below 5e-2 (worst {rel.max():.3f})"
 
@@ -777,13 +778,14 @@ def test_make_data_noise_levels_exit_0_or_2(small_trajectories, tmp_path_factory
 _SPLINE = st.lists(st.floats(0.05, 3.0), min_size=3, max_size=8)
 
 
-# two steps at data factor 2 leave one data time, on which the joint
-# assembly warns that it is rank deficient
+# a step count equal to the data factor leaves one data time, on which the
+# joint assembly warns that it is rank deficient
 @pytest.mark.filterwarnings("ignore:joint identification from fewer than two times")
 @settings(max_examples=20)
 @given(
     half_cells=st.integers(8, 16),
     steps=st.integers(2, 8),
+    factor=st.integers(1, 3),
     kind=st.sampled_from(("identify-f", "identify-b", "identify-joint")),
     potential=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=8),
     # a positive list three times in four, so that most examples reach identify
@@ -791,20 +793,24 @@ _SPLINE = st.lists(st.floats(0.05, 3.0), min_size=3, max_size=8)
                        st.lists(st.floats(-0.5, 3.0), min_size=3, max_size=8)),
     delta=st.one_of(st.none(), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
     seed=st.integers(0, 2**31 - 1),
+    sigma=st.sampled_from((1.0, 0.5, 0.25, 0.2, 0.1)),
+    alpha=st.one_of(st.just("auto"), st.floats(-12.0, -2.0).map(lambda e: repr(10.0**e))),
 )
-def test_command_chain_exits_with_a_documented_code(tmp_path_factory, half_cells, steps, kind,
-                                                    potential, mobility, delta, seed):
+def test_command_chain_exits_with_a_documented_code(tmp_path_factory, half_cells, steps, factor,
+                                                    kind, potential, mobility, delta, seed,
+                                                    sigma, alpha):
     """simulate, make-data, identify and lcurve in a row on small random
     configurations: each command exits 0, 1, 2 or 3 with no traceback,
-    and the chain stops at the first that fails."""
-    factor = 2 if steps % 2 == 0 else 1
+    and the chain stops at the first that fails.  A data factor that does
+    not divide the cell and the step count stops the chain at its first
+    command with exit code 1."""
     t_end = steps * 2e-5
     body = (f"forward.n_cells = {2 * half_cells}\nforward.tau = 2e-5\n"
             f"forward.t_end = {t_end!r}\n"
             f"forward.potential = spline:{','.join(map(repr, potential))}\n"
             f"forward.mobility = spline:{','.join(map(repr, mobility))}\n"
             f"data.factor = {factor}\ndata.window = 0:{t_end!r}\ndata.seed = {seed}\n"
-            f"inverse.kind = {kind}\ninverse.alpha = 1e-8\ninverse.sigma = 0.25\n"
+            f"inverse.kind = {kind}\ninverse.alpha = {alpha}\ninverse.sigma = {sigma!r}\n"
             "output.directory = {out}\n")
     if delta is not None:
         body += f"data.delta = {delta!r}\n"
@@ -815,5 +821,7 @@ def test_command_chain_exits_with_a_documented_code(tmp_path_factory, half_cells
             code = cli.main([command, "--config", str(cfg)])
         assert code in (0, 1, 2, 3), (command, code)
         assert "Traceback" not in err.getvalue(), (command, err.getvalue())
+        if (2 * half_cells) % factor or steps % factor:
+            assert (command, code) == ("simulate", 1)
         if code:
             break

@@ -257,7 +257,7 @@ def test_coarea_sample_fields(reference_data, params):
     assert np.all(sm.min_slope > 0.0)
     ok = ~sm.degenerate
     s, a = sm.s[ok], sm.A[ok]
-    pred = params.b(s) * sm.A_b[ok] + params.b(s) * params.f(s, 1) * sm.A_c[ok]
+    pred = params.b(s) * sm.A_b[ok] + params.c(s) * sm.A_c[ok]
     rels = np.abs(a - pred) / np.maximum(np.abs(a), np.abs(pred))
     # the identity is resolved at several of these levels on this grid
     assert np.sum(rels < 5e-2) >= 3
@@ -533,7 +533,7 @@ def test_report_samples_each_pair_once(reference_data, params, monkeypatch):
 def test_residual_equals_the_row_formula(reference_data, params):
     report = build_observability_report(reference_data, GAMMA, params.F)
     b_fn = params.b
-    c_fn = lambda s: params.b(s) * params.f(s, 1)
+    c_fn = params.c
     # mark every third row degenerate, so that some rows are skipped
     report.rows = [replace(row, degenerate=row.degenerate or i % 3 == 0)
                    for i, row in enumerate(report.rows)]

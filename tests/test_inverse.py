@@ -286,12 +286,6 @@ def _assemble_per_time(data, kind, times, grid, mobility=None, potential=None,
     return np.vstack(blocks_t), np.concatenate(blocks_y), m
 
 
-def _assemble_kind(data, kind, times, grid, params):
-    """The assembly of kind "f", "b" or "joint" with the true known parameter."""
-    return inverse.assemble_problem(f"identify-{kind}", data, GAMMA, times, grid,
-                                    mobility=params.b, potential=params.F)
-
-
 @pytest.mark.parametrize("kind", ["f", "b", "joint"])
 def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window_times,
                                                   kind):
@@ -312,7 +306,7 @@ def test_blocked_assembly_matches_per_time_oracle(reference_data, params, window
         # phi is near a well, so the two routes' rounding of phi' (summed in
         # different orders) shows there, most on the fine grid (1.3e-13)
         tol = 2e-13 if kind == "b" and grid.spacing < 0.1 else 1e-13
-        problem = _assemble_kind(reference_data, kind, times, grid, params)
+        problem = inverse.assemble_problem(f"identify-{kind}", reference_data, params, times, grid)
         g_ref, y_ref, m_ref = _assemble_per_time(
             reference_data, kind, reference_data.times[idx], grid,
             mobility=params.b, potential=params.F,
@@ -348,7 +342,8 @@ def test_assembly_is_exact_where_every_cell_stays_in_one_knot_piece(params, monk
 
     def assemble(n_quad):
         monkeypatch.setattr(inverse, "N_QUAD", n_quad)
-        return {kind: _assemble_kind(data, kind, times, grid, params) for kind in ("f", "joint")}
+        return {kind: inverse.assemble_problem(f"identify-{kind}", data, params, times, grid)
+                for kind in ("f", "joint")}
 
     got, few, ref = assemble(inverse.N_QUAD), assemble(6), assemble(48)
     for kind, want in ref.items():
@@ -372,7 +367,7 @@ def test_assembly_rows_stay_on_grid_at_its_ends(params, kind):
                            coef=coef, tau_data=1e-4)
     grid = NaturalSplineGrid(0.02)
     times = data.times[1:]
-    problem = _assemble_kind(data, kind, times, grid, params)
+    problem = inverse.assemble_problem(f"identify-{kind}", data, params, times, grid)
     t_ref, y_ref, _ = _assemble_per_time(
         data, kind, times, grid, mobility=params.b, potential=params.F
     )
@@ -396,8 +391,7 @@ def test_assembly_memory_beside_T(kind, window_times, reference_data, params):
     grid = param_grid()
 
     def build():
-        return inverse.assemble_problem(kind, reference_data, GAMMA, window_times,
-                                        grid, params.b, params.F)
+        return inverse.assemble_problem(kind, reference_data, params, window_times, grid)
 
     build()  # warm caches
     tracemalloc.start()
@@ -618,11 +612,28 @@ def test_probe_slope_band(reference_data, params, window_times):
     # a slope is nan unless both of its deviations are positive, so the
     # band also asserts that both noise levels move the operator and the data
     grid = param_grid()
-    x_c = params.b(grid.knots) * params.f(grid.knots, 1)
     noisy = [inject_noise(reference_data, delta, seed=1234)[0] for delta in (1e-2, 1e-3)]
     slope, slope_data = checks.perturbation_slopes(
-        "identify-f", reference_data, noisy, GAMMA, x_c, window_times[::100], grid,
-        mobility=params.b,
+        "identify-f", reference_data, noisy, params, window_times[::100], grid
     )
     assert 0.8 <= slope <= 1.2
     assert 0.8 <= slope_data <= 1.2
+
+
+@pytest.mark.parametrize("kind", inverse.PROBLEM_KINDS)
+def test_true_coefficients_match_each_kind_layout(reference_data, params, window_times, kind):
+    # the model's own coefficients leave 0.018 (f), 0.100 (b) and 0.101
+    # (joint) of the data misfit on the clean paper window; the joint truth
+    # with its b and c halves swapped leaves 39 times the misfit
+    grid = param_grid()
+    problem = inverse.assemble_problem(kind, reference_data, params, window_times, grid)
+    x = inverse.true_coefficients(kind, params, grid)
+    assert x.shape == (problem.n_cols,)
+    misfit_y = problem.weighted_misfit(problem.y)
+    assert problem.weighted_misfit(problem.T @ x - problem.y) <= 0.2 * misfit_y
+    if kind == inverse.IDENTIFY_JOINT:
+        b_vals, c_vals = problem.split(x)
+        assert np.array_equal(b_vals, params.b(grid.knots))
+        assert np.array_equal(c_vals, params.c(grid.knots))
+        swapped = np.concatenate([c_vals, b_vals])
+        assert problem.weighted_misfit(problem.T @ swapped - problem.y) > misfit_y

@@ -1,9 +1,11 @@
-"""The README's Python API section names only names that exist, and its
-table of checks states the bounds of `chident.checks`."""
+"""The README's Python API section runs and names only names that exist,
+and its table of checks states the bounds of `chident.checks`."""
 
 import importlib
 import re
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,6 +25,16 @@ def test_readme_api_imports_resolve():
         mod = importlib.import_module(module)
         for name in names.split(","):
             assert hasattr(mod, name.strip()), f"{module} has no {name.strip()}"
+
+
+def test_readme_api_example_runs():
+    """The Python API block runs as written and solves for finite knot
+    values, one per knot of the model's true coefficients."""
+    namespace = {}
+    exec(_api_block(), namespace)
+    coefficients = namespace["solution"].coefficients
+    assert np.all(np.isfinite(coefficients))
+    assert coefficients.shape == namespace["truth"].shape
 
 
 def test_readme_api_module_names_resolve():
